@@ -1,9 +1,10 @@
 """Exact genus polynomials of iterated-claw graphs.
 
 Four independent computation routes (production-matrix iteration, a
-three-term recurrence, a generating-function series, and an explicit
-closed form over Q(sqrt 3)), a brute-force embedding oracle, and exact
-certificates of real-rootedness, root interlacing and log-concavity.
+three-term recurrence, a generating-function series of the column sums of
+the matrix powers, and an explicit closed form over Q(sqrt 3)), a
+brute-force embedding oracle, and exact certificates of real-rootedness,
+root interlacing and log-concavity.
 """
 
 from .errors import (
@@ -47,7 +48,7 @@ from .pgd import (
     newclaw_step,
     pgd,
 )
-from .polynomials import IntPoly, Sqrt3Poly, Sqrt3Scalar
+from .polynomials import IntPoly, Sqrt3Poly
 from .rootcert import (
     ConcavityReport,
     InterlacingCertificate,

@@ -4,13 +4,15 @@ Routes implemented here:
 
 * ``genus_recurrence`` -- the three-term linear recurrence
   G_n = 20z G_{n-1} + 8z(3-8z) G_{n-2} - 384z^3 G_{n-3}
-  from the tabulated seeds for n <= 2.
+  from the tabulated seeds for n <= 2.  ``RECURRENCE`` is the one table of
+  its coefficients; every consumer of the recurrence reads it.
 
 * ``column_sum_series`` -- the sequence r_n of third-column sums of the
-  production-matrix powers, generated by the same recurrence from seeds
-  r_0 = 1, r_1 = 8+8z, r_2 = 160z+96z^2; term n+1 is four times the genus
-  polynomial of claw n.  ``verify_series_closed_form`` checks the series
-  against its closed rational generating function in t.
+  production-matrix powers, (1,1,1)M^n, taken from the matrix iteration in
+  ``pgd``; term n+1 is four times the genus polynomial of claw n.
+  ``verify_series_closed_form`` checks the series against its closed
+  rational generating function in t, whose denominator comes from
+  ``RECURRENCE``.
 
 * ``genus_explicit`` -- an exact closed form over Q(sqrt 3): a scaled
   combination of three consecutive terms of an auxiliary polynomial family
@@ -25,14 +27,15 @@ package's core correctness argument.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import count, islice
 from math import comb
 from typing import Iterator
 
 from .errors import ConsistencyError, FormulaIntegrityError, StructureViolation
-from .polynomials import IntPoly, Sqrt3Poly, Sqrt3Scalar
+from .pgd import column_sum, iter_column_sums
+from .polynomials import IntPoly, Sqrt3Poly
 
 
 @dataclass(frozen=True)
@@ -87,37 +90,57 @@ _SEEDS = (
     IntPoly((0, 48, 720, 256)),
 )
 
-_genus_cache: list[IntPoly] = list(_SEEDS)
-# the list caches are append-only and hold immutable values; the lock only
-# serializes extension so concurrent callers cannot misalign indices
-_cache_lock = threading.Lock()
+#: Coefficients (c_1, c_2, c_3) of G_n = c_1 G_{n-1} + c_2 G_{n-2} + c_3 G_{n-3}.
+#: Every use of the recurrence reads them from here.
+RECURRENCE: tuple[IntPoly, ...] = (
+    IntPoly((0, 20)),
+    IntPoly((0, 24, -64)),
+    IntPoly((0, 0, 0, -384)),
+)
 
 
 def _recurrence_step(g1: IntPoly, g2: IntPoly, g3: IntPoly) -> IntPoly:
-    # 20z*g1 + (24z - 64z^2)*g2 - 384z^3*g3
-    out = (20 * g1).shift(1)
-    out = out + (24 * g2).shift(1) - (64 * g2).shift(2)
-    out = out - (384 * g3).shift(3)
-    return out
+    """Next term from the previous three, newest first."""
+    c1, c2, c3 = RECURRENCE
+    return c1 * g1 + c2 * g2 + c3 * g3
+
+
+# structure_check(n) reads terms n-3 .. n, so four terms avoid restarts.
+_WINDOW = 4
+#: (index of the newest term, the last _WINDOW terms oldest first).  Every
+#: update rebinds the whole tuple in one assignment, so a reader in another
+#: thread sees the old window or the new one, never a mix, and needs no lock.
+_window: tuple[int, tuple[IntPoly, ...]] = (len(_SEEDS) - 1, _SEEDS)
+
+
+def _genus_term(n: int) -> IntPoly:
+    global _window
+    top, terms = _window
+    if n <= top - len(terms):
+        top, terms = len(_SEEDS) - 1, _SEEDS
+    if n <= top:
+        return terms[n - top - 1]
+    while top < n:
+        nxt = _recurrence_step(terms[-1], terms[-2], terms[-3])
+        top += 1
+        if any(c < 0 for c in nxt.coeffs):
+            raise StructureViolation(
+                f"recurrence produced a negative coefficient at n={top}"
+            )
+        terms = (*terms[1 - _WINDOW:], nxt)
+    _window = (top, terms)
+    return terms[-1]
 
 
 def genus_recurrence(n: int) -> GenusPolynomial:
-    """Genus polynomial by the three-term recurrence (cached)."""
+    """Genus polynomial by the three-term recurrence.
+
+    The last few terms are kept, so ascending scans cost one step per index;
+    a request below them restarts from the seeds.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if len(_genus_cache) <= n:
-        with _cache_lock:
-            while len(_genus_cache) <= n:
-                nxt = _recurrence_step(
-                    _genus_cache[-1], _genus_cache[-2], _genus_cache[-3]
-                )
-                if any(c < 0 for c in nxt.coeffs):
-                    raise StructureViolation(
-                        "recurrence produced a negative coefficient at "
-                        f"n={len(_genus_cache)}"
-                    )
-                _genus_cache.append(nxt)
-    g = GenusPolynomial(n, _genus_cache[n])
+    g = GenusPolynomial(n, _genus_term(n))
     g.validate()
     return g
 
@@ -128,87 +151,53 @@ def iter_genus() -> Iterator[GenusPolynomial]:
     Keeps only a three-term window, so arbitrarily long scans stay cheap on
     memory.  Validation runs on every term.
     """
-    window = list(_SEEDS)
-    for n in range(3):
-        g = GenusPolynomial(n, window[n])
+    g3, g2, g1 = _SEEDS
+    for n in count():
+        g = GenusPolynomial(n, g3)
         g.validate()
         yield g
-    n = 3
-    while True:
-        nxt = _recurrence_step(window[2], window[1], window[0])
-        g = GenusPolynomial(n, nxt)
-        g.validate()
-        yield g
-        window = [window[1], window[2], nxt]
-        n += 1
-
-
-_SERIES_SEEDS = (
-    IntPoly((1,)),
-    IntPoly((8, 8)),
-    IntPoly((0, 160, 96)),
-)
-
-
-def iter_column_sums() -> Iterator[IntPoly]:
-    """Yield the column-sum series r_0, r_1, r_2, ... (r_{n+1} = 4 * genus_n)."""
-    window = list(_SERIES_SEEDS)
-    yield from window
-    while True:
-        nxt = _recurrence_step(window[2], window[1], window[0])
-        yield nxt
-        window = [window[1], window[2], nxt]
+        g3, g2, g1 = g2, g1, _recurrence_step(g1, g2, g3)
 
 
 def column_sum_series(last: int) -> list[IntPoly]:
     """Terms r_0 .. r_last of the column-sum series."""
     if last < 0:
         raise ValueError("last must be nonnegative")
-    out = []
-    for i, r in enumerate(iter_column_sums()):
-        out.append(r)
-        if i == last:
-            return out
-    raise AssertionError("unreachable")
+    return list(islice(iter_column_sums(), last + 1))
 
 
 def genus_from_series(n: int) -> GenusPolynomial:
     """Genus polynomial as one quarter of series term n+1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    r = column_sum_series(n + 1)[n + 1]
-    g = GenusPolynomial(n, r.exact_scalar_div(4))
+    g = GenusPolynomial(n, column_sum(n + 1).exact_scalar_div(4))
     g.validate()
     return g
 
 
-#: Closed rational generating function of the column-sum series in t:
-#: numerator 1 + (8-12z)t - 24z t^2 over
-#: denominator 1 - 20z t + 8z(8z-3) t^2 + 384z^3 t^3.
+#: Numerator 1 + (8-12z)t - 24z t^2 of the closed rational generating
+#: function of the column-sum series in t; the denominator is
+#: 1 - c_1 t - c_2 t^2 - c_3 t^3 from RECURRENCE.
 SERIES_NUMERATOR: tuple[IntPoly, ...] = (
     IntPoly((1,)),
     IntPoly((8, -12)),
     IntPoly((0, -24)),
-)
-SERIES_DENOMINATOR: tuple[IntPoly, ...] = (
-    IntPoly((1,)),
-    IntPoly((0, -20)),
-    IntPoly((0, -24, 64)),
-    IntPoly((0, 0, 0, 384)),
 )
 
 
 def verify_series_closed_form(n_max: int) -> None:
     """Check the closed generating function against the series up to t^n_max.
 
-    Convolves the series with the claimed denominator and compares the
-    result with the claimed numerator coefficientwise in t.  Raises
-    ConsistencyError on the first mismatch.
+    The series comes from the production matrix and the denominator from the
+    recurrence table, so this compares the two sources.  Convolves the series
+    with the denominator and compares the result with the claimed numerator
+    coefficientwise in t.  Raises ConsistencyError on the first mismatch.
     """
+    denominator = (IntPoly.constant(1),) + tuple(-c for c in RECURRENCE)
     r = column_sum_series(n_max)
     for n in range(n_max + 1):
         acc = IntPoly()
-        for k, d in enumerate(SERIES_DENOMINATOR):
+        for k, d in enumerate(denominator):
             if k <= n:
                 acc = acc + d * r[n - k]
         want = SERIES_NUMERATOR[n] if n < len(SERIES_NUMERATOR) else IntPoly()
@@ -217,9 +206,6 @@ def verify_series_closed_form(n_max: int) -> None:
                 f"series does not match the closed generating function at "
                 f"t^{n}: got {acc}, expected {want}"
             )
-
-
-_comp_cache: dict[int, Sqrt3Poly] = {}
 
 
 def composition_sum(n: int) -> Sqrt3Poly:
@@ -232,17 +218,16 @@ def composition_sum(n: int) -> Sqrt3Poly:
         * (1+sqrt 3)^i2 (1-sqrt 3)^i3 * 3^(j+i1) * (2z)^(n-j).
 
     The empty sum at n = -1 is zero.  Terms are grouped by the power of z
-    (which depends only on j), so the accumulation runs over plain integer
-    pairs before wrapping into exact scalars.
+    (which depends only on j), and accumulate as integer pairs (rat, irr).
     """
     if n < -1:
         raise ValueError("n must be at least -1")
-    if n == -1:
-        return Sqrt3Poly.zero()
-    cached = _comp_cache.get(n)
-    if cached is not None:
-        return cached
+    return _composition_sum(n)
 
+
+# genus_explicit(n) reads n-1 .. n+1, so an ascending scan hits twice per call.
+@lru_cache(maxsize=4)
+def _composition_sum(n: int) -> Sqrt3Poly:
     pow3 = [1] * (n + 1)
     pow2 = [1] * (n + 1)
     for k in range(1, n + 1):
@@ -272,20 +257,16 @@ def composition_sum(n: int) -> Sqrt3Poly:
                 ma, mb = minus[i3]
                 acc_rat[zpow] += w * (pa * ma + 3 * pb * mb)
                 acc_irr[zpow] += w * (pa * mb + pb * ma)
-
-    out = Sqrt3Poly(
-        Sqrt3Scalar(Fraction(a), Fraction(b)) for a, b in zip(acc_rat, acc_irr)
-    )
-    _comp_cache[n] = out
-    return out
+    return Sqrt3Poly(IntPoly(acc_rat), IntPoly(acc_irr))
 
 
 def genus_explicit(n: int) -> GenusPolynomial:
     """Genus polynomial by the explicit Q(sqrt 3) formula.
 
     Evaluates 2^(n-1) * (H_{n+1} + 2(2-3z) H_n - 6z H_{n-1}) where H is the
-    composition-sum family, entirely over Q(sqrt 3); the scale factor is a
-    rational, so integrality is asserted at the end rather than assumed.
+    composition-sum family, entirely over Z[sqrt 3]; the sqrt(3) part must
+    cancel, and the halving at n = 0 must be exact, so integrality is
+    asserted rather than assumed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -294,34 +275,36 @@ def genus_explicit(n: int) -> GenusPolynomial:
         + composition_sum(n) * IntPoly((4, -6))
         - composition_sum(n - 1) * IntPoly((0, 6))
     )
-    scaled = combo * Fraction(2) ** (n - 1)
-    coeffs = []
-    for i, c in enumerate(scaled.coeffs):
-        if c.irr:
+    for i, c in enumerate(combo.irr.coeffs):
+        if c:
             raise FormulaIntegrityError(
-                f"nonzero sqrt(3) residue {c.irr} at n={n}, z^{i}"
+                f"nonzero sqrt(3) residue {c} * 2^{n - 1} at n={n}, z^{i}"
             )
-        if c.rat.denominator != 1 or c.rat < 0:
+    if n >= 1:
+        poly = combo.rat * (1 << (n - 1))
+    else:
+        try:
+            poly = combo.rat.exact_scalar_div(2)
+        except ValueError as exc:
+            raise FormulaIntegrityError(f"halving at n={n}: {exc}") from None
+    for i, c in enumerate(poly.coeffs):
+        if c < 0:
             raise FormulaIntegrityError(
-                f"coefficient {c.rat} at n={n}, z^{i} is not a "
-                "nonnegative integer"
+                f"coefficient {c} at n={n}, z^{i} is not a nonnegative integer"
             )
-        coeffs.append(c.rat.numerator)
-    g = GenusPolynomial(n, IntPoly(coeffs))
+    g = GenusPolynomial(n, poly)
     g.validate()
     return g
 
 
-_lead_cache: list[int] = [2, 24, 256]
-
-
 def _leading_by_linear_recurrence(n: int) -> int:
-    if len(_lead_cache) <= n:
-        with _cache_lock:
-            while len(_lead_cache) <= n:
-                s1, s2, s3 = _lead_cache[-1], _lead_cache[-2], _lead_cache[-3]
-                _lead_cache.append(20 * s1 - 64 * s2 - 384 * s3)
-    return _lead_cache[n]
+    # deg c_k = k, so the top coefficient of G_n is the same combination of
+    # the top coefficients of the previous three terms
+    steps = [c.lead for c in RECURRENCE]
+    leads = [s.lead for s in _SEEDS]
+    while len(leads) <= n:
+        leads.append(sum(c * x for c, x in zip(steps, reversed(leads[-3:]))))
+    return leads[n]
 
 
 def _leading_closed_form(n: int) -> int:
@@ -334,7 +317,7 @@ def leading_coefficient(n: int) -> int:
     """Top genus coefficient, triple-checked.
 
     Computes the closed binomial form and the three-term integer recurrence
-    (seeds 2, 24, 256) and compares both with the top coefficient of the
+    on the top coefficients of the seeds and of RECURRENCE, and compares both with the top coefficient of the
     recurrence route; any disagreement raises FormulaIntegrityError.
     """
     if n < 0:
@@ -375,9 +358,8 @@ def structure_check(n: int) -> StructureReport:
     """Verify support bounds, positivity, the coefficientwise recurrence
     identity, and the strict elevenfold growth inequality at index n.
 
-    The coefficientwise identity
-    g_{n,i} = 20 g_{n-1,i-1} + 24 g_{n-2,i-1} - 64 g_{n-2,i-2} - 384 g_{n-3,i-3}
-    is treated purely as an identity to verify (it applies for n >= 3); the
+    The recurrence identity G_n = c_1 G_{n-1} + c_2 G_{n-2} + c_3 G_{n-3} is
+    compared coefficientwise (it applies for n >= 3); the
     growth inequality g_{n,i} > 11 g_{n-1,i-1} is checked for
     floor((n+1)/2)+1 <= i <= n, an empty range for n <= 1.
     """
@@ -403,12 +385,13 @@ def structure_check(n: int) -> StructureReport:
 
     recurrence_identity_ok = True
     if n >= 3:
-        g1 = genus_recurrence(n - 1).poly
-        g2 = genus_recurrence(n - 2).poly
-        g3 = genus_recurrence(n - 3).poly
-        for i in range(hi + 2):
-            want = 20 * g1[i - 1] + 24 * g2[i - 1] - 64 * g2[i - 2] - 384 * g3[i - 3]
-            if p[i] != want:
+        want = _recurrence_step(
+            genus_recurrence(n - 1).poly,
+            genus_recurrence(n - 2).poly,
+            genus_recurrence(n - 3).poly,
+        )
+        for i in range(max(len(p), len(want))):
+            if p[i] != want[i]:
                 recurrence_identity_ok = False
                 first = first or ("recurrence-identity", i)
                 break

@@ -6,20 +6,21 @@ face-boundary walks touch the root vertex: three (class a), exactly two
 form three polynomials (A, B, C) whose sum is the genus polynomial.
 
 Attaching a new claw at the root transforms the triple linearly; the fixed
-3x3 polynomial matrix below encodes that transformation.  Iterating it from
-the base triple of the three-edge dipole yields every iterated claw's
-partitioned genus distribution.
+3x3 polynomial matrix below encodes that transformation, and one
+matrix-vector kernel applies it.  Iterating it from the base triple of the
+three-edge dipole yields every iterated claw's partitioned genus
+distribution; iterating its transpose from (1, 1, 1) yields the column sums
+of its powers, the series behind the generating-function route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import ConsistencyError, StructureViolation
 from .polynomials import IntPoly
-
-_Z = IntPoly.monomial(1)
 
 #: Fixed production matrix: column j feeds class j of the parent into the
 #: three classes of the child.
@@ -28,6 +29,14 @@ PRODUCTION_MATRIX: tuple[tuple[IntPoly, ...], ...] = (
     (IntPoly.monomial(1, 12), IntPoly.monomial(1, 12), IntPoly()),
     (IntPoly.monomial(2, 4), IntPoly.monomial(1, 2), IntPoly.monomial(1, 8)),
 )
+_TRANSPOSE = tuple(zip(*PRODUCTION_MATRIX))
+
+
+def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
+    """Matrix-vector product over IntPoly; zero entries are skipped."""
+    return tuple(
+        sum((m * x for m, x in zip(row, vec) if m), IntPoly()) for row in matrix
+    )
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,9 @@ def initial_pgd() -> PgdVector:
 
 
 def newclaw_step(v: PgdVector) -> PgdVector:
-    """Advance one claw attachment; equals applying PRODUCTION_MATRIX."""
-    a2 = 2 * v.b + 8 * v.c
-    b2 = (12 * (v.a + v.b)).shift(1)
-    c2 = (4 * v.a).shift(2) + (2 * v.b + 8 * v.c).shift(1)
-    return PgdVector(a2, b2, c2, v.n + 1)
+    """Advance one claw attachment: apply PRODUCTION_MATRIX to (A, B, C)."""
+    a, b, c = _apply(PRODUCTION_MATRIX, (v.a, v.b, v.c))
+    return PgdVector(a, b, c, v.n + 1)
 
 
 def iter_pgd() -> Iterator[PgdVector]:
@@ -99,23 +106,25 @@ def pgd(n: int) -> PgdVector:
     return v
 
 
-def column_sum(n: int) -> IntPoly:
-    """Sum of the third column of the n-th power of the production matrix.
+def iter_column_sums() -> Iterator[IntPoly]:
+    """Yield r_0, r_1, ...: the sum of the third column of M^n.
 
-    Computed as the third component of the row vector (1,1,1)M^n, updated by
-    one right-multiplication per step.  The sequence starts at 1 for n=0 and
-    equals four times the genus polynomial of claw n-1 afterwards.
+    That is the third component of the row vector (1,1,1)M^n, updated by one
+    right-multiplication (the transpose applied to it) per step.  The
+    sequence starts at 1 for n=0 and equals four times the genus polynomial
+    of claw n-1 afterwards.
     """
+    row = (IntPoly.constant(1),) * 3
+    while True:
+        yield row[2]
+        row = _apply(_TRANSPOSE, row)
+
+
+def column_sum(n: int) -> IntPoly:
+    """Sum of the third column of the n-th power of the production matrix."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = q = r = IntPoly.constant(1)
-    for _ in range(n):
-        p, q, r = (
-            (12 * q).shift(1) + (4 * r).shift(2),
-            2 * p + (12 * q + 2 * r).shift(1),
-            8 * p + (8 * r).shift(1),
-        )
-    return r
+    return next(islice(iter_column_sums(), n, None))
 
 
 def column_sum_check(n: int) -> IntPoly:

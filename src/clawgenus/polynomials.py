@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over Z, Q and Q(sqrt 3).
+"""Exact univariate polynomial arithmetic over Z and Z[sqrt 3].
 
 Polynomials are dense coefficient vectors: index i holds the coefficient of
 z**i.  The genus polynomials handled downstream never have internal zeros, so
@@ -6,8 +6,12 @@ dense storage is the right shape.  Every value is immutable once built and
 every operation returns a fresh object, so values can move freely between
 threads.
 
-Rational scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator), which matches the contract exactly; no wrapper type is needed.
+Rational evaluation points are ``fractions.Fraction`` (always in lowest
+terms, positive denominator), which matches the contract exactly; no wrapper
+type is needed.  An element of Q(sqrt 3) met downstream always has integer
+parts, so ``Sqrt3Poly`` is a pair of integer polynomials rat + irr*sqrt(3);
+the one power-of-two scale the explicit formula needs is applied by its
+caller.
 """
 
 from __future__ import annotations
@@ -267,168 +271,36 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     return a
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-
-
 @dataclass(frozen=True)
-class Sqrt3Scalar:
-    """Element rat + irr*sqrt(3) of Q(sqrt 3), with exact rational parts."""
-
-    rat: Fraction = Fraction(0)
-    irr: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, v) -> Sqrt3Scalar:
-        if isinstance(v, Sqrt3Scalar):
-            return v
-        return cls(_as_fraction(v))
-
-    def is_zero(self) -> bool:
-        return not self.rat and not self.irr
-
-    def is_rational(self) -> bool:
-        return not self.irr
-
-    def __add__(self, other) -> Sqrt3Scalar:
-        o = Sqrt3Scalar.of(other)
-        return Sqrt3Scalar(self.rat + o.rat, self.irr + o.irr)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Sqrt3Scalar:
-        return Sqrt3Scalar(-self.rat, -self.irr)
-
-    def __sub__(self, other) -> Sqrt3Scalar:
-        return self + (-Sqrt3Scalar.of(other))
-
-    def __rsub__(self, other) -> Sqrt3Scalar:
-        return (-self) + other
-
-    def __mul__(self, other) -> Sqrt3Scalar:
-        o = Sqrt3Scalar.of(other)
-        # (a + b*s)(c + d*s) = (ac + 3bd) + (ad + bc)*s   with s*s = 3
-        return Sqrt3Scalar(
-            self.rat * o.rat + 3 * self.irr * o.irr,
-            self.rat * o.irr + self.irr * o.rat,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Sqrt3Scalar:
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        acc = Sqrt3Scalar(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def to_float(self) -> float:
-        return float(self.rat) + float(self.irr) * 3 ** 0.5
-
-    def __str__(self) -> str:
-        if not self.irr:
-            return str(self.rat)
-        return f"{self.rat} + {self.irr}*sqrt(3)"
-
-
-_S3_ZERO = Sqrt3Scalar()
-
-
 class Sqrt3Poly:
-    """Polynomial with coefficients in Q(sqrt 3); same normalization as IntPoly."""
+    """Polynomial rat + irr*sqrt(3) over Z[sqrt 3], as a pair of IntPoly."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Sqrt3Scalar.of(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs: tuple[Sqrt3Scalar, ...] = tuple(cs)
+    rat: IntPoly = IntPoly()
+    irr: IntPoly = IntPoly()
 
     @classmethod
     def zero(cls) -> Sqrt3Poly:
         return cls()
 
-    @classmethod
-    def from_int_poly(cls, p: IntPoly) -> Sqrt3Poly:
-        return cls(p.coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, i: int) -> Sqrt3Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _S3_ZERO
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sqrt3Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> Sqrt3Poly:
-        return Sqrt3Poly(-c for c in self.coeffs)
-
     def __add__(self, other) -> Sqrt3Poly:
-        if isinstance(other, IntPoly):
-            other = Sqrt3Poly.from_int_poly(other)
         if not isinstance(other, Sqrt3Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Sqrt3Poly(out)
-
-    __radd__ = __add__
+        return Sqrt3Poly(self.rat + other.rat, self.irr + other.irr)
 
     def __sub__(self, other) -> Sqrt3Poly:
-        if isinstance(other, IntPoly):
-            other = Sqrt3Poly.from_int_poly(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> Sqrt3Poly:
-        if isinstance(other, (int, Fraction, Sqrt3Scalar)):
-            s = Sqrt3Scalar.of(other)
-            return Sqrt3Poly(c * s for c in self.coeffs)
-        if isinstance(other, IntPoly):
-            other = Sqrt3Poly.from_int_poly(other)
         if not isinstance(other, Sqrt3Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Sqrt3Poly()
-        out = [_S3_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai.is_zero():
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        return Sqrt3Poly(out)
+        return Sqrt3Poly(self.rat - other.rat, self.irr - other.irr)
+
+    def __mul__(self, other) -> Sqrt3Poly:
+        if isinstance(other, (int, IntPoly)):
+            return Sqrt3Poly(self.rat * other, self.irr * other)
+        if not isinstance(other, Sqrt3Poly):
+            return NotImplemented
+        # (a + b*s)(c + d*s) = (ac + 3bd) + (ad + bc)*s   with s*s = 3
+        return Sqrt3Poly(
+            self.rat * other.rat + 3 * (self.irr * other.irr),
+            self.rat * other.irr + self.irr * other.rat,
+        )
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> Sqrt3Poly:
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
-        return Sqrt3Poly((_S3_ZERO,) * k + self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Sqrt3Poly([{', '.join(str(c) for c in self.coeffs)}])"

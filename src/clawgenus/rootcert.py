@@ -22,7 +22,6 @@ Certificates produced:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
@@ -68,41 +67,9 @@ def normalize(g: GenusPolynomial) -> NormalizedPoly:
     return out
 
 
-_W_SEEDS = (IntPoly((2, 2)), IntPoly((40, 24)), IntPoly((48, 720, 256)))
-_w_cache: list[IntPoly] = list(_W_SEEDS)
-_w_lock = threading.Lock()
-
-
 def normalized_recurrence(n: int) -> NormalizedPoly:
-    """Normalized polynomial computed directly by its parity-split recurrence.
-
-    Even n:  20z W1 + (24 - 64z) W2 - 384 z^2 W3
-    Odd n:   20  W1 + (24 - 64z) W2 - 384 z   W3
-    (W1, W2, W3 the three previous terms.)  The result is checked against
-    normalizing the recurrence-route genus polynomial; a mismatch raises
-    ConsistencyError.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(_w_cache) <= n:
-        with _w_lock:
-            while len(_w_cache) <= n:
-                m = len(_w_cache)
-                w1, w2, w3 = _w_cache[-1], _w_cache[-2], _w_cache[-3]
-                mid = w2 * IntPoly((24, -64))
-                if m % 2 == 0:
-                    nxt = (20 * w1).shift(1) + mid - (384 * w3).shift(2)
-                else:
-                    nxt = 20 * w1 + mid - (384 * w3).shift(1)
-                _w_cache.append(nxt)
-    direct = NormalizedPoly(n, _w_cache[n])
-    direct.validate()
-    via_genus = normalize(genus_recurrence(n))
-    if direct.w != via_genus.w:
-        raise ConsistencyError(
-            f"normalized recurrence disagrees with the genus route at n={n}"
-        )
-    return direct
+    """Normalized polynomial of the recurrence-route genus polynomial."""
+    return normalize(genus_recurrence(n))
 
 
 class SturmChain:

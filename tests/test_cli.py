@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, JSON round-trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -155,6 +156,36 @@ class TestOracleCheck:
         assert code == 0
         assert out.count("matches") == 3
         assert "(1024 embeddings)" in out  # 2^10 at n=2
+
+
+class TestGoldenDigests:
+    """sha256 of whole CLI outputs: refactors must keep stdout byte-identical.
+
+    A change that alters output on purpose (such as new interval endpoints)
+    re-records the digest it affects."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("table", "--max-n", "500", "--format", "csv"),
+                "0b7da968ee4556ec1e492088b277070a99fd8a5b031c5c92b00f6b83ce8e4152",
+            ),
+            (
+                ("compute", "--route", "all", "--format", "csv", "--n", "0..60"),
+                "9b320c1618c5b30ece4f74b9ac48b9b111ebacde75d396d622cf4e39f5d9bd02",
+            ),
+            (
+                ("certify", "--n", "0..24", "--format", "json"),
+                "a20ebc9ff2e229467b7cab641b9033ed7bcafeadb44862d7406a7b6acc741a0e",
+            ),
+        ],
+        ids=["table", "compute", "certify"],
+    )
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSubprocess:

@@ -4,7 +4,8 @@ from itertools import islice
 
 import pytest
 
-from clawgenus.errors import FormulaIntegrityError
+import clawgenus.formulas as formulas
+from clawgenus.errors import ConsistencyError, FormulaIntegrityError
 from clawgenus.formulas import (
     GenusPolynomial,
     column_sum_series,
@@ -38,6 +39,16 @@ class TestRecurrenceRoute:
         for g, v in zip(islice(iter_genus(), 30), iter_pgd()):
             assert g.poly == v.total()
 
+    def test_out_of_order_requests_match_iter_genus(self):
+        ref = [g.poly for g in islice(iter_genus(), 41)]
+        for n in [*range(40, 19, -1), 3, 0, 40, 12, 13, 9, 30]:
+            assert genus_recurrence(n).poly == ref[n], n
+
+    def test_window_stays_bounded(self):
+        genus_recurrence(500)
+        top, terms = formulas._window
+        assert top == 500 and len(terms) <= 4
+
     def test_validation_catches_bad_support(self):
         from clawgenus.errors import StructureViolation
 
@@ -63,6 +74,12 @@ class TestSeriesRoute:
     def test_closed_form(self):
         verify_series_closed_form(60)
 
+    def test_closed_form_detects_a_wrong_recurrence(self, monkeypatch):
+        c1, c2, c3 = formulas.RECURRENCE
+        monkeypatch.setattr(formulas, "RECURRENCE", (c1, c2 + P(0, 0, 1), c3))
+        with pytest.raises(ConsistencyError):
+            verify_series_closed_form(10)
+
     def test_genus_from_series(self):
         for n in sorted(TABLE):
             assert genus_from_series(n).poly == TABLE[n]
@@ -73,21 +90,27 @@ class TestExplicitRoute:
         assert composition_sum(-1) == Sqrt3Poly.zero()
 
     def test_composition_sum_base(self):
-        assert composition_sum(0) == Sqrt3Poly([1])
+        assert composition_sum(0) == Sqrt3Poly(P(1))
 
     def test_composition_sum_one(self):
         # three compositions: 6z + 2z(1+sqrt3) + 2z(1-sqrt3) = 10z
-        assert composition_sum(1) == Sqrt3Poly([0, 10])
+        assert composition_sum(1) == Sqrt3Poly(P(0, 10))
 
     def test_composition_sum_two(self):
         # six compositions, worked by hand; all sqrt(3) parts cancel
-        assert composition_sum(2) == Sqrt3Poly([0, 6, 84])
+        assert composition_sum(2) == Sqrt3Poly(P(0, 6, 84))
 
     def test_sqrt3_parts_cancel_within_each_term(self):
         # swapping the roles of the two conjugate factors pairs every
         # composition with its mirror, so each family member is rational
         for n in range(12):
-            assert all(c.is_rational() for c in composition_sum(n).coeffs)
+            assert composition_sum(n).irr.is_zero()
+
+    def test_composition_cache_stays_bounded(self):
+        for n in range(61):
+            genus_explicit(n)
+        info = formulas._composition_sum.cache_info()
+        assert info.currsize == info.maxsize
 
     @pytest.mark.parametrize("n", sorted(TABLE))
     def test_matches_table(self, n):
@@ -101,6 +124,20 @@ class TestExplicitRoute:
         for n in range(20):
             assert genus_explicit(n).poly == genus_recurrence(n).poly
 
+    @pytest.mark.parametrize(
+        "n,extra",
+        [
+            (3, Sqrt3Poly(P(), P(0, 1))),  # sqrt(3) residue
+            (0, Sqrt3Poly(P(1))),  # odd coefficient before the halving
+            (1, Sqrt3Poly(P(-10 ** 9))),  # negative coefficient
+        ],
+    )
+    def test_integrity_failures_raise(self, monkeypatch, n, extra):
+        real = formulas.composition_sum
+        monkeypatch.setattr(formulas, "composition_sum", lambda k: real(k) + extra)
+        with pytest.raises(FormulaIntegrityError):
+            genus_explicit(n)
+
 
 class TestLeadingCoefficient:
     @pytest.mark.parametrize(
@@ -113,16 +150,13 @@ class TestLeadingCoefficient:
         for n in range(40):
             assert leading_coefficient(n) == genus_recurrence(n).poly.lead
 
-    def test_mismatch_detection(self):
-        import clawgenus.formulas as formulas
-
-        saved = formulas._lead_cache[:]
-        formulas._lead_cache[2] = 255
-        try:
-            with pytest.raises(FormulaIntegrityError):
-                leading_coefficient(2)
-        finally:
-            formulas._lead_cache[:] = saved
+    def test_mismatch_detection(self, monkeypatch):
+        closed = formulas._leading_closed_form
+        monkeypatch.setattr(
+            formulas, "_leading_closed_form", lambda n: closed(n) + 1
+        )
+        with pytest.raises(FormulaIntegrityError):
+            leading_coefficient(2)
 
 
 class TestStructure:

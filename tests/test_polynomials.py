@@ -10,7 +10,6 @@ from clawgenus.polynomials import (
     NEG_INF,
     IntPoly,
     Sqrt3Poly,
-    Sqrt3Scalar,
     exact_div,
     poly_gcd,
     signed_pseudo_rem,
@@ -120,30 +119,29 @@ class TestPolyDivision:
 
 class TestSqrt3:
     def test_norm_of_extension(self):
-        one_plus = Sqrt3Scalar(Fraction(1), Fraction(1))
-        one_minus = Sqrt3Scalar(Fraction(1), Fraction(-1))
-        assert one_plus * one_minus == Sqrt3Scalar.of(-2)
+        one_plus = Sqrt3Poly(P(1), P(1))
+        one_minus = Sqrt3Poly(P(1), P(-1))
+        assert one_plus * one_minus == Sqrt3Poly(P(-2))
 
     def test_square_expansion(self):
-        one_plus = Sqrt3Scalar(Fraction(1), Fraction(1))
-        assert one_plus * one_plus == Sqrt3Scalar(Fraction(4), Fraction(2))
-        assert one_plus ** 2 == Sqrt3Scalar(Fraction(4), Fraction(2))
+        one_plus = Sqrt3Poly(P(1), P(1))
+        assert one_plus * one_plus == Sqrt3Poly(P(4), P(2))
+        assert one_plus * one_plus * one_plus == Sqrt3Poly(P(10), P(6))
 
     def test_multiplicative_identity(self):
-        one_plus = Sqrt3Scalar(Fraction(1), Fraction(1))
-        assert one_plus * Sqrt3Scalar.of(1) == one_plus
+        one_plus = Sqrt3Poly(P(1), P(1))
+        assert one_plus * Sqrt3Poly(P(1)) == one_plus
+        assert one_plus * 1 == one_plus == P(1) * one_plus
 
     def test_poly_roundtrip_and_mul(self):
-        p = Sqrt3Poly.from_int_poly(P(1, 2))
-        q = Sqrt3Poly([Sqrt3Scalar(Fraction(0), Fraction(1))])  # sqrt(3)
-        assert (p * q).coeffs == (
-            Sqrt3Scalar(Fraction(0), Fraction(1)),
-            Sqrt3Scalar(Fraction(0), Fraction(2)),
-        )
+        p = Sqrt3Poly(P(1, 2))
+        q = Sqrt3Poly(P(), P(1))  # sqrt(3)
+        assert p * q == Sqrt3Poly(P(), P(1, 2))
+        assert p - p * q == Sqrt3Poly(P(1, 2), P(-1, -2))
 
     def test_poly_normalization(self):
-        z = Sqrt3Scalar()
-        assert Sqrt3Poly([z, z]).is_zero()
+        assert Sqrt3Poly(P(0, 0), P(0)) == Sqrt3Poly.zero()
+        assert Sqrt3Poly(P(0, 0), P(0)).rat.is_zero()
 
 
 small_ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
@@ -152,8 +150,17 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=1000
 )
-sqrt3_scalars = st.tuples(rationals, rationals).map(lambda t: Sqrt3Scalar(*t))
-sqrt3_polys = st.lists(sqrt3_scalars, max_size=5).map(Sqrt3Poly)
+tiny_ints = st.integers(min_value=-100, max_value=100)
+# constants a + b*sqrt(3), and polynomials with both parts of degree < 5
+sqrt3_scalars = st.builds(
+    lambda a, b: Sqrt3Poly(P(a), P(b)), tiny_ints, tiny_ints
+)
+tiny_polys = st.lists(tiny_ints, max_size=5).map(IntPoly)
+sqrt3_polys = st.builds(Sqrt3Poly, tiny_polys, tiny_polys)
+
+
+def sqrt3_to_float(x: Sqrt3Poly) -> float:
+    return x.rat[0] + x.irr[0] * SQRT3
 
 
 class TestRingAxioms:
@@ -196,6 +203,6 @@ class TestRingAxioms:
 
     @given(sqrt3_scalars, sqrt3_scalars)
     def test_sqrt3_matches_float_arithmetic(self, a, b):
-        exact = (a * b).to_float()
-        approx = a.to_float() * b.to_float()
+        exact = sqrt3_to_float(a * b)
+        approx = sqrt3_to_float(a) * sqrt3_to_float(b)
         assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact))

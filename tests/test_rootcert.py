@@ -5,11 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clawgenus.errors import (
-    ConsistencyError,
-    InterlacingUndecided,
-    StructureViolation,
-)
+from clawgenus.errors import InterlacingUndecided, StructureViolation
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
 from clawgenus.polynomials import IntPoly, poly_gcd
 from clawgenus.rootcert import (
@@ -73,16 +69,15 @@ class TestNormalizedRecurrence:
         for n in range(25):
             assert normalized_recurrence(n).w == normalize(genus_recurrence(n)).w
 
-    def test_mismatch_detection(self):
-        import clawgenus.rootcert as rc
+    def test_mismatch_detection(self, monkeypatch):
+        import clawgenus.formulas as formulas
 
-        saved = rc._w_cache[:]
-        rc._w_cache[2] = P(48, 720, 255)
-        try:
-            with pytest.raises((ConsistencyError, StructureViolation)):
-                normalized_recurrence(2)
-        finally:
-            rc._w_cache[:] = saved
+        g0, g1, g2 = (genus_recurrence(n).poly for n in range(3))
+        monkeypatch.setattr(
+            formulas, "_window", (2, (g0, g1, g2 - P(0, 0, 0, 1)))
+        )
+        with pytest.raises(StructureViolation):
+            normalized_recurrence(2)
 
 
 class TestSturm:
