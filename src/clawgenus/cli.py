@@ -55,6 +55,18 @@ def parse_n_spec(spec: str) -> list[int]:
     return list(range(a, b + 1))
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
 def _padded_coeffs(p: IntPoly, n: int) -> list[int]:
     return [p[i] for i in range(n + 2)]
 
@@ -162,6 +174,7 @@ def cmd_certify(args) -> int:
     failures = 0
     out_rows = []
     for n in args.n:
+        certs.pop(n - 3, None)  # an ascending range needs only n-2..n from here
         c = cert(n)
         real_rooted = c.complete
         inter = {"consecutive": None, "skip": None}
@@ -258,28 +271,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="computation route; 'all' cross-checks the four "
                         "algebraic routes (default)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="worker count for the oracle route")
+    p.add_argument("--parallelism", type=_int_at_least(1), default=1,
+                   help="worker count for the oracle route (at least 1)")
     p.add_argument("--acknowledge-cost", action="store_true",
                    help="allow oracle enumeration above the size cap")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="coefficient table for n = 0..max-n")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_int_at_least(0), default=4)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("certify", help="root and log-concavity certificates")
     p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-refine", type=int, default=None,
-                   help="override the interval refinement budget")
+    p.add_argument("--max-refine", type=_int_at_least(0), default=None,
+                   help="override the interval refinement budget (at least 0)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle-check",
                        help="compare exhaustive enumeration with the engine")
     p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
     p.add_argument("--acknowledge-cost", action="store_true")
     p.set_defaults(func=cmd_oracle_check)
     return parser

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .errors import OracleCapExceeded, StructureViolation
+from .errors import ClawgenusError, OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
 
 #: Largest n enumerated without an explicit cost acknowledgment.
@@ -248,7 +248,11 @@ def _tally_chunk(args) -> list[list[int]]:
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ClawgenusError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def enumerate_pgd(

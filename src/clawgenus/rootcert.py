@@ -10,12 +10,16 @@ optional diagnostic output.
 Certificates produced:
 
 * ``RootCertificate`` -- pairwise-disjoint rational intervals, each
-  containing exactly one (negative) real root; ``complete`` means the count
-  matches the degree, i.e. the polynomial is real-rooted.
+  containing exactly one (negative) real root, found by Sturm bisection;
+  ``complete`` means the count matches the degree, i.e. the polynomial is
+  real-rooted.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
-  the isolating intervals of two normalized polynomials.
-* ``SignPatternReport`` -- alternating-sign checks of one polynomial
-  evaluated at the other's roots.
+  the isolating intervals of two normalized polynomials.  Overlapping
+  intervals are bisected, and each halving is decided by the sign of the
+  squarefree part at the midpoint.
+* ``SignPatternReport`` -- alternating-sign checks of each polynomial at
+  the other's roots, read at the midpoints of the same merged, disjoint
+  intervals.
 * ``ConcavityReport`` -- exact log-concavity / unimodality of a genus
   polynomial's coefficients.
 """
@@ -155,9 +159,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def overlaps(self, other: Interval) -> bool:
-        return self.lo < other.hi and other.lo < self.hi
-
     def as_json_list(self) -> list[int]:
         return [
             self.lo.numerator,
@@ -230,10 +231,15 @@ def isolate_roots(np_: NormalizedPoly) -> RootCertificate:
     )
 
 
-def _halve(chain: SturmChain, iv: Interval) -> Interval:
-    """Halve an isolating interval, keeping its single root."""
-    mid = (iv.lo + iv.hi) / 2
-    if chain.count(mid, iv.hi) == 1:
+def _halve(p: IntPoly, iv: Interval) -> Interval:
+    """Halve an isolating interval of p, keeping its single root.
+
+    p must be squarefree (a chain's ``polys[0]``), so the root is simple and
+    p changes sign across it unless it sits exactly on hi or on the midpoint.
+    """
+    mid = iv.midpoint
+    at_hi = p.sign_at(iv.hi)
+    if at_hi == 0 or p.sign_at(mid) == -at_hi:
         return Interval(mid, iv.hi)
     return Interval(iv.lo, mid)
 
@@ -249,41 +255,46 @@ def default_refine_budget(a: RootCertificate, b: RootCertificate) -> int:
     return 4 * max(a.degree, 1) * max(bits, 1)
 
 
-def _separate(
-    a_ivs: list[Interval],
-    a_chain: SturmChain,
-    b_ivs: list[Interval],
-    b_chain: SturmChain,
-    budget: int,
-    what: str,
-) -> tuple[list[Interval], list[Interval]]:
-    """Refine two sorted interval lists until no cross pair overlaps."""
-    a, b = list(a_ivs), list(b_ivs)
-    steps = 0
-    while True:
-        hit = None
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i].hi <= b[j].lo:
-                i += 1
-            elif b[j].hi <= a[i].lo:
-                j += 1
-            else:
-                hit = (i, j)
-                break
-        if hit is None:
-            return a, b
-        if steps >= budget:
+def _merge(
+    a: RootCertificate, b: RootCertificate, max_refine: int | None, what: str
+) -> list[tuple[int, Interval]]:
+    """Refine a's and b's isolating intervals apart in one two-pointer pass.
+
+    An overlapping pair has its wider interval halved (a's on ties) until
+    the two separate; halving only shrinks intervals, so pairs already
+    passed stay apart.  Returns every interval in increasing order, tagged
+    0 for a and 1 for b.  Raises InterlacingUndecided after ``max_refine``
+    halvings (default ``default_refine_budget``).
+    """
+    budget = max_refine if max_refine is not None else default_refine_budget(a, b)
+    xs, ys = list(a.intervals), list(b.intervals)
+    merged: list[tuple[int, Interval]] = []
+    steps = i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x.hi <= y.lo:
+            merged.append((0, x))
+            i += 1
+        elif y.hi <= x.lo:
+            merged.append((1, y))
+            j += 1
+        elif steps >= budget:
             raise InterlacingUndecided(
                 f"{what}: could not separate intervals within {budget} "
                 "refinement steps; the polynomials may share a root"
             )
-        i, j = hit
-        if a[i].width >= b[j].width:
-            a[i] = _halve(a_chain, a[i])
         else:
-            b[j] = _halve(b_chain, b[j])
-        steps += 1
+            if x.width >= y.width:
+                xs[i] = _halve(a.chain.polys[0], x)
+            else:
+                ys[j] = _halve(b.chain.polys[0], y)
+            steps += 1
+    return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
+
+
+def _misplaced(merged: list[tuple[int, Interval]]) -> int | None:
+    """First position where the sides stop running 0, 1, 0, 1, ..., if any."""
+    return next((k for k, (side, _) in enumerate(merged) if side != k % 2), None)
 
 
 Mode = Literal["consecutive", "skip"]
@@ -347,27 +358,15 @@ def certify_interlacing(
             f"root counts {len(a.intervals)} and {len(b.intervals)} do not "
             f"differ by {expected_diff} for pair ({a.n}, {b.n})"
         )
-    budget = max_refine if max_refine is not None else default_refine_budget(a, b)
-    a_ivs, b_ivs = _separate(
-        list(a.intervals),
-        a.chain,
-        list(b.intervals),
-        b.chain,
-        budget,
-        f"interlacing ({a.n}, {b.n})",
-    )
-    merged = sorted(
-        [(a.n, iv) for iv in a_ivs] + [(b.n, iv) for iv in b_ivs],
-        key=lambda t: t[1],
-    )
-    for idx, (owner, _) in enumerate(merged):
-        want = a.n if idx % 2 == 0 else b.n
-        if owner != want:
-            raise ConsistencyError(
-                f"roots of pair ({a.n}, {b.n}) do not alternate at "
-                f"position {idx}"
-            )
-    return InterlacingCertificate(n=a.n, m=b.n, mode=mode, merged=tuple(merged))
+    merged = _merge(a, b, max_refine, f"interlacing ({a.n}, {b.n})")
+    idx = _misplaced(merged)
+    if idx is not None:
+        raise ConsistencyError(
+            f"roots of pair ({a.n}, {b.n}) do not alternate at position {idx}"
+        )
+    owners = (a.n, b.n)
+    tagged = tuple((owners[side], iv) for side, iv in merged)
+    return InterlacingCertificate(n=a.n, m=b.n, mode=mode, merged=tagged)
 
 
 @dataclass(frozen=True)
@@ -392,31 +391,13 @@ class SignPatternReport:
         return self.hypothesis_ok and self.p_signs_ok and self.q_signs_ok
 
 
-def _signs_at_roots(
-    value_poly: IntPoly,
-    value_chain: SturmChain,
-    root_ivs: list[Interval],
-    root_chain: SturmChain,
-    budget: int,
-) -> list[int]:
-    """Sign of value_poly at each isolated root of another polynomial.
-
-    Each root interval is refined until value_poly has no root inside; the
-    midpoint sign is then the sign at the (irrational) root itself.
-    """
-    out = []
-    for iv in root_ivs:
-        steps = 0
-        while value_chain.count(iv.lo, iv.hi) != 0:
-            if steps >= budget:
-                raise InterlacingUndecided(
-                    "could not separate an evaluation interval from the "
-                    f"roots of the evaluated polynomial within {budget} steps"
-                )
-            iv = _halve(root_chain, iv)
-            steps += 1
-        out.append(value_poly.sign_at(iv.midpoint))
-    return out
+def _first_wrong_sign(poly: IntPoly, roots, offset: int) -> int | None:
+    """First k >= 1 where poly lacks sign (-1)^(k + offset) at the k-th root."""
+    return next(
+        (k for k, (_, iv) in enumerate(roots, start=1)
+         if poly.sign_at(iv.midpoint) != (-1) ** (k + offset)),
+        None,
+    )
 
 
 def sign_pattern_check(
@@ -427,63 +408,30 @@ def sign_pattern_check(
     """Check the alternating sign patterns for an interlacing pair.
 
     p_cert must be the polynomial whose leftmost root comes first (one root
-    more than q, or equal counts with q's root rightmost).  Failures are
-    recorded in the report, never raised.
+    more than q, or equal counts with q's root rightmost).  The signs are
+    read at the midpoints of the merged intervals: each side's intervals
+    hold all of its real roots and are disjoint from the other side's, so
+    the sign there is the sign at the root.  Failures are recorded in the
+    report, never raised.
     """
+    p, q = p_cert.n, q_cert.n
     if not p_cert.intervals or not q_cert.intervals:
         # nothing to evaluate at: every root-indexed check is vacuous
-        return SignPatternReport(p_cert.n, q_cert.n, True, True, True, None)
-    budget = max_refine if max_refine is not None else default_refine_budget(
-        p_cert, q_cert
-    )
-    first: str | None = None
+        return SignPatternReport(p, q, True, True, True, None)
     try:
-        p_ivs, q_ivs = _separate(
-            list(p_cert.intervals),
-            p_cert.chain,
-            list(q_cert.intervals),
-            q_cert.chain,
-            budget,
-            f"sign pattern ({p_cert.n}, {q_cert.n})",
-        )
+        merged = _merge(p_cert, q_cert, max_refine, f"sign pattern ({p}, {q})")
     except InterlacingUndecided:
-        return SignPatternReport(
-            p_cert.n, q_cert.n, False, False, False, "separation failed"
-        )
+        return SignPatternReport(p, q, False, False, False, "separation failed")
+    if _misplaced(merged) is not None:
+        return SignPatternReport(p, q, False, False, False, "hypothesis violated")
 
-    merged = sorted(
-        [("p", iv) for iv in p_ivs] + [("q", iv) for iv in q_ivs],
-        key=lambda t: t[1],
+    bad_p = _first_wrong_sign(p_cert.poly, merged[1::2], p_cert.degree)
+    bad_q = _first_wrong_sign(q_cert.poly, merged[0::2], q_cert.degree + 1)
+    first = (
+        f"sign of p at root {bad_p} of q" if bad_p
+        else f"sign of q at root {bad_q} of p" if bad_q else None
     )
-    hypothesis_ok = (
-        len(p_ivs) - len(q_ivs) in (0, 1)
-        and all(
-            owner == ("p" if idx % 2 == 0 else "q")
-            for idx, (owner, _) in enumerate(merged)
-        )
-    )
-    if not hypothesis_ok:
-        return SignPatternReport(
-            p_cert.n, q_cert.n, False, False, False, "hypothesis violated"
-        )
-
-    dp, dq = p_cert.degree, q_cert.degree
-    p_signs_ok = q_signs_ok = True
-    p_at_q = _signs_at_roots(p_cert.poly, p_cert.chain, q_ivs, q_cert.chain, budget)
-    for i, s in enumerate(p_at_q, start=1):
-        if s != (1 if (i + dp) % 2 == 0 else -1):
-            p_signs_ok = False
-            first = first or f"sign of p at root {i} of q"
-            break
-    q_at_p = _signs_at_roots(q_cert.poly, q_cert.chain, p_ivs, p_cert.chain, budget)
-    for j, s in enumerate(q_at_p, start=1):
-        if s != (-1 if (j + dq) % 2 == 0 else 1):
-            q_signs_ok = False
-            first = first or f"sign of q at root {j} of p"
-            break
-    return SignPatternReport(
-        p_cert.n, q_cert.n, hypothesis_ok, p_signs_ok, q_signs_ok, first
-    )
+    return SignPatternReport(p, q, True, bad_p is None, bad_q is None, first)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,23 @@
 """Command-line surface: formats, exit codes, JSON round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import clawgenus.cli as cli
 from clawgenus.cli import canonical_json, main, parse_n_spec
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TABLE_CSV = """\
 0,2,2
@@ -22,6 +32,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, env=None, timeout=120):
+    """`python -m clawgenus ...` in a fresh interpreter that imports src/."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "clawgenus", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
 
 
 class TestParsing:
@@ -142,6 +165,22 @@ class TestCertify:
         assert code == 1
         assert "separate" in err
 
+    def test_keeps_only_the_certificates_the_chain_needs(self, capsys, monkeypatch):
+        isolate = cli.isolate_roots
+        built, alive_at_call = [], []
+
+        def spy(np_):
+            alive_at_call.append(sum(ref() is not None for ref in built))
+            c = isolate(np_)
+            built.append(weakref.ref(c))
+            return c
+
+        monkeypatch.setattr(cli, "isolate_roots", spy)
+        code, _, _ = run(capsys, "certify", "--n", "0..12")
+        assert code == 0
+        assert len(built) == 13  # each certificate is built exactly once
+        assert max(alive_at_call) <= 3
+
     def test_rational_endpoints_never_serialize_as_floats(self, capsys):
         _, out, _ = run(capsys, "certify", "--n", "0..5", "--format", "json")
         rows = json.loads(out)
@@ -179,8 +218,12 @@ class TestGoldenDigests:
                 ("certify", "--n", "0..24", "--format", "json"),
                 "a20ebc9ff2e229467b7cab641b9033ed7bcafeadb44862d7406a7b6acc741a0e",
             ),
+            (
+                ("certify", "--n", "37..38", "--format", "json"),
+                "a40d7db60f5b1e14699ab716b300154bc42cda93f6193d01e7415c669b3dd4d0",
+            ),
         ],
-        ids=["table", "compute", "certify"],
+        ids=["table", "compute", "certify", "certify-37-38"],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
@@ -190,20 +233,106 @@ class TestGoldenDigests:
 
 class TestSubprocess:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "clawgenus", "table", "--max-n", "4",
-             "--format", "csv"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_module("table", "--max-n", "4", "--format", "csv", timeout=60)
         assert proc.returncode == 0
         assert proc.stdout == TABLE_CSV
 
     def test_certificate_json_is_deterministic_across_runs(self):
-        cmd = [sys.executable, "-m", "clawgenus", "certify", "--n", "0..6",
-               "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        second = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        cmd = ("certify", "--n", "0..6", "--format", "json")
+        first = run_module(*cmd)
+        second = run_module(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestBoundaryValidation:
+    """Bad input fails cleanly: usage errors exit 2, bad settings exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--n", "0", "--route", "oracle", "--parallelism", "0"),
+            ("oracle-check", "--n", "0", "--parallelism", "0"),
+            ("table", "--max-n", "-1"),
+            ("certify", "--n", "1..2", "--max-refine", "-5"),
+        ],
+        ids=["compute-parallelism", "oracle-check-parallelism", "table-max-n",
+             "certify-max-refine"],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, argv):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "expected an integer >=" in proc.stderr
+
+    def test_non_integer_oracle_cap_is_a_clean_error(self):
+        proc = run_module(
+            "oracle-check", "--n", "0", env={"CLAWGENUS_ORACLE_CAP": "abc"}
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "CLAWGENUS_ORACLE_CAP" in proc.stderr
+
+
+def mostly(valid, bad):
+    """Valid values three times in four, so most runs get past argparse."""
+    return st.sampled_from([valid, valid, valid, bad]).flatmap(lambda strategy: strategy)
+
+
+def int_flag(low: int, top: int):
+    """Integers in low..top; below low or not an integer as bad input."""
+    bad = st.integers(low - 2, low - 1).map(str) | st.sampled_from(["x", "", "1.5"])
+    return mostly(st.integers(low, top).map(str), bad)
+
+
+def index_spec(top: int):
+    """Index specs up to top: single or ascending, else reversed, negative or
+    not numeric."""
+    pairs = st.tuples(st.integers(0, top), st.integers(0, top))
+    valid = st.integers(0, top).map(str) | pairs.map(
+        lambda ab: f"{min(ab)}..{max(ab)}"
+    )
+    bad = st.tuples(st.integers(-2, top), st.integers(-2, top)).map(
+        lambda ab: f"{ab[0]}..{ab[1]}"
+    ) | st.sampled_from(["x", "", "1.5", "-1", "2..x", "..3"])
+    return mostly(valid, bad)
+
+
+@st.composite
+def cli_argv(draw):
+    """Argument vectors for all four subcommands; n <= 8, and oracle runs
+    stay at n <= 1 with --parallelism in -1..2."""
+    command = draw(st.sampled_from(["compute", "table", "certify", "oracle-check"]))
+    workers = ["--parallelism", draw(int_flag(1, 2))]
+    if command == "oracle-check":
+        return ["oracle-check", "--n", draw(index_spec(1))] + workers
+    formats = ("text", "json") if command == "certify" else ("text", "csv", "json")
+    fmt = draw(mostly(st.sampled_from(formats), st.sampled_from(["xml", "csv"])))
+    if command == "table":
+        return ["table", "--max-n", draw(int_flag(0, 8)), "--format", fmt]
+    if command == "certify":
+        argv = ["certify", "--n", draw(index_spec(8)), "--format", fmt]
+        refine = draw(st.none() | int_flag(0, 100))
+        return argv + ([] if refine is None else ["--max-refine", refine])
+    route = draw(st.sampled_from(cli.ROUTES + ("all",)))
+    top = 1 if route == "oracle" else 8
+    return ["compute", "--n", draw(index_spec(top)), "--route", route,
+            "--format", fmt] + workers
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(cli_argv())
+    def test_any_input_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        payload = out.getvalue().strip()
+        if "json" in argv and payload:
+            assert canonical_json(json.loads(payload)) == payload

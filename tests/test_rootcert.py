@@ -10,10 +10,12 @@ from clawgenus.formulas import GenusPolynomial, genus_recurrence
 from clawgenus.polynomials import IntPoly, poly_gcd
 from clawgenus.rootcert import (
     Interval,
+    NormalizedPoly,
     RootCertificate,
     SturmChain,
     certify_interlacing,
     concavity_report,
+    _halve,
     is_squarefree,
     isolate_roots,
     normalize,
@@ -179,6 +181,30 @@ def cert(n: int) -> RootCertificate:
     return isolate_roots(normalized_recurrence(n))
 
 
+class TestHalve:
+    """Each halving keeps the root, also when it sits on an endpoint."""
+
+    def test_root_at_the_midpoint_keeps_the_lower_half(self):
+        p = P(2, 2)  # root -1
+        half = _halve(p, Interval(F(-2), F(0)))
+        assert half == Interval(F(-2), F(-1))
+        assert sturm_count(p, half.lo, half.hi) == 1
+
+    def test_root_at_hi_keeps_the_upper_half(self):
+        p = P(2, 2)
+        half = _halve(p, Interval(F(-2), F(-1)))
+        assert half == Interval(F(-3, 2), F(-1))
+        assert sturm_count(p, half.lo, half.hi) == 1
+
+    def test_agrees_with_sturm_count_on_isolating_intervals(self):
+        for n in range(8):
+            c = cert(n)
+            for iv in c.intervals:
+                for _ in range(6):
+                    iv = _halve(c.chain.polys[0], iv)
+                    assert c.chain.count(iv.lo, iv.hi) == 1
+
+
 class TestInterlacing:
     def test_skip_pair_two_zero(self):
         ic = certify_interlacing(cert(2), cert(0), "skip")
@@ -275,6 +301,22 @@ class TestSignPatterns:
         # swapped roles: q's root comes first, so the hypothesis fails
         rep = sign_pattern_check(cert(0), cert(1))
         assert not rep.ok and not rep.hypothesis_ok
+
+    def test_wrong_sign_of_p_is_reported(self):
+        w3 = normalized_recurrence(3).w
+        neg3 = isolate_roots(NormalizedPoly(3, -w3))
+        rep = sign_pattern_check(neg3, cert(2))
+        assert rep.hypothesis_ok and rep.q_signs_ok
+        assert not rep.p_signs_ok and not rep.ok
+        assert rep.first_failure == "sign of p at root 1 of q"
+
+    def test_wrong_sign_of_q_is_reported(self):
+        w2 = normalized_recurrence(2).w
+        neg2 = isolate_roots(NormalizedPoly(2, -w2))
+        rep = sign_pattern_check(cert(3), neg2)
+        assert rep.hypothesis_ok and rep.p_signs_ok
+        assert not rep.q_signs_ok and not rep.ok
+        assert rep.first_failure == "sign of q at root 1 of p"
 
     def test_vacuous_pass_when_a_side_has_no_roots(self):
         p = P(1, 1, 1)  # no real roots at all
