@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ClawgenusError
@@ -301,9 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ClawgenusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            status = args.func(args)
+        except ClawgenusError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+        sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull so
+        # the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

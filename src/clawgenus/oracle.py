@@ -8,7 +8,9 @@ measured against: it shares no code with them beyond integer arithmetic.
 Every vertex of an iterated claw is 3-valent, so each vertex has exactly
 (3-1)! = 2 cyclic orders and a full rotation system is one bit per vertex;
 the whole enumeration is a (4n+2)-bit counter, which partitions trivially
-across workers by index range.
+across workers by index range.  One face-walk loop, ``_walks``, serves both
+the per-system functions (``face_trace``, ``root_class``) and the
+enumeration.
 """
 
 from __future__ import annotations
@@ -132,25 +134,43 @@ def _validate_rotation(graph: MultiGraph, rot: RotationSystem) -> None:
                              "of its darts")
 
 
-def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
-    """Count face-boundary walks and derive the embedding genus.
+def _walks(succ0, succ1, dart_vertex, mask, visited, face_of) -> int:
+    """Trace every face-boundary walk of one rotation system; return the count.
 
-    The next dart of a walk is the rotation successor of the current dart's
-    partner; orbits of that permutation are the faces.  Euler's formula then
-    gives 2 - V + E - F = 2 * genus.
+    A walk steps from a dart to the rotation successor of its partner, read
+    from succ1 at vertices whose bit is set in mask, else from succ0.  The
+    darts of the k-th face get face_of = k and visited = mask, so a visited
+    array stamped with another mask needs no reset.
     """
-    _validate_rotation(graph, rot)
-    succ = rot.successor_map(graph.num_darts)
-    seen = [False] * graph.num_darts
     faces = 0
-    for start in range(graph.num_darts):
-        if seen[start]:
+    for start in range(len(succ0)):
+        if visited[start] == mask:
             continue
         faces += 1
         d = start
-        while not seen[d]:
-            seen[d] = True
-            d = succ[d ^ 1]
+        while visited[d] != mask:
+            visited[d] = mask
+            face_of[d] = faces
+            e = d ^ 1
+            d = succ1[e] if (mask >> dart_vertex[e]) & 1 else succ0[e]
+    return faces
+
+
+def _faces(graph: MultiGraph, rot: RotationSystem) -> tuple[int, list[int]]:
+    """Face count and the face label of each dart of one rotation system."""
+    _validate_rotation(graph, rot)
+    succ = rot.successor_map(graph.num_darts)
+    face_of = [0] * graph.num_darts
+    visited = [-1] * graph.num_darts
+    return _walks(succ, succ, graph.dart_vertex, 0, visited, face_of), face_of
+
+
+def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
+    """Count face-boundary walks and derive the embedding genus.
+
+    Euler's formula gives 2 - V + E - F = 2 * genus.
+    """
+    faces, _ = _faces(graph, rot)
     doubled = 2 - graph.num_vertices + graph.num_edges - faces
     if doubled < 0 or doubled % 2:
         raise StructureViolation(
@@ -163,20 +183,8 @@ def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
 def root_class(graph: MultiGraph, rot: RotationSystem) -> str:
     """Classify an embedding by distinct face walks at the root: 'a' for
     three, 'b' for exactly two, 'c' for a single walk incident thrice."""
-    _validate_rotation(graph, rot)
-    succ = rot.successor_map(graph.num_darts)
-    face_of = [-1] * graph.num_darts
-    faces = 0
-    for start in range(graph.num_darts):
-        if face_of[start] >= 0:
-            continue
-        d = start
-        while face_of[d] < 0:
-            face_of[d] = faces
-            d = succ[d ^ 1]
-        faces += 1
-    r0, r1, r2 = graph.incidence[graph.root]
-    distinct = len({face_of[r0], face_of[r1], face_of[r2]})
+    _, face_of = _faces(graph, rot)
+    distinct = len({face_of[d] for d in graph.incidence[graph.root]})
     return ROOT_CLASSES[3 - distinct]
 
 
@@ -212,28 +220,16 @@ class OraclePgd:
 def _tally_chunk(args) -> list[list[int]]:
     """Tally one contiguous block of rotation-system indices.
 
-    The hot loop: one stamped visited array reused across all systems in
-    the block, no per-system allocation.
+    The hot loop: one ``_walks`` call per system, with one stamped visited
+    array reused across the block and no per-system allocation.
     """
     succ0, succ1, dart_vertex, root_darts, euler_base, slots, lo, hi = args
-    nd = len(succ0)
-    visited = [-1] * nd
-    face_of = [0] * nd
+    visited = [-1] * len(succ0)
+    face_of = [0] * len(succ0)
     tallies = [[0] * slots for _ in range(3)]
     rd0, rd1, rd2 = root_darts
     for mask in range(lo, hi):
-        faces = 0
-        for start in range(nd):
-            if visited[start] == mask:
-                continue
-            faces += 1
-            d = start
-            while visited[d] != mask:
-                visited[d] = mask
-                face_of[d] = faces
-                e = d ^ 1
-                d = succ1[e] if (mask >> dart_vertex[e]) & 1 else succ0[e]
-        doubled = euler_base - faces
+        doubled = euler_base - _walks(succ0, succ1, dart_vertex, mask, visited, face_of)
         if doubled < 0 or doubled % 2:
             raise StructureViolation("impossible Euler residue in enumeration")
         f0, f1, f2 = face_of[rd0], face_of[rd1], face_of[rd2]
@@ -292,10 +288,11 @@ def enumerate_pgd(
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
-    if jobs == 1 or len(chunks) == 1:
+    workers = min(jobs, len(chunks))
+    if workers == 1:
         results = [_tally_chunk(c) for c in chunks]
     else:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=workers) as pool:
             results = pool.map(_tally_chunk, chunks)
 
     tallies = [[0] * slots for _ in range(3)]

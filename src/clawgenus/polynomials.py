@@ -4,7 +4,8 @@ Polynomials are dense coefficient vectors: index i holds the coefficient of
 z**i.  The genus polynomials handled downstream never have internal zeros, so
 dense storage is the right shape.  Every value is immutable once built and
 every operation returns a fresh object, so values can move freely between
-threads.
+threads.  ``remainder_sequence`` is the one Euclidean kernel: ``poly_gcd``
+reads its last entry, and a Sturm chain in ``rootcert`` is the sequence.
 
 Rational evaluation points are ``fractions.Fraction`` (always in lowest
 terms, positive denominator), which matches the contract exactly; no wrapper
@@ -35,10 +36,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> IntPoly:
-        return cls()
 
     @classmethod
     def constant(cls, c: int) -> IntPoly:
@@ -106,9 +103,6 @@ class IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> IntPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
@@ -260,15 +254,26 @@ def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
+def remainder_sequence(f: IntPoly, g: IntPoly) -> list[IntPoly]:
+    """f, g, then each negated ``signed_pseudo_rem`` of the two entries before
+    it, made primitive; stops at a constant or before a zero remainder.
+
+    The last entry is gcd(f, g) up to a scalar; on (p, p') the sequence is
+    the Sturm sequence of p.
+    """
+    seq = [f]
+    while g:
+        seq.append(g)
+        if g.degree < 1:
+            break
+        f, g = g, (-signed_pseudo_rem(f, g)).primitive_part()
+    return seq
+
+
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient."""
-    a, b = p.primitive_part(), q.primitive_part()
-    while not b.is_zero():
-        r = signed_pseudo_rem(a, b)
-        a, b = b, r.primitive_part()
-    if a.lead < 0:
-        a = -a
-    return a
+    g = remainder_sequence(p.primitive_part(), q.primitive_part())[-1]
+    return -g if g.lead < 0 else g
 
 
 @dataclass(frozen=True)

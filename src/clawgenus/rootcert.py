@@ -3,7 +3,8 @@
 The genus polynomial of claw n is z^floor((n+1)/2) times a polynomial with
 positive coefficients and nonzero constant term; dividing that power out
 gives the normalized polynomial certified here.  All machinery is exact:
-Sturm sequences over the integers with content removal, rational interval
+Sturm sequences over the integers, each one primitive remainder sequence of
+(p, p') whose last entry decides squarefreeness, rational interval
 endpoints, and integer-only sign evaluation.  Floating point appears only in
 optional diagnostic output.
 
@@ -32,7 +33,7 @@ from typing import Literal
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
-from .polynomials import IntPoly, exact_div, poly_gcd, signed_pseudo_rem
+from .polynomials import IntPoly, exact_div, poly_gcd, remainder_sequence
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,12 @@ def normalized_recurrence(n: int) -> NormalizedPoly:
 class SturmChain:
     """Sturm sequence of the squarefree part of an integer polynomial.
 
-    Remainders are computed with positive pseudo-division multipliers and
-    divided by their integer content, which keeps coefficients small without
-    touching any sign.  Sign-variation counts are cached per endpoint, so
-    repeated bisection around the same points costs one evaluation each.
+    The chain is the primitive remainder sequence of (p, p'), with positive
+    pseudo-division multipliers and content removal, which keeps
+    coefficients small without touching any sign.  Its last entry is
+    gcd(p, p'): only if that is not constant is the sequence run again on
+    p / gcd.  Sign-variation counts are cached per endpoint, so repeated
+    bisection around the same points costs one evaluation each.
     """
 
     __slots__ = ("polys", "_cache")
@@ -91,26 +94,20 @@ class SturmChain:
         if p.is_zero():
             raise ValueError("Sturm chain of the zero polynomial")
         p0 = p.primitive_part()
-        if p0.degree >= 1:
-            g = poly_gcd(p0, p0.derivative())
-            if g.degree >= 1:
-                p0 = exact_div(p0, g).primitive_part()
-        polys = [p0]
-        if p0.degree >= 1:
-            polys.append(p0.derivative().primitive_part())
-            while polys[-1].degree >= 1:
-                r = signed_pseudo_rem(polys[-2], polys[-1])
-                if r.is_zero():
-                    break
-                polys.append((-r).primitive_part())
+        polys = remainder_sequence(p0, p0.derivative().primitive_part())
+        g = polys[-1]
+        if g.degree >= 1:
+            # gcd(p0, p0') is not constant: chain the squarefree part instead
+            p0 = exact_div(p0, -g if g.lead < 0 else g).primitive_part()
+            polys = remainder_sequence(p0, p0.derivative().primitive_part())
         self.polys = polys
         self._cache: dict[Fraction, int] = {}
 
     def variations(self, x) -> int:
         """Sign variations of the chain at x, zeros skipped.
 
-        Equals the number of distinct real roots of the squarefree part in
-        (x, +inf), so differences count roots in half-open intervals.
+        V(x) alone is not a root count (for z^2 + 1, V(+inf) = 1); only the
+        difference V(lo) - V(hi) counts the distinct real roots in (lo, hi].
         """
         if not isinstance(x, Fraction):
             x = Fraction(x)

@@ -34,16 +34,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, env=None, timeout=120):
-    """`python -m clawgenus ...` in a fresh interpreter that imports src/."""
+def module_env(env=None) -> dict:
+    """The environment plus env, with src/ first on PYTHONPATH."""
     env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_module(*argv, env=None, timeout=120):
+    """`python -m clawgenus ...` in a fresh interpreter that imports src/."""
     return subprocess.run(
         [sys.executable, "-m", "clawgenus", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=module_env(env),
     )
 
 
@@ -243,6 +248,22 @@ class TestSubprocess:
         second = run_module(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestClosedPipe:
+    def test_reader_leaving_early_is_not_a_traceback(self):
+        # 342 KB of CSV: more than a pipe buffer, so writes hit the closed pipe
+        cmd = [sys.executable, "-m", "clawgenus", "table", "--max-n", "120",
+               "--format", "csv"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=module_env()) as proc:
+            assert proc.stdout.readline() == b"0,2,2\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
 
 class TestBoundaryValidation:

@@ -2,9 +2,11 @@
 
 import pytest
 
+import clawgenus.oracle as oracle
 from clawgenus.errors import OracleCapExceeded
 from clawgenus.oracle import (
     DEFAULT_CAP,
+    ROOT_CLASSES,
     MultiGraph,
     RotationSystem,
     build_iterated_claw,
@@ -76,6 +78,28 @@ class TestFaceTrace:
         with pytest.raises(ValueError):
             face_trace(g, RotationSystem(((0, 1, 2),)))
 
+    @pytest.mark.parametrize("fn", [face_trace, root_class])
+    def test_validates_the_rotation_once_per_call(self, monkeypatch, fn):
+        real, calls = oracle._validate_rotation, []
+        monkeypatch.setattr(
+            oracle, "_validate_rotation", lambda g, r: calls.append(r) or real(g, r)
+        )
+        g = build_iterated_claw(1)
+        fn(g, RotationSystem.from_bits(g, 5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", range(3))
+    def test_per_system_walks_agree_with_the_enumeration(self, n):
+        """Decoding each index with from_bits and tracing it alone gives the
+        same tallies as the bit-mask enumeration."""
+        g = build_iterated_claw(n)
+        tallies = [[0] * (n + 2) for _ in ROOT_CLASSES]
+        for bits in range(1 << g.num_vertices):
+            rot = RotationSystem.from_bits(g, bits)
+            cls = ROOT_CLASSES.index(root_class(g, rot))
+            tallies[cls][face_trace(g, rot)[1]] += 1
+        assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
+
 
 class TestEnumeration:
     def test_dipole_tallies(self):
@@ -105,6 +129,26 @@ class TestEnumeration:
         serial = enumerate_pgd(2, jobs=1)
         assert enumerate_pgd(2, jobs=2) == serial
         assert enumerate_pgd(2, jobs=3) == serial
+
+    def test_starts_no_more_workers_than_chunks(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(oracle, "Pool", SerialPool)
+        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 4 systems
+        assert started == [4]
 
     def test_cap_refusal_mentions_cost(self):
         with pytest.raises(OracleCapExceeded) as exc:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clawgenus.polynomials import (
@@ -12,6 +12,7 @@ from clawgenus.polynomials import (
     Sqrt3Poly,
     exact_div,
     poly_gcd,
+    remainder_sequence,
     signed_pseudo_rem,
 )
 
@@ -116,6 +117,28 @@ class TestPolyDivision:
         assert poly_gcd(P(1, 1), P(1, 0, 1)).degree == 0
         assert poly_gcd(P(), P(0, 2)) == P(0, 1)
 
+    def test_gcd_with_zero_is_the_primitive_part(self):
+        assert poly_gcd(P(0, 2), P()) == P(0, 1)
+        assert poly_gcd(P(0, -6, -4), P()) == P(0, 3, 2)
+
+
+class TestRemainderSequence:
+    def test_sturm_sequence_of_z_squared_plus_one(self):
+        f = P(1, 0, 1)
+        assert remainder_sequence(f, f.derivative()) == [f, P(0, 2), P(-1)]
+
+    def test_stops_before_a_zero_remainder(self):
+        f = P(1, 1) * P(1, 1)
+        assert remainder_sequence(f, P(1, 1)) == [f, P(1, 1)]
+
+    def test_zero_second_argument_gives_the_first_alone(self):
+        assert remainder_sequence(P(3, 1), P()) == [P(3, 1)]
+
+    def test_entries_after_the_first_two_are_primitive(self):
+        f = P(48, 720, 256) * P(7, 3, 5)
+        seq = remainder_sequence(f, f.derivative())
+        assert len(seq) > 3 and all(q.content() == 1 for q in seq[2:])
+
 
 class TestSqrt3:
     def test_norm_of_extension(self):
@@ -161,6 +184,19 @@ sqrt3_polys = st.builds(Sqrt3Poly, tiny_polys, tiny_polys)
 
 def sqrt3_to_float(x: Sqrt3Poly) -> float:
     return x.rat[0] + x.irr[0] * SQRT3
+
+
+class TestGcdProperties:
+    @given(tiny_polys, tiny_polys, tiny_polys)
+    def test_gcd_is_primitive_positive_and_divides_both(self, p, q, c):
+        p, q = p * c, q * c
+        assume(p or q)
+        g = poly_gcd(p, q)
+        assert g.content() == 1 and g.lead > 0
+        exact_div(p, g)
+        exact_div(q, g)
+        if c:
+            exact_div(g, c.primitive_part())  # a common factor divides the gcd
 
 
 class TestRingAxioms:

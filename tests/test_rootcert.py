@@ -112,6 +112,32 @@ class TestSturm:
         with pytest.raises(ValueError):
             sturm_count(P(1, 1), F(1), F(0))
 
+    def test_repeated_root_chains_the_squarefree_part(self):
+        double = P(1, 1) * P(1, 1) * P(2, 1)
+        assert SturmChain(double).polys == SturmChain(P(1, 1) * P(2, 1)).polys
+
+    def test_variations_alone_are_not_a_root_count(self):
+        chain = SturmChain(P(1, 0, 1))  # no real roots
+        assert chain.variations(F(10 ** 6)) == chain.variations(F(-10 ** 6)) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 40])
+    def test_one_remainder_per_chain_entry(self, monkeypatch, n):
+        """Euclid runs once: no separate gcd pass before the chain."""
+        import clawgenus.polynomials as polynomials
+        import clawgenus.rootcert as rootcert
+
+        w = normalized_recurrence(n).w
+        real, calls = polynomials.signed_pseudo_rem, []
+
+        def spy(f, g):
+            calls.append(g)
+            return real(f, g)
+
+        monkeypatch.setattr(polynomials, "signed_pseudo_rem", spy)
+        monkeypatch.setattr(rootcert, "signed_pseudo_rem", spy, raising=False)
+        chain = SturmChain(w)
+        assert len(calls) == len(chain.polys) - 2
+
 
 class TestIsolation:
     def test_w0_single_interval_around_minus_one(self):
