@@ -167,16 +167,16 @@ def _root_cert_json(cert: RootCertificate) -> dict:
 def cmd_certify(args) -> int:
     certs: dict[int, RootCertificate] = {}
 
-    def cert(k: int) -> RootCertificate:
-        if k not in certs:
-            certs[k] = isolate_roots(normalized_recurrence(k))
-        return certs[k]
-
     failures = 0
     out_rows = []
     for n in args.n:
         certs.pop(n - 3, None)  # an ascending range needs only n-2..n from here
-        c = cert(n)
+        for k in range(max(n - 2, 0), n + 1):
+            if k not in certs:
+                # isolated from k-1's intervals; a Sturm chain only where
+                # the range starts, or where that fails
+                certs[k] = isolate_roots(normalized_recurrence(k), certs.get(k - 1))
+        c = certs[n]
         real_rooted = c.complete
         inter = {"consecutive": None, "skip": None}
         marks = {"consecutive": SKIP, "skip": SKIP}
@@ -185,10 +185,11 @@ def cmd_certify(args) -> int:
                 continue
             try:
                 inter[mode] = certify_interlacing(
-                    c, cert(m), mode, max_refine=args.max_refine
+                    c, certs[m], mode, max_refine=args.max_refine
                 )
                 marks[mode] = CHECK
-            except ClawgenusError as exc:
+            except (ClawgenusError, ValueError) as exc:
+                # ValueError: a certificate of the pair is incomplete
                 print(f"n={n} {mode} interlacing failed: {exc}", file=sys.stderr)
                 marks[mode] = CROSS
                 failures += 1
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     try:
         try:
             status = args.func(args)
-        except ClawgenusError as exc:
+        except (ClawgenusError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = 1
         sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit

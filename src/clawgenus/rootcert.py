@@ -3,21 +3,30 @@
 The genus polynomial of claw n is z^floor((n+1)/2) times a polynomial with
 positive coefficients and nonzero constant term; dividing that power out
 gives the normalized polynomial certified here.  All machinery is exact:
-Sturm sequences over the integers, each one primitive remainder sequence of
-(p, p') whose last entry decides squarefreeness, rational interval
-endpoints, and integer-only sign evaluation.  Floating point appears only in
-optional diagnostic output.
+sign evaluation at rational points with integer arithmetic only, rational
+interval endpoints, and Sturm sequences over the integers, each one
+primitive remainder sequence of (p, p') whose last entry decides
+squarefreeness.  Floating point appears only in optional diagnostic output.
 
 Certificates produced:
 
 * ``RootCertificate`` -- pairwise-disjoint rational intervals, each
-  containing exactly one (negative) real root, found by Sturm bisection;
-  ``complete`` means the count matches the degree, i.e. the polynomial is
-  real-rooted.
+  containing exactly one (negative) real root, found by bisection of
+  (-root_bound, 0]; ``complete`` means the count matches the degree, i.e.
+  the polynomial is real-rooted.  The bisection counts roots with the
+  predecessor's brackets when it is given one: the predecessor's isolating
+  intervals are refined until the polynomial has the sign it must have at
+  each of the predecessor's roots, and if it then changes sign as many
+  times as its degree, each changing gap holds exactly one simple root
+  (intermediate value theorem plus the degree count).  A Sturm chain
+  counts only without a predecessor, where a range starts, and as the
+  fallback when that sign count falls short; both counters give the same
+  certificate.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
-  squarefree part at the midpoint.
+  squarefree part at the midpoint; the sign at the kept upper endpoint is
+  carried from one halving to the next.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
   the other's roots, read at the midpoints of the same merged, disjoint
   intervals.
@@ -27,6 +36,7 @@ Certificates produced:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal
@@ -175,6 +185,9 @@ class RootCertificate:
     ``complete`` is True exactly when the number of certified intervals
     equals the degree, i.e. every root is real.  All intervals lie in
     (-bound, 0): positive coefficients rule out roots at or above zero.
+    ``chain`` is the Sturm chain that counted the roots, or None when the
+    predecessor's brackets counted them; a certificate without a chain is
+    complete, so its ``poly`` is squarefree.
     """
 
     n: int
@@ -182,7 +195,7 @@ class RootCertificate:
     intervals: tuple[Interval, ...]
     complete: bool
     poly: IntPoly = field(compare=False)
-    chain: SturmChain = field(compare=False, repr=False)
+    chain: SturmChain | None = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,47 +211,138 @@ def root_bound(p: IntPoly) -> Fraction:
     return 1 + Fraction(p.max_abs_coeff(), abs(p.lead))
 
 
-def isolate_roots(np_: NormalizedPoly) -> RootCertificate:
-    """Isolate every real root of a normalized polynomial by Sturm bisection."""
+def _brackets(
+    w: IntPoly, prev: RootCertificate
+) -> list[tuple[Fraction, Fraction, int]] | None:
+    """Open intervals (l, h), each holding exactly one simple root of w, with
+    the sign of w at h; None unless they hold every root of w.
+
+    prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
+    at both ends of the j-th: the sign w takes at prev's j-th root when the
+    two root sets alternate.  w is also sampled below its root bound and at
+    0.  If w changes sign deg w times along the samples, each changing gap
+    holds a root (intermediate value theorem), and as w has only deg w roots
+    each gap holds exactly one, a simple one.  The halvings share a
+    ``default_refine_budget``-sized allowance.
+    """
+    d = w.degree
+    p = _squarefree(prev)
+    budget = _refine_budget(d, w, prev.poly)
+    below = -root_bound(w)
+    samples = [(below, w.sign_at(below)), (Fraction(0), w.sign_at(0))]
+    steps = 0
+    for j, iv in enumerate(prev.intervals, start=1):
+        want = -1 if (d - j) % 2 else 1
+        at_lo, at_hi, p_hi = w.sign_at(iv.lo), w.sign_at(iv.hi), None
+        while at_lo != want or at_hi != want:
+            if steps == budget:
+                return None
+            half, p_hi = _halve(p, iv, p_hi)
+            if half.lo == iv.lo:
+                at_hi = w.sign_at(half.hi)
+            else:
+                at_lo = w.sign_at(half.lo)
+            iv = half
+            steps += 1
+        samples += [(iv.lo, at_lo), (iv.hi, at_hi)]
+    # sorted, the count holds whatever the layout of prev's intervals
+    samples.sort()
+    if any(s == 0 for _, s in samples):
+        return None
+    found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
+    return found if len(found) == d else None
+
+
+def isolate_roots(
+    np_: NormalizedPoly, prev: RootCertificate | None = None
+) -> RootCertificate:
+    """Isolate every real root of a normalized polynomial by bisection.
+
+    The bisection of (-root_bound, 0] is the same on every path and so is
+    the certificate; only the root counter differs.  With a complete
+    certificate ``prev`` whose roots alternate with those of w (the CLI
+    passes index n-1), the counter reads the brackets of ``_brackets``: the
+    roots at or below x are the brackets with h <= x, plus the one with
+    l < x < h when w(x) is 0 or has the sign of w(h), which takes at most
+    one evaluation of w.  Without such a ``prev``, or when its brackets do
+    not account for every root of w, a Sturm chain counts.
+    """
     w = np_.w
-    chain = SturmChain(w)
+    brackets = _brackets(w, prev) if prev is not None and prev.complete else None
+    chain = None
+    if brackets is None:
+        chain = SturmChain(w)
+
+        def rank(x) -> int:
+            return -chain.variations(x)
+    else:
+        his = [h for _, h, _ in brackets]
+
+        def rank(x) -> int:
+            k = bisect_right(his, x)
+            if k < len(brackets):
+                left, _, at_h = brackets[k]
+                if left < x and w.sign_at(x) in (0, at_h):
+                    k += 1
+            return k
+
+    # rank(b) - rank(a) is the number of distinct roots in (a, b]
     lo, hi = -root_bound(w), Fraction(0)
-    total = chain.count(lo, hi)
+    r_lo, r_hi = rank(lo), rank(hi)
     found: list[Interval] = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, r_lo, r_hi)]
     while stack:
-        a, b, k = stack.pop()
+        a, b, ra, rb = stack.pop()
+        k = rb - ra
         if k == 0:
             continue
         if k == 1:
             found.append(Interval(a, b))
             continue
         mid = (a + b) / 2
-        kl = chain.count(a, mid)
-        stack.append((a, mid, kl))
-        stack.append((mid, b, k - kl))
+        r_mid = rank(mid)
+        stack.append((a, mid, ra, r_mid))
+        stack.append((mid, b, r_mid, rb))
     found.sort()
     return RootCertificate(
         n=np_.n,
         degree=np_.degree,
         intervals=tuple(found),
-        complete=total == np_.degree,
+        complete=r_hi - r_lo == np_.degree,
         poly=w,
         chain=chain,
     )
 
 
-def _halve(p: IntPoly, iv: Interval) -> Interval:
+def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval, int]:
     """Halve an isolating interval of p, keeping its single root.
 
-    p must be squarefree (a chain's ``polys[0]``), so the root is simple and
-    p changes sign across it unless it sits exactly on hi or on the midpoint.
+    p must be squarefree (a chain's ``polys[0]``, or the polynomial of a
+    complete certificate), so the root is simple and p changes sign across
+    it unless it sits exactly on hi or on the midpoint.  ``at_hi`` is the
+    sign of p at iv.hi if the caller already has it; the sign at the kept
+    half's hi comes back with the half, so repeated halving evaluates p at
+    the midpoints only.
     """
+    if at_hi is None:
+        at_hi = p.sign_at(iv.hi)
     mid = iv.midpoint
-    at_hi = p.sign_at(iv.hi)
-    if at_hi == 0 or p.sign_at(mid) == -at_hi:
-        return Interval(mid, iv.hi)
-    return Interval(iv.lo, mid)
+    if at_hi == 0:
+        return Interval(mid, iv.hi), at_hi
+    at_mid = p.sign_at(mid)
+    if at_mid == -at_hi:
+        return Interval(mid, iv.hi), at_hi
+    return Interval(iv.lo, mid), at_mid
+
+
+def _squarefree(cert: RootCertificate) -> IntPoly:
+    """A squarefree polynomial with the certificate's roots, for halving."""
+    return cert.chain.polys[0] if cert.chain is not None else cert.poly
+
+
+def _refine_budget(degree: int, *polys: IntPoly) -> int:
+    bits = max(p.max_abs_coeff().bit_length() for p in polys)
+    return 4 * max(degree, 1) * max(bits, 1)
 
 
 def default_refine_budget(a: RootCertificate, b: RootCertificate) -> int:
@@ -248,8 +352,7 @@ def default_refine_budget(a: RootCertificate, b: RootCertificate) -> int:
     polynomially many halvings; the cap only turns a hypothetical shared
     root into a diagnosable outcome instead of nontermination.
     """
-    bits = max(a.poly.max_abs_coeff().bit_length(), b.poly.max_abs_coeff().bit_length())
-    return 4 * max(a.degree, 1) * max(bits, 1)
+    return _refine_budget(a.degree, a.poly, b.poly)
 
 
 def _merge(
@@ -264,17 +367,19 @@ def _merge(
     halvings (default ``default_refine_budget``).
     """
     budget = max_refine if max_refine is not None else default_refine_budget(a, b)
+    pa, pb = _squarefree(a), _squarefree(b)
     xs, ys = list(a.intervals), list(b.intervals)
+    sx = sy = None  # sign of pa at xs[i].hi and of pb at ys[j].hi, once read
     merged: list[tuple[int, Interval]] = []
     steps = i = j = 0
     while i < len(xs) and j < len(ys):
         x, y = xs[i], ys[j]
         if x.hi <= y.lo:
             merged.append((0, x))
-            i += 1
+            i, sx = i + 1, None
         elif y.hi <= x.lo:
             merged.append((1, y))
-            j += 1
+            j, sy = j + 1, None
         elif steps >= budget:
             raise InterlacingUndecided(
                 f"{what}: could not separate intervals within {budget} "
@@ -282,9 +387,9 @@ def _merge(
             )
         else:
             if x.width >= y.width:
-                xs[i] = _halve(a.chain.polys[0], x)
+                xs[i], sx = _halve(pa, x, sx)
             else:
-                ys[j] = _halve(b.chain.polys[0], y)
+                ys[j], sy = _halve(pb, y, sy)
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
 

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import clawgenus.cli as cli
 from clawgenus.cli import canonical_json, main, parse_n_spec
+from clawgenus.polynomials import IntPoly
+from clawgenus.rootcert import NormalizedPoly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -172,11 +174,12 @@ class TestCertify:
 
     def test_keeps_only_the_certificates_the_chain_needs(self, capsys, monkeypatch):
         isolate = cli.isolate_roots
-        built, alive_at_call = [], []
+        built, alive_at_call, cold = [], [], []
 
-        def spy(np_):
+        def spy(np_, prev=None):
             alive_at_call.append(sum(ref() is not None for ref in built))
-            c = isolate(np_)
+            cold.append(prev is None)
+            c = isolate(np_, prev)
             built.append(weakref.ref(c))
             return c
 
@@ -185,6 +188,22 @@ class TestCertify:
         assert code == 0
         assert len(built) == 13  # each certificate is built exactly once
         assert max(alive_at_call) <= 3
+        assert cold == [True] + [False] * 12  # only the first has no predecessor
+
+    def test_incomplete_certificate_is_a_cross_not_a_traceback(self, capsys, monkeypatch):
+        real = cli.normalized_recurrence
+
+        def fake(k):  # n = 3 gets a polynomial with no real roots
+            return NormalizedPoly(3, IntPoly((1, 1, 1))) if k == 3 else real(k)
+
+        monkeypatch.setattr(cli, "normalized_recurrence", fake)
+        code, out, err = run(capsys, "certify", "--n", "0..4")
+        assert code == 1
+        assert "Traceback" not in err
+        lines = out.splitlines()
+        assert "real-rooted ✗" in lines[3] and "interlace(n-1) ✗" in lines[3]
+        assert "interlace(n-1) ✗" in lines[4] and "interlace(n-2) ✓" in lines[4]
+        assert "n=3 consecutive interlacing failed" in err
 
     def test_rational_endpoints_never_serialize_as_floats(self, capsys):
         _, out, _ = run(capsys, "certify", "--n", "0..5", "--format", "json")
@@ -294,6 +313,15 @@ class TestBoundaryValidation:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "CLAWGENUS_ORACLE_CAP" in proc.stderr
+
+    def test_library_value_error_exits_one(self, capsys, monkeypatch):
+        def broken(n):
+            raise ValueError(f"no row {n}")
+
+        monkeypatch.setattr(cli, "genus_recurrence", broken)
+        code, out, err = run(capsys, "table", "--max-n", "2")
+        assert code == 1 and out == ""
+        assert err == "error: no row 0\n"
 
 
 def mostly(valid, bad):

@@ -212,13 +212,13 @@ class TestHalve:
 
     def test_root_at_the_midpoint_keeps_the_lower_half(self):
         p = P(2, 2)  # root -1
-        half = _halve(p, Interval(F(-2), F(0)))
+        half, _ = _halve(p, Interval(F(-2), F(0)))
         assert half == Interval(F(-2), F(-1))
         assert sturm_count(p, half.lo, half.hi) == 1
 
     def test_root_at_hi_keeps_the_upper_half(self):
         p = P(2, 2)
-        half = _halve(p, Interval(F(-2), F(-1)))
+        half, _ = _halve(p, Interval(F(-2), F(-1)))
         assert half == Interval(F(-3, 2), F(-1))
         assert sturm_count(p, half.lo, half.hi) == 1
 
@@ -227,8 +227,92 @@ class TestHalve:
             c = cert(n)
             for iv in c.intervals:
                 for _ in range(6):
-                    iv = _halve(c.chain.polys[0], iv)
+                    iv = _halve(c.chain.polys[0], iv)[0]
                     assert c.chain.count(iv.lo, iv.hi) == 1
+
+
+class TestMergeSignEvaluations:
+    @pytest.mark.parametrize("n,m", [(12, 11), (20, 18)])
+    def test_one_evaluation_per_halving(self, monkeypatch, n, m):
+        """The sign at the kept upper endpoint is carried, not re-read."""
+        import clawgenus.rootcert as rootcert
+
+        a, b = cert(n), cert(m)
+        halved, calls = [], [0]
+        real_halve, real_sign_at = rootcert._halve, IntPoly.sign_at
+
+        def halve(p, iv, *rest):
+            halved.append(iv)
+            return real_halve(p, iv, *rest)
+
+        def sign_at(self, x):
+            calls[0] += 1
+            return real_sign_at(self, x)
+
+        monkeypatch.setattr(rootcert, "_halve", halve)
+        monkeypatch.setattr(IntPoly, "sign_at", sign_at)
+        rootcert._merge(a, b, None, "test")
+        monkeypatch.undo()
+        first = sum(iv in a.intervals or iv in b.intervals for iv in halved)
+        assert len(halved) > first  # some interval is halved more than once
+        assert calls[0] <= len(halved) + first
+
+
+class TestPredecessorBrackets:
+    """Isolation from the predecessor's intervals gives the Sturm certificate."""
+
+    def test_chained_certificates_match_sturm_without_a_chain(self, monkeypatch):
+        import clawgenus.rootcert as rootcert
+
+        sturm = [cert(n) for n in range(41)]
+        builds = []
+
+        def spy(p):
+            builds.append(p)
+            return SturmChain(p)
+
+        monkeypatch.setattr(rootcert, "SturmChain", spy)
+        for n in range(1, 41):
+            chained = isolate_roots(normalized_recurrence(n), prev=sturm[n - 1])
+            assert chained.to_json_dict() == sturm[n].to_json_dict()
+            assert chained.complete is sturm[n].complete is True
+            assert chained.chain is None
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "prev_n,prev_w",
+        [
+            (6, None),  # W_6 itself: every root shared
+            (2, None),  # W_2: too few roots to bracket W_6
+            (5, (1, 10, 35, 50, 24)),  # roots -1, -1/2, -1/3, -1/4
+            (5, (1, 1, 1)),  # incomplete
+        ],
+        ids=["shared-roots", "too-few-roots", "no-alternation", "incomplete"],
+    )
+    def test_fallback_gives_the_sturm_certificate(self, prev_n, prev_w):
+        w6 = normalized_recurrence(6)
+        prev = isolate_roots(
+            normalized_recurrence(prev_n) if prev_w is None
+            else NormalizedPoly(prev_n, P(*prev_w))
+        )
+        got = isolate_roots(w6, prev=prev)
+        assert got.chain is not None  # the Sturm fallback ran
+        assert got.to_json_dict() == cert(6).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "n,w",
+        [
+            (3, (1, 1, 1)),
+            (4, (2, 3, 3, 1)),  # (z + 2)(z^2 + z + 1)
+            (6, (1, 2, 2, 2, 1)),  # (z + 1)^2 (z^2 + 1)
+        ],
+        ids=["no-real-root", "one-real-root", "repeated-root"],
+    )
+    def test_non_real_rooted_input_stays_incomplete(self, n, w):
+        np_ = NormalizedPoly(n, P(*w))
+        got = isolate_roots(np_, prev=cert(n - 1))
+        assert not got.complete and got.chain is not None
+        assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
 
 class TestInterlacing:
