@@ -7,12 +7,12 @@ every operation returns a fresh object, so values can move freely between
 threads.  ``remainder_sequence`` is the one Euclidean kernel: ``poly_gcd``
 reads its last entry, and a Sturm chain in ``rootcert`` is the sequence.
 
-Rational evaluation points are ``fractions.Fraction`` (always in lowest
-terms, positive denominator), which matches the contract exactly; no wrapper
-type is needed.  An element of Q(sqrt 3) met downstream always has integer
-parts, so ``Sqrt3Poly`` is a pair of integer polynomials rat + irr*sqrt(3);
-the one power-of-two scale the explicit formula needs is applied by its
-caller.
+Signs are read at dyadic points x / 2**k given as two integers, which is
+all root certification needs; ``sign_at`` also takes a ``fractions.Fraction``
+for any other rational point.  An element of Q(sqrt 3) met downstream always
+has integer parts, so ``Sqrt3Poly`` is a pair of integer polynomials
+rat + irr*sqrt(3); the one power-of-two scale the explicit formula needs is
+applied by its caller.
 """
 
 from __future__ import annotations
@@ -143,20 +143,28 @@ class IntPoly:
 
     __call__ = eval
 
-    def sign_at(self, x) -> int:
-        """Sign of the value at a rational point, via integer arithmetic only.
+    def sign_at(self, x, k: int = 0) -> int:
+        """Sign of the value at x / 2**k, via integer arithmetic only.
 
-        Evaluates p(a/b) * b**deg, which has the same sign since b > 0.
+        For an int x this is the sign of p(x/2**k) * 2**(k*deg), by Horner's
+        rule with each coefficient shifted instead of multiplied by a power
+        of the denominator.  A Fraction x with a power-of-two denominator
+        takes the same path; any other evaluates p(a/b) * b**deg.
         """
-        if isinstance(x, Fraction):
-            a, b = x.numerator, x.denominator
-        else:
-            a, b = x, 1
         acc = 0
-        bp = 1
+        if not isinstance(x, int):  # a Fraction; int is the cheaper check
+            x, b = x.numerator, x.denominator << k
+            if b & (b - 1):
+                bp = 1
+                for c in reversed(self.coeffs):
+                    acc = acc * x + c * bp
+                    bp *= b
+                return (acc > 0) - (acc < 0)
+            k = b.bit_length() - 1
+        s = 0
         for c in reversed(self.coeffs):
-            acc = acc * a + c * bp
-            bp *= b
+            acc = acc * x + (c << s)
+            s += k
         return (acc > 0) - (acc < 0)
 
     def derivative(self) -> IntPoly:

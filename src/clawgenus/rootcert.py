@@ -3,17 +3,19 @@
 The genus polynomial of claw n is z^floor((n+1)/2) times a polynomial with
 positive coefficients and nonzero constant term; dividing that power out
 gives the normalized polynomial certified here.  All machinery is exact:
-sign evaluation at rational points with integer arithmetic only, rational
-interval endpoints, and Sturm sequences over the integers, each one
+every point is dyadic, x / 2**k held as the two integers, so interval
+endpoints are integers at a shared exponent and signs come from
+integer-only evaluation; Sturm sequences are over the integers, each one
 primitive remainder sequence of (p, p') whose last entry decides
 squarefreeness.  Floating point appears only in optional diagnostic output.
 
 Certificates produced:
 
-* ``RootCertificate`` -- pairwise-disjoint rational intervals, each
+* ``RootCertificate`` -- pairwise-disjoint dyadic intervals, each
   containing exactly one (negative) real root, found by bisection of
-  (-root_bound, 0]; ``complete`` means the count matches the degree, i.e.
-  the polynomial is real-rooted.  The bisection counts roots with the
+  (-2**e, 0], 2**e being the least power of two at or above the Cauchy
+  bound; ``complete`` means the count matches the degree, i.e. the
+  polynomial is real-rooted.  The bisection counts roots with the
   predecessor's brackets when it is given one: the predecessor's isolating
   intervals are refined until the polynomial has the sign it must have at
   each of the predecessor's roots, and if it then changes sign as many
@@ -39,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil
 from typing import Literal
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
@@ -94,8 +97,9 @@ class SturmChain:
     pseudo-division multipliers and content removal, which keeps
     coefficients small without touching any sign.  Its last entry is
     gcd(p, p'): only if that is not constant is the sequence run again on
-    p / gcd.  Sign-variation counts are cached per endpoint, so repeated
-    bisection around the same points costs one evaluation each.
+    p / gcd.  Sign-variation counts are cached per point, but bisection
+    asks about each point once, so the cache does not hit; it is kept
+    because the benchmark tracer (bench/tracer.py) reads it.
     """
 
     __slots__ = ("polys", "_cache")
@@ -151,28 +155,36 @@ def is_squarefree(p: IntPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
-    """Half-open rational interval (lo, hi] containing exactly one root."""
+    """Half-open dyadic interval (a/2**k, b/2**k] containing exactly one root.
 
-    lo: Fraction
-    hi: Fraction
+    Halving gives (2a, a+b, k+1) or (a+b, 2b, k+1), so refinement stays in
+    integers.  Equality compares the triple: the same interval at another
+    exponent is a different value.  ``lo``, ``hi`` and ``midpoint`` are
+    exact Fractions for output and tests.
+    """
+
+    a: int
+    b: int
+    k: int
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def lo(self) -> Fraction:
+        return Fraction(self.a, 1 << self.k)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, 1 << self.k)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.a + self.b, 2 << self.k)
 
     def as_json_list(self) -> list[int]:
-        return [
-            self.lo.numerator,
-            self.lo.denominator,
-            self.hi.numerator,
-            self.hi.denominator,
-        ]
+        """[lo_num, lo_den, hi_num, hi_den], each endpoint in lowest terms."""
+        lo, hi = self.lo, self.hi
+        return [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
 
     def approx(self) -> float:
         return float(self.midpoint)
@@ -184,7 +196,8 @@ class RootCertificate:
 
     ``complete`` is True exactly when the number of certified intervals
     equals the degree, i.e. every root is real.  All intervals lie in
-    (-bound, 0): positive coefficients rule out roots at or above zero.
+    (-2**e, 0], 2**e the least power of two at or above the root bound:
+    positive coefficients rule out roots at or above zero.
     ``chain`` is the Sturm chain that counted the roots, or None when the
     predecessor's brackets counted them; a certificate without a chain is
     complete, so its ``poly`` is squarefree.
@@ -211,11 +224,17 @@ def root_bound(p: IntPoly) -> Fraction:
     return 1 + Fraction(p.max_abs_coeff(), abs(p.lead))
 
 
+def _bound_exponent(p: IntPoly) -> int:
+    """Least e with 2**e >= root_bound(p): 2**e >= ceil(bound) is the same."""
+    return (ceil(root_bound(p)) - 1).bit_length()
+
+
 def _brackets(
     w: IntPoly, prev: RootCertificate
-) -> list[tuple[Fraction, Fraction, int]] | None:
-    """Open intervals (l, h), each holding exactly one simple root of w, with
-    the sign of w at h; None unless they hold every root of w.
+) -> tuple[int, list[tuple[int, int, int]]] | None:
+    """Open intervals (l/2**e, h/2**e), each holding exactly one simple root
+    of w, as (e, [(l, h, sign of w at h), ...]) with one exponent e for all;
+    None unless they hold every root of w.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
@@ -228,29 +247,33 @@ def _brackets(
     d = w.degree
     p = _squarefree(prev)
     budget = _refine_budget(d, w, prev.poly)
-    below = -root_bound(w)
-    samples = [(below, w.sign_at(below)), (Fraction(0), w.sign_at(0))]
+    refined = []
     steps = 0
     for j, iv in enumerate(prev.intervals, start=1):
         want = -1 if (d - j) % 2 else 1
-        at_lo, at_hi, p_hi = w.sign_at(iv.lo), w.sign_at(iv.hi), None
+        at_lo, at_hi, p_hi = w.sign_at(iv.a, iv.k), w.sign_at(iv.b, iv.k), None
         while at_lo != want or at_hi != want:
             if steps == budget:
                 return None
             half, p_hi = _halve(p, iv, p_hi)
-            if half.lo == iv.lo:
-                at_hi = w.sign_at(half.hi)
+            if half.a == iv.a << 1:
+                at_hi = w.sign_at(half.b, half.k)
             else:
-                at_lo = w.sign_at(half.lo)
+                at_lo = w.sign_at(half.a, half.k)
             iv = half
             steps += 1
-        samples += [(iv.lo, at_lo), (iv.hi, at_hi)]
+        refined.append((iv, at_lo, at_hi))
+    e = max((iv.k for iv, _, _ in refined), default=0)
+    below = -1 << _bound_exponent(w)
+    samples = [(below << e, w.sign_at(below)), (0, w.sign_at(0))]
+    for iv, at_lo, at_hi in refined:
+        samples += [(iv.a << (e - iv.k), at_lo), (iv.b << (e - iv.k), at_hi)]
     # sorted, the count holds whatever the layout of prev's intervals
     samples.sort()
     if any(s == 0 for _, s in samples):
         return None
     found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
-    return found if len(found) == d else None
+    return (e, found) if len(found) == d else None
 
 
 def isolate_roots(
@@ -258,14 +281,15 @@ def isolate_roots(
 ) -> RootCertificate:
     """Isolate every real root of a normalized polynomial by bisection.
 
-    The bisection of (-root_bound, 0] is the same on every path and so is
-    the certificate; only the root counter differs.  With a complete
-    certificate ``prev`` whose roots alternate with those of w (the CLI
-    passes index n-1), the counter reads the brackets of ``_brackets``: the
-    roots at or below x are the brackets with h <= x, plus the one with
-    l < x < h when w(x) is 0 or has the sign of w(h), which takes at most
-    one evaluation of w.  Without such a ``prev``, or when its brackets do
-    not account for every root of w, a Sturm chain counts.
+    The bisection of (-2**e, 0], 2**e the least power of two at or above
+    ``root_bound(w)``, is the same on every path and so is the certificate;
+    only the root counter differs.  With a complete certificate ``prev``
+    whose roots alternate with those of w (the CLI passes index n-1), the
+    counter reads the brackets of ``_brackets``: the roots at or below x are
+    the brackets with h <= x, plus the one with l < x < h when w(x) is 0 or
+    has the sign of w(h), which takes at most one evaluation of w.  Without
+    such a ``prev``, or when its brackets do not account for every root of
+    w, a Sturm chain counts.
     """
     w = np_.w
     brackets = _brackets(w, prev) if prev is not None and prev.complete else None
@@ -273,37 +297,46 @@ def isolate_roots(
     if brackets is None:
         chain = SturmChain(w)
 
-        def rank(x) -> int:
-            return -chain.variations(x)
+        def rank(x: int, k: int) -> int:
+            return -chain.variations(Fraction(x, 1 << k))
     else:
-        his = [h for _, h, _ in brackets]
+        e, spans = brackets
+        # l and h at exponent e, raised to a finer query's exponent when one
+        # comes, so that one binary search over the highs places x
+        lows = [l for l, _, _ in spans]
+        his = [h for _, h, _ in spans]
+        signs = [s for _, _, s in spans]
 
-        def rank(x) -> int:
-            k = bisect_right(his, x)
-            if k < len(brackets):
-                left, _, at_h = brackets[k]
-                if left < x and w.sign_at(x) in (0, at_h):
-                    k += 1
-            return k
+        def rank(x: int, k: int) -> int:
+            nonlocal e, lows, his
+            if k > e:
+                lows = [l << (k - e) for l in lows]
+                his = [h << (k - e) for h in his]
+                e = k
+            at_e = x << (e - k)
+            j = bisect_right(his, at_e)
+            if j < len(his) and lows[j] < at_e and w.sign_at(x, k) in (0, signs[j]):
+                j += 1
+            return j
 
-    # rank(b) - rank(a) is the number of distinct roots in (a, b]
-    lo, hi = -root_bound(w), Fraction(0)
-    r_lo, r_hi = rank(lo), rank(hi)
+    # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k
+    lo = -1 << _bound_exponent(w)
+    r_lo, r_hi = rank(lo, 0), rank(0, 0)
     found: list[Interval] = []
-    stack = [(lo, hi, r_lo, r_hi)]
+    stack = [(lo, 0, 0, r_lo, r_hi)]
     while stack:
-        a, b, ra, rb = stack.pop()
-        k = rb - ra
-        if k == 0:
+        a, b, k, ra, rb = stack.pop()
+        roots = rb - ra
+        if roots == 0:
             continue
-        if k == 1:
-            found.append(Interval(a, b))
+        if roots == 1:
+            found.append(Interval(a, b, k))
             continue
-        mid = (a + b) / 2
-        r_mid = rank(mid)
-        stack.append((a, mid, ra, r_mid))
-        stack.append((mid, b, r_mid, rb))
-    found.sort()
+        mid, k = a + b, k + 1
+        r_mid = rank(mid, k)
+        stack.append((a << 1, mid, k, ra, r_mid))
+        stack.append((mid, b << 1, k, r_mid, rb))
+    found.sort(key=lambda iv: iv.lo)
     return RootCertificate(
         n=np_.n,
         degree=np_.degree,
@@ -324,15 +357,16 @@ def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval
     half's hi comes back with the half, so repeated halving evaluates p at
     the midpoints only.
     """
+    a, b, k = iv.a, iv.b, iv.k
     if at_hi is None:
-        at_hi = p.sign_at(iv.hi)
-    mid = iv.midpoint
+        at_hi = p.sign_at(b, k)
+    mid = a + b
     if at_hi == 0:
-        return Interval(mid, iv.hi), at_hi
-    at_mid = p.sign_at(mid)
+        return Interval(mid, b << 1, k + 1), at_hi
+    at_mid = p.sign_at(mid, k + 1)
     if at_mid == -at_hi:
-        return Interval(mid, iv.hi), at_hi
-    return Interval(iv.lo, mid), at_mid
+        return Interval(mid, b << 1, k + 1), at_hi
+    return Interval(a << 1, mid, k + 1), at_mid
 
 
 def _squarefree(cert: RootCertificate) -> IntPoly:
@@ -364,7 +398,8 @@ def _merge(
     the two separate; halving only shrinks intervals, so pairs already
     passed stay apart.  Returns every interval in increasing order, tagged
     0 for a and 1 for b.  Raises InterlacingUndecided after ``max_refine``
-    halvings (default ``default_refine_budget``).
+    halvings (default ``default_refine_budget``).  Endpoints and widths at
+    different exponents are compared by shifting each side to the other's.
     """
     budget = max_refine if max_refine is not None else default_refine_budget(a, b)
     pa, pb = _squarefree(a), _squarefree(b)
@@ -374,10 +409,10 @@ def _merge(
     steps = i = j = 0
     while i < len(xs) and j < len(ys):
         x, y = xs[i], ys[j]
-        if x.hi <= y.lo:
+        if x.b << y.k <= y.a << x.k:
             merged.append((0, x))
             i, sx = i + 1, None
-        elif y.hi <= x.lo:
+        elif y.b << x.k <= x.a << y.k:
             merged.append((1, y))
             j, sy = j + 1, None
         elif steps >= budget:
@@ -386,7 +421,7 @@ def _merge(
                 "refinement steps; the polynomials may share a root"
             )
         else:
-            if x.width >= y.width:
+            if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
                 xs[i], sx = _halve(pa, x, sx)
             else:
                 ys[j], sy = _halve(pb, y, sy)
@@ -497,7 +532,7 @@ def _first_wrong_sign(poly: IntPoly, roots, offset: int) -> int | None:
     """First k >= 1 where poly lacks sign (-1)^(k + offset) at the k-th root."""
     return next(
         (k for k, (_, iv) in enumerate(roots, start=1)
-         if poly.sign_at(iv.midpoint) != (-1) ** (k + offset)),
+         if poly.sign_at(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
         None,
     )
 

@@ -205,6 +205,24 @@ class TestCertify:
         assert "interlace(n-1) ✗" in lines[4] and "interlace(n-2) ✓" in lines[4]
         assert "n=3 consecutive interlacing failed" in err
 
+    def test_long_range_endpoints_are_small_dyadics(self, capsys):
+        """Bisection from a power-of-two bound keeps every endpoint dyadic,
+        with numerators and denominators of a few dozen bits at most."""
+        code, out, _ = run(capsys, "certify", "--n", "0..100", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert all(v in (True, None) for row in rows for v in row["summary"].values())
+        quads = [q for row in rows for q in row["root_certificate"]["intervals"]]
+        quads += [
+            e["interval"]
+            for row in rows
+            for ic in row["interlacing"].values()
+            if ic is not None
+            for e in ic["merged"]
+        ]
+        assert all(den & (den - 1) == 0 for q in quads for den in (q[1], q[3]))
+        assert max(abs(x).bit_length() for q in quads for x in q) <= 32
+
     def test_rational_endpoints_never_serialize_as_floats(self, capsys):
         _, out, _ = run(capsys, "certify", "--n", "0..5", "--format", "json")
         rows = json.loads(out)
@@ -240,11 +258,11 @@ class TestGoldenDigests:
             ),
             (
                 ("certify", "--n", "0..24", "--format", "json"),
-                "a20ebc9ff2e229467b7cab641b9033ed7bcafeadb44862d7406a7b6acc741a0e",
+                "83da7ac5e737643428d35aaf7938027e832d4043375fb5380b06946bb8e41db1",
             ),
             (
                 ("certify", "--n", "37..38", "--format", "json"),
-                "a40d7db60f5b1e14699ab716b300154bc42cda93f6193d01e7415c669b3dd4d0",
+                "ce9a19ff7a18f794cf8ed4e86de23ef2e0b1d3a44a256825ef769076d2285985",
             ),
         ],
         ids=["table", "compute", "certify", "certify-37-38"],

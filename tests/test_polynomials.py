@@ -242,3 +242,16 @@ class TestRingAxioms:
         exact = sqrt3_to_float(a * b)
         approx = sqrt3_to_float(a) * sqrt3_to_float(b)
         assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact))
+
+
+class TestDyadicSigns:
+    @given(polys, small_ints, st.integers(min_value=0, max_value=64))
+    def test_sign_at_dyadic_point_matches_eval(self, p, m, k):
+        v = p.eval(Fraction(m, 2 ** k))
+        want = (v > 0) - (v < 0)
+        assert p.sign_at(m, k) == want
+        assert p.sign_at(Fraction(m, 2 ** k)) == want  # same point as a Fraction
+
+    @given(tiny_polys, small_ints, st.integers(min_value=0, max_value=64))
+    def test_sign_at_a_dyadic_root_is_zero(self, q, m, k):
+        assert (q * P(-m, 2 ** k)).sign_at(m, k) == 0  # root m / 2**k

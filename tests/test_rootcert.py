@@ -15,6 +15,7 @@ from clawgenus.rootcert import (
     SturmChain,
     certify_interlacing,
     concavity_report,
+    _bound_exponent,
     _halve,
     is_squarefree,
     isolate_roots,
@@ -192,6 +193,12 @@ class TestIsolation:
         assert root_bound(P(2, 2)) == 2
         assert root_bound(P(48, 720, 256)) == 1 + Fraction(720, 256)
 
+    def test_bisection_starts_at_the_power_of_two_bound(self):
+        assert _bound_exponent(P(2, 2)) == 1  # bound 2 is a power of two
+        assert _bound_exponent(P(48, 720, 256)) == 2  # bound 61/16 -> 4
+        assert _bound_exponent(P(1, 1000, 3)) == 9  # bound 1003/3 -> 512
+        assert isolate_roots(normalized_recurrence(2)).intervals[0].lo == -4
+
     def test_json_shape(self):
         cert = isolate_roots(normalized_recurrence(2))
         d = cert.to_json_dict()
@@ -212,14 +219,14 @@ class TestHalve:
 
     def test_root_at_the_midpoint_keeps_the_lower_half(self):
         p = P(2, 2)  # root -1
-        half, _ = _halve(p, Interval(F(-2), F(0)))
-        assert half == Interval(F(-2), F(-1))
+        half, _ = _halve(p, Interval(-2, 0, 0))
+        assert (half.lo, half.hi) == (F(-2), F(-1))
         assert sturm_count(p, half.lo, half.hi) == 1
 
     def test_root_at_hi_keeps_the_upper_half(self):
         p = P(2, 2)
-        half, _ = _halve(p, Interval(F(-2), F(-1)))
-        assert half == Interval(F(-3, 2), F(-1))
+        half, _ = _halve(p, Interval(-2, -1, 0))
+        assert (half.lo, half.hi) == (F(-3, 2), F(-1))
         assert sturm_count(p, half.lo, half.hi) == 1
 
     def test_agrees_with_sturm_count_on_isolating_intervals(self):
@@ -245,9 +252,9 @@ class TestMergeSignEvaluations:
             halved.append(iv)
             return real_halve(p, iv, *rest)
 
-        def sign_at(self, x):
+        def sign_at(self, x, k=0):
             calls[0] += 1
-            return real_sign_at(self, x)
+            return real_sign_at(self, x, k)
 
         monkeypatch.setattr(rootcert, "_halve", halve)
         monkeypatch.setattr(IntPoly, "sign_at", sign_at)
@@ -365,7 +372,7 @@ class TestInterlacing:
         a = RootCertificate(
             n=1,
             degree=2,
-            intervals=(Interval(F(-5), F(-2)), Interval(F(-2), F(0))),
+            intervals=(Interval(-5, -2, 0), Interval(-2, 0, 0)),
             complete=True,
             poly=p,
             chain=SturmChain(p),
@@ -373,7 +380,7 @@ class TestInterlacing:
         b = RootCertificate(
             n=0,
             degree=2,
-            intervals=(Interval(F(-3), F(-3, 2)), Interval(F(-3, 2), F(0))),
+            intervals=(Interval(-6, -3, 1), Interval(-3, 0, 1)),  # (-3, -3/2], (-3/2, 0]
             complete=True,
             poly=q,
             chain=SturmChain(q),
