@@ -21,7 +21,7 @@ import sys
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
-from .oracle import enumerate_pgd
+from .oracle import enumerate_pgd, worker_pool
 from .pgd import pgd
 from .polynomials import IntPoly
 from .rootcert import (
@@ -234,23 +234,27 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     status = 0
-    for n in args.n:
-        o = enumerate_pgd(n, jobs=args.parallelism, acknowledge_cost=args.acknowledge_cost)
-        v = pgd(n)
-        pairs = zip("abc", o.as_polys(), (v.a, v.b, v.c))
-        bad = [name for name, op, vp in pairs if op != vp]
-        if bad:
-            print(
-                f"n={n}: oracle differs from the production route in "
-                f"class(es) {', '.join(bad)}",
-                file=sys.stderr,
+    with worker_pool(args.parallelism, args.n[-1]) as pool:
+        for n in args.n:
+            o = enumerate_pgd(
+                n, jobs=args.parallelism, acknowledge_cost=args.acknowledge_cost,
+                pool=pool,
             )
-            status = 1
-        else:
-            print(
-                f"n={n}: oracle matches the production route "
-                f"({o.embedding_count()} embeddings) {CHECK}"
-            )
+            v = pgd(n)
+            pairs = zip("abc", o.as_polys(), (v.a, v.b, v.c))
+            bad = [name for name, op, vp in pairs if op != vp]
+            if bad:
+                print(
+                    f"n={n}: oracle differs from the production route in "
+                    f"class(es) {', '.join(bad)}",
+                    file=sys.stderr,
+                )
+                status = 1
+            else:
+                print(
+                    f"n={n}: oracle matches the production route "
+                    f"({o.embedding_count()} embeddings) {CHECK}"
+                )
     return status
 
 

@@ -10,12 +10,15 @@ Every vertex of an iterated claw is 3-valent, so each vertex has exactly
 the whole enumeration is a (4n+2)-bit counter, which partitions trivially
 across workers by index range.  One face-walk loop, ``_walks``, serves both
 the per-system functions (``face_trace``, ``root_class``) and the
-enumeration.
+enumeration.  A command that enumerates several indices opens one pool
+with ``worker_pool`` and hands it to every ``enumerate_pgd`` call, so the
+workers start once per command, not once per index.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -251,15 +254,27 @@ def oracle_cap() -> int:
         raise ClawgenusError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def worker_pool(jobs: int, n: int):
+    """Context manager giving a pool for ``enumerate_pgd`` at indices up to
+    n with ``jobs`` blocks each, or None when one process does the work.
+
+    Leaving the context ends the workers.
+    """
+    workers = min(jobs, 1 << (4 * n + 2))
+    return Pool(processes=workers) if workers > 1 else nullcontext()
+
+
 def enumerate_pgd(
-    n: int, jobs: int = 1, acknowledge_cost: bool = False
+    n: int, jobs: int = 1, acknowledge_cost: bool = False, pool=None
 ) -> OraclePgd:
     """Exhaustively enumerate all 2^(4n+2) rotation systems of claw n.
 
     Tallies are per root class and genus.  The result is independent of
-    ``jobs``: blocks are merged by summation.  Enumeration above the cap
-    (default 4, override via the CLAWGENUS_ORACLE_CAP environment variable)
-    is refused unless ``acknowledge_cost`` is set.
+    ``jobs``: blocks are merged by summation.  The blocks run in ``pool``
+    when one is given (see ``worker_pool``), else in a pool of their own
+    that closes on return.  Enumeration above the cap (default 4, override
+    via the CLAWGENUS_ORACLE_CAP environment variable) is refused unless
+    ``acknowledge_cost`` is set.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -288,12 +303,13 @@ def enumerate_pgd(
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
-    workers = min(jobs, len(chunks))
-    if workers == 1:
+    if len(chunks) == 1:
         results = [_tally_chunk(c) for c in chunks]
+    elif pool is not None:
+        results = pool.map(_tally_chunk, chunks)
     else:
-        with Pool(processes=workers) as pool:
-            results = pool.map(_tally_chunk, chunks)
+        with Pool(processes=len(chunks)) as own:
+            results = own.map(_tally_chunk, chunks)
 
     tallies = [[0] * slots for _ in range(3)]
     for part in results:

@@ -11,12 +11,16 @@ matrix-vector kernel applies it.  Iterating it from the base triple of the
 three-edge dipole yields every iterated claw's partitioned genus
 distribution; iterating its transpose from (1, 1, 1) yields the column sums
 of its powers, the series behind the generating-function route.
+
+``pgd(n)`` and ``column_sum(n)`` each keep the last state of their
+iteration and continue from it when asked for the same or a later index,
+so an ascending scan costs one matrix step per index.  Only that one state
+is kept; a request below it restarts from the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .errors import ConsistencyError, StructureViolation
@@ -30,6 +34,7 @@ PRODUCTION_MATRIX: tuple[tuple[IntPoly, ...], ...] = (
     (IntPoly.monomial(2, 4), IntPoly.monomial(1, 2), IntPoly.monomial(1, 8)),
 )
 _TRANSPOSE = tuple(zip(*PRODUCTION_MATRIX))
+_ONES = (IntPoly.constant(1),) * 3
 
 
 def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
@@ -95,14 +100,27 @@ def iter_pgd() -> Iterator[PgdVector]:
         v = newclaw_step(v)
 
 
+#: The vector last returned by pgd.  Every update rebinds it in one
+#: assignment, so a reader in another thread needs no lock.
+_last_pgd: PgdVector = initial_pgd()
+
+
 def pgd(n: int) -> PgdVector:
-    """Partitioned genus distribution after n claw attachments."""
+    """Partitioned genus distribution after n claw attachments.
+
+    Continues from the vector returned last, so ascending scans cost one
+    step per index; a request below it restarts from the base triple.
+    """
+    global _last_pgd
     if n < 0:
         raise ValueError("n must be nonnegative")
-    v = initial_pgd()
-    for _ in range(n):
+    v = _last_pgd
+    if n < v.n:
+        v = initial_pgd()
+    while v.n < n:
         v = newclaw_step(v)
     v.validate()
+    _last_pgd = v
     return v
 
 
@@ -114,17 +132,33 @@ def iter_column_sums() -> Iterator[IntPoly]:
     sequence starts at 1 for n=0 and equals four times the genus polynomial
     of claw n-1 afterwards.
     """
-    row = (IntPoly.constant(1),) * 3
+    row = _ONES
     while True:
         yield row[2]
         row = _apply(_TRANSPOSE, row)
 
 
+#: (index, row vector (1,1,1)M^index) of the last column_sum request,
+#: rebound in one assignment like _last_pgd.
+_last_row: tuple[int, tuple[IntPoly, ...]] = (0, _ONES)
+
+
 def column_sum(n: int) -> IntPoly:
-    """Sum of the third column of the n-th power of the production matrix."""
+    """Sum of the third column of the n-th power of the production matrix.
+
+    Continues from the row vector of the last request, so ascending scans
+    cost one step per index; a request below it restarts from (1, 1, 1).
+    """
+    global _last_row
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(islice(iter_column_sums(), n, None))
+    i, row = _last_row
+    if n < i:
+        i, row = 0, _ONES
+    for _ in range(i, n):
+        row = _apply(_TRANSPOSE, row)
+    _last_row = (n, row)
+    return row[2]
 
 
 def column_sum_check(n: int) -> IntPoly:

@@ -155,6 +155,14 @@ def is_squarefree(p: IntPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
+def _lowest_terms(a: int, k: int) -> tuple[int, int]:
+    """a/2**k in lowest terms: cancel the trailing zero bits of a, at most k."""
+    if not a:
+        return 0, 1
+    s = min((a & -a).bit_length() - 1, k)
+    return a >> s, 1 << (k - s)
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open dyadic interval (a/2**k, b/2**k] containing exactly one root.
@@ -183,8 +191,7 @@ class Interval:
 
     def as_json_list(self) -> list[int]:
         """[lo_num, lo_den, hi_num, hi_den], each endpoint in lowest terms."""
-        lo, hi = self.lo, self.hi
-        return [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
+        return [*_lowest_terms(self.a, self.k), *_lowest_terms(self.b, self.k)]
 
     def approx(self) -> float:
         return float(self.midpoint)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clawgenus.cli as cli
+import clawgenus.oracle as oracle
 from clawgenus.cli import canonical_json, main, parse_n_spec
 from clawgenus.polynomials import IntPoly
 from clawgenus.rootcert import NormalizedPoly
@@ -238,6 +240,28 @@ class TestOracleCheck:
         assert out.count("matches") == 3
         assert "(1024 embeddings)" in out  # 2^10 at n=2
 
+    def test_one_pool_per_command(self, capsys, monkeypatch):
+        started = []
+        pool = oracle.Pool
+        monkeypatch.setattr(
+            oracle, "Pool", lambda processes: started.append(processes) or pool(processes)
+        )
+        code, out, _ = run(capsys, "oracle-check", "--n", "0..2", "--parallelism", "2")
+        assert code == 0 and out.count("matches") == 3
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_range_across_the_cap_prints_rows_then_fails(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+        code, out, err = run(capsys, "oracle-check", "--n", "0..3", "--parallelism", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "n=0: oracle matches the production route (4 embeddings) ✓",
+            "n=1: oracle matches the production route (64 embeddings) ✓",
+        ]
+        assert err.startswith("error: n=2 needs 1024 rotation systems")
+        assert multiprocessing.active_children() == []
+
 
 class TestGoldenDigests:
     """sha256 of whole CLI outputs: refactors must keep stdout byte-identical.
@@ -264,8 +288,21 @@ class TestGoldenDigests:
                 ("certify", "--n", "37..38", "--format", "json"),
                 "ce9a19ff7a18f794cf8ed4e86de23ef2e0b1d3a44a256825ef769076d2285985",
             ),
+            (
+                ("compute", "--route", "pgd", "--format", "csv", "--n", "30..45"),
+                "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
+            ),
+            (
+                ("compute", "--route", "gf", "--format", "csv", "--n", "30..45"),
+                "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
+            ),
+            (
+                ("oracle-check", "--n", "0..3", "--parallelism", "2"),
+                "0b56fd761a408044036c08fcd7f0c93c13d5c2b2a69c5f14fa9b0a481b32e3b9",
+            ),
         ],
-        ids=["table", "compute", "certify", "certify-37-38"],
+        ids=["table", "compute", "certify", "certify-37-38", "pgd-30-45",
+             "gf-30-45", "oracle-check"],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

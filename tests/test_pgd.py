@@ -1,15 +1,20 @@
 """Production-matrix engine: tabulated rows, column sums, invariants."""
 
+import contextlib
+import io
+import sys
 from itertools import islice
 
 import pytest
 
+from clawgenus.cli import main
 from clawgenus.pgd import (
     PRODUCTION_MATRIX,
     PgdVector,
     column_sum,
     column_sum_check,
     initial_pgd,
+    iter_column_sums,
     iter_pgd,
     newclaw_step,
     pgd,
@@ -121,3 +126,39 @@ class TestColumnSum:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             column_sum_check(0)
+
+
+class TestWindows:
+    """pgd and column_sum continue from their last state."""
+
+    # The package re-exports the pgd function over its submodule's name.
+    module = sys.modules["clawgenus.pgd"]
+
+    def test_out_of_order_requests_match_the_iterators(self):
+        vecs = list(islice(iter_pgd(), 41))
+        sums = list(islice(iter_column_sums(), 41))
+        for n in [*range(40, 19, -1), 3, 3, 0, 40, 12, 13, 9, 30, 0]:
+            assert pgd(n) == vecs[n], n
+            assert column_sum(n) == sums[n], n
+
+    def test_windows_stay_bounded(self):
+        pgd(500)
+        column_sum(500)
+        assert self.module._last_pgd.n == 500
+        index, row = self.module._last_row
+        assert index == 500 and len(row) == 3
+
+    def test_ascending_compute_makes_one_step_per_index(self, monkeypatch):
+        products = []
+        apply = self.module._apply
+
+        def spy(matrix, vec):
+            products.append(matrix)
+            return apply(matrix, vec)
+
+        monkeypatch.setattr(self.module, "_apply", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compute", "--route", "all", "--format", "csv",
+                         "--n", "0..40"]) == 0
+        # at most 40 steps of the matrix and 41 of its transpose
+        assert len(products) <= 2 * 42

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clawgenus.errors import InterlacingUndecided, StructureViolation
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
@@ -236,6 +238,23 @@ class TestHalve:
                 for _ in range(6):
                     iv = _halve(c.chain.polys[0], iv)[0]
                     assert c.chain.count(iv.lo, iv.hi) == 1
+
+
+class TestIntervalJson:
+    @given(
+        st.integers(-(1 << 80), 1 << 80),
+        st.integers(-(1 << 80), 1 << 80),
+        st.integers(0, 90),
+    )
+    def test_matches_fraction_lowest_terms(self, a, b, k):
+        lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
+        want = [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
+        assert Interval(a, b, k).as_json_list() == want
+
+    def test_zero_and_negative_endpoints(self):
+        assert Interval(0, 0, 5).as_json_list() == [0, 1, 0, 1]
+        assert Interval(-12, 0, 3).as_json_list() == [-3, 2, 0, 1]
+        assert Interval(-16, -8, 2).as_json_list() == [-4, 1, -2, 1]
 
 
 class TestMergeSignEvaluations:
