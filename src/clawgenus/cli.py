@@ -21,7 +21,7 @@ import sys
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
-from .oracle import enumerate_pgd, worker_pool
+from .oracle import MAX_JOBS, enumerate_pgd, worker_pool
 from .pgd import pgd
 from .polynomials import IntPoly
 from .rootcert import (
@@ -56,15 +56,16 @@ def parse_n_spec(spec: str) -> list[int]:
     return list(range(a, b + 1))
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than low, nor larger than high."""
     def parse(text: str) -> int:
         try:
-            if int(text) >= low:
+            if low <= int(text) and (high is None or int(text) <= high):
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        bounds = f">= {low}" if high is None else f">= {low} and <= {high}"
+        raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
     return parse
 
 
@@ -75,7 +76,7 @@ def _padded_coeffs(p: IntPoly, n: int) -> list[int]:
 ROUTES = ("pgd", "recurrence", "gf", "explicit", "oracle")
 
 
-def _route_poly(route: str, n: int, jobs: int, ack: bool) -> IntPoly:
+def _route_poly(route: str, n: int, jobs: int, ack: bool, pool=None) -> IntPoly:
     if route == "pgd":
         return pgd(n).total()
     if route == "recurrence":
@@ -85,35 +86,36 @@ def _route_poly(route: str, n: int, jobs: int, ack: bool) -> IntPoly:
     if route == "explicit":
         return genus_explicit(n).poly
     if route == "oracle":
-        return enumerate_pgd(n, jobs=jobs, acknowledge_cost=ack).total()
+        return enumerate_pgd(n, jobs=jobs, acknowledge_cost=ack, pool=pool).total()
     raise ValueError(f"unknown route {route!r}")
 
 
 def cmd_compute(args) -> int:
-    ns = args.n
     rows = []
-    for n in ns:
-        if args.route == "all":
-            polys = {
-                r: _route_poly(r, n, args.parallelism, args.acknowledge_cost)
-                for r in ("pgd", "recurrence", "gf", "explicit")
-            }
-            base = polys["recurrence"]
-            for r, p in polys.items():
-                if p != base:
-                    i = next(
-                        i for i in range(max(len(p), len(base))) if p[i] != base[i]
-                    )
-                    print(
-                        f"route disagreement at n={n}, coefficient i={i}: "
-                        f"{r}={p[i]}, recurrence={base[i]}",
-                        file=sys.stderr,
-                    )
-                    return 1
-            rows.append((n, base, True))
-        else:
-            p = _route_poly(args.route, n, args.parallelism, args.acknowledge_cost)
-            rows.append((n, p, None))
+    jobs = args.parallelism if args.route == "oracle" else 1  # one pool per range
+    with worker_pool(jobs, args.n[-1]) as pool:
+        for n in args.n:
+            if args.route == "all":
+                polys = {
+                    r: _route_poly(r, n, args.parallelism, args.acknowledge_cost)
+                    for r in ("pgd", "recurrence", "gf", "explicit")
+                }
+                base = polys["recurrence"]
+                for r, p in polys.items():
+                    if p != base:
+                        i = next(
+                            i for i in range(max(len(p), len(base))) if p[i] != base[i]
+                        )
+                        print(
+                            f"route disagreement at n={n}, coefficient i={i}: "
+                            f"{r}={p[i]}, recurrence={base[i]}",
+                            file=sys.stderr,
+                        )
+                        return 1
+                rows.append((n, base, True))
+            else:
+                p = _route_poly(args.route, n, jobs, args.acknowledge_cost, pool)
+                rows.append((n, p, None))
 
     if args.format == "csv":
         for n, p, _ in rows:
@@ -184,9 +186,7 @@ def cmd_certify(args) -> int:
             if m < 0:
                 continue
             try:
-                inter[mode] = certify_interlacing(
-                    c, certs[m], mode, max_refine=args.max_refine
-                )
+                inter[mode] = certify_interlacing(c, certs[m], args.max_refine)
                 marks[mode] = CHECK
             except (ClawgenusError, ValueError) as exc:
                 # ValueError: a certificate of the pair is incomplete
@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="computation route; 'all' cross-checks the four "
                         "algebraic routes (default)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--parallelism", type=_int_at_least(1), default=1,
-                   help="worker count for the oracle route (at least 1)")
+    p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
+                   help=f"worker count for the oracle route (1 to {MAX_JOBS})")
     p.add_argument("--acknowledge-cost", action="store_true",
                    help="allow oracle enumeration above the size cap")
     p.set_defaults(func=cmd_compute)
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="compare exhaustive enumeration with the engine")
     p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
-    p.add_argument("--parallelism", type=_int_at_least(1), default=1)
+    p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
+                   help=f"worker count (1 to {MAX_JOBS})")
     p.add_argument("--acknowledge-cost", action="store_true")
     p.set_defaults(func=cmd_oracle_check)
     return parser

@@ -28,6 +28,8 @@ from .polynomials import IntPoly
 #: Largest n enumerated without an explicit cost acknowledgment.
 DEFAULT_CAP = 4
 CAP_ENV_VAR = "CLAWGENUS_ORACLE_CAP"
+#: Most blocks one enumeration splits into, and so most worker processes.
+MAX_JOBS = 64
 
 ROOT_CLASSES = ("a", "b", "c")
 
@@ -260,6 +262,8 @@ def worker_pool(jobs: int, n: int):
 
     Leaving the context ends the workers.
     """
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     workers = min(jobs, 1 << (4 * n + 2))
     return Pool(processes=workers) if workers > 1 else nullcontext()
 
@@ -270,16 +274,16 @@ def enumerate_pgd(
     """Exhaustively enumerate all 2^(4n+2) rotation systems of claw n.
 
     Tallies are per root class and genus.  The result is independent of
-    ``jobs``: blocks are merged by summation.  The blocks run in ``pool``
-    when one is given (see ``worker_pool``), else in a pool of their own
-    that closes on return.  Enumeration above the cap (default 4, override
-    via the CLAWGENUS_ORACLE_CAP environment variable) is refused unless
-    ``acknowledge_cost`` is set.
+    ``jobs`` (1 to ``MAX_JOBS``): blocks are merged by summation.  The
+    blocks run in ``pool`` when one is given (see ``worker_pool``), else in
+    a pool of their own that closes on return.  Enumeration above the cap
+    (default 4, override via the CLAWGENUS_ORACLE_CAP environment variable)
+    is refused unless ``acknowledge_cost`` is set.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     cap = oracle_cap()
     total = 1 << (4 * n + 2)
     if n > cap and not acknowledge_cost:

@@ -22,8 +22,8 @@ Certificates produced:
   times as its degree, each changing gap holds exactly one simple root
   (intermediate value theorem plus the degree count).  A Sturm chain
   counts only without a predecessor, where a range starts, and as the
-  fallback when that sign count falls short; both counters give the same
-  certificate.
+  fallback when that sign count falls short or its small halving allowance
+  runs out; both counters give the same certificate.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
@@ -236,6 +236,10 @@ def _bound_exponent(p: IntPoly) -> int:
     return (ceil(root_bound(p)) - 1).bit_length()
 
 
+#: Halvings ``_brackets`` may spend per interval of the predecessor.
+_BRACKET_HALVINGS = 8
+
+
 def _brackets(
     w: IntPoly, prev: RootCertificate
 ) -> tuple[int, list[tuple[int, int, int]]] | None:
@@ -248,12 +252,14 @@ def _brackets(
     two root sets alternate.  w is also sampled below its root bound and at
     0.  If w changes sign deg w times along the samples, each changing gap
     holds a root (intermediate value theorem), and as w has only deg w roots
-    each gap holds exactly one, a simple one.  The halvings share a
-    ``default_refine_budget``-sized allowance.
+    each gap holds exactly one, a simple one.  The halvings share an
+    allowance of ``_BRACKET_HALVINGS`` per interval of prev, as genuine
+    chains up to n = 200 use at most 2.5; running out only returns None,
+    and the caller's Sturm chain gives the same certificate.
     """
     d = w.degree
     p = _squarefree(prev)
-    budget = _refine_budget(d, w, prev.poly)
+    budget = _BRACKET_HALVINGS * len(prev.intervals)
     refined = []
     steps = 0
     for j, iv in enumerate(prev.intervals, start=1):
@@ -381,21 +387,6 @@ def _squarefree(cert: RootCertificate) -> IntPoly:
     return cert.chain.polys[0] if cert.chain is not None else cert.poly
 
 
-def _refine_budget(degree: int, *polys: IntPoly) -> int:
-    bits = max(p.max_abs_coeff().bit_length() for p in polys)
-    return 4 * max(degree, 1) * max(bits, 1)
-
-
-def default_refine_budget(a: RootCertificate, b: RootCertificate) -> int:
-    """Bisection allowance before declaring a pair undecided.
-
-    Distinct algebraic numbers of bounded height separate within
-    polynomially many halvings; the cap only turns a hypothetical shared
-    root into a diagnosable outcome instead of nontermination.
-    """
-    return _refine_budget(a.degree, a.poly, b.poly)
-
-
 def _merge(
     a: RootCertificate, b: RootCertificate, max_refine: int | None, what: str
 ) -> list[tuple[int, Interval]]:
@@ -405,10 +396,18 @@ def _merge(
     the two separate; halving only shrinks intervals, so pairs already
     passed stay apart.  Returns every interval in increasing order, tagged
     0 for a and 1 for b.  Raises InterlacingUndecided after ``max_refine``
-    halvings (default ``default_refine_budget``).  Endpoints and widths at
-    different exponents are compared by shifting each side to the other's.
+    halvings.  Endpoints and widths at different exponents are compared by
+    shifting each side to the other's.
+
+    There is no fallback here, so the default allowance is the worst case
+    4 * deg a * (largest coefficient bits): distinct algebraic numbers of
+    bounded height separate within polynomially many halvings, and the cap
+    only turns a hypothetical shared root into a diagnosable outcome
+    instead of nontermination.
     """
-    budget = max_refine if max_refine is not None else default_refine_budget(a, b)
+    if max_refine is None:
+        bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
+        max_refine = 4 * max(a.degree, 1) * max(bits, 1)
     pa, pb = _squarefree(a), _squarefree(b)
     xs, ys = list(a.intervals), list(b.intervals)
     sx = sy = None  # sign of pa at xs[i].hi and of pb at ys[j].hi, once read
@@ -422,9 +421,9 @@ def _merge(
         elif y.b << x.k <= x.a << y.k:
             merged.append((1, y))
             j, sy = j + 1, None
-        elif steps >= budget:
+        elif steps >= max_refine:
             raise InterlacingUndecided(
-                f"{what}: could not separate intervals within {budget} "
+                f"{what}: could not separate intervals within {max_refine} "
                 "refinement steps; the polynomials may share a root"
             )
         else:
@@ -471,30 +470,22 @@ class InterlacingCertificate:
 
 
 def certify_interlacing(
-    a: RootCertificate,
-    b: RootCertificate,
-    mode: Mode,
-    max_refine: int | None = None,
+    a: RootCertificate, b: RootCertificate, max_refine: int | None = None
 ) -> InterlacingCertificate:
     """Certify that the roots of certificate a interlace those of b.
 
-    ``mode`` fixes the expected pair: "consecutive" for indices (n, n-1),
-    "skip" for (n, n-2).  Expected root-count difference: one for skip pairs
-    and for consecutive pairs at even n, zero for consecutive pairs at odd n
-    (where b owns the rightmost root).  Raises InterlacingUndecided if the
-    refinement budget runs out, ConsistencyError if the alternation pattern
-    fails outright.
+    The indices fix the pair: (n, n-1) is "consecutive", (n, n-2) "skip",
+    and any other pair raises ValueError.  Expected root-count difference:
+    one for skip pairs and for consecutive pairs at even n, zero for
+    consecutive pairs at odd n (where b owns the rightmost root).  Raises
+    InterlacingUndecided when ``_merge``'s refinement allowance (or
+    ``max_refine`` halvings) runs out, ConsistencyError if the alternation
+    pattern fails outright.
     """
-    if mode == "consecutive":
-        if b.n != a.n - 1:
-            raise ValueError("consecutive mode needs indices (n, n-1)")
-        expected_diff = 1 if a.n % 2 == 0 else 0
-    elif mode == "skip":
-        if b.n != a.n - 2:
-            raise ValueError("skip mode needs indices (n, n-2)")
-        expected_diff = 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    mode = {1: "consecutive", 2: "skip"}.get(a.n - b.n)
+    if mode is None:
+        raise ValueError(f"pair ({a.n}, {b.n}) is neither (n, n-1) nor (n, n-2)")
+    expected_diff = 0 if mode == "consecutive" and a.n % 2 else 1
     if not (a.complete and b.complete):
         raise ValueError("both certificates must be complete")
     if len(a.intervals) - len(b.intervals) != expected_diff:

@@ -176,12 +176,12 @@ def test_08_interlacing():
     t0 = time.perf_counter()
     try:
         for n in range(1, 65):
-            ic = certify_interlacing(certs[n], certs[n - 1], "consecutive")
+            ic = certify_interlacing(certs[n], certs[n - 1])
             owners = [o for o, _ in ic.merged]
             assert owners[0] == n
             assert owners[-1] == (n if n % 2 == 0 else n - 1), n
         for n in range(2, 65):
-            ic = certify_interlacing(certs[n], certs[n - 2], "skip")
+            ic = certify_interlacing(certs[n], certs[n - 2])
             owners = [o for o, _ in ic.merged]
             assert owners[0] == owners[-1] == n
     except InterlacingUndecided as exc:  # pragma: no cover

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import clawgenus.cli as cli
 import clawgenus.oracle as oracle
+from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
 from clawgenus.polynomials import IntPoly
 from clawgenus.rootcert import NormalizedPoly
@@ -131,6 +132,26 @@ class TestCompute:
         assert code == 1
         assert "cap" in err
 
+    def test_oracle_route_opens_one_pool_per_command(self, capsys, monkeypatch):
+        started = []
+        pool = oracle.Pool
+        monkeypatch.setattr(
+            oracle, "Pool", lambda processes: started.append(processes) or pool(processes)
+        )
+        code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..2",
+                           "--parallelism", "2", "--format", "csv")
+        assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:3])
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
+        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+        code, out, err = run(capsys, "compute", "--route", "oracle", "--n", "0..3",
+                             "--parallelism", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: n=2 needs 1024 rotation systems")
+        assert multiprocessing.active_children() == []
+
     def test_json_round_trips(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--n", "0..4", "--route", "all", "--format", "json"
@@ -224,6 +245,22 @@ class TestCertify:
         ]
         assert all(den & (den - 1) == 0 for q in quads for den in (q[1], q[3]))
         assert max(abs(x).bit_length() for q in quads for x in q) <= 32
+        assert certificate_errors(rows) == []
+
+    @pytest.mark.parametrize("mutate", [
+        # W_2's left root is near -2.74: (-4, -3] holds no root
+        lambda rows: rows[2]["root_certificate"]["intervals"][0].__setitem__(2, -3),
+        lambda rows: (m := rows[4]["interlacing"]["skip"]["merged"]).insert(0, m.pop(1)),
+        lambda rows: rows[5]["root_certificate"]["intervals"].pop(),
+        lambda rows: rows[3]["interlacing"]["consecutive"]["merged"].pop(),
+    ], ids=["endpoint-across-a-root", "merged-entries-swapped",
+            "root-interval-dropped", "merged-entry-dropped"])
+    def test_independent_check_rejects_a_broken_certificate(self, capsys, mutate):
+        code, out, _ = run(capsys, "certify", "--n", "0..6", "--format", "json")
+        assert code == 0 and certificate_errors(json.loads(out)) == []
+        rows = json.loads(out)
+        mutate(rows)
+        assert certificate_errors(rows)
 
     def test_rational_endpoints_never_serialize_as_floats(self, capsys):
         _, out, _ = run(capsys, "certify", "--n", "0..5", "--format", "json")
@@ -350,9 +387,12 @@ class TestBoundaryValidation:
             ("oracle-check", "--n", "0", "--parallelism", "0"),
             ("table", "--max-n", "-1"),
             ("certify", "--n", "1..2", "--max-refine", "-5"),
+            ("compute", "--n", "0", "--route", "oracle", "--parallelism", "65"),
+            ("oracle-check", "--n", "0", "--parallelism", "100000"),
         ],
         ids=["compute-parallelism", "oracle-check-parallelism", "table-max-n",
-             "certify-max-refine"],
+             "certify-max-refine", "compute-parallelism-ceiling",
+             "oracle-check-parallelism-ceiling"],
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv):
         proc = run_module(*argv)

@@ -6,6 +6,7 @@ import clawgenus.oracle as oracle
 from clawgenus.errors import OracleCapExceeded
 from clawgenus.oracle import (
     DEFAULT_CAP,
+    MAX_JOBS,
     ROOT_CLASSES,
     MultiGraph,
     RotationSystem,
@@ -13,6 +14,7 @@ from clawgenus.oracle import (
     enumerate_pgd,
     face_trace,
     root_class,
+    worker_pool,
 )
 from clawgenus.pgd import pgd
 from clawgenus.polynomials import IntPoly
@@ -166,3 +168,14 @@ class TestEnumeration:
             enumerate_pgd(-1)
         with pytest.raises(ValueError):
             enumerate_pgd(1, jobs=0)
+
+    def test_rejects_jobs_above_the_ceiling_before_any_pool(self, monkeypatch):
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} was requested")
+
+        monkeypatch.setattr(oracle, "Pool", no_pool)
+        assert MAX_JOBS >= 64
+        with pytest.raises(ValueError):
+            enumerate_pgd(0, jobs=MAX_JOBS + 1)
+        with pytest.raises(ValueError):
+            worker_pool(MAX_JOBS + 1, 0)

@@ -325,6 +325,40 @@ class TestPredecessorBrackets:
         assert got.chain is not None  # the Sturm fallback ran
         assert got.to_json_dict() == cert(6).to_json_dict()
 
+    def test_stalled_predecessor_falls_back_within_the_allowance(self, monkeypatch):
+        """W_21 is W_20's successor: its leftmost root comes first, so W_20
+        never takes the signs the brackets ask for at W_21's roots.  The
+        allowance of 8 halvings per interval of W_21 (11 of them) runs out
+        and the Sturm chain gives the certificate."""
+        import clawgenus.rootcert as rootcert
+
+        prev = cert(21)
+        halvings = [0]
+        real_halve = rootcert._halve
+
+        def halve(*args):
+            halvings[0] += 1
+            return real_halve(*args)
+
+        monkeypatch.setattr(rootcert, "_halve", halve)
+        got = isolate_roots(normalized_recurrence(20), prev=prev)
+        assert got.chain is not None
+        assert got.to_json_dict() == cert(20).to_json_dict()
+        assert halvings[0] <= 8 * 11
+
+    def test_walk_from_w0_to_w100_builds_one_chain(self, monkeypatch):
+        import clawgenus.rootcert as rootcert
+
+        builds = []
+        monkeypatch.setattr(
+            rootcert, "SturmChain", lambda p: builds.append(p) or SturmChain(p)
+        )
+        c = isolate_roots(normalized_recurrence(0))
+        for n in range(1, 101):
+            c = isolate_roots(normalized_recurrence(n), prev=c)
+            assert c.complete
+        assert len(builds) == 1  # W_0's, where the walk starts
+
     @pytest.mark.parametrize(
         "n,w",
         [
@@ -343,47 +377,43 @@ class TestPredecessorBrackets:
 
 class TestInterlacing:
     def test_skip_pair_two_zero(self):
-        ic = certify_interlacing(cert(2), cert(0), "skip")
+        ic = certify_interlacing(cert(2), cert(0))
         owners = [o for o, _ in ic.merged]
         assert owners == [2, 0, 2]
         mids = [float(iv.midpoint) for _, iv in ic.merged]
         assert mids[0] < -1 < mids[2]
 
     def test_consecutive_odd_equal_counts(self):
-        ic = certify_interlacing(cert(1), cert(0), "consecutive")
+        ic = certify_interlacing(cert(1), cert(0))
         owners = [o for o, _ in ic.merged]
         assert owners == [1, 0]  # root of index 0 is rightmost for odd n
 
     def test_consecutive_even_one_extra(self):
-        ic = certify_interlacing(cert(2), cert(1), "consecutive")
+        ic = certify_interlacing(cert(2), cert(1))
         owners = [o for o, _ in ic.merged]
         assert owners == [2, 1, 2]
 
     def test_merged_intervals_strictly_ordered(self):
-        ic = certify_interlacing(cert(8), cert(7), "consecutive")
+        ic = certify_interlacing(cert(8), cert(7))
         ivs = [iv for _, iv in ic.merged]
         assert all(a.hi <= b.lo for a, b in zip(ivs, ivs[1:]))
 
     def test_parity_patterns_over_a_range(self):
         for n in range(1, 16):
             owners = [
-                o for o, _ in certify_interlacing(cert(n), cert(n - 1), "consecutive").merged
+                o for o, _ in certify_interlacing(cert(n), cert(n - 1)).merged
             ]
             assert owners[0] == n
             assert owners[-1] == (n if n % 2 == 0 else n - 1)
         for n in range(2, 16):
             owners = [
-                o for o, _ in certify_interlacing(cert(n), cert(n - 2), "skip").merged
+                o for o, _ in certify_interlacing(cert(n), cert(n - 2)).merged
             ]
             assert owners[0] == owners[-1] == n
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
-            certify_interlacing(cert(2), cert(0), "consecutive")
-        with pytest.raises(ValueError):
-            certify_interlacing(cert(2), cert(1), "skip")
-        with pytest.raises(ValueError):
-            certify_interlacing(cert(2), cert(1), "sideways")
+            certify_interlacing(cert(3), cert(0))
 
     def test_shared_root_reports_undecided(self):
         p = P(4, 5, 1)  # roots -4, -1
@@ -405,10 +435,10 @@ class TestInterlacing:
             chain=SturmChain(q),
         )
         with pytest.raises(InterlacingUndecided):
-            certify_interlacing(a, b, "consecutive", max_refine=16)
+            certify_interlacing(a, b, max_refine=16)
 
     def test_json_shape(self):
-        d = certify_interlacing(cert(2), cert(0), "skip").to_json_dict()
+        d = certify_interlacing(cert(2), cert(0)).to_json_dict()
         assert sorted(d) == ["m", "merged", "mode", "n"]
         assert d["mode"] == "skip" and (d["n"], d["m"]) == (2, 0)
         assert [e["index"] for e in d["merged"]] == [2, 0, 2]
