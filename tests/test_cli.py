@@ -334,12 +334,17 @@ class TestGoldenDigests:
                 "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
             ),
             (
+                ("compute", "--route", "explicit", "--format", "csv",
+                 "--n", "30..45"),
+                "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
+            ),
+            (
                 ("oracle-check", "--n", "0..3", "--parallelism", "2"),
                 "0b56fd761a408044036c08fcd7f0c93c13d5c2b2a69c5f14fa9b0a481b32e3b9",
             ),
         ],
         ids=["table", "compute", "certify", "certify-37-38", "pgd-30-45",
-             "gf-30-45", "oracle-check"],
+             "gf-30-45", "explicit-30-45", "oracle-check"],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """The three non-matrix routes and the structural coefficient checks."""
 
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -27,6 +28,30 @@ from test_pgd import TABLE
 
 def P(*coeffs):
     return IntPoly(coeffs)
+
+
+def composition_sum_by_definition(n):
+    """The four-fold sum of the composition_sum docstring, term by term."""
+
+    def power(a, b, k):  # (a + b sqrt 3)^k as an integer pair
+        x, y = 1, 0
+        for _ in range(k):
+            x, y = a * x + 3 * b * y, a * y + b * x
+        return x, y
+
+    rat = [0] * (n + 1)
+    irr = [0] * (n + 1)
+    for j in range(n // 2 + 1):
+        for i1 in range(n - 2 * j + 1):
+            for i2 in range(n - 2 * j - i1 + 1):
+                i3 = n - 2 * j - i1 - i2
+                w = (comb(j + i1, i1) * comb(j + i2, i2) * comb(j + i3, i3)
+                     * 3 ** (j + i1) * 2 ** (n - j))
+                pa, pb = power(1, 1, i2)
+                ma, mb = power(1, -1, i3)
+                rat[n - j] += w * (pa * ma + 3 * pb * mb)
+                irr[n - j] += w * (pa * mb + pb * ma)
+    return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
 
 
 class TestRecurrenceRoute:
@@ -99,6 +124,13 @@ class TestExplicitRoute:
     def test_composition_sum_two(self):
         # six compositions, worked by hand; all sqrt(3) parts cancel
         assert composition_sum(2) == Sqrt3Poly(P(0, 6, 84))
+
+    @pytest.mark.parametrize("n", range(-1, 17))
+    def test_composition_sum_matches_definition(self, n):
+        want = composition_sum_by_definition(n)
+        got = composition_sum(n)
+        assert got.rat == want.rat
+        assert got.irr == want.irr
 
     def test_sqrt3_parts_cancel_within_each_term(self):
         # swapping the roles of the two conjugate factors pairs every
