@@ -6,9 +6,11 @@ genus and by root class.  This is the ground truth the algebraic routes are
 measured against: it shares no code with them beyond integer arithmetic.
 
 Every vertex of an iterated claw is 3-valent, so each vertex has exactly
-(3-1)! = 2 cyclic orders and a full rotation system is one bit per vertex;
-the whole enumeration is a (4n+2)-bit counter, which partitions trivially
-across workers by index range.  One face-walk loop, ``_walks``, serves both
+(3-1)! = 2 cyclic orders and a full rotation system is one bit per vertex.
+The enumeration visits the 2^(4n+2) systems in Gray-code order: position i
+traces system i ^ (i >> 1), so consecutive positions differ at one vertex
+and the kernel rewrites three entries of its face map per system.  Workers
+split the range of positions.  One face-walk loop, ``_trace``, serves both
 the per-system functions (``face_trace``, ``root_class``) and the
 enumeration.  A command that enumerates several indices opens one pool
 with ``worker_pool`` and hands it to every ``enumerate_pgd`` call, so the
@@ -139,35 +141,33 @@ def _validate_rotation(graph: MultiGraph, rot: RotationSystem) -> None:
                              "of its darts")
 
 
-def _walks(succ0, succ1, dart_vertex, mask, visited, face_of) -> int:
-    """Trace every face-boundary walk of one rotation system; return the count.
+def _trace(nxt, visited, stamp, root_darts) -> tuple[int, int]:
+    """Face count and root face count of one rotation system.
 
-    A walk steps from a dart to the rotation successor of its partner, read
-    from succ1 at vertices whose bit is set in mask, else from succ0.  The
-    darts of the k-th face get face_of = k and visited = mask, so a visited
-    array stamped with another mask needs no reset.
+    nxt[d] is the dart after d on its face: the rotation successor of d ^ 1.
+    Walks start at the root darts first, so those walks are the distinct
+    root faces.  Visited darts get the value stamp, so no reset is needed.
     """
     faces = 0
-    for start in range(len(succ0)):
-        if visited[start] == mask:
-            continue
-        faces += 1
-        d = start
-        while visited[d] != mask:
-            visited[d] = mask
-            face_of[d] = faces
-            e = d ^ 1
-            d = succ1[e] if (mask >> dart_vertex[e]) & 1 else succ0[e]
-    return faces
+    for starts in (root_darts, range(len(nxt))):
+        root_faces = faces
+        for start in starts:
+            if visited[start] != stamp:
+                faces += 1
+                visited[start] = stamp
+                d = nxt[start]
+                while d != start:
+                    visited[d] = stamp
+                    d = nxt[d]
+    return faces, root_faces
 
 
-def _faces(graph: MultiGraph, rot: RotationSystem) -> tuple[int, list[int]]:
-    """Face count and the face label of each dart of one rotation system."""
+def _faces(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
+    """Face count and root face count of one rotation system."""
     _validate_rotation(graph, rot)
     succ = rot.successor_map(graph.num_darts)
-    face_of = [0] * graph.num_darts
-    visited = [-1] * graph.num_darts
-    return _walks(succ, succ, graph.dart_vertex, 0, visited, face_of), face_of
+    nxt = [succ[d ^ 1] for d in range(graph.num_darts)]
+    return _trace(nxt, [-1] * len(nxt), 0, graph.incidence[graph.root])
 
 
 def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
@@ -188,9 +188,8 @@ def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
 def root_class(graph: MultiGraph, rot: RotationSystem) -> str:
     """Classify an embedding by distinct face walks at the root: 'a' for
     three, 'b' for exactly two, 'c' for a single walk incident thrice."""
-    _, face_of = _faces(graph, rot)
-    distinct = len({face_of[d] for d in graph.incidence[graph.root]})
-    return ROOT_CLASSES[3 - distinct]
+    _, root_faces = _faces(graph, rot)
+    return ROOT_CLASSES[3 - root_faces]
 
 
 @dataclass(frozen=True)
@@ -223,28 +222,32 @@ class OraclePgd:
 
 
 def _tally_chunk(args) -> list[list[int]]:
-    """Tally one contiguous block of rotation-system indices.
+    """Tally the rotation systems at Gray-code positions lo..hi-1.
 
-    The hot loop: one ``_walks`` call per system, with one stamped visited
-    array reused across the block and no per-system allocation.
+    The hot loop.  The face map nxt is built once for the system at lo;
+    each later position flips the rotation at one vertex v, which rewrites
+    nxt only at the three darts whose partners sit at v.  One stamped
+    visited array serves the block.
     """
-    succ0, succ1, dart_vertex, root_darts, euler_base, slots, lo, hi = args
-    visited = [-1] * len(succ0)
-    face_of = [0] * len(succ0)
+    incidence, root_darts, euler_base, slots, lo, hi = args
+    # Bit v swaps the last two darts of vertex v (see RotationSystem.from_bits).
+    heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
+    succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
+    nxt = [0] * (3 * len(incidence))
+    for v, (e0, e1, e2) in enumerate(heads):  # the system at position lo
+        nxt[e0], nxt[e1], nxt[e2] = succs[v][((lo ^ (lo >> 1)) >> v) & 1]
+    visited = [-1] * len(nxt)
     tallies = [[0] * slots for _ in range(3)]
-    rd0, rd1, rd2 = root_darts
-    for mask in range(lo, hi):
-        doubled = euler_base - _walks(succ0, succ1, dart_vertex, mask, visited, face_of)
+    for i in range(lo, hi):
+        if i != lo:
+            v = (i & -i).bit_length() - 1
+            e0, e1, e2 = heads[v]
+            nxt[e0], nxt[e1], nxt[e2] = succs[v][((i ^ (i >> 1)) >> v) & 1]
+        faces, root_faces = _trace(nxt, visited, i, root_darts)
+        doubled = euler_base - faces
         if doubled < 0 or doubled % 2:
             raise StructureViolation("impossible Euler residue in enumeration")
-        f0, f1, f2 = face_of[rd0], face_of[rd1], face_of[rd2]
-        if f0 != f1 and f0 != f2 and f1 != f2:
-            cls = 0
-        elif f0 == f1 == f2:
-            cls = 2
-        else:
-            cls = 1
-        tallies[cls][doubled // 2] += 1
+        tallies[3 - root_faces][doubled // 2] += 1
     return tallies
 
 
@@ -264,7 +267,7 @@ def worker_pool(jobs: int, n: int):
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
-    workers = min(jobs, 1 << (4 * n + 2))
+    workers = min(jobs, 1 << min(4 * n + 2, 7))  # 2^7 > MAX_JOBS
     return Pool(processes=workers) if workers > 1 else nullcontext()
 
 
@@ -285,25 +288,22 @@ def enumerate_pgd(
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     cap = oracle_cap()
-    total = 1 << (4 * n + 2)
+    bits = 4 * n + 2
     if n > cap and not acknowledge_cost:
+        # Past a few thousand digits, str() of the count itself raises.
+        count = 1 << bits if bits <= 64 else f"2^{bits}"
         raise OracleCapExceeded(
-            f"n={n} needs {total} rotation systems (cap is n={cap}); "
+            f"n={n} needs {count} rotation systems (cap is n={cap}); "
             "pass an explicit cost acknowledgment to proceed"
         )
     graph = build_iterated_claw(n)
-    nd = graph.num_darts
-    succ0 = RotationSystem.from_bits(graph, 0).successor_map(nd)
-    succ1 = RotationSystem.from_bits(
-        graph, (1 << graph.num_vertices) - 1
-    ).successor_map(nd)
     euler_base = 2 - graph.num_vertices + graph.num_edges
     slots = n + 2
     root_darts = graph.incidence[graph.root]
 
-    bounds = [total * k // jobs for k in range(jobs + 1)]
+    bounds = [(1 << bits) * k // jobs for k in range(jobs + 1)]
     chunks = [
-        (succ0, succ1, graph.dart_vertex, root_darts, euler_base, slots, lo, hi)
+        (graph.incidence, root_darts, euler_base, slots, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]

@@ -288,6 +288,24 @@ class TestOracleCheck:
         assert started == [2]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("oracle-check", "--n", "4000"), ("compute", "--route", "oracle", "--n", "4000")],
+        ids=["oracle-check", "compute"],
+    )
+    def test_refusal_far_above_the_cap_names_the_count(self, argv):
+        """2^16002 has more decimal digits than str() of an int allows."""
+        proc = run_module(*argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: n=4000 needs 2^16002 rotation systems")
+        assert "digits" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_worker_count_at_huge_n(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(oracle, "Pool", lambda processes: started.append(processes))
+        oracle.worker_pool(2, 10**6)
+        assert started == [2]
+
     def test_range_across_the_cap_prints_rows_then_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
         code, out, err = run(capsys, "oracle-check", "--n", "0..3", "--parallelism", "2")

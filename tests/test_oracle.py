@@ -3,7 +3,7 @@
 import pytest
 
 import clawgenus.oracle as oracle
-from clawgenus.errors import OracleCapExceeded
+from clawgenus.errors import OracleCapExceeded, StructureViolation
 from clawgenus.oracle import (
     DEFAULT_CAP,
     MAX_JOBS,
@@ -103,6 +103,13 @@ class TestFaceTrace:
         assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
 
 
+def chunk_args(n, lo, hi, euler_shift=0):
+    """Arguments for ``_tally_chunk`` over Gray-code positions lo..hi-1."""
+    g = build_iterated_claw(n)
+    euler_base = 2 - g.num_vertices + g.num_edges + euler_shift
+    return (g.incidence, g.incidence[g.root], euler_base, n + 2, lo, hi)
+
+
 class TestEnumeration:
     def test_dipole_tallies(self):
         o = enumerate_pgd(0)
@@ -126,6 +133,19 @@ class TestEnumeration:
         lo = (3 + 1) // 2
         assert all(t[i] == 0 for i in range(lo))
         assert all(t[i] > 0 for i in range(lo, 5))
+
+    @pytest.mark.parametrize("lo", range(65))
+    def test_blocks_split_at_any_position(self, lo):
+        """A block seeds its face map from the Gray code of its first
+        position, so two blocks split anywhere sum to the whole range."""
+        whole = oracle._tally_chunk(chunk_args(1, 0, 64))
+        parts = [oracle._tally_chunk(chunk_args(1, 0, lo)),
+                 oracle._tally_chunk(chunk_args(1, lo, 64))]
+        assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
+
+    def test_every_system_passes_the_euler_check(self):
+        with pytest.raises(StructureViolation):
+            oracle._tally_chunk(chunk_args(1, 0, 64, euler_shift=1))
 
     def test_parallel_runs_agree(self):
         serial = enumerate_pgd(2, jobs=1)
