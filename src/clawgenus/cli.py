@@ -25,6 +25,7 @@ from .oracle import MAX_JOBS, enumerate_pgd, worker_pool
 from .pgd import pgd
 from .polynomials import IntPoly
 from .rootcert import (
+    InterlacingCertificate,
     RootCertificate,
     certify_interlacing,
     concavity_report,
@@ -73,21 +74,20 @@ def _padded_coeffs(p: IntPoly, n: int) -> list[int]:
     return [p[i] for i in range(n + 2)]
 
 
-ROUTES = ("pgd", "recurrence", "gf", "explicit", "oracle")
+def _print_csv(rows: list[tuple[int, IntPoly]]) -> None:
+    for n, p in rows:
+        print(",".join(map(str, [n, *_padded_coeffs(p, n)])))
 
 
-def _route_poly(route: str, n: int, jobs: int, ack: bool, pool=None) -> IntPoly:
-    if route == "pgd":
-        return pgd(n).total()
-    if route == "recurrence":
-        return genus_recurrence(n).poly
-    if route == "gf":
-        return genus_from_series(n).poly
-    if route == "explicit":
-        return genus_explicit(n).poly
-    if route == "oracle":
-        return enumerate_pgd(n, jobs=jobs, acknowledge_cost=ack, pool=pool).total()
-    raise ValueError(f"unknown route {route!r}")
+#: The algebraic routes, each read through the module's names when called;
+#: ``--route all`` checks them against the recurrence.
+_ALGEBRAIC = {
+    "pgd": lambda n: pgd(n).total(),
+    "recurrence": lambda n: genus_recurrence(n).poly,
+    "gf": lambda n: genus_from_series(n).poly,
+    "explicit": lambda n: genus_explicit(n).poly,
+}
+ROUTES = (*_ALGEBRAIC, "oracle")
 
 
 def cmd_compute(args) -> int:
@@ -95,65 +95,54 @@ def cmd_compute(args) -> int:
     jobs = args.parallelism if args.route == "oracle" else 1  # one pool per range
     with worker_pool(jobs, args.n[-1]) as pool:
         for n in args.n:
-            if args.route == "all":
-                polys = {
-                    r: _route_poly(r, n, args.parallelism, args.acknowledge_cost)
-                    for r in ("pgd", "recurrence", "gf", "explicit")
-                }
-                base = polys["recurrence"]
-                for r, p in polys.items():
-                    if p != base:
-                        i = next(
-                            i for i in range(max(len(p), len(base))) if p[i] != base[i]
-                        )
+            if args.route == "oracle":
+                p = enumerate_pgd(
+                    n, jobs=jobs, acknowledge_cost=args.acknowledge_cost, pool=pool
+                ).total()
+            elif args.route != "all":
+                p = _ALGEBRAIC[args.route](n)
+            else:
+                polys = {r: route(n) for r, route in _ALGEBRAIC.items()}
+                p = polys["recurrence"]
+                for r, q in polys.items():
+                    if q != p:
+                        i = next(i for i in range(max(len(q), len(p))) if q[i] != p[i])
                         print(
                             f"route disagreement at n={n}, coefficient i={i}: "
-                            f"{r}={p[i]}, recurrence={base[i]}",
+                            f"{r}={q[i]}, recurrence={p[i]}",
                             file=sys.stderr,
                         )
                         return 1
-                rows.append((n, base, True))
-            else:
-                p = _route_poly(args.route, n, jobs, args.acknowledge_cost, pool)
-                rows.append((n, p, None))
+            rows.append((n, p))
 
+    agree = args.route == "all"
     if args.format == "csv":
-        for n, p, _ in rows:
-            print(",".join(str(c) for c in [n] + _padded_coeffs(p, n)))
+        _print_csv(rows)
     elif args.format == "json":
-        out = []
-        for n, p, agree in rows:
-            entry = {
-                "n": n,
-                "route": args.route,
-                "coefficients": _padded_coeffs(p, n),
-            }
-            if agree is not None:
-                entry["agree"] = agree
-            out.append(entry)
+        out = [
+            {"n": n, "route": args.route, "coefficients": _padded_coeffs(p, n)}
+            | ({"agree": True} if agree else {})
+            for n, p in rows
+        ]
         print(canonical_json(out))
     else:
-        for n, p, agree in rows:
-            tag = "AGREE  " if agree else ""
-            print(f"n={n}: {tag}{p}")
+        for n, p in rows:
+            print(f"n={n}: {'AGREE  ' if agree else ''}{p}")
     return 0
 
 
 def cmd_table(args) -> int:
-    rows = [
-        (n, _padded_coeffs(genus_recurrence(n).poly, n))
-        for n in range(args.max_n + 1)
-    ]
+    rows = [(n, genus_recurrence(n).poly) for n in range(args.max_n + 1)]
     if args.format == "csv":
-        for n, cs in rows:
-            print(",".join(str(c) for c in [n] + cs))
+        _print_csv(rows)
     elif args.format == "json":
-        print(canonical_json([{"n": n, "coefficients": cs} for n, cs in rows]))
+        print(canonical_json(
+            [{"n": n, "coefficients": _padded_coeffs(p, n)} for n, p in rows]
+        ))
     else:
         width = args.max_n + 2
         cells = [["n/i"] + [str(i) for i in range(width)]]
-        for n, cs in rows:
-            cells.append([str(n)] + [str(c) for c in cs + [0] * (width - len(cs))])
+        cells += [[str(n)] + [str(p[i]) for i in range(width)] for n, p in rows]
         widths = [max(len(r[c]) for r in cells) for c in range(width + 1)]
         for r in cells:
             print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
@@ -164,6 +153,10 @@ def _root_cert_json(cert: RootCertificate) -> dict:
     d = cert.to_json_dict()
     d["approx"] = [iv.approx() for iv in cert.intervals]
     return d
+
+
+def _mark(ok: bool | None) -> str:
+    return SKIP if ok is None else CHECK if ok else CROSS
 
 
 def cmd_certify(args) -> int:
@@ -179,22 +172,22 @@ def cmd_certify(args) -> int:
                 # the range starts, or where that fails
                 certs[k] = isolate_roots(normalized_recurrence(k), certs.get(k - 1))
         c = certs[n]
-        real_rooted = c.complete
-        inter = {"consecutive": None, "skip": None}
-        marks = {"consecutive": SKIP, "skip": SKIP}
+        # mode -> certificate, or None where the pair failed; no entry for a
+        # pair below index 0
+        pairs: dict[str, InterlacingCertificate | None] = {}
         for mode, m in (("consecutive", n - 1), ("skip", n - 2)):
             if m < 0:
                 continue
             try:
-                inter[mode] = certify_interlacing(c, certs[m], args.max_refine)
-                marks[mode] = CHECK
+                pairs[mode] = certify_interlacing(c, certs[m], args.max_refine)
             except (ClawgenusError, ValueError) as exc:
                 # ValueError: a certificate of the pair is incomplete
                 print(f"n={n} {mode} interlacing failed: {exc}", file=sys.stderr)
-                marks[mode] = CROSS
+                pairs[mode] = None
                 failures += 1
+        ok = {mode: ic is not None for mode, ic in pairs.items()}
         conc = concavity_report(genus_recurrence(n))
-        if not real_rooted or not conc.ok:
+        if not c.complete or not conc.ok:
             failures += 1
 
         if args.format == "json":
@@ -203,29 +196,25 @@ def cmd_certify(args) -> int:
                     "n": n,
                     "root_certificate": _root_cert_json(c),
                     "interlacing": {
-                        mode: ic.to_json_dict() if ic else None
-                        for mode, ic in inter.items()
+                        mode: ic.to_json_dict() if (ic := pairs.get(mode)) else None
+                        for mode in ("consecutive", "skip")
                     },
                     "log_concave": conc.ok,
                     "summary": {
-                        "real_rooted": real_rooted,
-                        "interlace_consecutive": marks["consecutive"] == CHECK
-                        if n >= 1
-                        else None,
-                        "interlace_skip": marks["skip"] == CHECK
-                        if n >= 2
-                        else None,
+                        "real_rooted": c.complete,
+                        "interlace_consecutive": ok.get("consecutive"),
+                        "interlace_skip": ok.get("skip"),
                         "log_concave": conc.ok,
                     },
                 }
             )
         else:
             print(
-                f"n={n}: real-rooted {CHECK if real_rooted else CROSS} "
+                f"n={n}: real-rooted {_mark(c.complete)} "
                 f"({len(c.intervals)} intervals), "
-                f"interlace(n-1) {marks['consecutive']}, "
-                f"interlace(n-2) {marks['skip']}, "
-                f"log-concave {CHECK if conc.ok else CROSS}"
+                f"interlace(n-1) {_mark(ok.get('consecutive'))}, "
+                f"interlace(n-2) {_mark(ok.get('skip'))}, "
+                f"log-concave {_mark(conc.ok)}"
             )
     if args.format == "json":
         print(canonical_json(out_rows))
@@ -307,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact output at any size: lift the int-to-str digit limit (Python
+    # 3.10.7 on) for this command only, and give the caller its own back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             status = args.func(args)
@@ -322,6 +316,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

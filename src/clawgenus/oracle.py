@@ -44,7 +44,7 @@ class MultiGraph:
     them), which is why incidence is stored per dart, not per neighbor.
     """
 
-    __slots__ = ("num_vertices", "edges", "root", "incidence", "dart_vertex")
+    __slots__ = ("num_vertices", "edges", "root", "incidence")
 
     def __init__(self, num_vertices: int, edges, root: int):
         self.num_vertices = num_vertices
@@ -53,13 +53,10 @@ class MultiGraph:
         )
         self.root = root
         incidence: list[list[int]] = [[] for _ in range(num_vertices)]
-        dart_vertex: list[int] = []
         for i, (u, v) in enumerate(self.edges):
             incidence[u].append(2 * i)
             incidence[v].append(2 * i + 1)
-            dart_vertex.extend((u, v))
         self.incidence = tuple(tuple(ds) for ds in incidence)
-        self.dart_vertex = tuple(dart_vertex)
 
     @property
     def num_edges(self) -> int:

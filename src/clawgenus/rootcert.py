@@ -13,7 +13,7 @@ Certificates produced:
 
 * ``RootCertificate`` -- pairwise-disjoint dyadic intervals, each
   containing exactly one (negative) real root, found by bisection of
-  (-2**e, 0], 2**e being the least power of two at or above the Cauchy
+  (-2**E, 0], 2**E being the least power of two at or above the Cauchy
   bound; ``complete`` means the count matches the degree, i.e. the
   polynomial is real-rooted.  The bisection counts roots with the
   predecessor's brackets when it is given one: the predecessor's isolating
@@ -203,7 +203,7 @@ class RootCertificate:
 
     ``complete`` is True exactly when the number of certified intervals
     equals the degree, i.e. every root is real.  All intervals lie in
-    (-2**e, 0], 2**e the least power of two at or above the root bound:
+    (-2**E, 0], 2**E the least power of two at or above the root bound:
     positive coefficients rule out roots at or above zero.
     ``chain`` is the Sturm chain that counted the roots, or None when the
     predecessor's brackets counted them; a certificate without a chain is
@@ -232,7 +232,7 @@ def root_bound(p: IntPoly) -> Fraction:
 
 
 def _bound_exponent(p: IntPoly) -> int:
-    """Least e with 2**e >= root_bound(p): 2**e >= ceil(bound) is the same."""
+    """Least E with 2**E >= root_bound(p): 2**E >= ceil(bound) is the same."""
     return (ceil(root_bound(p)) - 1).bit_length()
 
 
@@ -241,21 +241,27 @@ _BRACKET_HALVINGS = 8
 
 
 def _brackets(
-    w: IntPoly, prev: RootCertificate
+    w: IntPoly, prev: RootCertificate, E: int
 ) -> tuple[int, list[tuple[int, int, int]]] | None:
-    """Open intervals (l/2**e, h/2**e), each holding exactly one simple root
-    of w, as (e, [(l, h, sign of w at h), ...]) with one exponent e for all;
-    None unless they hold every root of w.
+    """Open intervals (l/2**k, h/2**k), each holding exactly one simple root
+    of w, as (k, [(l, h, sign of w at h), ...]) in increasing order with one
+    exponent k = e + E for all; None unless they hold every root of w.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
-    two root sets alternate.  w is also sampled below its root bound and at
-    0.  If w changes sign deg w times along the samples, each changing gap
-    holds a root (intermediate value theorem), and as w has only deg w roots
-    each gap holds exactly one, a simple one.  The halvings share an
-    allowance of ``_BRACKET_HALVINGS`` per interval of prev, as genuine
-    chains up to n = 200 use at most 2.5; running out only returns None,
-    and the caller's Sturm chain gives the same certificate.
+    two root sets alternate.  w is also sampled at -2**E, E the exponent of
+    its root bound, and at 0.  If w changes sign deg w times along the
+    samples, each changing gap holds a root (intermediate value theorem),
+    and as w has only deg w roots each gap holds exactly one, a simple one.
+    The halvings share an allowance of ``_BRACKET_HALVINGS`` per interval of
+    prev, as genuine chains up to n = 200 use at most 2.5; running out only
+    returns None, and the caller's Sturm chain gives the same certificate.
+
+    With e the finest exponent of the halved intervals, no query of
+    ``isolate_roots`` is finer than e + E: each high but the last is a
+    multiple of 2**-e strictly between two neighbouring roots of w, and the
+    depth-d nodes of the bisection of (-2**E, 0] sit at every multiple of
+    2**(E - d), so by depth e + E no interval holds two roots.
     """
     d = w.degree
     p = _squarefree(prev)
@@ -276,17 +282,16 @@ def _brackets(
             iv = half
             steps += 1
         refined.append((iv, at_lo, at_hi))
-    e = max((iv.k for iv, _, _ in refined), default=0)
-    below = -1 << _bound_exponent(w)
-    samples = [(below << e, w.sign_at(below)), (0, w.sign_at(0))]
+    k = max((iv.k for iv, _, _ in refined), default=0) + E
+    samples = [(-1 << (E + k), w.sign_at(-1 << E)), (0, w.sign_at(0))]
     for iv, at_lo, at_hi in refined:
-        samples += [(iv.a << (e - iv.k), at_lo), (iv.b << (e - iv.k), at_hi)]
+        samples += [(iv.a << (k - iv.k), at_lo), (iv.b << (k - iv.k), at_hi)]
     # sorted, the count holds whatever the layout of prev's intervals
     samples.sort()
     if any(s == 0 for _, s in samples):
         return None
     found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
-    return (e, found) if len(found) == d else None
+    return (k, found) if len(found) == d else None
 
 
 def isolate_roots(
@@ -294,18 +299,20 @@ def isolate_roots(
 ) -> RootCertificate:
     """Isolate every real root of a normalized polynomial by bisection.
 
-    The bisection of (-2**e, 0], 2**e the least power of two at or above
+    The bisection of (-2**E, 0], 2**E the least power of two at or above
     ``root_bound(w)``, is the same on every path and so is the certificate;
     only the root counter differs.  With a complete certificate ``prev``
     whose roots alternate with those of w (the CLI passes index n-1), the
     counter reads the brackets of ``_brackets``: the roots at or below x are
     the brackets with h <= x, plus the one with l < x < h when w(x) is 0 or
-    has the sign of w(h), which takes at most one evaluation of w.  Without
-    such a ``prev``, or when its brackets do not account for every root of
-    w, a Sturm chain counts.
+    has the sign of w(h), which takes at most one evaluation of w.  The
+    brackets' exponent is never below a query's (see ``_brackets``), so x
+    is raised to it by one shift.  Without such a ``prev``, or when its
+    brackets do not account for every root of w, a Sturm chain counts.
     """
     w = np_.w
-    brackets = _brackets(w, prev) if prev is not None and prev.complete else None
+    E = _bound_exponent(w)
+    brackets = _brackets(w, prev, E) if prev is not None and prev.complete else None
     chain = None
     if brackets is None:
         chain = SturmChain(w)
@@ -313,27 +320,21 @@ def isolate_roots(
         def rank(x: int, k: int) -> int:
             return -chain.variations(Fraction(x, 1 << k))
     else:
-        e, spans = brackets
-        # l and h at exponent e, raised to a finer query's exponent when one
-        # comes, so that one binary search over the highs places x
+        top, spans = brackets
         lows = [l for l, _, _ in spans]
         his = [h for _, h, _ in spans]
         signs = [s for _, _, s in spans]
 
         def rank(x: int, k: int) -> int:
-            nonlocal e, lows, his
-            if k > e:
-                lows = [l << (k - e) for l in lows]
-                his = [h << (k - e) for h in his]
-                e = k
-            at_e = x << (e - k)
-            j = bisect_right(his, at_e)
-            if j < len(his) and lows[j] < at_e and w.sign_at(x, k) in (0, signs[j]):
+            at = x << (top - k)
+            j = bisect_right(his, at)
+            if j < len(his) and lows[j] < at and w.sign_at(x, k) in (0, signs[j]):
                 j += 1
             return j
 
-    # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k
-    lo = -1 << _bound_exponent(w)
+    # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
+    # the lower half goes on the stack last, so intervals come out ascending
+    lo = -1 << E
     r_lo, r_hi = rank(lo, 0), rank(0, 0)
     found: list[Interval] = []
     stack = [(lo, 0, 0, r_lo, r_hi)]
@@ -347,9 +348,8 @@ def isolate_roots(
             continue
         mid, k = a + b, k + 1
         r_mid = rank(mid, k)
-        stack.append((a << 1, mid, k, ra, r_mid))
         stack.append((mid, b << 1, k, r_mid, rb))
-    found.sort(key=lambda iv: iv.lo)
+        stack.append((a << 1, mid, k, ra, r_mid))
     return RootCertificate(
         n=np_.n,
         degree=np_.degree,

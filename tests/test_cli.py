@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ import clawgenus.cli as cli
 import clawgenus.oracle as oracle
 from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
+from clawgenus.formulas import genus_recurrence
+from clawgenus.pgd import PgdVector
 from clawgenus.polynomials import IntPoly
 from clawgenus.rootcert import NormalizedPoly
 
@@ -151,6 +154,16 @@ class TestCompute:
         assert code == 1 and out == ""
         assert err.startswith("error: n=2 needs 1024 rotation systems")
         assert multiprocessing.active_children() == []
+
+    def test_disagreeing_route_fails_before_any_row(self, capsys, monkeypatch):
+        real = cli.genus_from_series
+        monkeypatch.setattr(
+            cli, "genus_from_series",
+            lambda n: SimpleNamespace(poly=real(n).poly + IntPoly((0, 0, 1))),
+        )
+        code, out, err = run(capsys, "compute", "--route", "all", "--n", "1..2")
+        assert code == 1 and out == ""
+        assert err == "route disagreement at n=1, coefficient i=2: gf=25, recurrence=24\n"
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run(
@@ -288,6 +301,18 @@ class TestOracleCheck:
         assert started == [2]
         assert multiprocessing.active_children() == []
 
+    def test_mismatch_names_the_classes(self, capsys, monkeypatch):
+        real = cli.pgd
+
+        def swapped(n):
+            v = real(n)
+            return PgdVector(v.a, v.c, v.b, n)
+
+        monkeypatch.setattr(cli, "pgd", swapped)
+        code, out, err = run(capsys, "oracle-check", "--n", "1")
+        assert code == 1 and out == ""
+        assert err == "n=1: oracle differs from the production route in class(es) b, c\n"
+
     @pytest.mark.parametrize(
         "argv",
         [("oracle-check", "--n", "4000"), ("compute", "--route", "oracle", "--n", "4000")],
@@ -382,6 +407,31 @@ class TestSubprocess:
         second = run_module(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit before Python 3.10.7")
+    def test_rows_print_past_the_digit_limit_and_the_limit_comes_back(self):
+        """At n = 560 a coefficient has 674 digits, past the lowest limit."""
+        script = (
+            "import sys\n"
+            "from clawgenus.cli import main\n"
+            "sys.set_int_max_str_digits(640)\n"
+            "code = main(['compute', '--route', 'recurrence', '--n', '560',"
+            " '--format', 'csv'])\n"
+            "print(code, sys.get_int_max_str_digits(), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=module_env())
+        p = genus_recurrence(560).poly
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = ",".join(str(c) for c in [560] + [p[i] for i in range(562)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(map(len, want.split(","))) > 640
+        assert proc.stdout == want + "\n"
+        assert proc.stderr == "0 640\n"
 
 
 class TestClosedPipe:

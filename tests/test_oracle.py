@@ -47,9 +47,10 @@ class TestBuild:
 
     def test_dart_pairing_is_a_fixed_point_free_involution(self):
         g = build_iterated_claw(2)
+        at = {d: v for v, darts in enumerate(g.incidence) for d in darts}
         for d in range(g.num_darts):
             assert (d ^ 1) != d and ((d ^ 1) ^ 1) == d
-            assert g.dart_vertex[d] in g.edges[d // 2]
+            assert at[d] in g.edges[d // 2]
 
 
 class TestFaceTrace:

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 from clawgenus.cli import main
+from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import (
     PRODUCTION_MATRIX,
     PgdVector,
@@ -126,6 +127,11 @@ class TestColumnSum:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             column_sum_check(0)
+
+    def test_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["clawgenus.pgd"], "column_sum", lambda n: P(1))
+        with pytest.raises(ConsistencyError, match="third-column sum at n=2 is 1,"):
+            column_sum_check(2)
 
 
 class TestWindows:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clawgenus.errors import InterlacingUndecided, StructureViolation
+from clawgenus.errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
 from clawgenus.polynomials import IntPoly, poly_gcd
 from clawgenus.rootcert import (
@@ -374,6 +374,46 @@ class TestPredecessorBrackets:
         assert not got.complete and got.chain is not None
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
+    def test_root_at_zero_falls_back_to_sturm(self):
+        """z(z + 2) has the asked-for sign around the root -1 of z + 1, but
+        the sample w(0) = 0 is no sign the count may rest on."""
+        np_ = NormalizedPoly(2, P(0, 2, 1))
+        got = isolate_roots(np_, prev=isolate_roots(NormalizedPoly(0, P(1, 1))))
+        assert got.chain is not None and got.complete
+        assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
+
+    def test_rolle_predecessor_takes_the_bracket_path(self):
+        """For (z + 1)(z + 4)(z + 7) the halved intervals of w' stop at
+        exponent 4 but the bisection asks at exponent 5, within 4 + E."""
+        w = product_of_linear_factors([(1, 1), (4, 1), (7, 1)])
+        np_ = NormalizedPoly(4, w)
+        got = isolate_roots(np_, prev=isolate_roots(NormalizedPoly(2, w.derivative())))
+        assert got.chain is None and got.complete
+        assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
+
+    @given(st.lists(st.fractions(F(1, 60), 60, max_denominator=60), min_size=2,
+                    max_size=7, unique=True))
+    def test_rolle_predecessor_gives_the_sturm_certificate(self, roots):
+        """The roots of w' lie strictly between neighbouring roots of w
+        (Rolle), where w has the signs ``_brackets`` asks for.  A query
+        finer than the brackets' exponent would fail on a negative shift."""
+        w = product_of_linear_factors((r.numerator, r.denominator) for r in roots)
+        d = w.degree
+        prev = isolate_roots(NormalizedPoly(2 * d - 4, w.derivative()))
+        assert prev.complete
+        np_ = NormalizedPoly(2 * d - 2, w)
+        got = isolate_roots(np_, prev=prev)
+        assert got.complete
+        assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
+
+
+def product_of_linear_factors(roots) -> IntPoly:
+    """The product of q*z + p over the pairs (p, q): roots -p/q."""
+    w = P(1)
+    for p, q in roots:
+        w = w * P(p, q)
+    return w
+
 
 class TestInterlacing:
     def test_skip_pair_two_zero(self):
@@ -437,6 +477,12 @@ class TestInterlacing:
         with pytest.raises(InterlacingUndecided):
             certify_interlacing(a, b, max_refine=16)
 
+    def test_non_alternating_roots_raise(self):
+        a = isolate_roots(NormalizedPoly(3, P(2, 3, 1)))  # roots -2, -1
+        b = isolate_roots(NormalizedPoly(2, P(12, 7, 1)))  # roots -4, -3
+        with pytest.raises(ConsistencyError, match="do not alternate at position 0"):
+            certify_interlacing(a, b)
+
     def test_json_shape(self):
         d = certify_interlacing(cert(2), cert(0)).to_json_dict()
         assert sorted(d) == ["m", "merged", "mode", "n"]
@@ -483,6 +529,12 @@ class TestSignPatterns:
         assert rep.hypothesis_ok and rep.p_signs_ok
         assert not rep.q_signs_ok and not rep.ok
         assert rep.first_failure == "sign of q at root 1 of p"
+
+    def test_exhausted_refinement_is_reported_not_raised(self):
+        rep = sign_pattern_check(cert(2), cert(1), max_refine=0)
+        assert not rep.ok and not rep.hypothesis_ok
+        assert rep.first_failure == "separation failed"
+        assert sign_pattern_check(cert(2), cert(1)).ok
 
     def test_vacuous_pass_when_a_side_has_no_roots(self):
         p = P(1, 1, 1)  # no real roots at all
