@@ -5,7 +5,8 @@ Routes implemented here:
 * ``genus_recurrence`` -- the three-term linear recurrence
   G_n = 20z G_{n-1} + 8z(3-8z) G_{n-2} - 384z^3 G_{n-3}
   from the tabulated seeds for n <= 2.  ``RECURRENCE`` is the one table of
-  its coefficients; every consumer of the recurrence reads it.
+  its coefficients; every consumer of the recurrence reads it.  The route
+  continues from its last three-term window (``pgd.ResumableSequence``).
 
 * ``column_sum_series`` -- the sequence r_n of third-column sums of the
   production-matrix powers, (1,1,1)M^n, taken from the matrix iteration in
@@ -31,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from math import comb
 from typing import Iterator
 
 from .errors import ConsistencyError, FormulaIntegrityError, StructureViolation
-from .pgd import column_sum, iter_column_sums
+from .pgd import ResumableSequence, column_sum, iter_column_sums
 from .polynomials import IntPoly, Sqrt3Poly
 
 
@@ -107,42 +108,34 @@ def _recurrence_step(g1: IntPoly, g2: IntPoly, g3: IntPoly) -> IntPoly:
     return c1 * g1 + c2 * g2 + c3 * g3
 
 
-# structure_check(n) reads terms n-3 .. n, so four terms avoid restarts.
-_WINDOW = 4
-#: (index of the newest term, the last _WINDOW terms oldest first).  Every
-#: update rebinds the whole tuple in one assignment, so a reader in another
-#: thread sees the old window or the new one, never a mix, and needs no lock.
-_window: tuple[int, tuple[IntPoly, ...]] = (len(_SEEDS) - 1, _SEEDS)
+def _genus_step(
+    window: tuple[GenusPolynomial, ...]
+) -> tuple[GenusPolynomial, ...]:
+    """(G_n, G_{n+1}, G_{n+2}) to (G_{n+1}, G_{n+2}, G_{n+3})."""
+    g0, g1, g2 = window
+    nxt = GenusPolynomial(g2.n + 1, _recurrence_step(g2.poly, g1.poly, g0.poly))
+    if any(c < 0 for c in nxt.poly.coeffs):
+        raise StructureViolation(
+            f"recurrence produced a negative coefficient at n={nxt.n}"
+        )
+    return g1, g2, nxt
 
 
-def _genus_term(n: int) -> IntPoly:
-    global _window
-    top, terms = _window
-    if n <= top - len(terms):
-        top, terms = len(_SEEDS) - 1, _SEEDS
-    if n <= top:
-        return terms[n - top - 1]
-    while top < n:
-        nxt = _recurrence_step(terms[-1], terms[-2], terms[-3])
-        top += 1
-        if any(c < 0 for c in nxt.coeffs):
-            raise StructureViolation(
-                f"recurrence produced a negative coefficient at n={top}"
-            )
-        terms = (*terms[1 - _WINDOW:], nxt)
-    _window = (top, terms)
-    return terms[-1]
+#: Windows (G_n, G_{n+1}, G_{n+2}), continuing from the one returned last.
+_GENUS = ResumableSequence(
+    tuple(GenusPolynomial(n, p) for n, p in enumerate(_SEEDS)), _genus_step
+)
 
 
 def genus_recurrence(n: int) -> GenusPolynomial:
     """Genus polynomial by the three-term recurrence.
 
-    The last few terms are kept, so ascending scans cost one step per index;
-    a request below them restarts from the seeds.
+    Continues from the last window of three terms, so ascending scans cost
+    one step per index; a request below that window restarts from the seeds.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    g = GenusPolynomial(n, _genus_term(n))
+    g = _GENUS(n)[0]
     g.validate()
     return g
 
@@ -153,12 +146,9 @@ def iter_genus() -> Iterator[GenusPolynomial]:
     Keeps only a three-term window, so arbitrarily long scans stay cheap on
     memory.  Validation runs on every term.
     """
-    g3, g2, g1 = _SEEDS
-    for n in count():
-        g = GenusPolynomial(n, g3)
+    for g, *_ in _GENUS:
         g.validate()
         yield g
-        g3, g2, g1 = g2, g1, _recurrence_step(g1, g2, g3)
 
 
 def column_sum_series(last: int) -> list[IntPoly]:
@@ -318,8 +308,9 @@ def leading_coefficient(n: int) -> int:
     """Top genus coefficient, triple-checked.
 
     Computes the closed binomial form and the three-term integer recurrence
-    on the top coefficients of the seeds and of RECURRENCE, and compares both with the top coefficient of the
-    recurrence route; any disagreement raises FormulaIntegrityError.
+    on the top coefficients of the seeds and of RECURRENCE, and compares
+    both with the top coefficient of the recurrence route; any disagreement
+    raises FormulaIntegrityError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -336,81 +327,34 @@ def leading_coefficient(n: int) -> int:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Outcome of the structural checks on one genus polynomial."""
+    """Outcome of the elevenfold growth check on one genus polynomial."""
 
     n: int
-    support_ok: bool
-    no_internal_zeros: bool
-    recurrence_identity_ok: bool
     growth_ok: bool
     first_failure: tuple[str, int] | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.support_ok
-            and self.no_internal_zeros
-            and self.recurrence_identity_ok
-            and self.growth_ok
-        )
+        return self.growth_ok
 
 
 def structure_check(n: int) -> StructureReport:
-    """Verify support bounds, positivity, the coefficientwise recurrence
-    identity, and the strict elevenfold growth inequality at index n.
+    """Verify the strict elevenfold growth inequality at index n.
 
-    The recurrence identity G_n = c_1 G_{n-1} + c_2 G_{n-2} + c_3 G_{n-3} is
-    compared coefficientwise (it applies for n >= 3); the
-    growth inequality g_{n,i} > 11 g_{n-1,i-1} is checked for
-    floor((n+1)/2)+1 <= i <= n, an empty range for n <= 1.
+    g_{n,i} > 11 g_{n-1,i-1} is checked for floor((n+1)/2)+1 <= i <= n, an
+    empty range for n <= 1.  Support, positivity and the coefficient sum
+    need no check here: ``genus_recurrence`` validates them on every term
+    it returns, and raises StructureViolation where they fail.  G_{n-1} is
+    read before G_n, so an ascending scan never restarts the recurrence.
     """
+    prev = genus_recurrence(n - 1).poly if n >= 1 else IntPoly()
     g = genus_recurrence(n)
-    p = g.poly
-    first: tuple[str, int] | None = None
-
-    lo, hi = g.min_genus, g.max_genus
-    support_ok = p.degree == hi
-    for i in range(hi + 1):
-        inside = lo <= i <= hi
-        if inside != (p[i] > 0) or p[i] < 0:
-            support_ok = False
-            first = first or ("support", i)
-            break
-
-    nz = [i for i, c in enumerate(p.coeffs) if c]
-    no_internal_zeros = not nz or all(
-        p[i] != 0 for i in range(nz[0], nz[-1] + 1)
+    first = next(
+        (
+            ("growth", i)
+            for i in range(g.min_genus + 1, n + 1)
+            if not g.poly[i] > 11 * prev[i - 1]
+        ),
+        None,
     )
-    if not no_internal_zeros and first is None:
-        first = ("internal-zero", next(i for i in range(nz[0], nz[-1]) if p[i] == 0))
-
-    recurrence_identity_ok = True
-    if n >= 3:
-        want = _recurrence_step(
-            genus_recurrence(n - 1).poly,
-            genus_recurrence(n - 2).poly,
-            genus_recurrence(n - 3).poly,
-        )
-        for i in range(max(len(p), len(want))):
-            if p[i] != want[i]:
-                recurrence_identity_ok = False
-                first = first or ("recurrence-identity", i)
-                break
-
-    growth_ok = True
-    if n >= 1:
-        g1 = genus_recurrence(n - 1).poly
-        for i in range(lo + 1, n + 1):
-            if not p[i] > 11 * g1[i - 1]:
-                growth_ok = False
-                first = first or ("growth", i)
-                break
-
-    return StructureReport(
-        n=n,
-        support_ok=support_ok,
-        no_internal_zeros=no_internal_zeros,
-        recurrence_identity_ok=recurrence_identity_ok,
-        growth_ok=growth_ok,
-        first_failure=first,
-    )
+    return StructureReport(n=n, growth_ok=first is None, first_failure=first)

@@ -275,8 +275,8 @@ def enumerate_pgd(
 
     Tallies are per root class and genus.  The result is independent of
     ``jobs`` (1 to ``MAX_JOBS``): blocks are merged by summation.  The
-    blocks run in ``pool`` when one is given (see ``worker_pool``), else in
-    a pool of their own that closes on return.  Enumeration above the cap
+    blocks run in ``pool`` when one is given, else in one of their own from
+    ``worker_pool`` that closes on return.  Enumeration above the cap
     (default 4, override via the CLAWGENUS_ORACLE_CAP environment variable)
     is refused unless ``acknowledge_cost`` is set.
     """
@@ -309,7 +309,7 @@ def enumerate_pgd(
     elif pool is not None:
         results = pool.map(_tally_chunk, chunks)
     else:
-        with Pool(processes=len(chunks)) as own:
+        with worker_pool(jobs, n) as own:  # len(chunks) workers
             results = own.map(_tally_chunk, chunks)
 
     tallies = [[0] * slots for _ in range(3)]

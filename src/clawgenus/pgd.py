@@ -12,16 +12,19 @@ three-edge dipole yields every iterated claw's partitioned genus
 distribution; iterating its transpose from (1, 1, 1) yields the column sums
 of its powers, the series behind the generating-function route.
 
-``pgd(n)`` and ``column_sum(n)`` each keep the last state of their
-iteration and continue from it when asked for the same or a later index,
-so an ascending scan costs one matrix step per index.  Only that one state
-is kept; a request below it restarts from the base.
+``ResumableSequence`` is the one policy for continuing an iteration: it
+keeps the last (index, term) pair it returned and steps on from it when
+asked for the same or a later index, so an ascending scan costs one step
+per index, and a request below it restarts from the first term.
+``pgd(n)`` and ``column_sum(n)`` read it here, over the matrix and its
+transpose, and the recurrence route in ``formulas`` reads it over its own
+three-term window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Generic, Iterator, TypeVar
 
 from .errors import ConsistencyError, StructureViolation
 from .polynomials import IntPoly
@@ -35,6 +38,40 @@ PRODUCTION_MATRIX: tuple[tuple[IntPoly, ...], ...] = (
 )
 _TRANSPOSE = tuple(zip(*PRODUCTION_MATRIX))
 _ONES = (IntPoly.constant(1),) * 3
+
+
+_T = TypeVar("_T")
+
+
+class ResumableSequence(Generic[_T]):
+    """The sequence x_0, x_1, ... of a first term and a step x_{k+1} = step(x_k).
+
+    Calling it with n returns x_n, continuing from the (index, term) pair it
+    returned last, or from x_0 when n is below that index.  Each call
+    rebinds the pair in one assignment, so a reader in another thread sees
+    the old pair or the new one, never a mix, and needs no lock.  Iterating
+    yields x_0, x_1, ... from state of its own.
+    """
+
+    def __init__(self, first: _T, step: Callable[[_T], _T]) -> None:
+        self.first = first
+        self.step = step
+        self.last: tuple[int, _T] = (0, first)
+
+    def __call__(self, n: int) -> _T:
+        i, x = self.last
+        if n < i:
+            i, x = 0, self.first
+        for _ in range(i, n):
+            x = self.step(x)
+        self.last = (n, x)
+        return x
+
+    def __iter__(self) -> Iterator[_T]:
+        x = self.first
+        while True:
+            yield x
+            x = self.step(x)
 
 
 def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
@@ -91,18 +128,15 @@ def newclaw_step(v: PgdVector) -> PgdVector:
     return PgdVector(a, b, c, v.n + 1)
 
 
+#: The pgd vectors, continuing from the one returned last.
+_PGD = ResumableSequence(initial_pgd(), newclaw_step)
+
+
 def iter_pgd() -> Iterator[PgdVector]:
     """Yield validated pgd vectors for n = 0, 1, 2, ..."""
-    v = initial_pgd()
-    while True:
+    for v in _PGD:
         v.validate()
         yield v
-        v = newclaw_step(v)
-
-
-#: The vector last returned by pgd.  Every update rebinds it in one
-#: assignment, so a reader in another thread needs no lock.
-_last_pgd: PgdVector = initial_pgd()
 
 
 def pgd(n: int) -> PgdVector:
@@ -111,36 +145,26 @@ def pgd(n: int) -> PgdVector:
     Continues from the vector returned last, so ascending scans cost one
     step per index; a request below it restarts from the base triple.
     """
-    global _last_pgd
     if n < 0:
         raise ValueError("n must be nonnegative")
-    v = _last_pgd
-    if n < v.n:
-        v = initial_pgd()
-    while v.n < n:
-        v = newclaw_step(v)
+    v = _PGD(n)
     v.validate()
-    _last_pgd = v
     return v
+
+
+#: The row vectors (1,1,1)M^n, one right-multiplication by M (the transpose
+#: applied to the row) per step.
+_ROWS = ResumableSequence(_ONES, lambda row: _apply(_TRANSPOSE, row))
 
 
 def iter_column_sums() -> Iterator[IntPoly]:
     """Yield r_0, r_1, ...: the sum of the third column of M^n.
 
-    That is the third component of the row vector (1,1,1)M^n, updated by one
-    right-multiplication (the transpose applied to it) per step.  The
-    sequence starts at 1 for n=0 and equals four times the genus polynomial
-    of claw n-1 afterwards.
+    That is the third component of the row vector (1,1,1)M^n.  The sequence
+    starts at 1 for n=0 and equals four times the genus polynomial of claw
+    n-1 afterwards.
     """
-    row = _ONES
-    while True:
-        yield row[2]
-        row = _apply(_TRANSPOSE, row)
-
-
-#: (index, row vector (1,1,1)M^index) of the last column_sum request,
-#: rebound in one assignment like _last_pgd.
-_last_row: tuple[int, tuple[IntPoly, ...]] = (0, _ONES)
+    return (row[2] for row in _ROWS)
 
 
 def column_sum(n: int) -> IntPoly:
@@ -149,16 +173,9 @@ def column_sum(n: int) -> IntPoly:
     Continues from the row vector of the last request, so ascending scans
     cost one step per index; a request below it restarts from (1, 1, 1).
     """
-    global _last_row
     if n < 0:
         raise ValueError("n must be nonnegative")
-    i, row = _last_row
-    if n < i:
-        i, row = 0, _ONES
-    for _ in range(i, n):
-        row = _apply(_TRANSPOSE, row)
-    _last_row = (n, row)
-    return row[2]
+    return _ROWS(n)[2]
 
 
 def column_sum_check(n: int) -> IntPoly:

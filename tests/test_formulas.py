@@ -68,11 +68,28 @@ class TestRecurrenceRoute:
         ref = [g.poly for g in islice(iter_genus(), 41)]
         for n in [*range(40, 19, -1), 3, 0, 40, 12, 13, 9, 30]:
             assert genus_recurrence(n).poly == ref[n], n
+        # generators keep their own state, apart from each other and the calls
+        first, second = iter_genus(), iter_genus()
+        got_first, got_second = [], []
+        for n in range(41):
+            got_first.append(next(first).poly)
+            genus_recurrence(40)
+            got_second.append(next(second).poly)
+        assert got_first == got_second == ref
 
     def test_window_stays_bounded(self):
         genus_recurrence(500)
-        top, terms = formulas._window
+        top, terms = formulas._GENUS.last
         assert top == 500 and len(terms) <= 4
+
+    def test_each_step_rejects_a_negative_coefficient(self, monkeypatch):
+        from clawgenus.errors import StructureViolation
+
+        c1, c2, c3 = formulas.RECURRENCE
+        monkeypatch.setattr(formulas, "RECURRENCE", (-c1, c2, c3))
+        genus_recurrence(0)  # the seeds, so the next call steps from G_2
+        with pytest.raises(StructureViolation, match="negative coefficient at n=3"):
+            genus_recurrence(5)
 
     def test_validation_catches_bad_support(self):
         from clawgenus.errors import StructureViolation
@@ -211,6 +228,36 @@ class TestStructure:
         for n in range(30):
             rep = structure_check(n)
             assert rep.ok, (n, rep)
+
+    def test_growth_failure_is_reported(self, monkeypatch):
+        n, i = 4, 3
+        real = formulas.genus_recurrence
+        g, prev = real(n).poly, real(n - 1).poly
+        scale = 1
+        while g[i] > 11 * scale * prev[i - 1]:
+            scale *= 2
+
+        def scaled(m):
+            h = real(m)
+            return GenusPolynomial(m, scale * h.poly) if m == n - 1 else h
+
+        monkeypatch.setattr(formulas, "genus_recurrence", scaled)
+        rep = structure_check(n)
+        assert not rep.growth_ok and not rep.ok
+        assert rep.first_failure == ("growth", i)
+
+    def test_ascending_scan_makes_one_step_per_index(self, monkeypatch):
+        steps = []
+        step = formulas._recurrence_step
+
+        def spy(*terms):
+            steps.append(1)
+            return step(*terms)
+
+        monkeypatch.setattr(formulas, "_recurrence_step", spy)
+        for n in range(61):
+            assert structure_check(n).ok, n
+        assert len(steps) <= 64
 
     def test_support_is_exact(self):
         for n in range(20):

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+import clawgenus.formulas as formulas
 from clawgenus.cli import main
 from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import (
@@ -150,8 +151,8 @@ class TestWindows:
     def test_windows_stay_bounded(self):
         pgd(500)
         column_sum(500)
-        assert self.module._last_pgd.n == 500
-        index, row = self.module._last_row
+        assert self.module._PGD.last[1].n == 500
+        index, row = self.module._ROWS.last
         assert index == 500 and len(row) == 3
 
     def test_ascending_compute_makes_one_step_per_index(self, monkeypatch):
@@ -162,9 +163,19 @@ class TestWindows:
             products.append(matrix)
             return apply(matrix, vec)
 
+        steps = []
+        step = formulas._recurrence_step
+
+        def recurrence_spy(*terms):
+            steps.append(1)
+            return step(*terms)
+
         monkeypatch.setattr(self.module, "_apply", spy)
+        monkeypatch.setattr(formulas, "_recurrence_step", recurrence_spy)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["compute", "--route", "all", "--format", "csv",
                          "--n", "0..40"]) == 0
         # at most 40 steps of the matrix and 41 of its transpose
         assert len(products) <= 2 * 42
+        # and of the recurrence, 41 plus the window's look-ahead
+        assert len(steps) <= 41 + 3

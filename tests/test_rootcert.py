@@ -77,10 +77,9 @@ class TestNormalizedRecurrence:
     def test_mismatch_detection(self, monkeypatch):
         import clawgenus.formulas as formulas
 
-        g0, g1, g2 = (genus_recurrence(n).poly for n in range(3))
-        monkeypatch.setattr(
-            formulas, "_window", (2, (g0, g1, g2 - P(0, 0, 0, 1)))
-        )
+        g2, g3, g4 = (genus_recurrence(n) for n in range(2, 5))
+        bad = GenusPolynomial(2, g2.poly - P(0, 0, 0, 1))
+        monkeypatch.setattr(formulas._GENUS, "last", (2, (bad, g3, g4)))
         with pytest.raises(StructureViolation):
             normalized_recurrence(2)
 
