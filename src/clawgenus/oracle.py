@@ -7,14 +7,18 @@ measured against: it shares no code with them beyond integer arithmetic.
 
 Every vertex of an iterated claw is 3-valent, so each vertex has exactly
 (3-1)! = 2 cyclic orders and a full rotation system is one bit per vertex.
-The enumeration visits the 2^(4n+2) systems in Gray-code order: position i
-traces system i ^ (i >> 1), so consecutive positions differ at one vertex
-and the kernel rewrites three entries of its face map per system.  Workers
-split the range of positions.  One face-walk loop, ``_trace``, serves both
-the per-system functions (``face_trace``, ``root_class``) and the
-enumeration.  A command that enumerates several indices opens one pool
-with ``worker_pool`` and hands it to every ``enumerate_pgd`` call, so the
-workers start once per command, not once per index.
+Setting every bit reverses every rotation, which gives the mirror
+embedding: its faces are the same walks run backwards, so it has the same
+genus and root class.  The enumeration therefore traces one system of each
+mirror pair and counts it twice.  It visits positions 0..2^(4n+1)-1 in
+Gray-code order: position i traces system i ^ (i >> 1), whose top bit is
+0, so consecutive positions differ at one vertex and the kernel rewrites
+three entries of its face map per system.  Workers split the range of
+positions.  One face-walk loop, ``_trace``, serves both the per-system
+functions (``face_trace``, ``root_class``) and the enumeration.  A command
+that enumerates several indices opens one pool with ``worker_pool`` and
+hands it to every ``enumerate_pgd`` call, so the workers start once per
+command, not once per index.
 """
 
 from __future__ import annotations
@@ -224,7 +228,9 @@ def _tally_chunk(args) -> list[list[int]]:
     The hot loop.  The face map nxt is built once for the system at lo;
     each later position flips the rotation at one vertex v, which rewrites
     nxt only at the three darts whose partners sit at v.  One stamped
-    visited array serves the block.
+    visited array serves the block.  Any range of positions works;
+    ``enumerate_pgd`` passes blocks of the lower half and doubles their
+    tallies.
     """
     incidence, root_darts, euler_base, slots, lo, hi = args
     # Bit v swaps the last two darts of vertex v (see RotationSystem.from_bits).
@@ -248,6 +254,12 @@ def _tally_chunk(args) -> list[list[int]]:
     return tallies
 
 
+def _traced_bits(n: int) -> int:
+    """Bits of the traced Gray-code positions: 0..2^(4n+1)-1 hold one system
+    of each mirror pair, half of the 2^(4n+2)."""
+    return 4 * n + 1
+
+
 def oracle_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
     try:
@@ -260,20 +272,24 @@ def worker_pool(jobs: int, n: int):
     """Context manager giving a pool for ``enumerate_pgd`` at indices up to
     n with ``jobs`` blocks each, or None when one process does the work.
 
-    Leaving the context ends the workers.
+    The pool has no more workers than traced positions at n, which is the
+    most blocks an enumeration there splits into.  Leaving the context ends
+    the workers.
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
-    workers = min(jobs, 1 << min(4 * n + 2, 7))  # 2^7 > MAX_JOBS
+    workers = min(jobs, 1 << min(_traced_bits(n), 7))  # 2^7 > MAX_JOBS
     return Pool(processes=workers) if workers > 1 else nullcontext()
 
 
 def enumerate_pgd(
     n: int, jobs: int = 1, acknowledge_cost: bool = False, pool=None
 ) -> OraclePgd:
-    """Exhaustively enumerate all 2^(4n+2) rotation systems of claw n.
+    """Exhaustively tally all 2^(4n+2) rotation systems of claw n.
 
-    Tallies are per root class and genus.  The result is independent of
+    Tallies are per root class and genus.  Each of the 2^(4n+1) traced
+    systems counts twice, once for itself and once for its mirror image
+    (see the module docstring).  The result is independent of
     ``jobs`` (1 to ``MAX_JOBS``): blocks are merged by summation.  The
     blocks run in ``pool`` when one is given, else in one of their own from
     ``worker_pool`` that closes on return.  Enumeration above the cap
@@ -298,7 +314,7 @@ def enumerate_pgd(
     slots = n + 2
     root_darts = graph.incidence[graph.root]
 
-    bounds = [(1 << bits) * k // jobs for k in range(jobs + 1)]
+    bounds = [(1 << _traced_bits(n)) * k // jobs for k in range(jobs + 1)]
     chunks = [
         (graph.incidence, root_darts, euler_base, slots, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
@@ -316,7 +332,7 @@ def enumerate_pgd(
     for part in results:
         for c in range(3):
             for g in range(slots):
-                tallies[c][g] += part[c][g]
+                tallies[c][g] += 2 * part[c][g]
     out = OraclePgd(n, tuple(tuple(t) for t in tallies))
     out.validate()
     return out

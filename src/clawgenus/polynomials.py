@@ -149,7 +149,9 @@ class IntPoly:
         For an int x this is the sign of p(x/2**k) * 2**(k*deg), by Horner's
         rule with each coefficient shifted instead of multiplied by a power
         of the denominator.  A Fraction x with a power-of-two denominator
-        takes the same path; any other evaluates p(a/b) * b**deg.
+        takes the same path; any other evaluates p(a/b) * b**deg.  The
+        dyadic path first strips the common factors of 2 from x and 2**k,
+        so the shifts grow with the point's own precision, not with k.
         """
         acc = 0
         if not isinstance(x, int):  # a Fraction; int is the cheaper check
@@ -161,6 +163,10 @@ class IntPoly:
                     bp *= b
                 return (acc > 0) - (acc < 0)
             k = b.bit_length() - 1
+        if x:  # evaluate at x / 2**k in lowest terms
+            t = min((x & -x).bit_length() - 1, k)
+            x >>= t
+            k -= t
         s = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c << s)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import weakref
+from multiprocessing.pool import ThreadPool
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,6 +41,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def checked_rows(out: str) -> list[dict]:
+    """The rows of ``certify --format json`` output, which must pass the
+    independent check in ``certcheck``."""
+    rows = json.loads(out)
+    assert certificate_errors(rows) == []
+    return rows
 
 
 def module_env(env=None) -> dict:
@@ -147,6 +156,18 @@ class TestCompute:
         assert started == [2]
         assert multiprocessing.active_children() == []
 
+    def test_oracle_pool_has_no_more_workers_than_traced_positions(
+        self, capsys, monkeypatch
+    ):
+        started = []
+        monkeypatch.setattr(  # record the size asked for, run on one thread
+            oracle, "Pool", lambda processes: started.append(processes) or ThreadPool(1)
+        )
+        code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..1",
+                           "--parallelism", "64", "--format", "csv")
+        assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:2])
+        assert started == [32]  # 2^5 traced positions at n = 1
+
     def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
         monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
         code, out, err = run(capsys, "compute", "--route", "oracle", "--n", "0..3",
@@ -194,8 +215,8 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--n", "0..3", "--format", "json")
         assert code == 0
         payload = out.strip()
-        assert canonical_json(json.loads(payload)) == payload
-        rows = json.loads(payload)
+        rows = checked_rows(payload)
+        assert canonical_json(rows) == payload
         cert = rows[2]["root_certificate"]
         assert cert["degree"] == 2 and cert["complete"] is True
         assert len(cert["intervals"]) == 2
@@ -246,7 +267,7 @@ class TestCertify:
         with numerators and denominators of a few dozen bits at most."""
         code, out, _ = run(capsys, "certify", "--n", "0..100", "--format", "json")
         assert code == 0
-        rows = json.loads(out)
+        rows = checked_rows(out)
         assert all(v in (True, None) for row in rows for v in row["summary"].values())
         quads = [q for row in rows for q in row["root_certificate"]["intervals"]]
         quads += [
@@ -258,7 +279,6 @@ class TestCertify:
         ]
         assert all(den & (den - 1) == 0 for q in quads for den in (q[1], q[3]))
         assert max(abs(x).bit_length() for q in quads for x in q) <= 32
-        assert certificate_errors(rows) == []
 
     @pytest.mark.parametrize("mutate", [
         # W_2's left root is near -2.74: (-4, -3] holds no root
@@ -270,14 +290,14 @@ class TestCertify:
             "root-interval-dropped", "merged-entry-dropped"])
     def test_independent_check_rejects_a_broken_certificate(self, capsys, mutate):
         code, out, _ = run(capsys, "certify", "--n", "0..6", "--format", "json")
-        assert code == 0 and certificate_errors(json.loads(out)) == []
-        rows = json.loads(out)
+        assert code == 0
+        rows = checked_rows(out)
         mutate(rows)
         assert certificate_errors(rows)
 
     def test_rational_endpoints_never_serialize_as_floats(self, capsys):
         _, out, _ = run(capsys, "certify", "--n", "0..5", "--format", "json")
-        rows = json.loads(out)
+        rows = checked_rows(out)
         for row in rows:
             for quad in row["root_certificate"]["intervals"]:
                 assert all(isinstance(x, int) for x in quad)
@@ -393,6 +413,8 @@ class TestGoldenDigests:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "certify":  # every certify case here is JSON
+            checked_rows(out)
 
 
 class TestSubprocess:
@@ -407,6 +429,7 @@ class TestSubprocess:
         second = run_module(*cmd)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+        checked_rows(first.stdout)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no int-to-str digit limit before Python 3.10.7")
@@ -553,3 +576,5 @@ class TestFuzz:
         payload = out.getvalue().strip()
         if "json" in argv and payload:
             assert canonical_json(json.loads(payload)) == payload
+            if argv[0] == "certify" and code == 0:
+                checked_rows(payload)

@@ -103,6 +103,24 @@ class TestFaceTrace:
             tallies[cls][face_trace(g, rot)[1]] += 1
         assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
 
+    @pytest.mark.parametrize("n", range(3))
+    def test_mirror_images_have_the_same_genus_and_root_class(self, n):
+        """Setting every bit reverses every rotation, which gives the mirror
+        embedding; so the enumeration's tallies are twice those of the
+        systems whose top bit is 0."""
+        g = build_iterated_claw(n)
+        top = 1 << (g.num_vertices - 1)
+        tallies = [[0] * (n + 2) for _ in ROOT_CLASSES]
+        for bits in range(top):
+            rot = RotationSystem.from_bits(g, bits)
+            mirror = RotationSystem.from_bits(g, bits ^ (2 * top - 1))
+            faces, genus = face_trace(g, rot)
+            cls = root_class(g, rot)
+            assert face_trace(g, mirror) == (faces, genus)
+            assert root_class(g, mirror) == cls
+            tallies[ROOT_CLASSES.index(cls)][genus] += 2
+        assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
+
 
 def chunk_args(n, lo, hi, euler_shift=0):
     """Arguments for ``_tally_chunk`` over Gray-code positions lo..hi-1."""
@@ -144,6 +162,18 @@ class TestEnumeration:
                  oracle._tally_chunk(chunk_args(1, lo, 64))]
         assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_upper_half_of_the_positions_tallies_like_the_lower(self, n):
+        """The upper half holds the systems whose top bit is 1, the mirrors
+        of the lower half's, so both halves give the same tallies and the
+        enumeration reads twice the lower half."""
+        half = 1 << (4 * n + 1)
+        lower = oracle._tally_chunk(chunk_args(n, 0, half))
+        assert oracle._tally_chunk(chunk_args(n, half, 2 * half)) == lower
+        assert enumerate_pgd(n).tallies == tuple(
+            tuple(2 * x for x in row) for row in lower
+        )
+
     def test_every_system_passes_the_euler_check(self):
         with pytest.raises(StructureViolation):
             oracle._tally_chunk(chunk_args(1, 0, 64, euler_shift=1))
@@ -170,8 +200,8 @@ class TestEnumeration:
                 return [fn(x) for x in items]
 
         monkeypatch.setattr(oracle, "Pool", SerialPool)
-        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 4 systems
-        assert started == [4]
+        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 2 traced positions
+        assert started == [2]
 
     def test_cap_refusal_mentions_cost(self):
         with pytest.raises(OracleCapExceeded) as exc:

@@ -252,6 +252,16 @@ class TestDyadicSigns:
         assert p.sign_at(m, k) == want
         assert p.sign_at(Fraction(m, 2 ** k)) == want  # same point as a Fraction
 
+    @given(polys, st.one_of(st.just(0), small_ints),
+           st.integers(min_value=0, max_value=64),
+           st.integers(min_value=0, max_value=64))
+    def test_sign_at_is_independent_of_how_the_point_is_written(self, p, m, k, t):
+        """m / 2**k and (m << t) / 2**(k + t) are one point."""
+        want = p.sign_at(m, k)
+        assert p.sign_at(m << t, k + t) == want
+        assert p.sign_at(Fraction(m << t), k + t) == want
+        assert p.sign_at(Fraction(m << t, 3), k + t) == p.sign_at(Fraction(m, 3), k)
+
     @given(tiny_polys, small_ints, st.integers(min_value=0, max_value=64))
     def test_sign_at_a_dyadic_root_is_zero(self, q, m, k):
         assert (q * P(-m, 2 ** k)).sign_at(m, k) == 0  # root m / 2**k
