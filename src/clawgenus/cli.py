@@ -179,7 +179,7 @@ def cmd_certify(args) -> int:
             if m < 0:
                 continue
             try:
-                pairs[mode] = certify_interlacing(c, certs[m], args.max_refine)
+                pairs[mode] = certify_interlacing(c, certs[m])
             except (ClawgenusError, ValueError) as exc:
                 # ValueError: a certificate of the pair is incomplete
                 print(f"n={n} {mode} interlacing failed: {exc}", file=sys.stderr)
@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="root and log-concavity certificates")
     p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-refine", type=_int_at_least(0), default=None,
-                   help="override the interval refinement budget (at least 0)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle-check",

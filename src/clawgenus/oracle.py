@@ -19,21 +19,24 @@ functions (``face_trace``, ``root_class``) and the enumeration.  A command
 that enumerates several indices opens one pool with ``worker_pool`` and
 hands it to every ``enumerate_pgd`` call, so the workers start once per
 command, not once per index.
+
+The enumeration refuses n above the module constant ``DEFAULT_CAP``
+(2^18 systems at n = 4) unless the caller acknowledges the cost with
+``acknowledge_cost=True``, which ``--acknowledge-cost`` sets on the command
+line; that is the one way past the cap.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .errors import ClawgenusError, OracleCapExceeded, StructureViolation
+from .errors import OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
 
 #: Largest n enumerated without an explicit cost acknowledgment.
 DEFAULT_CAP = 4
-CAP_ENV_VAR = "CLAWGENUS_ORACLE_CAP"
 #: Most blocks one enumeration splits into, and so most worker processes.
 MAX_JOBS = 64
 
@@ -260,14 +263,6 @@ def _traced_bits(n: int) -> int:
     return 4 * n + 1
 
 
-def oracle_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ClawgenusError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def worker_pool(jobs: int, n: int):
     """Context manager giving a pool for ``enumerate_pgd`` at indices up to
     n with ``jobs`` blocks each, or None when one process does the work.
@@ -292,22 +287,21 @@ def enumerate_pgd(
     (see the module docstring).  The result is independent of
     ``jobs`` (1 to ``MAX_JOBS``): blocks are merged by summation.  The
     blocks run in ``pool`` when one is given, else in one of their own from
-    ``worker_pool`` that closes on return.  Enumeration above the cap
-    (default 4, override via the CLAWGENUS_ORACLE_CAP environment variable)
-    is refused unless ``acknowledge_cost`` is set.
+    ``worker_pool`` that closes on return, and in this process when that
+    gives None (``jobs`` = 1).  Enumeration above ``DEFAULT_CAP``, read at
+    call time, is refused unless ``acknowledge_cost`` is set.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
-    cap = oracle_cap()
     bits = 4 * n + 2
-    if n > cap and not acknowledge_cost:
+    if n > DEFAULT_CAP and not acknowledge_cost:
         # Past a few thousand digits, str() of the count itself raises.
         count = 1 << bits if bits <= 64 else f"2^{bits}"
         raise OracleCapExceeded(
-            f"n={n} needs {count} rotation systems (cap is n={cap}); "
-            "pass an explicit cost acknowledgment to proceed"
+            f"n={n} needs {count} rotation systems (cap is n={DEFAULT_CAP}); "
+            "pass --acknowledge-cost (acknowledge_cost=True) to proceed"
         )
     graph = build_iterated_claw(n)
     euler_base = 2 - graph.num_vertices + graph.num_edges
@@ -320,13 +314,11 @@ def enumerate_pgd(
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
-    if len(chunks) == 1:
-        results = [_tally_chunk(c) for c in chunks]
-    elif pool is not None:
-        results = pool.map(_tally_chunk, chunks)
-    else:
-        with worker_pool(jobs, n) as own:  # len(chunks) workers
-            results = own.map(_tally_chunk, chunks)
+    with (nullcontext(pool) if pool is not None else worker_pool(jobs, n)) as run:
+        if run is not None:
+            results = run.map(_tally_chunk, chunks)
+        else:
+            results = [_tally_chunk(c) for c in chunks]
 
     tallies = [[0] * slots for _ in range(3)]
     for part in results:

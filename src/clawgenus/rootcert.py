@@ -388,26 +388,25 @@ def _squarefree(cert: RootCertificate) -> IntPoly:
 
 
 def _merge(
-    a: RootCertificate, b: RootCertificate, max_refine: int | None, what: str
+    a: RootCertificate, b: RootCertificate, what: str
 ) -> list[tuple[int, Interval]]:
     """Refine a's and b's isolating intervals apart in one two-pointer pass.
 
     An overlapping pair has its wider interval halved (a's on ties) until
     the two separate; halving only shrinks intervals, so pairs already
     passed stay apart.  Returns every interval in increasing order, tagged
-    0 for a and 1 for b.  Raises InterlacingUndecided after ``max_refine``
-    halvings.  Endpoints and widths at different exponents are compared by
-    shifting each side to the other's.
+    0 for a and 1 for b.  Endpoints and widths at different exponents are
+    compared by shifting each side to the other's.
 
-    There is no fallback here, so the default allowance is the worst case
-    4 * deg a * (largest coefficient bits): distinct algebraic numbers of
-    bounded height separate within polynomially many halvings, and the cap
-    only turns a hypothetical shared root into a diagnosable outcome
-    instead of nontermination.
+    There is no fallback here, so the allowance is the worst case
+    4 * max(deg a, 1) * max(largest coefficient bits, 1) halvings: distinct
+    algebraic numbers of bounded height separate within polynomially many
+    halvings, so genuine interlacing input never reaches it.  Running out
+    raises InterlacingUndecided, which turns a shared root into a
+    diagnosable outcome instead of nontermination.
     """
-    if max_refine is None:
-        bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
-        max_refine = 4 * max(a.degree, 1) * max(bits, 1)
+    bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
+    allowance = 4 * max(a.degree, 1) * max(bits, 1)
     pa, pb = _squarefree(a), _squarefree(b)
     xs, ys = list(a.intervals), list(b.intervals)
     sx = sy = None  # sign of pa at xs[i].hi and of pb at ys[j].hi, once read
@@ -421,9 +420,9 @@ def _merge(
         elif y.b << x.k <= x.a << y.k:
             merged.append((1, y))
             j, sy = j + 1, None
-        elif steps >= max_refine:
+        elif steps >= allowance:
             raise InterlacingUndecided(
-                f"{what}: could not separate intervals within {max_refine} "
+                f"{what}: could not separate intervals within {allowance} "
                 "refinement steps; the polynomials may share a root"
             )
         else:
@@ -470,7 +469,7 @@ class InterlacingCertificate:
 
 
 def certify_interlacing(
-    a: RootCertificate, b: RootCertificate, max_refine: int | None = None
+    a: RootCertificate, b: RootCertificate
 ) -> InterlacingCertificate:
     """Certify that the roots of certificate a interlace those of b.
 
@@ -478,8 +477,8 @@ def certify_interlacing(
     and any other pair raises ValueError.  Expected root-count difference:
     one for skip pairs and for consecutive pairs at even n, zero for
     consecutive pairs at odd n (where b owns the rightmost root).  Raises
-    InterlacingUndecided when ``_merge``'s refinement allowance (or
-    ``max_refine`` halvings) runs out, ConsistencyError if the alternation
+    InterlacingUndecided when ``_merge``'s worst-case refinement allowance
+    runs out (the roots may coincide), ConsistencyError if the alternation
     pattern fails outright.
     """
     mode = {1: "consecutive", 2: "skip"}.get(a.n - b.n)
@@ -493,7 +492,7 @@ def certify_interlacing(
             f"root counts {len(a.intervals)} and {len(b.intervals)} do not "
             f"differ by {expected_diff} for pair ({a.n}, {b.n})"
         )
-    merged = _merge(a, b, max_refine, f"interlacing ({a.n}, {b.n})")
+    merged = _merge(a, b, f"interlacing ({a.n}, {b.n})")
     idx = _misplaced(merged)
     if idx is not None:
         raise ConsistencyError(
@@ -536,9 +535,7 @@ def _first_wrong_sign(poly: IntPoly, roots, offset: int) -> int | None:
 
 
 def sign_pattern_check(
-    p_cert: RootCertificate,
-    q_cert: RootCertificate,
-    max_refine: int | None = None,
+    p_cert: RootCertificate, q_cert: RootCertificate
 ) -> SignPatternReport:
     """Check the alternating sign patterns for an interlacing pair.
 
@@ -547,14 +544,15 @@ def sign_pattern_check(
     read at the midpoints of the merged intervals: each side's intervals
     hold all of its real roots and are disjoint from the other side's, so
     the sign there is the sign at the root.  Failures are recorded in the
-    report, never raised.
+    report, never raised; a pair that ``_merge``'s worst-case allowance
+    cannot separate is reported as "separation failed".
     """
     p, q = p_cert.n, q_cert.n
     if not p_cert.intervals or not q_cert.intervals:
         # nothing to evaluate at: every root-indexed check is vacuous
         return SignPatternReport(p, q, True, True, True, None)
     try:
-        merged = _merge(p_cert, q_cert, max_refine, f"sign pattern ({p}, {q})")
+        merged = _merge(p_cert, q_cert, f"sign pattern ({p}, {q})")
     except InterlacingUndecided:
         return SignPatternReport(p, q, False, False, False, "separation failed")
     if _misplaced(merged) is not None:

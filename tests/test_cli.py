@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, JSON round-trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from multiprocessing.pool import ThreadPool
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,10 +23,11 @@ import clawgenus.cli as cli
 import clawgenus.oracle as oracle
 from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
+from clawgenus.errors import InterlacingUndecided
 from clawgenus.formulas import genus_recurrence
 from clawgenus.pgd import PgdVector
 from clawgenus.polynomials import IntPoly
-from clawgenus.rootcert import NormalizedPoly
+from clawgenus.rootcert import NormalizedPoly, normalized_recurrence
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -49,6 +52,18 @@ def checked_rows(out: str) -> list[dict]:
     rows = json.loads(out)
     assert certificate_errors(rows) == []
     return rows
+
+
+def rootless_half(entry: dict) -> None:
+    """Narrow an interlacing entry to the half of its interval that holds
+    no root of its owner; the entries keep their order and owners."""
+    a, b, c, d = entry["interval"]
+    lo, hi = Fraction(a, b), Fraction(c, d)
+    mid = (lo + hi) / 2
+    w = normalized_recurrence(entry["index"]).w
+    # the root lies in (lo, mid] exactly when w changes sign or vanishes there
+    lo, hi = (mid, hi) if w.eval(lo) * w.eval(mid) <= 0 else (lo, mid)
+    entry["interval"] = [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
 
 
 def module_env(env=None) -> dict:
@@ -139,7 +154,7 @@ class TestCompute:
         assert code == 0 and out == "2,0,48,720,256\n"
 
     def test_oracle_above_cap_fails_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         code, _, err = run(capsys, "compute", "--n", "2", "--route", "oracle")
         assert code == 1
         assert "cap" in err
@@ -169,7 +184,7 @@ class TestCompute:
         assert started == [32]  # 2^5 traced positions at n = 1
 
     def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         code, out, err = run(capsys, "compute", "--route", "oracle", "--n", "0..3",
                              "--parallelism", "2")
         assert code == 1 and out == ""
@@ -224,10 +239,15 @@ class TestCertify:
         assert rows[2]["interlacing"]["skip"]["m"] == 0
         assert rows[3]["summary"]["log_concave"] is True
 
-    def test_exhausted_refinement_budget_fails(self, capsys):
-        code, _, err = run(capsys, "certify", "--n", "1..2", "--max-refine", "0")
+    def test_exhausted_refinement_budget_fails(self, capsys, monkeypatch):
+        def undecided(a, b):
+            raise InterlacingUndecided(f"({a.n}, {b.n}): could not separate")
+
+        monkeypatch.setattr(cli, "certify_interlacing", undecided)
+        code, out, err = run(capsys, "certify", "--n", "1..2")
         assert code == 1
-        assert "separate" in err
+        assert "interlace(n-1) ✗" in out.splitlines()[0]
+        assert "n=1 consecutive interlacing failed" in err and "separate" in err
 
     def test_keeps_only_the_certificates_the_chain_needs(self, capsys, monkeypatch):
         isolate = cli.isolate_roots
@@ -286,8 +306,9 @@ class TestCertify:
         lambda rows: (m := rows[4]["interlacing"]["skip"]["merged"]).insert(0, m.pop(1)),
         lambda rows: rows[5]["root_certificate"]["intervals"].pop(),
         lambda rows: rows[3]["interlacing"]["consecutive"]["merged"].pop(),
-    ], ids=["endpoint-across-a-root", "merged-entries-swapped",
-            "root-interval-dropped", "merged-entry-dropped"])
+        lambda rows: rootless_half(rows[4]["interlacing"]["skip"]["merged"][1]),
+    ], ids=["endpoint-across-a-root", "merged-entries-swapped", "root-interval-dropped",
+            "merged-entry-dropped", "merged-entry-holds-no-root"])
     def test_independent_check_rejects_a_broken_certificate(self, capsys, mutate):
         code, out, _ = run(capsys, "certify", "--n", "0..6", "--format", "json")
         assert code == 0
@@ -352,7 +373,7 @@ class TestOracleCheck:
         assert started == [2]
 
     def test_range_across_the_cap_prints_rows_then_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         code, out, err = run(capsys, "oracle-check", "--n", "0..3", "--parallelism", "2")
         assert code == 1
         assert out.splitlines() == [
@@ -482,13 +503,11 @@ class TestBoundaryValidation:
             ("compute", "--n", "0", "--route", "oracle", "--parallelism", "0"),
             ("oracle-check", "--n", "0", "--parallelism", "0"),
             ("table", "--max-n", "-1"),
-            ("certify", "--n", "1..2", "--max-refine", "-5"),
             ("compute", "--n", "0", "--route", "oracle", "--parallelism", "65"),
             ("oracle-check", "--n", "0", "--parallelism", "100000"),
         ],
         ids=["compute-parallelism", "oracle-check-parallelism", "table-max-n",
-             "certify-max-refine", "compute-parallelism-ceiling",
-             "oracle-check-parallelism-ceiling"],
+             "compute-parallelism-ceiling", "oracle-check-parallelism-ceiling"],
     )
     def test_out_of_range_flag_is_a_usage_error(self, argv):
         proc = run_module(*argv)
@@ -497,13 +516,33 @@ class TestBoundaryValidation:
         assert "Traceback" not in proc.stderr
         assert "expected an integer >=" in proc.stderr
 
-    def test_non_integer_oracle_cap_is_a_clean_error(self):
+    def test_oracle_check_reads_no_cap_from_the_environment(self):
         proc = run_module(
             "oracle-check", "--n", "0", env={"CLAWGENUS_ORACLE_CAP": "abc"}
         )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert "CLAWGENUS_ORACLE_CAP" in proc.stderr
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == (
+            "n=0: oracle matches the production route (4 embeddings) ✓\n"
+        )
+
+    def test_every_option_is_pinned(self):
+        """A new flag changes this list on purpose, never by accident."""
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(s for a in p._actions for s in a.option_strings)
+            for name, p in [(None, parser), *sub.choices.items()]
+        }
+        assert options == {
+            None: ["--help", "-h"],
+            "compute": ["--acknowledge-cost", "--format", "--help", "--n",
+                        "--parallelism", "--route", "-h"],
+            "table": ["--format", "--help", "--max-n", "-h"],
+            "certify": ["--format", "--help", "--n", "-h"],
+            "oracle-check": ["--acknowledge-cost", "--help", "--n", "--parallelism",
+                             "-h"],
+        }
 
     def test_library_value_error_exits_one(self, capsys, monkeypatch):
         def broken(n):
@@ -552,9 +591,7 @@ def cli_argv(draw):
     if command == "table":
         return ["table", "--max-n", draw(int_flag(0, 8)), "--format", fmt]
     if command == "certify":
-        argv = ["certify", "--n", draw(index_spec(8)), "--format", fmt]
-        refine = draw(st.none() | int_flag(0, 100))
-        return argv + ([] if refine is None else ["--max-refine", refine])
+        return ["certify", "--n", draw(index_spec(8)), "--format", fmt]
     route = draw(st.sampled_from(cli.ROUTES + ("all",)))
     top = 1 if route == "oracle" else 8
     return ["compute", "--n", draw(index_spec(top)), "--route", route,

@@ -20,7 +20,7 @@ from clawgenus.formulas import (
     structure_check,
     verify_series_closed_form,
 )
-from clawgenus.pgd import iter_pgd
+from clawgenus.pgd import PRODUCTION_MATRIX, iter_pgd
 from clawgenus.polynomials import IntPoly, Sqrt3Poly
 
 from test_pgd import TABLE
@@ -186,6 +186,41 @@ class TestExplicitRoute:
         monkeypatch.setattr(formulas, "composition_sum", lambda k: real(k) + extra)
         with pytest.raises(FormulaIntegrityError):
             genus_explicit(n)
+
+
+class TestRouteIdentities:
+    """Each route's own data gives it the same linear recurrence; with the
+    routes' agreement on their first terms, that is agreement at every n."""
+
+    def test_production_matrix_obeys_the_recurrence(self):
+        """Cayley-Hamilton: M^3 = c1 M^2 + c2 M + c3 I for (c1, c2, c3) =
+        (tr M, -(sum of the principal 2x2 minors), det M), so (A+B+C)(n)
+        of the pgd route and the column sums of the series route obey the
+        recurrence with these coefficients."""
+        m = PRODUCTION_MATRIX
+
+        def minor(i, j):
+            return m[i][i] * m[j][j] - m[i][j] * m[j][i]
+
+        def cofactor(j):
+            k, l = (j + 1) % 3, (j + 2) % 3
+            return m[1][k] * m[2][l] - m[1][l] * m[2][k]
+
+        trace = m[0][0] + m[1][1] + m[2][2]
+        minors = minor(0, 1) + minor(0, 2) + minor(1, 2)
+        det = m[0][0] * cofactor(0) + m[0][1] * cofactor(1) + m[0][2] * cofactor(2)
+        assert (trace, -minors, det) == formulas.RECURRENCE
+
+    def test_composition_sums_obey_the_recurrence(self):
+        """H_n has generating function 1 / (D(t) - 6z t^2), with D(t) the
+        product of (1 - 2az t) over the multipliers a = 3, 1+sqrt3, 1-sqrt3,
+        which is 1 - 10zt + 16z^2 t^2 + 48z^3 t^3: the sqrt3 parts cancel."""
+        c1, c2, c3 = P(0, 10), P(0, 6, -16), P(0, 0, 0, -48)
+        for n in range(2, 40):
+            h = [composition_sum(n - k) for k in range(4)]  # H_n, ..., H_{n-3}
+            assert h[0] == h[1] * c1 + h[2] * c2 + h[3] * c3
+        # the explicit route's 2^(n-1) prefactor turns t into 2t
+        assert (c1 * 2, c2 * 4, c3 * 8) == formulas.RECURRENCE
 
 
 class TestLeadingCoefficient:

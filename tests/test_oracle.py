@@ -207,9 +207,12 @@ class TestEnumeration:
         with pytest.raises(OracleCapExceeded) as exc:
             enumerate_pgd(DEFAULT_CAP + 1)
         assert str(1 << (4 * (DEFAULT_CAP + 1) + 2)) in str(exc.value)
+        assert str(exc.value).endswith(
+            "pass --acknowledge-cost (acknowledge_cost=True) to proceed"
+        )
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("CLAWGENUS_ORACLE_CAP", "1")
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         with pytest.raises(OracleCapExceeded):
             enumerate_pgd(2)
         assert enumerate_pgd(2, acknowledge_cost=True).n == 2

@@ -215,6 +215,30 @@ def cert(n: int) -> RootCertificate:
     return isolate_roots(normalized_recurrence(n))
 
 
+def shared_root_pair() -> tuple[RootCertificate, RootCertificate]:
+    """Complete certificates of two polynomials that share the root -1, which
+    no amount of halving separates."""
+    p = P(4, 5, 1)  # roots -4, -1
+    q = P(2, 3, 1)  # roots -2, -1
+    a = RootCertificate(
+        n=1,
+        degree=2,
+        intervals=(Interval(-5, -2, 0), Interval(-2, 0, 0)),
+        complete=True,
+        poly=p,
+        chain=SturmChain(p),
+    )
+    b = RootCertificate(
+        n=0,
+        degree=2,
+        intervals=(Interval(-6, -3, 1), Interval(-3, 0, 1)),  # (-3, -3/2], (-3/2, 0]
+        complete=True,
+        poly=q,
+        chain=SturmChain(q),
+    )
+    return a, b
+
+
 class TestHalve:
     """Each halving keeps the root, also when it sits on an endpoint."""
 
@@ -276,7 +300,7 @@ class TestMergeSignEvaluations:
 
         monkeypatch.setattr(rootcert, "_halve", halve)
         monkeypatch.setattr(IntPoly, "sign_at", sign_at)
-        rootcert._merge(a, b, None, "test")
+        rootcert._merge(a, b, "test")
         monkeypatch.undo()
         first = sum(iv in a.intervals or iv in b.intervals for iv in halved)
         assert len(halved) > first  # some interval is halved more than once
@@ -455,26 +479,9 @@ class TestInterlacing:
             certify_interlacing(cert(3), cert(0))
 
     def test_shared_root_reports_undecided(self):
-        p = P(4, 5, 1)  # roots -4, -1
-        q = P(2, 3, 1)  # roots -2, -1
-        a = RootCertificate(
-            n=1,
-            degree=2,
-            intervals=(Interval(-5, -2, 0), Interval(-2, 0, 0)),
-            complete=True,
-            poly=p,
-            chain=SturmChain(p),
-        )
-        b = RootCertificate(
-            n=0,
-            degree=2,
-            intervals=(Interval(-6, -3, 1), Interval(-3, 0, 1)),  # (-3, -3/2], (-3/2, 0]
-            complete=True,
-            poly=q,
-            chain=SturmChain(q),
-        )
-        with pytest.raises(InterlacingUndecided):
-            certify_interlacing(a, b, max_refine=16)
+        # 4 * degree 2 * 3 bits (the coefficient 5) halvings, then it gives up
+        with pytest.raises(InterlacingUndecided, match="within 24 refinement steps"):
+            certify_interlacing(*shared_root_pair())
 
     def test_non_alternating_roots_raise(self):
         a = isolate_roots(NormalizedPoly(3, P(2, 3, 1)))  # roots -2, -1
@@ -530,7 +537,7 @@ class TestSignPatterns:
         assert rep.first_failure == "sign of q at root 1 of p"
 
     def test_exhausted_refinement_is_reported_not_raised(self):
-        rep = sign_pattern_check(cert(2), cert(1), max_refine=0)
+        rep = sign_pattern_check(*shared_root_pair())
         assert not rep.ok and not rep.hypothesis_ok
         assert rep.first_failure == "separation failed"
         assert sign_pattern_check(cert(2), cert(1)).ok
