@@ -64,7 +64,6 @@ from .rootcert import (
     normalize,
     normalized_recurrence,
     sign_pattern_check,
-    sturm_count,
 )
 
 __version__ = "0.1.0"

@@ -42,8 +42,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def parse_n_spec(spec: str) -> list[int]:
-    """Parse "7" or "0..10" into an explicit list of indices."""
+def parse_n_spec(spec: str) -> range:
+    """Parse "7" or "0..10" into the range of indices, built lazily so a
+    huge range reaches the command's own checks."""
     try:
         if ".." in spec:
             a_s, b_s = spec.split("..", 1)
@@ -54,7 +55,7 @@ def parse_n_spec(spec: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad index spec {spec!r}") from None
     if a < 0 or b < a:
         raise argparse.ArgumentTypeError(f"bad index range {spec!r}")
-    return list(range(a, b + 1))
+    return range(a, b + 1)
 
 
 def _int_at_least(low: int, high: int | None = None):

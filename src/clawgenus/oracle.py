@@ -273,7 +273,8 @@ def worker_pool(jobs: int, n: int):
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
-    workers = min(jobs, 1 << min(_traced_bits(n), 7))  # 2^7 > MAX_JOBS
+    # 2**MAX_JOBS.bit_length() > MAX_JOBS, and the shift stays small at any n
+    workers = min(jobs, 1 << min(_traced_bits(n), MAX_JOBS.bit_length()))
     return Pool(processes=workers) if workers > 1 else nullcontext()
 
 

@@ -7,12 +7,12 @@ every operation returns a fresh object, so values can move freely between
 threads.  ``remainder_sequence`` is the one Euclidean kernel: ``poly_gcd``
 reads its last entry, and a Sturm chain in ``rootcert`` is the sequence.
 
-Signs are read at dyadic points x / 2**k given as two integers, which is
-all root certification needs; ``sign_at`` also takes a ``fractions.Fraction``
-for any other rational point.  An element of Q(sqrt 3) met downstream always
-has integer parts, so ``Sqrt3Poly`` is a pair of integer polynomials
-rat + irr*sqrt(3); the one power-of-two scale the explicit formula needs is
-applied by its caller.
+Signs are read at dyadic points x / 2**k given as two integers, or as a
+``fractions.Fraction`` with a power-of-two denominator, which is all root
+certification needs; ``eval`` is the exact evaluator at any other rational
+point.  An element of Q(sqrt 3) met downstream always has integer parts, so
+``Sqrt3Poly`` is a pair of integer polynomials rat + irr*sqrt(3); the one
+power-of-two scale the explicit formula needs is applied by its caller.
 """
 
 from __future__ import annotations
@@ -148,26 +148,22 @@ class IntPoly:
 
         For an int x this is the sign of p(x/2**k) * 2**(k*deg), by Horner's
         rule with each coefficient shifted instead of multiplied by a power
-        of the denominator.  A Fraction x with a power-of-two denominator
-        takes the same path; any other evaluates p(a/b) * b**deg.  The
-        dyadic path first strips the common factors of 2 from x and 2**k,
-        so the shifts grow with the point's own precision, not with k.
+        of the denominator.  A Fraction x is read the same way when its
+        denominator is a power of two; any other raises ValueError, and
+        ``eval`` is the exact evaluator there.  The common factors of 2 of
+        x and 2**k are stripped first, so the shifts grow with the point's
+        own precision, not with k.
         """
-        acc = 0
         if not isinstance(x, int):  # a Fraction; int is the cheaper check
             x, b = x.numerator, x.denominator << k
             if b & (b - 1):
-                bp = 1
-                for c in reversed(self.coeffs):
-                    acc = acc * x + c * bp
-                    bp *= b
-                return (acc > 0) - (acc < 0)
+                raise ValueError(f"sign_at needs a dyadic point, got {x}/{b}")
             k = b.bit_length() - 1
         if x:  # evaluate at x / 2**k in lowest terms
             t = min((x & -x).bit_length() - 1, k)
             x >>= t
             k -= t
-        s = 0
+        acc = s = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c << s)
             s += k

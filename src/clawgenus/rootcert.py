@@ -27,8 +27,9 @@ Certificates produced:
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
-  squarefree part at the midpoint; the sign at the kept upper endpoint is
-  carried from one halving to the next.
+  certified polynomial at the midpoint (squarefree, as its certificate is
+  complete); the sign at the kept upper endpoint is carried from one
+  halving to the next.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
   the other's roots, read at the midpoints of the same merged, disjoint
   intervals.
@@ -42,7 +43,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Literal
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
@@ -66,7 +66,7 @@ class NormalizedPoly:
                 f"normalized degree at n={self.n} is {self.w.degree}, "
                 f"expected {self.degree}"
             )
-        if self.w[0] <= 0 or any(c <= 0 for c in self.w.coeffs):
+        if any(c <= 0 for c in self.w.coeffs):
             raise StructureViolation(
                 f"normalized polynomial at n={self.n} must have all "
                 "positive coefficients"
@@ -120,8 +120,10 @@ class SturmChain:
     def variations(self, x) -> int:
         """Sign variations of the chain at x, zeros skipped.
 
-        V(x) alone is not a root count (for z^2 + 1, V(+inf) = 1); only the
-        difference V(lo) - V(hi) counts the distinct real roots in (lo, hi].
+        x is an int or a dyadic Fraction, the points ``IntPoly.sign_at``
+        reads.  V(x) alone is not a root count (for z^2 + 1, V(+inf) = 1);
+        only the difference V(lo) - V(hi) counts the distinct real roots in
+        (lo, hi].
         """
         if not isinstance(x, Fraction):
             x = Fraction(x)
@@ -146,21 +148,8 @@ class SturmChain:
         return self.variations(lo) - self.variations(hi)
 
 
-def sturm_count(p: IntPoly, lo, hi) -> int:
-    """Distinct real roots of p in (lo, hi], by a one-off Sturm chain."""
-    return SturmChain(p).count(lo, hi)
-
-
 def is_squarefree(p: IntPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
-
-
-def _lowest_terms(a: int, k: int) -> tuple[int, int]:
-    """a/2**k in lowest terms: cancel the trailing zero bits of a, at most k."""
-    if not a:
-        return 0, 1
-    s = min((a & -a).bit_length() - 1, k)
-    return a >> s, 1 << (k - s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +180,8 @@ class Interval:
 
     def as_json_list(self) -> list[int]:
         """[lo_num, lo_den, hi_num, hi_den], each endpoint in lowest terms."""
-        return [*_lowest_terms(self.a, self.k), *_lowest_terms(self.b, self.k)]
+        lo, hi = self.lo, self.hi
+        return [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
 
     def approx(self) -> float:
         return float(self.midpoint)
@@ -204,10 +194,10 @@ class RootCertificate:
     ``complete`` is True exactly when the number of certified intervals
     equals the degree, i.e. every root is real.  All intervals lie in
     (-2**E, 0], 2**E the least power of two at or above the root bound:
-    positive coefficients rule out roots at or above zero.
-    ``chain`` is the Sturm chain that counted the roots, or None when the
-    predecessor's brackets counted them; a certificate without a chain is
-    complete, so its ``poly`` is squarefree.
+    positive coefficients rule out roots at or above zero.  The certificate
+    holds only what it certifies: whichever counter found the roots stays
+    inside ``isolate_roots``.  A complete certificate has ``degree``
+    distinct roots, so its ``poly`` is squarefree and halving reads it.
     """
 
     n: int
@@ -215,7 +205,6 @@ class RootCertificate:
     intervals: tuple[Interval, ...]
     complete: bool
     poly: IntPoly = field(compare=False)
-    chain: SturmChain | None = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -264,7 +253,6 @@ def _brackets(
     2**(E - d), so by depth e + E no interval holds two roots.
     """
     d = w.degree
-    p = _squarefree(prev)
     budget = _BRACKET_HALVINGS * len(prev.intervals)
     refined = []
     steps = 0
@@ -274,7 +262,7 @@ def _brackets(
         while at_lo != want or at_hi != want:
             if steps == budget:
                 return None
-            half, p_hi = _halve(p, iv, p_hi)
+            half, p_hi = _halve(prev.poly, iv, p_hi)
             if half.a == iv.a << 1:
                 at_hi = w.sign_at(half.b, half.k)
             else:
@@ -313,7 +301,6 @@ def isolate_roots(
     w = np_.w
     E = _bound_exponent(w)
     brackets = _brackets(w, prev, E) if prev is not None and prev.complete else None
-    chain = None
     if brackets is None:
         chain = SturmChain(w)
 
@@ -356,16 +343,15 @@ def isolate_roots(
         intervals=tuple(found),
         complete=r_hi - r_lo == np_.degree,
         poly=w,
-        chain=chain,
     )
 
 
 def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval, int]:
     """Halve an isolating interval of p, keeping its single root.
 
-    p must be squarefree (a chain's ``polys[0]``, or the polynomial of a
-    complete certificate), so the root is simple and p changes sign across
-    it unless it sits exactly on hi or on the midpoint.  ``at_hi`` is the
+    p must be squarefree, as the polynomial of a complete certificate is,
+    so the root is simple and p changes sign across it unless it sits
+    exactly on hi or on the midpoint.  ``at_hi`` is the
     sign of p at iv.hi if the caller already has it; the sign at the kept
     half's hi comes back with the half, so repeated halving evaluates p at
     the midpoints only.
@@ -380,11 +366,6 @@ def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval
     if at_mid == -at_hi:
         return Interval(mid, b << 1, k + 1), at_hi
     return Interval(a << 1, mid, k + 1), at_mid
-
-
-def _squarefree(cert: RootCertificate) -> IntPoly:
-    """A squarefree polynomial with the certificate's roots, for halving."""
-    return cert.chain.polys[0] if cert.chain is not None else cert.poly
 
 
 def _merge(
@@ -407,9 +388,8 @@ def _merge(
     """
     bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
     allowance = 4 * max(a.degree, 1) * max(bits, 1)
-    pa, pb = _squarefree(a), _squarefree(b)
     xs, ys = list(a.intervals), list(b.intervals)
-    sx = sy = None  # sign of pa at xs[i].hi and of pb at ys[j].hi, once read
+    sx = sy = None  # sign of a.poly at xs[i].hi and of b.poly at ys[j].hi, once read
     merged: list[tuple[int, Interval]] = []
     steps = i = j = 0
     while i < len(xs) and j < len(ys):
@@ -427,9 +407,9 @@ def _merge(
             )
         else:
             if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
-                xs[i], sx = _halve(pa, x, sx)
+                xs[i], sx = _halve(a.poly, x, sx)
             else:
-                ys[j], sy = _halve(pb, y, sy)
+                ys[j], sy = _halve(b.poly, y, sy)
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
 
@@ -439,22 +419,23 @@ def _misplaced(merged: list[tuple[int, Interval]]) -> int | None:
     return next((k for k, (side, _) in enumerate(merged) if side != k % 2), None)
 
 
-Mode = Literal["consecutive", "skip"]
-
-
 @dataclass(frozen=True)
 class InterlacingCertificate:
     """Witness that the roots of two normalized polynomials alternate.
 
     ``merged`` lists disjoint isolating intervals in increasing order, each
     tagged with the claw index it belongs to; the sequence starts with index
-    n and alternates strictly.
+    n and alternates strictly.  ``mode`` follows from the pair: m = n - 1 is
+    "consecutive", m = n - 2 is "skip".
     """
 
     n: int
     m: int
-    mode: Mode
     merged: tuple[tuple[int, Interval], ...]
+
+    @property
+    def mode(self) -> str:
+        return "consecutive" if self.n - self.m == 1 else "skip"
 
     def to_json_dict(self) -> dict:
         return {
@@ -481,10 +462,9 @@ def certify_interlacing(
     runs out (the roots may coincide), ConsistencyError if the alternation
     pattern fails outright.
     """
-    mode = {1: "consecutive", 2: "skip"}.get(a.n - b.n)
-    if mode is None:
+    if a.n - b.n not in (1, 2):
         raise ValueError(f"pair ({a.n}, {b.n}) is neither (n, n-1) nor (n, n-2)")
-    expected_diff = 0 if mode == "consecutive" and a.n % 2 else 1
+    expected_diff = 0 if a.n - b.n == 1 and a.n % 2 else 1
     if not (a.complete and b.complete):
         raise ValueError("both certificates must be complete")
     if len(a.intervals) - len(b.intervals) != expected_diff:
@@ -500,7 +480,7 @@ def certify_interlacing(
         )
     owners = (a.n, b.n)
     tagged = tuple((owners[side], iv) for side, iv in merged)
-    return InterlacingCertificate(n=a.n, m=b.n, mode=mode, merged=tagged)
+    return InterlacingCertificate(n=a.n, m=b.n, merged=tagged)
 
 
 @dataclass(frozen=True)
@@ -544,13 +524,18 @@ def sign_pattern_check(
     read at the midpoints of the merged intervals: each side's intervals
     hold all of its real roots and are disjoint from the other side's, so
     the sign there is the sign at the root.  Failures are recorded in the
-    report, never raised; a pair that ``_merge``'s worst-case allowance
-    cannot separate is reported as "separation failed".
+    report, never raised.  A side with no intervals passes vacuously;
+    otherwise both certificates must be complete, as for
+    ``certify_interlacing``, and an incomplete one is reported as
+    "incomplete certificate".  A pair that ``_merge``'s worst-case
+    allowance cannot separate is reported as "separation failed".
     """
     p, q = p_cert.n, q_cert.n
     if not p_cert.intervals or not q_cert.intervals:
         # nothing to evaluate at: every root-indexed check is vacuous
         return SignPatternReport(p, q, True, True, True, None)
+    if not (p_cert.complete and q_cert.complete):
+        return SignPatternReport(p, q, False, False, False, "incomplete certificate")
     try:
         merged = _merge(p_cert, q_cert, f"sign pattern ({p}, {q})")
     except InterlacingUndecided:

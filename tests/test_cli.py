@@ -86,10 +86,10 @@ def run_module(*argv, env=None, timeout=120):
 
 class TestParsing:
     def test_single(self):
-        assert parse_n_spec("4") == [4]
+        assert list(parse_n_spec("4")) == [4]
 
     def test_range(self):
-        assert parse_n_spec("0..3") == [0, 1, 2, 3]
+        assert list(parse_n_spec("0..3")) == [0, 1, 2, 3]
 
     def test_bad_specs(self):
         import argparse
@@ -524,6 +524,15 @@ class TestBoundaryValidation:
         assert proc.stdout == (
             "n=0: oracle matches the production route (4 embeddings) ✓\n"
         )
+
+    @pytest.mark.parametrize("top", ["1000000000000000000", str(1 << 70)],
+                             ids=["10^18", "2^70"])
+    def test_huge_index_range_fails_cleanly(self, top):
+        """The range is never listed: n=5 meets the oracle cap first."""
+        proc = run_module("oracle-check", "--n", f"5..{top}")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: n=5 needs")
+        assert "Traceback" not in proc.stderr
 
     def test_every_option_is_pinned(self):
         """A new flag changes this list on purpose, never by accident."""

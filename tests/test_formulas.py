@@ -20,7 +20,7 @@ from clawgenus.formulas import (
     structure_check,
     verify_series_closed_form,
 )
-from clawgenus.pgd import PRODUCTION_MATRIX, iter_pgd
+from clawgenus.pgd import PRODUCTION_MATRIX, column_sum, iter_pgd
 from clawgenus.polynomials import IntPoly, Sqrt3Poly
 
 from test_pgd import TABLE
@@ -221,6 +221,19 @@ class TestRouteIdentities:
             assert h[0] == h[1] * c1 + h[2] * c2 + h[3] * c3
         # the explicit route's 2^(n-1) prefactor turns t into 2t
         assert (c1 * 2, c2 * 4, c3 * 8) == formulas.RECURRENCE
+
+    def test_series_numerator_from_the_seeds(self):
+        """D(t) (1 + sum_{n>=1} 4 G_{n-1} t^n), D(t) = 1 - c1 t - c2 t^2 - c3 t^3,
+        has t^0..t^3 coefficients SERIES_NUMERATOR and 0.  The matrix gives
+        the series its first three terms 1, 4 G_0, 4 G_1, and obeys the
+        recurrence (Cayley-Hamilton above), so the gf route's series is
+        N(t) / D(t) and agrees with the recurrence route at every n."""
+        series = [P(1)] + [4 * g for g in formulas._SEEDS]
+        d = [P(1)] + [-c for c in formulas.RECURRENCE]
+        got = [sum((d[k] * series[j - k] for k in range(j + 1)), P())
+               for j in range(4)]
+        assert got == [*formulas.SERIES_NUMERATOR, P()]
+        assert [column_sum(n) for n in range(3)] == series[:3]
 
 
 class TestLeadingCoefficient:

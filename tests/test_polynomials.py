@@ -68,7 +68,7 @@ class TestIntPolyBasics:
 
     def test_sign_at_matches_eval(self):
         p = P(-3, 0, 2, -1)
-        for x in (Fraction(-5, 3), Fraction(0), Fraction(7, 2), -2, 4):
+        for x in (Fraction(-5, 4), Fraction(0), Fraction(7, 2), -2, 4):
             v = p.eval(Fraction(x))
             assert p.sign_at(x) == (v > 0) - (v < 0)
 
@@ -260,7 +260,12 @@ class TestDyadicSigns:
         want = p.sign_at(m, k)
         assert p.sign_at(m << t, k + t) == want
         assert p.sign_at(Fraction(m << t), k + t) == want
-        assert p.sign_at(Fraction(m << t, 3), k + t) == p.sign_at(Fraction(m, 3), k)
+        assert p.sign_at(Fraction(m << t, 1 << t), k) == want
+
+    def test_non_dyadic_point_is_refused(self):
+        with pytest.raises(ValueError, match="dyadic"):
+            P(1, 1).sign_at(Fraction(1, 3))
+        assert P(1, 1).eval(Fraction(1, 3)) == Fraction(4, 3)  # eval takes it
 
     @given(tiny_polys, small_ints, st.integers(min_value=0, max_value=64))
     def test_sign_at_a_dyadic_root_is_zero(self, q, m, k):

@@ -11,6 +11,7 @@ from clawgenus.errors import ConsistencyError, InterlacingUndecided, StructureVi
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
 from clawgenus.polynomials import IntPoly, poly_gcd
 from clawgenus.rootcert import (
+    InterlacingCertificate,
     Interval,
     NormalizedPoly,
     RootCertificate,
@@ -25,7 +26,6 @@ from clawgenus.rootcert import (
     normalized_recurrence,
     root_bound,
     sign_pattern_check,
-    sturm_count,
 )
 
 
@@ -86,33 +86,33 @@ class TestNormalizedRecurrence:
 
 class TestSturm:
     def test_linear_root_counting(self):
-        assert sturm_count(P(2, 2), F(-2), F(0)) == 1
-        assert sturm_count(P(2, 2), F(-1, 2), F(0)) == 0
+        assert SturmChain(P(2, 2)).count(F(-2), F(0)) == 1
+        assert SturmChain(P(2, 2)).count(F(-1, 2), F(0)) == 0
 
     def test_half_open_semantics(self):
         # root at the upper endpoint is counted, at the lower it is not
-        assert sturm_count(P(2, 2), F(-2), F(-1)) == 1
-        assert sturm_count(P(2, 2), F(-1), F(0)) == 0
+        assert SturmChain(P(2, 2)).count(F(-2), F(-1)) == 1
+        assert SturmChain(P(2, 2)).count(F(-1), F(0)) == 0
 
     def test_quadratic(self):
-        assert sturm_count(P(48, 720, 256), F(-3), F(0)) == 2
-        assert sturm_count(P(48, 720, 256), F(-1), F(0)) == 1
+        assert SturmChain(P(48, 720, 256)).count(F(-3), F(0)) == 2
+        assert SturmChain(P(48, 720, 256)).count(F(-1), F(0)) == 1
 
     def test_counts_distinct_roots_despite_multiplicity(self):
         squared = P(1, 1) * P(1, 1)  # double root at -1
-        assert sturm_count(squared, F(-2), F(0)) == 1
+        assert SturmChain(squared).count(F(-2), F(0)) == 1
 
     def test_no_real_roots(self):
-        assert sturm_count(P(1, 1, 1), F(-10), F(10)) == 0
+        assert SturmChain(P(1, 1, 1)).count(F(-10), F(10)) == 0
 
     def test_constant_poly(self):
-        assert sturm_count(P(5), F(-1), F(1)) == 0
+        assert SturmChain(P(5)).count(F(-1), F(1)) == 0
 
     def test_rejects_zero_poly_and_bad_interval(self):
         with pytest.raises(ValueError):
             SturmChain(P())
         with pytest.raises(ValueError):
-            sturm_count(P(1, 1), F(1), F(0))
+            SturmChain(P(1, 1)).count(F(1), F(0))
 
     def test_repeated_root_chains_the_squarefree_part(self):
         double = P(1, 1) * P(1, 1) * P(2, 1)
@@ -180,7 +180,7 @@ class TestIsolation:
     def test_each_interval_has_exactly_one_root(self):
         cert = isolate_roots(normalized_recurrence(7))
         for iv in cert.intervals:
-            assert cert.chain.count(iv.lo, iv.hi) == 1
+            assert SturmChain(cert.poly).count(iv.lo, iv.hi) == 1
 
     def test_incomplete_certificate_for_non_real_rooted_input(self):
         from clawgenus.rootcert import NormalizedPoly
@@ -226,7 +226,6 @@ def shared_root_pair() -> tuple[RootCertificate, RootCertificate]:
         intervals=(Interval(-5, -2, 0), Interval(-2, 0, 0)),
         complete=True,
         poly=p,
-        chain=SturmChain(p),
     )
     b = RootCertificate(
         n=0,
@@ -234,7 +233,6 @@ def shared_root_pair() -> tuple[RootCertificate, RootCertificate]:
         intervals=(Interval(-6, -3, 1), Interval(-3, 0, 1)),  # (-3, -3/2], (-3/2, 0]
         complete=True,
         poly=q,
-        chain=SturmChain(q),
     )
     return a, b
 
@@ -246,21 +244,22 @@ class TestHalve:
         p = P(2, 2)  # root -1
         half, _ = _halve(p, Interval(-2, 0, 0))
         assert (half.lo, half.hi) == (F(-2), F(-1))
-        assert sturm_count(p, half.lo, half.hi) == 1
+        assert SturmChain(p).count(half.lo, half.hi) == 1
 
     def test_root_at_hi_keeps_the_upper_half(self):
         p = P(2, 2)
         half, _ = _halve(p, Interval(-2, -1, 0))
         assert (half.lo, half.hi) == (F(-3, 2), F(-1))
-        assert sturm_count(p, half.lo, half.hi) == 1
+        assert SturmChain(p).count(half.lo, half.hi) == 1
 
     def test_agrees_with_sturm_count_on_isolating_intervals(self):
         for n in range(8):
             c = cert(n)
+            chain = SturmChain(c.poly)
             for iv in c.intervals:
                 for _ in range(6):
-                    iv = _halve(c.chain.polys[0], iv)[0]
-                    assert c.chain.count(iv.lo, iv.hi) == 1
+                    iv = _halve(c.poly, iv)[0]
+                    assert chain.count(iv.lo, iv.hi) == 1
 
 
 class TestIntervalJson:
@@ -307,25 +306,27 @@ class TestMergeSignEvaluations:
         assert calls[0] <= len(halved) + first
 
 
+def chain_builds(monkeypatch) -> list[IntPoly]:
+    """The polynomials ``isolate_roots`` builds a Sturm chain for from now on."""
+    import clawgenus.rootcert as rootcert
+
+    builds = []
+    monkeypatch.setattr(
+        rootcert, "SturmChain", lambda p: builds.append(p) or SturmChain(p)
+    )
+    return builds
+
+
 class TestPredecessorBrackets:
     """Isolation from the predecessor's intervals gives the Sturm certificate."""
 
     def test_chained_certificates_match_sturm_without_a_chain(self, monkeypatch):
-        import clawgenus.rootcert as rootcert
-
         sturm = [cert(n) for n in range(41)]
-        builds = []
-
-        def spy(p):
-            builds.append(p)
-            return SturmChain(p)
-
-        monkeypatch.setattr(rootcert, "SturmChain", spy)
+        builds = chain_builds(monkeypatch)
         for n in range(1, 41):
             chained = isolate_roots(normalized_recurrence(n), prev=sturm[n - 1])
             assert chained.to_json_dict() == sturm[n].to_json_dict()
             assert chained.complete is sturm[n].complete is True
-            assert chained.chain is None
         assert builds == []
 
     @pytest.mark.parametrize(
@@ -338,14 +339,15 @@ class TestPredecessorBrackets:
         ],
         ids=["shared-roots", "too-few-roots", "no-alternation", "incomplete"],
     )
-    def test_fallback_gives_the_sturm_certificate(self, prev_n, prev_w):
+    def test_fallback_gives_the_sturm_certificate(self, monkeypatch, prev_n, prev_w):
         w6 = normalized_recurrence(6)
         prev = isolate_roots(
             normalized_recurrence(prev_n) if prev_w is None
             else NormalizedPoly(prev_n, P(*prev_w))
         )
+        builds = chain_builds(monkeypatch)
         got = isolate_roots(w6, prev=prev)
-        assert got.chain is not None  # the Sturm fallback ran
+        assert builds == [w6.w]  # the Sturm fallback ran
         assert got.to_json_dict() == cert(6).to_json_dict()
 
     def test_stalled_predecessor_falls_back_within_the_allowance(self, monkeypatch):
@@ -364,18 +366,15 @@ class TestPredecessorBrackets:
             return real_halve(*args)
 
         monkeypatch.setattr(rootcert, "_halve", halve)
-        got = isolate_roots(normalized_recurrence(20), prev=prev)
-        assert got.chain is not None
+        builds = chain_builds(monkeypatch)
+        w20 = normalized_recurrence(20)
+        got = isolate_roots(w20, prev=prev)
+        assert builds == [w20.w]
         assert got.to_json_dict() == cert(20).to_json_dict()
         assert halvings[0] <= 8 * 11
 
     def test_walk_from_w0_to_w100_builds_one_chain(self, monkeypatch):
-        import clawgenus.rootcert as rootcert
-
-        builds = []
-        monkeypatch.setattr(
-            rootcert, "SturmChain", lambda p: builds.append(p) or SturmChain(p)
-        )
+        builds = chain_builds(monkeypatch)
         c = isolate_roots(normalized_recurrence(0))
         for n in range(1, 101):
             c = isolate_roots(normalized_recurrence(n), prev=c)
@@ -391,27 +390,33 @@ class TestPredecessorBrackets:
         ],
         ids=["no-real-root", "one-real-root", "repeated-root"],
     )
-    def test_non_real_rooted_input_stays_incomplete(self, n, w):
+    def test_non_real_rooted_input_stays_incomplete(self, monkeypatch, n, w):
         np_ = NormalizedPoly(n, P(*w))
-        got = isolate_roots(np_, prev=cert(n - 1))
-        assert not got.complete and got.chain is not None
+        prev = cert(n - 1)
+        builds = chain_builds(monkeypatch)
+        got = isolate_roots(np_, prev=prev)
+        assert not got.complete and builds == [np_.w]
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
-    def test_root_at_zero_falls_back_to_sturm(self):
+    def test_root_at_zero_falls_back_to_sturm(self, monkeypatch):
         """z(z + 2) has the asked-for sign around the root -1 of z + 1, but
         the sample w(0) = 0 is no sign the count may rest on."""
         np_ = NormalizedPoly(2, P(0, 2, 1))
-        got = isolate_roots(np_, prev=isolate_roots(NormalizedPoly(0, P(1, 1))))
-        assert got.chain is not None and got.complete
+        prev = isolate_roots(NormalizedPoly(0, P(1, 1)))
+        builds = chain_builds(monkeypatch)
+        got = isolate_roots(np_, prev=prev)
+        assert builds == [np_.w] and got.complete
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
-    def test_rolle_predecessor_takes_the_bracket_path(self):
+    def test_rolle_predecessor_takes_the_bracket_path(self, monkeypatch):
         """For (z + 1)(z + 4)(z + 7) the halved intervals of w' stop at
         exponent 4 but the bisection asks at exponent 5, within 4 + E."""
         w = product_of_linear_factors([(1, 1), (4, 1), (7, 1)])
         np_ = NormalizedPoly(4, w)
-        got = isolate_roots(np_, prev=isolate_roots(NormalizedPoly(2, w.derivative())))
-        assert got.chain is None and got.complete
+        prev = isolate_roots(NormalizedPoly(2, w.derivative()))
+        builds = chain_builds(monkeypatch)
+        got = isolate_roots(np_, prev=prev)
+        assert builds == [] and got.complete
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
     @given(st.lists(st.fractions(F(1, 60), 60, max_denominator=60), min_size=2,
@@ -489,6 +494,10 @@ class TestInterlacing:
         with pytest.raises(ConsistencyError, match="do not alternate at position 0"):
             certify_interlacing(a, b)
 
+    def test_mode_follows_from_the_pair(self):
+        assert InterlacingCertificate(n=4, m=3, merged=()).mode == "consecutive"
+        assert InterlacingCertificate(n=4, m=2, merged=()).mode == "skip"
+
     def test_json_shape(self):
         d = certify_interlacing(cert(2), cert(0)).to_json_dict()
         assert sorted(d) == ["m", "merged", "mode", "n"]
@@ -544,11 +553,19 @@ class TestSignPatterns:
 
     def test_vacuous_pass_when_a_side_has_no_roots(self):
         p = P(1, 1, 1)  # no real roots at all
-        a = RootCertificate(
-            n=1, degree=2, intervals=(), complete=False, poly=p, chain=SturmChain(p)
-        )
+        a = RootCertificate(n=1, degree=2, intervals=(), complete=False, poly=p)
         rep = sign_pattern_check(a, cert(0))
         assert rep.ok and rep.hypothesis_ok  # nothing to evaluate at
+
+    def test_incomplete_certificate_is_reported(self):
+        """(z + 1)^2 (z^2 + 1) has one interval, around a double root: its
+        poly is not squarefree, so halving could not rely on a sign change."""
+        double = isolate_roots(NormalizedPoly(6, P(1, 2, 2, 2, 1)))
+        assert len(double.intervals) == 1 and not double.complete
+        for rep in (sign_pattern_check(double, cert(5)),
+                    sign_pattern_check(cert(7), double)):
+            assert not rep.ok and not rep.hypothesis_ok
+            assert rep.first_failure == "incomplete certificate"
 
 
 class TestConcavity:
