@@ -50,6 +50,7 @@ from .pgd import (
 )
 from .polynomials import IntPoly, Sqrt3Poly
 from .rootcert import (
+    Brackets,
     ConcavityReport,
     InterlacingCertificate,
     Interval,

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
@@ -160,13 +161,30 @@ def _mark(ok: bool | None) -> str:
     return SKIP if ok is None else CHECK if ok else CROSS
 
 
+def _pair(
+    certs: dict[int, RootCertificate], n: int, m: int
+) -> tuple[RootCertificate, RootCertificate]:
+    """The two certificates to merge for the pair (n, m): W_n's bracket gaps
+    and W_m as halved at step m + 1, which for m = n - 1 is step n itself,
+    whose two lists are already apart.  Where step n or step m + 1 counted
+    with a Sturm chain, and so kept no brackets, the canonical ones."""
+    own, below = certs[n].brackets, certs[m + 1].brackets
+    if own is None or below is None:
+        return certs[n], certs[m]
+    return own.gaps, below.prev
+
+
 def cmd_certify(args) -> int:
     certs: dict[int, RootCertificate] = {}
 
     failures = 0
     out_rows = []
     for n in args.n:
-        certs.pop(n - 3, None)  # an ascending range needs only n-2..n from here
+        # an ascending range needs only n-2..n from here, and not the
+        # brackets of n-2, which hold W_{n-3}
+        certs.pop(n - 3, None)
+        if n - 2 in certs:
+            certs[n - 2] = replace(certs[n - 2], brackets=None)
         for k in range(max(n - 2, 0), n + 1):
             if k not in certs:
                 # isolated from k-1's intervals; a Sturm chain only where
@@ -180,7 +198,7 @@ def cmd_certify(args) -> int:
             if m < 0:
                 continue
             try:
-                pairs[mode] = certify_interlacing(c, certs[m])
+                pairs[mode] = certify_interlacing(*_pair(certs, n, m))
             except (ClawgenusError, ValueError) as exc:
                 # ValueError: a certificate of the pair is incomplete
                 print(f"n={n} {mode} interlacing failed: {exc}", file=sys.stderr)

@@ -213,13 +213,21 @@ def composition_sum(n: int) -> Sqrt3Poly:
     3^j 2^(n-j) T_j(n-2j), where T_j(m) is the inner sum over
     i1 + i2 + i3 = m.  By Pascal's rule C(j+1+i, i) a^i is the sum over
     t <= i of C(j+t, t) a^t a^(i-t), so T_{j+1} is T_j sent through the
-    weighted prefix sums S(m) = f(m) + a S(m-1) for a = 3, 1+sqrt 3 and
-    1-sqrt 3, and T_0 is the unit sequence sent through the same three.
+    weighted prefix sums S(m) = f(m) + a S(m-1) for the three
+    ``MULTIPLIERS`` a = 3, 1+sqrt 3 and 1-sqrt 3, and T_0 is the unit
+    sequence sent through the same three.
     That is O(n^2) integer steps on pairs (rat, irr) in Z[sqrt 3].
     """
     if n < -1:
         raise ValueError("n must be at least -1")
     return _composition_sum(n)
+
+
+#: The multipliers a = 3, 1 + sqrt 3 and 1 - sqrt 3 of the composition sum's
+#: weighted prefix sums S(m) = f(m) + a S(m-1), as (rational part, sqrt 3
+#: part).  ``_composition_sum`` runs one hand-written loop per entry, in
+#: this order.
+MULTIPLIERS = ((3, 0), (1, 1), (1, -1))
 
 
 # genus_explicit(n) reads n-1 .. n+1, so an ascending scan hits twice per call.
@@ -232,15 +240,15 @@ def _composition_sum(n: int) -> Sqrt3Poly:
     for j in range(n // 2 + 1):
         top = n - 2 * j
         x = y = 0
-        for m in range(top + 1):  # a = 3
+        for m in range(top + 1):  # a = MULTIPLIERS[0] = 3
             x = rat[m] = rat[m] + 3 * x
             y = irr[m] = irr[m] + 3 * y
         x = y = 0
-        for m in range(top + 1):  # a = 1 + sqrt 3
+        for m in range(top + 1):  # a = MULTIPLIERS[1] = 1 + sqrt 3
             x, y = rat[m] + x + 3 * y, irr[m] + x + y
             rat[m], irr[m] = x, y
         x = y = 0
-        for m in range(top + 1):  # a = 1 - sqrt 3
+        for m in range(top + 1):  # a = MULTIPLIERS[2] = 1 - sqrt 3
             x, y = rat[m] + x - 3 * y, irr[m] + y - x
             rat[m], irr[m] = x, y
         w = 3 ** j << (n - j)

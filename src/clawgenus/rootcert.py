@@ -23,13 +23,20 @@ Certificates produced:
   (intermediate value theorem plus the degree count).  A Sturm chain
   counts only without a predecessor, where a range starts, and as the
   fallback when that sign count falls short or its small halving allowance
-  runs out; both counters give the same certificate.
+  runs out; both counters give the same certificate.  The degree is read
+  from the polynomial; the claw degree (n+2)//2 is a data check of
+  ``NormalizedPoly.validate``.
+* ``Brackets`` -- what the bracket counter works out on the way, kept with
+  the certificate: the polynomial's gaps and the predecessor's intervals
+  halved apart from them, two complete certificates whose intervals
+  already alternate.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
   certified polynomial at the midpoint (squarefree, as its certificate is
   complete); the sign at the kept upper endpoint is carried from one
-  halving to the next.
+  halving to the next.  From the bracket certificates a consecutive pair
+  needs no halving, and a skip pair starts from intervals already refined.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
   the other's roots, read at the midpoints of the same merged, disjoint
   intervals.
@@ -43,6 +50,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
@@ -191,13 +199,16 @@ class Interval:
 class RootCertificate:
     """Isolating intervals for all real roots of a normalized polynomial.
 
-    ``complete`` is True exactly when the number of certified intervals
-    equals the degree, i.e. every root is real.  All intervals lie in
-    (-2**E, 0], 2**E the least power of two at or above the root bound:
-    positive coefficients rule out roots at or above zero.  The certificate
-    holds only what it certifies: whichever counter found the roots stays
-    inside ``isolate_roots``.  A complete certificate has ``degree``
-    distinct roots, so its ``poly`` is squarefree and halving reads it.
+    ``degree`` is the degree of ``poly``, and ``complete`` is True exactly
+    when the number of certified intervals equals it, i.e. every root is
+    real.  All intervals lie in (-2**E, 0], 2**E the least power of two at
+    or above the root bound: positive coefficients rule out roots at or
+    above zero.  The certificate holds only what it certifies: a Sturm
+    chain, where one counted, stays inside ``isolate_roots``.  A complete
+    certificate has ``degree`` distinct roots, so its ``poly`` is squarefree
+    and halving reads it.  ``brackets``, never serialized nor compared,
+    keeps the two bracket certificates where the brackets counted (see
+    ``Brackets``), and is None where a Sturm chain did.
     """
 
     n: int
@@ -205,6 +216,7 @@ class RootCertificate:
     intervals: tuple[Interval, ...]
     complete: bool
     poly: IntPoly = field(compare=False)
+    brackets: Brackets | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,6 +225,23 @@ class RootCertificate:
             "intervals": [iv.as_json_list() for iv in self.intervals],
             "complete": self.complete,
         }
+
+
+class Brackets(NamedTuple):
+    """Two complete isolating certificates that ``_brackets`` works out for
+    w = W_n from its predecessor W_{n-1}, kept for the interlacing pairs.
+
+    ``gaps`` holds w's bracket gaps, each narrowed to w's isolating
+    interval of the same root; ``prev`` holds the predecessor's intervals,
+    halved until w has no root in them.  Each gap lies between two of
+    ``prev``'s intervals, or between one and an end of (-2**E, 0], so the
+    two lists are disjoint and alternate: ``_merge`` separates the pair
+    (n, n-1) with no halving.  For the pair (n, n-2) the CLI merges
+    ``gaps`` with the ``prev`` of step n-1, W_{n-2} as halved there.
+    """
+
+    gaps: RootCertificate
+    prev: RootCertificate
 
 
 def root_bound(p: IntPoly) -> Fraction:
@@ -231,10 +260,12 @@ _BRACKET_HALVINGS = 8
 
 def _brackets(
     w: IntPoly, prev: RootCertificate, E: int
-) -> tuple[int, list[tuple[int, int, int]]] | None:
+) -> tuple[int, list[tuple[int, int, int]], tuple[Interval, ...]] | None:
     """Open intervals (l/2**k, h/2**k), each holding exactly one simple root
-    of w, as (k, [(l, h, sign of w at h), ...]) in increasing order with one
-    exponent k = e + E for all; None unless they hold every root of w.
+    of w, as (k, [(l, h, sign of w at h), ...], refined) in increasing order
+    with one exponent k = e + E for all; None unless they hold every root
+    of w.  ``refined`` is prev's intervals as halved here, each still
+    isolating one root of prev and holding no root of w.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
@@ -242,6 +273,9 @@ def _brackets(
     its root bound, and at 0.  If w changes sign deg w times along the
     samples, each changing gap holds a root (intermediate value theorem),
     and as w has only deg w roots each gap holds exactly one, a simple one.
+    The same sign at both ends of a halved interval then means it holds no
+    root of w, and each gap runs from one halved interval (or an end of
+    (-2**E, 0]) to the next: the gaps and ``refined`` alternate.
     The halvings share an allowance of ``_BRACKET_HALVINGS`` per interval of
     prev, as genuine chains up to n = 200 use at most 2.5; running out only
     returns None, and the caller's Sturm chain gives the same certificate.
@@ -279,7 +313,9 @@ def _brackets(
     if any(s == 0 for _, s in samples):
         return None
     found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
-    return (k, found) if len(found) == d else None
+    if len(found) != d:
+        return None
+    return k, found, tuple(iv for iv, _, _ in refined)
 
 
 def isolate_roots(
@@ -297,17 +333,22 @@ def isolate_roots(
     brackets' exponent is never below a query's (see ``_brackets``), so x
     is raised to it by one shift.  Without such a ``prev``, or when its
     brackets do not account for every root of w, a Sturm chain counts.
+
+    Where the brackets counted, the certificate keeps them as ``Brackets``:
+    the gaps as intervals of w and ``prev`` as halved, both complete, so
+    the interlacing pairs start from intervals already apart.  The degree
+    is w's own, whatever n the polynomial is labelled with.
     """
     w = np_.w
     E = _bound_exponent(w)
-    brackets = _brackets(w, prev, E) if prev is not None and prev.complete else None
-    if brackets is None:
+    counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
+    if counted is None:
         chain = SturmChain(w)
 
         def rank(x: int, k: int) -> int:
             return -chain.variations(Fraction(x, 1 << k))
     else:
-        top, spans = brackets
+        top, spans, refined = counted
         lows = [l for l, _, _ in spans]
         his = [h for _, h, _ in spans]
         signs = [s for _, _, s in spans]
@@ -337,12 +378,26 @@ def isolate_roots(
         r_mid = rank(mid, k)
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
+    kept = None
+    if counted is not None:
+        # the j-th gap and the j-th interval hold the same root, and neither
+        # end of their meet is another root: the gap is open around its one
+        # root, and top is no coarser than any interval's exponent
+        gaps = tuple(
+            Interval(max(l, iv.a << (top - iv.k)), min(h, iv.b << (top - iv.k)), top)
+            for (l, h, _), iv in zip(spans, found)
+        )
+        kept = Brackets(
+            RootCertificate(np_.n, w.degree, gaps, True, w),
+            RootCertificate(prev.n, prev.degree, refined, True, prev.poly),
+        )
     return RootCertificate(
         n=np_.n,
-        degree=np_.degree,
+        degree=w.degree,
         intervals=tuple(found),
-        complete=r_hi - r_lo == np_.degree,
+        complete=r_hi - r_lo == w.degree,
         poly=w,
+        brackets=kept,
     )
 
 
@@ -455,22 +510,24 @@ def certify_interlacing(
     """Certify that the roots of certificate a interlace those of b.
 
     The indices fix the pair: (n, n-1) is "consecutive", (n, n-2) "skip",
-    and any other pair raises ValueError.  Expected root-count difference:
-    one for skip pairs and for consecutive pairs at even n, zero for
-    consecutive pairs at odd n (where b owns the rightmost root).  Raises
-    InterlacingUndecided when ``_merge``'s worst-case refinement allowance
-    runs out (the roots may coincide), ConsistencyError if the alternation
-    pattern fails outright.
+    and any other pair raises ValueError.  a must have as many roots as b
+    or one more; the merged order, which must start with a's root and
+    alternate, decides which side owns the rightmost root.  Any complete
+    certificates of the two polynomials give the same verdict: the CLI
+    passes the bracket certificates (``Brackets``) where it has them, which
+    are already apart for a consecutive pair.  Raises InterlacingUndecided
+    when ``_merge``'s worst-case refinement allowance runs out (the roots
+    may coincide), ConsistencyError if the counts or the alternation
+    pattern fail outright.
     """
     if a.n - b.n not in (1, 2):
         raise ValueError(f"pair ({a.n}, {b.n}) is neither (n, n-1) nor (n, n-2)")
-    expected_diff = 0 if a.n - b.n == 1 and a.n % 2 else 1
     if not (a.complete and b.complete):
         raise ValueError("both certificates must be complete")
-    if len(a.intervals) - len(b.intervals) != expected_diff:
+    if len(a.intervals) - len(b.intervals) not in (0, 1):
         raise ConsistencyError(
-            f"root counts {len(a.intervals)} and {len(b.intervals)} do not "
-            f"differ by {expected_diff} for pair ({a.n}, {b.n})"
+            f"root counts {len(a.intervals)} and {len(b.intervals)} for pair "
+            f"({a.n}, {b.n}): the first must equal the second or exceed it by one"
         )
     merged = _merge(a, b, f"interlacing ({a.n}, {b.n})")
     idx = _misplaced(merged)

@@ -59,22 +59,30 @@ def certificate_errors(rows: list[dict]) -> list[str]:
         errors += _layout_errors(where, quads) + _root_errors(where, w(n), quads)
         if not rc["complete"] or len(quads) != rc["degree"] or len(quads) != len(w(n)) - 1:
             errors.append(f"{where}: {len(quads)} intervals for degree {len(w(n)) - 1}")
-        for mode, gap in (("consecutive", 1), ("skip", 2)):
-            ic, m, where = row["interlacing"][mode], n - gap, f"n={n} {mode}"
-            if ic is None:
-                if row["summary"][f"interlace_{mode}"]:
-                    errors.append(f"{where}: claimed with no certificate")
-                continue
-            if (ic["n"], ic["m"], ic["mode"]) != (n, m, mode):
-                errors.append(f"{where}: wrong pair")
-            owners = [e["index"] for e in ic["merged"]]
-            quads = [e["interval"] for e in ic["merged"]]
-            if owners != [(n, m)[k % 2] for k in range(len(owners))]:
-                errors.append(f"{where}: owners do not alternate from {n}")
-            errors += _layout_errors(where, quads)
-            for idx in (n, m):
-                own = [q for q, o in zip(quads, owners) if o == idx]
-                errors += _root_errors(where, w(idx), own)
-                if len(own) != len(w(idx)) - 1:
-                    errors.append(f"{where}: {len(own)} roots of W_{idx}")
+        errors += interlacing_errors(row, w)
+    return errors
+
+
+def interlacing_errors(row: dict, w) -> list[str]:
+    """Every reason a row's interlacing entries fail to certify their claims,
+    w(n) being the coefficients, constant first, of the polynomial at n."""
+    errors, n = [], row["n"]
+    for mode, gap in (("consecutive", 1), ("skip", 2)):
+        ic, m, where = row["interlacing"][mode], n - gap, f"n={n} {mode}"
+        if ic is None:
+            if row["summary"][f"interlace_{mode}"]:
+                errors.append(f"{where}: claimed with no certificate")
+            continue
+        if (ic["n"], ic["m"], ic["mode"]) != (n, m, mode):
+            errors.append(f"{where}: wrong pair")
+        owners = [e["index"] for e in ic["merged"]]
+        quads = [e["interval"] for e in ic["merged"]]
+        if owners != [(n, m)[k % 2] for k in range(len(owners))]:
+            errors.append(f"{where}: owners do not alternate from {n}")
+        errors += _layout_errors(where, quads)
+        for idx in (n, m):
+            own = [q for q, o in zip(quads, owners) if o == idx]
+            errors += _root_errors(where, w(idx), own)
+            if len(own) != len(w(idx)) - 1:
+                errors.append(f"{where}: {len(own)} roots of W_{idx}")
     return errors

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 import clawgenus.cli as cli
 import clawgenus.oracle as oracle
+import clawgenus.rootcert as rootcert
 from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
 from clawgenus.errors import InterlacingUndecided
 from clawgenus.formulas import genus_recurrence
 from clawgenus.pgd import PgdVector
 from clawgenus.polynomials import IntPoly
-from clawgenus.rootcert import NormalizedPoly, normalized_recurrence
+from clawgenus.rootcert import NormalizedPoly, isolate_roots, normalized_recurrence
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -267,6 +268,94 @@ class TestCertify:
         assert max(alive_at_call) <= 3
         assert cold == [True] + [False] * 12  # only the first has no predecessor
 
+    def test_holds_certificates_for_at_most_three_indices(self, capsys, monkeypatch):
+        """The certificates alive while W_n is isolated, with their bracket
+        certificates, cover n-2..n: the brackets of n-2, which hold W_{n-3},
+        are dropped with it."""
+        isolate = cli.isolate_roots
+        built, most = [], [0]
+
+        def spy(np_, prev=None):
+            c = isolate(np_, prev)
+            built.extend(weakref.ref(x) for x in (c, *(c.brackets or ())))
+            most[0] = max(most[0], len({r().n for r in built if r() is not None}))
+            return c
+
+        monkeypatch.setattr(cli, "isolate_roots", spy)
+        code, _, _ = run(capsys, "certify", "--n", "0..120")
+        assert code == 0 and most[0] == 3
+
+    def test_pairs_merge_from_the_bracket_certificates(self, capsys, monkeypatch):
+        """A consecutive pair is apart as the brackets of its step leave it;
+        a skip pair, merged from W_n's gaps and W_{n-2} as halved at step
+        n-1, halves no more than the canonical certificates of the pair, and
+        less than half as often over the range."""
+        halvings = [0]
+        real_halve = rootcert._halve
+
+        def halve(*args):
+            halvings[0] += 1
+            return real_halve(*args)
+
+        spent = {}
+        certify = cli.certify_interlacing
+
+        def spy(a, b):
+            before = halvings[0]
+            ic = certify(a, b)
+            spent[a.n, b.n] = halvings[0] - before
+            return ic
+
+        monkeypatch.setattr(rootcert, "_halve", halve)
+        monkeypatch.setattr(cli, "certify_interlacing", spy)
+        code, _, _ = run(capsys, "certify", "--n", "0..40")
+        assert code == 0
+        assert [spent[n, n - 1] for n in range(1, 41)] == [0] * 40
+        canonical = {}
+        for n in range(2, 41):
+            before = halvings[0]
+            rootcert._merge(
+                isolate_roots(normalized_recurrence(n)),
+                isolate_roots(normalized_recurrence(n - 2)), "canonical",
+            )
+            canonical[n] = halvings[0] - before
+        assert all(spent[n, n - 2] <= canonical[n] for n in canonical)
+        assert 2 * sum(spent[n, n - 2] for n in canonical) < sum(canonical.values())
+
+    def test_a_step_without_brackets_pairs_the_canonical_certificates(
+        self, capsys, monkeypatch
+    ):
+        """Where a step counts with a Sturm chain, forced here at n = 5, the
+        pairs that need its brackets, (5, 4), (5, 3) and (6, 4), use the
+        certificates ``isolate_roots`` returned; every other pair uses
+        bracket certificates.  The first index a range isolates is such a
+        step too, but no pair printed needs its brackets."""
+        real, w5 = rootcert._brackets, normalized_recurrence(5).w
+        monkeypatch.setattr(
+            rootcert, "_brackets", lambda w, prev, E: None if w == w5 else real(w, prev, E)
+        )
+        isolate, certify = cli.isolate_roots, cli.certify_interlacing
+        built, chained, canonical = {}, [], set()
+
+        def isolate_spy(np_, prev=None):
+            c = isolate(np_, prev)
+            built[c.n] = c.intervals
+            if c.brackets is None:
+                chained.append(c.n)
+            return c
+
+        def certify_spy(a, b):
+            if all(x.intervals == built[x.n] for x in (a, b)):
+                canonical.add((a.n, b.n))
+            return certify(a, b)
+
+        monkeypatch.setattr(cli, "isolate_roots", isolate_spy)
+        monkeypatch.setattr(cli, "certify_interlacing", certify_spy)
+        code, out, _ = run(capsys, "certify", "--n", "3..8")
+        assert code == 0 and out.count("✗") == 0
+        assert chained == [1, 5]  # 1: where the range's walk starts
+        assert canonical == {(5, 4), (5, 3), (6, 4)}
+
     def test_incomplete_certificate_is_a_cross_not_a_traceback(self, capsys, monkeypatch):
         real = cli.normalized_recurrence
 
@@ -388,7 +477,11 @@ class TestGoldenDigests:
     """sha256 of whole CLI outputs: refactors must keep stdout byte-identical.
 
     A change that alters output on purpose (such as new interval endpoints)
-    re-records the digest it affects."""
+    re-records the digest it affects.  The two certify JSON digests were
+    re-recorded when the interlacing pairs began to merge from the bracket
+    certificates: only the ``merged`` entries changed, and the proof that
+    the new bytes are right is ``certcheck``, which every certify case here
+    passes, not the digest."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -403,11 +496,11 @@ class TestGoldenDigests:
             ),
             (
                 ("certify", "--n", "0..24", "--format", "json"),
-                "83da7ac5e737643428d35aaf7938027e832d4043375fb5380b06946bb8e41db1",
+                "29a91cee57d85e2d0d6e6c9da111fe46e9dfa22c6888ceee9b7265faf7a9be25",
             ),
             (
                 ("certify", "--n", "37..38", "--format", "json"),
-                "ce9a19ff7a18f794cf8ed4e86de23ef2e0b1d3a44a256825ef769076d2285985",
+                "59bbb24ea9fe9eaff3778f5204848bb1b6885f6bd91bcd0e6dee901564ee2a37",
             ),
             (
                 ("compute", "--route", "pgd", "--format", "csv", "--n", "30..45"),

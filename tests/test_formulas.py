@@ -213,14 +213,46 @@ class TestRouteIdentities:
 
     def test_composition_sums_obey_the_recurrence(self):
         """H_n has generating function 1 / (D(t) - 6z t^2), with D(t) the
-        product of (1 - 2az t) over the multipliers a = 3, 1+sqrt3, 1-sqrt3,
-        which is 1 - 10zt + 16z^2 t^2 + 48z^3 t^3: the sqrt3 parts cancel."""
-        c1, c2, c3 = P(0, 10), P(0, 6, -16), P(0, 0, 0, -48)
+        product of (1 - 2az t) over ``formulas.MULTIPLIERS`` (a = 3, 1+sqrt3,
+        1-sqrt3), which is 1 - 2 e1 zt + 4 e2 z^2 t^2 - 8 e3 z^3 t^3 for the
+        elementary symmetric functions e_k of the multipliers:
+        1 - 10zt + 16z^2 t^2 + 48z^3 t^3, as the sqrt3 parts cancel."""
+        def times(x, y):  # (r + i sqrt3)(r' + i' sqrt3)
+            return x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+        e = [(1, 0), (0, 0), (0, 0), (0, 0)]
+        for a in formulas.MULTIPLIERS:  # multiply the running product by (1 + a t)
+            e = [e[0]] + [tuple(map(sum, zip(e[k], times(a, e[k - 1]))))
+                          for k in range(1, 4)]
+        assert [irr for _, irr in e] == [0, 0, 0, 0]
+        _, e1, e2, e3 = (rat for rat, _ in e)
+        c1, c2, c3 = P(0, 2 * e1), P(0, 6, -4 * e2), P(0, 0, 0, 8 * e3)
+        assert (c1, c2, c3) == (P(0, 10), P(0, 6, -16), P(0, 0, 0, -48))
         for n in range(2, 40):
             h = [composition_sum(n - k) for k in range(4)]  # H_n, ..., H_{n-3}
             assert h[0] == h[1] * c1 + h[2] * c2 + h[3] * c3
         # the explicit route's 2^(n-1) prefactor turns t into 2t
         assert (c1 * 2, c2 * 4, c3 * 8) == formulas.RECURRENCE
+
+    def test_unrolled_loops_are_the_multipliers(self):
+        """The three hand-written loops of ``_composition_sum`` are the
+        weighted prefix sums S(m) = f(m) + a S(m-1) for a in
+        ``formulas.MULTIPLIERS``, in that order: one loop over the table,
+        with the coefficient 3^j 2^(n-j) T_j(n-2j) of z^(n-j), gives H_n."""
+        def h(n):
+            t = [(int(m == 0), 0) for m in range(n + 1)]  # T_j, rat and irr
+            rat, irr = [0] * (n + 1), [0] * (n + 1)
+            for j in range(n // 2 + 1):
+                for r, i in formulas.MULTIPLIERS:
+                    x = y = 0
+                    for m in range(n - 2 * j + 1):
+                        x, y = t[m][0] + r * x + 3 * i * y, t[m][1] + r * y + i * x
+                        t[m] = (x, y)
+                rat[n - j], irr[n - j] = (3 ** j << (n - j)) * x, (3 ** j << (n - j)) * y
+            return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
+
+        for n in range(25):
+            assert h(n) == composition_sum(n), n
 
     def test_series_numerator_from_the_seeds(self):
         """D(t) (1 + sum_{n>=1} 4 G_{n-1} t^n), D(t) = 1 - c1 t - c2 t^2 - c3 t^3,

@@ -1,6 +1,7 @@
 """Root isolation, interlacing and concavity certification."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,35 @@ class TestPredecessorBrackets:
             assert c.complete
         assert len(builds) == 1  # W_0's, where the walk starts
 
+    def test_bracket_certificates_alternate_inside_the_canonical_ones(self, monkeypatch):
+        """The kept brackets of step n: W_n's gaps, each inside W_n's
+        interval of the same root and holding it alone, and W_{n-1}'s
+        intervals halved inside its own, each holding its root and none of
+        W_n's.  The two merge with no halving.  The certificate itself is
+        the one a Sturm chain gives."""
+        import clawgenus.rootcert as rootcert
+
+        c = cert(0)
+        assert c.brackets is None  # a Sturm chain counted
+        for n in range(1, 21):
+            prev, c = c, isolate_roots(normalized_recurrence(n), prev=c)
+            assert c == cert(n)
+            gaps, halved = c.brackets
+            assert (gaps.n, halved.n) == (n, n - 1) and gaps.complete and halved.complete
+            chain, prev_chain = SturmChain(c.poly), SturmChain(prev.poly)
+            for own, canonical in ((gaps, c), (halved, prev)):
+                assert len(own.intervals) == len(canonical.intervals)
+                for iv, outer in zip(own.intervals, canonical.intervals):
+                    assert outer.lo <= iv.lo < iv.hi <= outer.hi
+            assert all(chain.count(iv.lo, iv.hi) == 1 for iv in gaps.intervals)
+            assert all(chain.count(iv.lo, iv.hi) == 0 and prev_chain.count(iv.lo, iv.hi) == 1
+                       for iv in halved.intervals)
+            with monkeypatch.context() as m:
+                m.setattr(rootcert, "_halve", None)  # any halving would raise
+                assert [side for side, _ in rootcert._merge(gaps, halved, "test")] == [
+                    k % 2 for k in range(len(gaps.intervals) + len(halved.intervals))
+                ]
+
     @pytest.mark.parametrize(
         "n,w",
         [
@@ -528,6 +558,17 @@ class TestSignPatterns:
         # swapped roles: q's root comes first, so the hypothesis fails
         rep = sign_pattern_check(cert(0), cert(1))
         assert not rep.ok and not rep.hypothesis_ok
+
+    def test_wrong_order_fails_fast(self):
+        """W_40 passed where W_41, whose root comes first, belongs: the
+        merge separates the two at once and the hypothesis fails, well
+        within a second."""
+        w40 = cert(40)
+        w41 = isolate_roots(normalized_recurrence(41), prev=w40)
+        start = time.perf_counter()
+        rep = sign_pattern_check(w40, w41)
+        assert time.perf_counter() - start < 1.0
+        assert not rep.ok and rep.first_failure == "hypothesis violated"
 
     def test_wrong_sign_of_p_is_reported(self):
         w3 = normalized_recurrence(3).w
