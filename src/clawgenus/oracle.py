@@ -10,15 +10,23 @@ Every vertex of an iterated claw is 3-valent, so each vertex has exactly
 Setting every bit reverses every rotation, which gives the mirror
 embedding: its faces are the same walks run backwards, so it has the same
 genus and root class.  The enumeration therefore traces one system of each
-mirror pair and counts it twice.  It visits positions 0..2^(4n+1)-1 in
-Gray-code order: position i traces system i ^ (i >> 1), whose top bit is
-0, so consecutive positions differ at one vertex and the kernel rewrites
-three entries of its face map per system.  Workers split the range of
-positions.  One face-walk loop, ``_trace``, serves both the per-system
-functions (``face_trace``, ``root_class``) and the enumeration.  A command
-that enumerates several indices opens one pool with ``worker_pool`` and
-hands it to every ``enumerate_pgd`` call, so the workers start once per
-command, not once per index.
+mirror pair, the indices 0..2^(4n+1)-1 whose top bit is 0, and counts it
+twice.  Workers split that range of indices.
+
+The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
+(side B), with k at the smallest cut, three edges in a claw (the
+cut-and-glue view of Gross, Khan and Poshni, Ars Math. Contemp. 3, 2010).
+Each side is walked once per configuration of its own vertices, from the
+ports where faces come in across the cut to where they leave, and the
+faces left inside are closed there.  A system's faces are then A's closed
+faces, B's, and the cycles of the two port maps joined, worked out once
+per distinct pair of maps.  Every system is still counted and
+Euler-checked on its own; none is lumped with another.  One face-walk
+loop, ``_walk``, serves the sides, the join and the per-system functions
+(``face_trace``, ``root_class``), which walk the whole graph as one
+region.  A command that enumerates several indices opens one pool with
+``worker_pool`` and hands it to every ``enumerate_pgd`` call, so the
+workers start once per command, not once per index.
 
 The enumeration refuses n above the module constant ``DEFAULT_CAP``
 (2^18 systems at n = 4) unless the caller acknowledges the cost with
@@ -145,33 +153,48 @@ def _validate_rotation(graph: MultiGraph, rot: RotationSystem) -> None:
                              "of its darts")
 
 
-def _trace(nxt, visited, stamp, root_darts) -> tuple[int, int]:
-    """Face count and root face count of one rotation system.
+def _walk(nxt, root, owned, starts, visited, stamp) -> tuple[list, int, int]:
+    """Walk the face map d -> nxt[d] from every start not yet visited.
 
-    nxt[d] is the dart after d on its face: the rotation successor of d ^ 1.
-    Walks start at the root darts first, so those walks are the distinct
-    root faces.  Visited darts get the value stamp, so no reset is needed.
+    A walk runs over owned darts and ends when it comes back to its start,
+    which closes a face, or when it reaches a dart that is not owned, which
+    it leaves through.  root[d] is 1 for the darts that mark a root face.
+    Returns (exits, faces, root_faces): exits lists (dart reached, 1 if the
+    walk passed a root dart, else 0) for the walks that left, in the order
+    of their starts; faces and root_faces count the closed walks.  Visited
+    darts get the value stamp, so no reset is needed between calls.
     """
-    faces = 0
-    for starts in (root_darts, range(len(nxt))):
-        root_faces = faces
-        for start in starts:
-            if visited[start] != stamp:
-                faces += 1
-                visited[start] = stamp
-                d = nxt[start]
-                while d != start:
-                    visited[d] = stamp
-                    d = nxt[d]
-    return faces, root_faces
+    exits = []
+    faces = root_faces = 0
+    for start in starts:
+        if visited[start] == stamp:
+            continue
+        visited[start] = stamp
+        touched = root[start]
+        d = nxt[start]
+        while d != start and owned[d]:
+            visited[d] = stamp
+            touched |= root[d]
+            d = nxt[d]
+        if d == start:
+            faces += 1
+            root_faces += touched
+        else:
+            exits.append((d, touched))
+    return exits, faces, root_faces
 
 
 def _faces(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
-    """Face count and root face count of one rotation system."""
+    """Face count and root face count of one rotation system: the whole
+    graph walked as one region, with no port to leave through."""
     _validate_rotation(graph, rot)
     succ = rot.successor_map(graph.num_darts)
     nxt = [succ[d ^ 1] for d in range(graph.num_darts)]
-    return _trace(nxt, [-1] * len(nxt), 0, graph.incidence[graph.root])
+    root = [int(d in graph.incidence[graph.root]) for d in range(len(nxt))]
+    _, faces, root_faces = _walk(
+        nxt, root, [True] * len(nxt), range(len(nxt)), [-1] * len(nxt), 0
+    )
+    return faces, root_faces
 
 
 def face_trace(graph: MultiGraph, rot: RotationSystem) -> tuple[int, int]:
@@ -225,41 +248,104 @@ class OraclePgd:
             )
 
 
-def _tally_chunk(args) -> list[list[int]]:
-    """Tally the rotation systems at Gray-code positions lo..hi-1.
+def _split(graph: MultiGraph) -> int:
+    """Size k of side A, which holds vertices 0..k-1 and leaves k..V-1 to
+    side B: the fewest edges across, then the most even split, then the
+    least k.  A level-ordered claw has 3-edge cuts, at k = 1, 5, 5, 9 for
+    n = 1..4."""
+    v = graph.num_vertices
+    return min(
+        range(1, v),
+        key=lambda k: (sum((a < k) != (b < k) for a, b in graph.edges), abs(v - 2 * k)),
+    )
 
-    The hot loop.  The face map nxt is built once for the system at lo;
-    each later position flips the rotation at one vertex v, which rewrites
-    nxt only at the three darts whose partners sit at v.  One stamped
-    visited array serves the block.  Any range of positions works;
-    ``enumerate_pgd`` passes blocks of the lower half and doubles their
-    tallies.
+
+def _side(heads, succs, root, at, first, last, configs):
+    """Walk one side, vertices first..last-1, in each of its configurations.
+
+    The side owns the darts whose face-map entry its rotations set, those
+    whose partner sits at one of its vertices; bit v - first of a
+    configuration is vertex v's bit.  Its ports are the owned darts that
+    start on the other side, where faces come in.  Per configuration the
+    walks run from every port first, then close the faces left inside.
+    Returns (ports, maps, walked): the ports, the distinct port maps in
+    order of first appearance, each a tuple of (dart where the walk from
+    that port leaves, whether it passed a root dart), and per configuration
+    (closed faces, closed root faces, index of its port map).
     """
-    incidence, root_darts, euler_base, slots, lo, hi = args
+    owned = [first <= at[d ^ 1] < last for d in range(len(at))]
+    ports = [d for d in range(len(at)) if owned[d] and not first <= at[d] < last]
+    starts = ports + [d for d in range(len(at)) if owned[d]]
+    nxt, visited = [0] * len(at), [-1] * len(at)
+    maps: dict[tuple, int] = {}
+    walked = []
+    for c in configs:
+        for v in range(first, last):
+            e0, e1, e2 = heads[v]
+            nxt[e0], nxt[e1], nxt[e2] = succs[v][(c >> (v - first)) & 1]
+        exits, faces, root_faces = _walk(nxt, root, owned, starts, visited, c)
+        walked.append((faces, root_faces, maps.setdefault(tuple(exits), len(maps))))
+    return ports, list(maps), walked
+
+
+def _join(ports_a, map_a, ports_b, map_b, size) -> tuple[int, int]:
+    """Faces and root faces across the cut: the cycles of the two sides'
+    port maps followed in turn, each walk of one side leaving through a
+    port of the other.  size is the number of darts."""
+    nxt, root = [0] * size, [0] * size
+    for ports, pmap in ((ports_a, map_a), (ports_b, map_b)):
+        for p, (e, touched) in zip(ports, pmap):
+            nxt[p], root[p] = e, touched
+    _, faces, root_faces = _walk(
+        nxt, root, [True] * size, ports_a + ports_b, [-1] * size, 0
+    )
+    return faces, root_faces
+
+
+def _tally_chunk(args) -> list[list[int]]:
+    """Tally the rotation systems with indices lo..hi-1, split at k.
+
+    The hot loop.  System s = (b << k) | a sets vertices 0..k-1 (side A)
+    by a and the rest (side B) by b.  Each side is walked once per
+    configuration (``_side``): all 2^k of A, and those of B that the range
+    reaches.  The cut between the sides is small, so few distinct port
+    maps come out, and ``_join`` runs once per pair of them.  Each system
+    then gets its own face and root face counts, A's closed faces plus B's
+    plus the joined ones, and its own Euler check.  Any range and any k in
+    0..V work; ``enumerate_pgd`` passes blocks of the lower half, split at
+    ``_split``, and doubles their tallies.
+    """
+    incidence, root_darts, euler_base, slots, k, lo, hi = args
     # Bit v swaps the last two darts of vertex v (see RotationSystem.from_bits).
     heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
     succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
-    nxt = [0] * (3 * len(incidence))
-    for v, (e0, e1, e2) in enumerate(heads):  # the system at position lo
-        nxt[e0], nxt[e1], nxt[e2] = succs[v][((lo ^ (lo >> 1)) >> v) & 1]
-    visited = [-1] * len(nxt)
+    at = {d: v for v, darts in enumerate(incidence) for d in darts}
+    root = [int(d in root_darts) for d in range(len(at))]
+    ports_a, maps_a, side_a = _side(heads, succs, root, at, 0, k, range(1 << k))
+    b_lo = lo >> k
+    ports_b, maps_b, side_b = _side(
+        heads, succs, root, at, k, len(incidence), range(b_lo, ((hi - 1) >> k) + 1)
+    )
+    joined: dict[int, list[tuple[int, int]]] = {}
     tallies = [[0] * slots for _ in range(3)]
-    for i in range(lo, hi):
-        if i != lo:
-            v = (i & -i).bit_length() - 1
-            e0, e1, e2 = heads[v]
-            nxt[e0], nxt[e1], nxt[e2] = succs[v][((i ^ (i >> 1)) >> v) & 1]
-        faces, root_faces = _trace(nxt, visited, i, root_darts)
-        doubled = euler_base - faces
-        if doubled < 0 or doubled % 2:
-            raise StructureViolation("impossible Euler residue in enumeration")
-        tallies[3 - root_faces][doubled // 2] += 1
+    for b, (faces_b, roots_b, ib) in enumerate(side_b, start=b_lo):
+        if ib not in joined:
+            joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], len(at)) for m in maps_a]
+        # per port map of A: Euler residue and root class before A's closed faces
+        row = [(euler_base - faces_b - f, 3 - roots_b - r) for f, r in joined[ib]]
+        base = b << k
+        for faces_a, roots_a, ia in side_a[max(lo - base, 0):hi - base]:
+            residue, cls = row[ia]
+            doubled = residue - faces_a
+            if doubled < 0 or doubled & 1:
+                raise StructureViolation("impossible Euler residue in enumeration")
+            tallies[cls - roots_a][doubled >> 1] += 1
     return tallies
 
 
 def _traced_bits(n: int) -> int:
-    """Bits of the traced Gray-code positions: 0..2^(4n+1)-1 hold one system
-    of each mirror pair, half of the 2^(4n+2)."""
+    """Bits of the traced system indices: 0..2^(4n+1)-1 hold one system of
+    each mirror pair, half of the 2^(4n+2)."""
     return 4 * n + 1
 
 
@@ -267,8 +353,10 @@ def worker_pool(jobs: int, n: int):
     """Context manager giving a pool for ``enumerate_pgd`` at indices up to
     n with ``jobs`` blocks each, or None when one process does the work.
 
-    The pool has no more workers than traced positions at n, which is the
-    most blocks an enumeration there splits into.  Leaving the context ends
+    The pool has no more workers than traced systems at n, which is the
+    most blocks (ranges of system indices) an enumeration there splits
+    into.  Each worker walks the sides of its blocks itself, so the workers
+    share nothing but the tallies they return.  Leaving the context ends
     the workers.
     """
     if not 1 <= jobs <= MAX_JOBS:
@@ -286,7 +374,8 @@ def enumerate_pgd(
     Tallies are per root class and genus.  Each of the 2^(4n+1) traced
     systems counts twice, once for itself and once for its mirror image
     (see the module docstring).  The result is independent of
-    ``jobs`` (1 to ``MAX_JOBS``): blocks are merged by summation.  The
+    ``jobs`` (1 to ``MAX_JOBS``): blocks of system indices, split at
+    ``_split``, are merged by summation.  The
     blocks run in ``pool`` when one is given, else in one of their own from
     ``worker_pool`` that closes on return, and in this process when that
     gives None (``jobs`` = 1).  Enumeration above ``DEFAULT_CAP``, read at
@@ -309,9 +398,10 @@ def enumerate_pgd(
     slots = n + 2
     root_darts = graph.incidence[graph.root]
 
-    bounds = [(1 << _traced_bits(n)) * k // jobs for k in range(jobs + 1)]
+    k = _split(graph)
+    bounds = [(1 << _traced_bits(n)) * j // jobs for j in range(jobs + 1)]
     chunks = [
-        (graph.incidence, root_darts, euler_base, slots, lo, hi)
+        (graph.incidence, root_darts, euler_base, slots, k, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]

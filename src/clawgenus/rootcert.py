@@ -35,8 +35,10 @@ Certificates produced:
   intervals are bisected, and each halving is decided by the sign of the
   certified polynomial at the midpoint (squarefree, as its certificate is
   complete); the sign at the kept upper endpoint is carried from one
-  halving to the next.  From the bracket certificates a consecutive pair
-  needs no halving, and a skip pair starts from intervals already refined.
+  halving to the next, and where the brackets counted it starts from the
+  sign the search already read there, so each halving evaluates only its
+  midpoint.  From the bracket certificates a consecutive pair needs no
+  halving, and a skip pair starts from intervals already refined.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
   the other's roots, read at the midpoints of the same merged, disjoint
   intervals.
@@ -208,7 +210,11 @@ class RootCertificate:
     certificate has ``degree`` distinct roots, so its ``poly`` is squarefree
     and halving reads it.  ``brackets``, never serialized nor compared,
     keeps the two bracket certificates where the brackets counted (see
-    ``Brackets``), and is None where a Sturm chain did.
+    ``Brackets``), and is None where a Sturm chain did.  ``hi_signs``,
+    likewise, is set where the brackets counted, here and on both bracket
+    certificates: the sign of ``poly`` at each interval's hi where the
+    search read it, else None, so that ``_brackets`` and ``_merge`` need not
+    read it again.
     """
 
     n: int
@@ -217,6 +223,7 @@ class RootCertificate:
     complete: bool
     poly: IntPoly = field(compare=False)
     brackets: Brackets | None = field(default=None, compare=False, repr=False)
+    hi_signs: tuple[int | None, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,12 +267,13 @@ _BRACKET_HALVINGS = 8
 
 def _brackets(
     w: IntPoly, prev: RootCertificate, E: int
-) -> tuple[int, list[tuple[int, int, int]], tuple[Interval, ...]] | None:
+) -> tuple[int, list[tuple[int, int, int]], list[tuple[Interval, int | None]]] | None:
     """Open intervals (l/2**k, h/2**k), each holding exactly one simple root
     of w, as (k, [(l, h, sign of w at h), ...], refined) in increasing order
     with one exponent k = e + E for all; None unless they hold every root
     of w.  ``refined`` is prev's intervals as halved here, each still
-    isolating one root of prev and holding no root of w.
+    isolating one root of prev and holding no root of w, with the sign of
+    prev at its hi where halving read it, else None.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
@@ -290,9 +298,10 @@ def _brackets(
     budget = _BRACKET_HALVINGS * len(prev.intervals)
     refined = []
     steps = 0
-    for j, iv in enumerate(prev.intervals, start=1):
+    p_his = prev.hi_signs or (None,) * len(prev.intervals)
+    for j, (iv, p_hi) in enumerate(zip(prev.intervals, p_his), start=1):
         want = -1 if (d - j) % 2 else 1
-        at_lo, at_hi, p_hi = w.sign_at(iv.a, iv.k), w.sign_at(iv.b, iv.k), None
+        at_lo, at_hi = w.sign_at(iv.a, iv.k), w.sign_at(iv.b, iv.k)
         while at_lo != want or at_hi != want:
             if steps == budget:
                 return None
@@ -303,10 +312,10 @@ def _brackets(
                 at_lo = w.sign_at(half.a, half.k)
             iv = half
             steps += 1
-        refined.append((iv, at_lo, at_hi))
-    k = max((iv.k for iv, _, _ in refined), default=0) + E
+        refined.append((iv, at_lo, at_hi, p_hi))
+    k = max((iv.k for iv, _, _, _ in refined), default=0) + E
     samples = [(-1 << (E + k), w.sign_at(-1 << E)), (0, w.sign_at(0))]
-    for iv, at_lo, at_hi in refined:
+    for iv, at_lo, at_hi, _ in refined:
         samples += [(iv.a << (k - iv.k), at_lo), (iv.b << (k - iv.k), at_hi)]
     # sorted, the count holds whatever the layout of prev's intervals
     samples.sort()
@@ -315,7 +324,7 @@ def _brackets(
     found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
     if len(found) != d:
         return None
-    return k, found, tuple(iv for iv, _, _ in refined)
+    return k, found, [(iv, p_hi) for iv, _, _, p_hi in refined]
 
 
 def isolate_roots(
@@ -353,11 +362,14 @@ def isolate_roots(
         his = [h for _, h, _ in spans]
         signs = [s for _, _, s in spans]
 
+        read: dict[int, int] = {}  # w's sign at the points ranked inside a bracket
+
         def rank(x: int, k: int) -> int:
             at = x << (top - k)
             j = bisect_right(his, at)
-            if j < len(his) and lows[j] < at and w.sign_at(x, k) in (0, signs[j]):
-                j += 1
+            if j < len(his) and lows[j] < at:
+                read[at] = w.sign_at(x, k)
+                j += read[at] in (0, signs[j])
             return j
 
     # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
@@ -378,18 +390,23 @@ def isolate_roots(
         r_mid = rank(mid, k)
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
-    kept = None
+    kept = hi_signs = None
     if counted is not None:
         # the j-th gap and the j-th interval hold the same root, and neither
         # end of their meet is another root: the gap is open around its one
         # root, and top is no coarser than any interval's exponent
+        ends = [(iv.a << (top - iv.k), iv.b << (top - iv.k)) for iv in found]
         gaps = tuple(
-            Interval(max(l, iv.a << (top - iv.k)), min(h, iv.b << (top - iv.k)), top)
-            for (l, h, _), iv in zip(spans, found)
+            Interval(max(l, a), min(h, b), top) for (l, h, _), (a, b) in zip(spans, ends)
         )
+        # w's sign at the interval's hi and at the gap's, one value: the
+        # bracket's sign at h where that hi is h or beyond (no root of w lies
+        # between), else the sign rank read there inside the bracket
+        hi_signs = tuple(s if b >= h else read[b] for (_, h, s), (_, b) in zip(spans, ends))
         kept = Brackets(
-            RootCertificate(np_.n, w.degree, gaps, True, w),
-            RootCertificate(prev.n, prev.degree, refined, True, prev.poly),
+            RootCertificate(np_.n, w.degree, gaps, True, w, hi_signs=hi_signs),
+            RootCertificate(prev.n, prev.degree, tuple(iv for iv, _ in refined), True,
+                            prev.poly, hi_signs=tuple(p for _, p in refined)),
         )
     return RootCertificate(
         n=np_.n,
@@ -398,6 +415,7 @@ def isolate_roots(
         complete=r_hi - r_lo == w.degree,
         poly=w,
         brackets=kept,
+        hi_signs=hi_signs,
     )
 
 
@@ -444,17 +462,19 @@ def _merge(
     bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
     allowance = 4 * max(a.degree, 1) * max(bits, 1)
     xs, ys = list(a.intervals), list(b.intervals)
-    sx = sy = None  # sign of a.poly at xs[i].hi and of b.poly at ys[j].hi, once read
+    # sign of a.poly at xs[i].hi and of b.poly at ys[j].hi, where known
+    x_signs = list(a.hi_signs or [None] * len(xs))
+    y_signs = list(b.hi_signs or [None] * len(ys))
     merged: list[tuple[int, Interval]] = []
     steps = i = j = 0
     while i < len(xs) and j < len(ys):
         x, y = xs[i], ys[j]
         if x.b << y.k <= y.a << x.k:
             merged.append((0, x))
-            i, sx = i + 1, None
+            i += 1
         elif y.b << x.k <= x.a << y.k:
             merged.append((1, y))
-            j, sy = j + 1, None
+            j += 1
         elif steps >= allowance:
             raise InterlacingUndecided(
                 f"{what}: could not separate intervals within {allowance} "
@@ -462,9 +482,9 @@ def _merge(
             )
         else:
             if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
-                xs[i], sx = _halve(a.poly, x, sx)
+                xs[i], x_signs[i] = _halve(a.poly, x, x_signs[i])
             else:
-                ys[j], sy = _halve(b.poly, y, sy)
+                ys[j], y_signs[j] = _halve(b.poly, y, y_signs[j])
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
 

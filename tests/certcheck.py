@@ -4,9 +4,11 @@ It recomputes each W_n with ``normalized_recurrence`` and reads every sign
 by its own integer Horner evaluation, so it shares none of the search's
 bisection, halving or merging code.  A row passes when:
 
-* its root intervals are sorted and disjoint, each has w(lo) != 0 and
-  either a sign change or w(hi) = 0, and there are deg w of them, which
-  proves w real-rooted with one simple root per interval;
+* its root intervals are sorted and disjoint, each (lo, hi] has w(hi) = 0
+  or a sign change from just right of lo to hi, and there are deg w of
+  them, which proves w real-rooted with one simple root per interval.  The
+  sign just right of lo is w(lo)'s, or w'(lo)'s where lo is itself a root;
+  an interval is rejected where both are 0;
 * its interlacing entries are sorted and disjoint, each passes that sign
   test for its owner, the owners alternate starting with n, and each owner
   has as many entries as its degree, which proves strict interlacing.
@@ -34,11 +36,16 @@ def _layout_errors(where: str, quads) -> list[str]:
 
 
 def _root_errors(where: str, coeffs, quads) -> list[str]:
-    """Each (lo, hi] must hold a root of w by the intermediate value theorem."""
+    """Each (lo, hi] must hold a root of w by the intermediate value theorem.
+
+    Where w(lo) = 0 and w'(lo) != 0, w has the sign of w'(lo) on some
+    (lo, lo + e), which stands in for the sign at lo."""
+    slope = tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
     errors = []
     for a, b, c, d in quads:
-        at_lo, at_hi = _sign(coeffs, a, b), _sign(coeffs, c, d)
-        if not Fraction(a, b) < Fraction(c, d) or at_lo == 0 or at_hi == at_lo:
+        after_lo = _sign(coeffs, a, b) or _sign(slope, a, b)
+        at_hi = _sign(coeffs, c, d)
+        if not Fraction(a, b) < Fraction(c, d) or after_lo == 0 or at_hi == after_lo:
             errors.append(f"{where}: no certified root in {[a, b, c, d]}")
     return errors
 
@@ -54,12 +61,18 @@ def certificate_errors(rows: list[dict]) -> list[str]:
 
     errors = []
     for row in rows:
-        n, rc = row["n"], row["root_certificate"]
-        quads, where = rc["intervals"], f"n={n} roots"
-        errors += _layout_errors(where, quads) + _root_errors(where, w(n), quads)
-        if not rc["complete"] or len(quads) != rc["degree"] or len(quads) != len(w(n)) - 1:
-            errors.append(f"{where}: {len(quads)} intervals for degree {len(w(n)) - 1}")
-        errors += interlacing_errors(row, w)
+        errors += root_errors(row, w) + interlacing_errors(row, w)
+    return errors
+
+
+def root_errors(row: dict, w) -> list[str]:
+    """Every reason a row's root certificate fails to certify w(n) real-rooted,
+    w(n) being the coefficients, constant first, of the polynomial at n."""
+    n, rc = row["n"], row["root_certificate"]
+    quads, where, coeffs = rc["intervals"], f"n={n} roots", w(n)
+    errors = _layout_errors(where, quads) + _root_errors(where, coeffs, quads)
+    if not rc["complete"] or len(quads) != rc["degree"] or len(quads) != len(coeffs) - 1:
+        errors.append(f"{where}: {len(quads)} intervals for degree {len(coeffs) - 1}")
     return errors
 
 

@@ -322,6 +322,51 @@ class TestCertify:
         assert all(spent[n, n - 2] <= canonical[n] for n in canonical)
         assert 2 * sum(spent[n, n - 2] for n in canonical) < sum(canonical.values())
 
+    def test_pair_merges_read_the_polynomials_at_midpoints_only(
+        self, capsys, monkeypatch
+    ):
+        """The bracket certificates carry the signs their search read at each
+        interval's hi, so every sign a merge reads is a halving's midpoint."""
+        counts = {"halve": 0, "sign_at": 0}
+        real_halve, real_sign_at = rootcert._halve, IntPoly.sign_at
+
+        def halve(*args):
+            counts["halve"] += 1
+            return real_halve(*args)
+
+        def sign_at(self, *args):
+            counts["sign_at"] += 1
+            return real_sign_at(self, *args)
+
+        certify, spent = cli.certify_interlacing, {}
+
+        def spy(a, b):
+            with monkeypatch.context() as m:
+                m.setattr(rootcert, "_halve", halve)
+                m.setattr(IntPoly, "sign_at", sign_at)
+                ic = certify(a, b)
+            spent[a.n, b.n] = dict(counts)
+            counts.update(halve=0, sign_at=0)
+            return ic
+
+        monkeypatch.setattr(cli, "certify_interlacing", spy)
+        code, _, _ = run(capsys, "certify", "--n", "0..40")
+        assert code == 0
+        assert sum(c["halve"] for c in spent.values()) > 0
+        assert all(c["sign_at"] == c["halve"] for c in spent.values()), spent
+
+    def test_carried_signs_are_the_signs_at_each_hi(self):
+        certs = {}
+        for n in range(61):
+            certs[n] = c = isolate_roots(normalized_recurrence(n), certs.get(n - 1))
+            for cert in (c, *(c.brackets or ())):
+                signs = cert.hi_signs or (None,) * len(cert.intervals)
+                assert len(signs) == len(cert.intervals)
+                for iv, s in zip(cert.intervals, signs):
+                    assert s in (None, cert.poly.sign_at(iv.b, iv.k))
+            if c.brackets is not None:
+                assert None not in c.hi_signs and None not in c.brackets.gaps.hi_signs
+
     def test_a_step_without_brackets_pairs_the_canonical_certificates(
         self, capsys, monkeypatch
     ):

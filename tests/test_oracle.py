@@ -1,5 +1,9 @@
 """Brute-force embedding enumeration against the algebraic engine."""
 
+import ast
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 import clawgenus.oracle as oracle
@@ -94,14 +98,8 @@ class TestFaceTrace:
     @pytest.mark.parametrize("n", range(3))
     def test_per_system_walks_agree_with_the_enumeration(self, n):
         """Decoding each index with from_bits and tracing it alone gives the
-        same tallies as the bit-mask enumeration."""
-        g = build_iterated_claw(n)
-        tallies = [[0] * (n + 2) for _ in ROOT_CLASSES]
-        for bits in range(1 << g.num_vertices):
-            rot = RotationSystem.from_bits(g, bits)
-            cls = ROOT_CLASSES.index(root_class(g, rot))
-            tallies[cls][face_trace(g, rot)[1]] += 1
-        assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
+        same tallies as the split-walk enumeration."""
+        assert per_system_tallies(n) == enumerate_pgd(n).tallies
 
     @pytest.mark.parametrize("n", range(3))
     def test_mirror_images_have_the_same_genus_and_root_class(self, n):
@@ -122,11 +120,77 @@ class TestFaceTrace:
         assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
 
 
-def chunk_args(n, lo, hi, euler_shift=0):
-    """Arguments for ``_tally_chunk`` over Gray-code positions lo..hi-1."""
+def chunk_args(n, lo, hi, k=None, euler_shift=0):
+    """Arguments for ``_tally_chunk`` over system indices lo..hi-1, split at
+    k (the graph's own split when None)."""
     g = build_iterated_claw(n)
     euler_base = 2 - g.num_vertices + g.num_edges + euler_shift
-    return (g.incidence, g.incidence[g.root], euler_base, n + 2, lo, hi)
+    k = oracle._split(g) if k is None else k
+    return (g.incidence, g.incidence[g.root], euler_base, n + 2, k, lo, hi)
+
+
+@lru_cache(maxsize=None)
+def per_system_tallies(n):
+    """Tallies of all 2^(4n+2) systems, each decoded and traced alone."""
+    g = build_iterated_claw(n)
+    tallies = [[0] * (n + 2) for _ in ROOT_CLASSES]
+    for bits in range(1 << g.num_vertices):
+        rot = RotationSystem.from_bits(g, bits)
+        cls = ROOT_CLASSES.index(root_class(g, rot))
+        tallies[cls][face_trace(g, rot)[1]] += 1
+    return tuple(map(tuple, tallies))
+
+
+class TestSplitWalk:
+    @pytest.mark.parametrize("n", range(3))
+    def test_every_split_matches_the_per_system_walks(self, n):
+        """Any k in 0..V-1 tallies all systems as tracing each alone does."""
+        size = 4 * n + 2
+        for k in range(size):
+            got = oracle._tally_chunk(chunk_args(n, 0, 1 << size, k))
+            assert tuple(map(tuple, got)) == per_system_tallies(n), f"k={k}"
+
+    def test_split_is_the_smallest_then_most_even_cut(self):
+        assert [oracle._split(build_iterated_claw(n)) for n in range(5)] == [1, 1, 5, 5, 9]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_unaligned_chunks_match_the_engine(self, n, jobs):
+        """Three blocks split the range inside a run of side A's 2^k
+        configurations; one and two blocks split it at a multiple of 2^k."""
+        o = enumerate_pgd(n, jobs=jobs)
+        v = pgd(n)
+        assert o.as_polys() == (v.a, v.b, v.c)
+
+    def test_face_trace_and_enumeration_share_one_walk(self, monkeypatch):
+        real, calls = oracle._walk, []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_walk", spy)
+        g = build_iterated_claw(1)
+        face_trace(g, RotationSystem.from_bits(g, 5))
+        assert calls == [g.num_darts]
+        enumerate_pgd(1)
+        assert len(calls) > 1
+
+
+class TestIndependence:
+    def test_oracle_imports_no_algebraic_route(self):
+        """The oracle is ground truth only while it shares no code with the
+        routes it checks."""
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        parts = {p for name in imported for p in name.split(".")}
+        assert not parts & {"pgd", "formulas", "rootcert"}, sorted(imported)
 
 
 class TestEnumeration:
@@ -155,12 +219,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("lo", range(65))
     def test_blocks_split_at_any_position(self, lo):
-        """A block seeds its face map from the Gray code of its first
-        position, so two blocks split anywhere sum to the whole range."""
-        whole = oracle._tally_chunk(chunk_args(1, 0, 64))
-        parts = [oracle._tally_chunk(chunk_args(1, 0, lo)),
-                 oracle._tally_chunk(chunk_args(1, lo, 64))]
-        assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
+        """A block walks side B only in the configurations its indices
+        reach and starts and ends anywhere in a run of A's, so two blocks
+        split at any index sum to the whole range, at every k."""
+        for k in range(7):
+            whole = oracle._tally_chunk(chunk_args(1, 0, 64, k))
+            parts = [oracle._tally_chunk(chunk_args(1, 0, lo, k)),
+                     oracle._tally_chunk(chunk_args(1, lo, 64, k))]
+            assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
 
     @pytest.mark.parametrize("n", range(4))
     def test_upper_half_of_the_positions_tallies_like_the_lower(self, n):
@@ -175,8 +241,9 @@ class TestEnumeration:
         )
 
     def test_every_system_passes_the_euler_check(self):
-        with pytest.raises(StructureViolation):
-            oracle._tally_chunk(chunk_args(1, 0, 64, euler_shift=1))
+        for k in range(7):
+            with pytest.raises(StructureViolation):
+                oracle._tally_chunk(chunk_args(1, 0, 64, k, euler_shift=1))
 
     def test_parallel_runs_agree(self):
         serial = enumerate_pgd(2, jobs=1)
@@ -200,7 +267,7 @@ class TestEnumeration:
                 return [fn(x) for x in items]
 
         monkeypatch.setattr(oracle, "Pool", SerialPool)
-        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 2 traced positions
+        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 2 traced systems
         assert started == [2]
 
     def test_cap_refusal_mentions_cost(self):

@@ -9,13 +9,12 @@ where the mathematics says so, never a false one.
 
 import pytest
 
-from certcheck import interlacing_errors
+from certcheck import interlacing_errors, root_errors
 from clawgenus.cli import _pair
 from clawgenus.errors import ConsistencyError, StructureViolation
 from clawgenus.polynomials import IntPoly
 from clawgenus.rootcert import (
     NormalizedPoly,
-    SturmChain,
     certify_interlacing,
     isolate_roots,
 )
@@ -38,6 +37,10 @@ def eulerian_over_x(n: int) -> IntPoly:
     return IntPoly(row)
 
 
+def eulerian_coeffs(n: int) -> tuple[int, ...]:
+    return eulerian_over_x(n).coeffs
+
+
 class TestEulerianChain:
     def test_known_rows(self):
         assert eulerian_over_x(3) == P(1, 4, 1)
@@ -49,17 +52,16 @@ class TestEulerianChain:
         certificates ``cli._pair`` picks.  The degree n - 1 is not the claw
         degree (n+2)//2, and at odd n the counts differ by one.
 
-        The pairs pass certcheck's Horner checks.  The root certificates are
-        counted with a Sturm chain instead: at even n, -1 is a root, and the
-        bisection's interval after it starts there, where the intermediate
-        value theorem has no sign to read."""
+        The roots and the pairs pass certcheck's Horner checks.  At even n,
+        -1 is a root, and the bisection's interval after it starts there,
+        where certcheck reads the sign of the derivative."""
         certs = {}
         for n in range(2, 21):
             w = eulerian_over_x(n)
             certs[n] = c = isolate_roots(NormalizedPoly(n, w), certs.get(n - 1))
             assert c.complete and c.degree == len(c.intervals) == n - 1
-            chain = SturmChain(w)
-            assert all(chain.count(iv.lo, iv.hi) == 1 for iv in c.intervals)
+            row = {"n": n, "root_certificate": c.to_json_dict()}
+            assert root_errors(row, eulerian_coeffs) == []
             if n == 2:
                 continue
             assert c.brackets is not None  # the bracket path counted
@@ -71,7 +73,28 @@ class TestEulerianChain:
                 "interlacing": {"consecutive": pair.to_json_dict(), "skip": None},
                 "summary": {"interlace_consecutive": True, "interlace_skip": None},
             }
-            assert interlacing_errors(row, lambda k: eulerian_over_x(k).coeffs) == []
+            assert interlacing_errors(row, eulerian_coeffs) == []
+
+    def test_an_interval_from_a_root_certifies_only_a_root_after_it(self):
+        """A_4(x)/x = (x + 1)(x^2 + 10x + 1): (-1, 0] holds -5 + 2 sqrt 6 and
+        passes; (-1, -1/2] holds no root and fails, though w(-1) = 0."""
+        c = isolate_roots(NormalizedPoly(4, eulerian_over_x(4)))
+        row = {"n": 4, "root_certificate": c.to_json_dict()}
+        assert row["root_certificate"]["intervals"][-1] == [-1, 1, 0, 1]
+        assert root_errors(row, eulerian_coeffs) == []
+        row["root_certificate"]["intervals"][-1] = [-1, 1, -1, 2]
+        assert root_errors(row, eulerian_coeffs) == [
+            "n=4 roots: no certified root in [-1, 1, -1, 2]"
+        ]
+
+    def test_an_interval_from_a_double_root_is_rejected(self):
+        """(x + 1)^2 (2x + 1) changes sign on (-1, 0], but w'(-1) = 0 leaves
+        the sign just right of -1 unread."""
+        row = {"n": 0, "root_certificate": {
+            "intervals": [[-1, 1, 0, 1]], "degree": 1, "complete": True}}
+        w = (P(1, 1) * P(1, 1) * P(1, 2)).coeffs
+        errors = root_errors(row, lambda k: w)
+        assert "n=0 roots: no certified root in [-1, 1, 0, 1]" in errors
 
 
 # (z + 1)(z^2 + 1), z^2 + z + 1, (z + 2)(z^2 + z + 1)
