@@ -50,7 +50,6 @@ from .pgd import (
 )
 from .polynomials import IntPoly, Sqrt3Poly
 from .rootcert import (
-    Brackets,
     ConcavityReport,
     InterlacingCertificate,
     Interval,
@@ -58,6 +57,7 @@ from .rootcert import (
     RootCertificate,
     SignPatternReport,
     SturmChain,
+    certificate_chain,
     certify_interlacing,
     concavity_report,
     is_squarefree,

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from itertools import islice, starmap
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
@@ -28,9 +28,9 @@ from .polynomials import IntPoly
 from .rootcert import (
     InterlacingCertificate,
     RootCertificate,
+    certificate_chain,
     certify_interlacing,
     concavity_report,
-    isolate_roots,
     normalized_recurrence,
 )
 
@@ -161,49 +161,34 @@ def _mark(ok: bool | None) -> str:
     return SKIP if ok is None else CHECK if ok else CROSS
 
 
-def _pair(
-    certs: dict[int, RootCertificate], n: int, m: int
-) -> tuple[RootCertificate, RootCertificate]:
-    """The two certificates to merge for the pair (n, m): W_n's bracket gaps
-    and W_m as halved at step m + 1, which for m = n - 1 is step n itself,
-    whose two lists are already apart.  Where step n or step m + 1 counted
-    with a Sturm chain, and so kept no brackets, the canonical ones."""
-    own, below = certs[n].brackets, certs[m + 1].brackets
-    if own is None or below is None:
-        return certs[n], certs[m]
-    return own.gaps, below.prev
+def _interlace(c: RootCertificate, *pairs: tuple | None) -> tuple[RootCertificate, dict]:
+    """One step of the certificate chain with its pairs certified: mode ->
+    certificate, or None where the pair failed, which is reported on
+    stderr; no entry for a pair below index 0."""
+    out: dict[str, InterlacingCertificate | None] = {}
+    for mode, pair in zip(("consecutive", "skip"), pairs):
+        if pair is None:
+            continue
+        try:
+            out[mode] = certify_interlacing(*pair)
+        except (ClawgenusError, ValueError) as exc:
+            # ValueError: a certificate of the pair is incomplete
+            print(f"n={c.n} {mode} interlacing failed: {exc}", file=sys.stderr)
+            out[mode] = None
+    return c, out
 
 
 def cmd_certify(args) -> int:
-    certs: dict[int, RootCertificate] = {}
-
+    # the chain starts two below the range, so its first index has both
+    # pairs; a Sturm chain counts only there, or where the brackets fail
+    first = max(args.n[0] - 2, 0)
+    chain = certificate_chain(map(normalized_recurrence, range(first, args.n[-1] + 1)))
     failures = 0
     out_rows = []
-    for n in args.n:
-        # an ascending range needs only n-2..n from here, and not the
-        # brackets of n-2, which hold W_{n-3}
-        certs.pop(n - 3, None)
-        if n - 2 in certs:
-            certs[n - 2] = replace(certs[n - 2], brackets=None)
-        for k in range(max(n - 2, 0), n + 1):
-            if k not in certs:
-                # isolated from k-1's intervals; a Sturm chain only where
-                # the range starts, or where that fails
-                certs[k] = isolate_roots(normalized_recurrence(k), certs.get(k - 1))
-        c = certs[n]
-        # mode -> certificate, or None where the pair failed; no entry for a
-        # pair below index 0
-        pairs: dict[str, InterlacingCertificate | None] = {}
-        for mode, m in (("consecutive", n - 1), ("skip", n - 2)):
-            if m < 0:
-                continue
-            try:
-                pairs[mode] = certify_interlacing(*_pair(certs, n, m))
-            except (ClawgenusError, ValueError) as exc:
-                # ValueError: a certificate of the pair is incomplete
-                print(f"n={n} {mode} interlacing failed: {exc}", file=sys.stderr)
-                pairs[mode] = None
-                failures += 1
+    # starmap keeps no step's pairs once they are certified
+    for c, pairs in starmap(_interlace, islice(chain, args.n[0] - first, None)):
+        n = c.n
+        failures += list(pairs.values()).count(None)
         ok = {mode: ic is not None for mode, ic in pairs.items()}
         conc = concavity_report(genus_recurrence(n))
         if not c.complete or not conc.ok:

@@ -18,10 +18,11 @@ The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
 cut-and-glue view of Gross, Khan and Poshni, Ars Math. Contemp. 3, 2010).
 Each side is walked once per configuration of its own vertices, from the
 ports where faces come in across the cut to where they leave, and the
-faces left inside are closed there.  A system's faces are then A's closed
-faces, B's, and the cycles of the two port maps joined, worked out once
-per distinct pair of maps.  Every system is still counted and
-Euler-checked on its own; none is lumped with another.  One face-walk
+faces left inside are closed there: side A once per enumeration, in the
+calling process, and side B per block of system indices.  A system's
+faces are then A's closed faces, B's, and the cycles of the two port maps
+joined, worked out once per distinct pair of maps.  Every system is still
+counted and Euler-checked on its own; none is lumped with another.  One face-walk
 loop, ``_walk``, serves the sides, the join and the per-system functions
 (``face_trace``, ``root_class``), which walk the whole graph as one
 region.  A command that enumerates several indices opens one pool with
@@ -260,19 +261,24 @@ def _split(graph: MultiGraph) -> int:
     )
 
 
-def _side(heads, succs, root, at, first, last, configs):
+def _side(incidence, root_darts, first, last, configs):
     """Walk one side, vertices first..last-1, in each of its configurations.
 
     The side owns the darts whose face-map entry its rotations set, those
     whose partner sits at one of its vertices; bit v - first of a
-    configuration is vertex v's bit.  Its ports are the owned darts that
-    start on the other side, where faces come in.  Per configuration the
-    walks run from every port first, then close the faces left inside.
+    configuration is vertex v's bit, which swaps the last two darts of
+    vertex v (see RotationSystem.from_bits).  Its ports are the owned darts
+    that start on the other side, where faces come in.  Per configuration
+    the walks run from every port first, then close the faces left inside.
     Returns (ports, maps, walked): the ports, the distinct port maps in
     order of first appearance, each a tuple of (dart where the walk from
     that port leaves, whether it passed a root dart), and per configuration
     (closed faces, closed root faces, index of its port map).
     """
+    heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
+    succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
+    at = {d: v for v, darts in enumerate(incidence) for d in darts}
+    root = [int(d in root_darts) for d in range(len(at))]
     owned = [first <= at[d ^ 1] < last for d in range(len(at))]
     ports = [d for d in range(len(at)) if owned[d] and not first <= at[d] < last]
     starts = ports + [d for d in range(len(at)) if owned[d]]
@@ -307,30 +313,26 @@ def _tally_chunk(args) -> list[list[int]]:
 
     The hot loop.  System s = (b << k) | a sets vertices 0..k-1 (side A)
     by a and the rest (side B) by b.  Each side is walked once per
-    configuration (``_side``): all 2^k of A, and those of B that the range
-    reaches.  The cut between the sides is small, so few distinct port
-    maps come out, and ``_join`` runs once per pair of them.  Each system
-    then gets its own face and root face counts, A's closed faces plus B's
-    plus the joined ones, and its own Euler check.  Any range and any k in
-    0..V work; ``enumerate_pgd`` passes blocks of the lower half, split at
-    ``_split``, and doubles their tallies.
+    configuration (``_side``): A's 2^k by the caller, once for all chunks,
+    and here those of B that the range reaches.  The cut between the sides
+    is small, so few distinct port maps come out, and ``_join`` runs once
+    per pair of them.  Each system then gets its own face and root face
+    counts, A's closed faces plus B's plus the joined ones, and its own
+    Euler check.  Any range and any k in 0..V work; ``enumerate_pgd``
+    passes blocks of the lower half, split at ``_split``, and doubles
+    their tallies.
     """
-    incidence, root_darts, euler_base, slots, k, lo, hi = args
-    # Bit v swaps the last two darts of vertex v (see RotationSystem.from_bits).
-    heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
-    succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
-    at = {d: v for v, darts in enumerate(incidence) for d in darts}
-    root = [int(d in root_darts) for d in range(len(at))]
-    ports_a, maps_a, side_a = _side(heads, succs, root, at, 0, k, range(1 << k))
+    incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), lo, hi = args
+    size = sum(map(len, incidence))
     b_lo = lo >> k
     ports_b, maps_b, side_b = _side(
-        heads, succs, root, at, k, len(incidence), range(b_lo, ((hi - 1) >> k) + 1)
+        incidence, root_darts, k, len(incidence), range(b_lo, ((hi - 1) >> k) + 1)
     )
     joined: dict[int, list[tuple[int, int]]] = {}
     tallies = [[0] * slots for _ in range(3)]
     for b, (faces_b, roots_b, ib) in enumerate(side_b, start=b_lo):
         if ib not in joined:
-            joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], len(at)) for m in maps_a]
+            joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], size) for m in maps_a]
         # per port map of A: Euler residue and root class before A's closed faces
         row = [(euler_base - faces_b - f, 3 - roots_b - r) for f, r in joined[ib]]
         base = b << k
@@ -355,9 +357,9 @@ def worker_pool(jobs: int, n: int):
 
     The pool has no more workers than traced systems at n, which is the
     most blocks (ranges of system indices) an enumeration there splits
-    into.  Each worker walks the sides of its blocks itself, so the workers
-    share nothing but the tallies they return.  Leaving the context ends
-    the workers.
+    into.  Each worker gets side A walked with its blocks and walks their
+    side B itself, so the workers share nothing but the tallies they
+    return.  Leaving the context ends the workers.
     """
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
@@ -399,9 +401,10 @@ def enumerate_pgd(
     root_darts = graph.incidence[graph.root]
 
     k = _split(graph)
+    side_a = _side(graph.incidence, root_darts, 0, k, range(1 << k))
     bounds = [(1 << _traced_bits(n)) * j // jobs for j in range(jobs + 1)]
     chunks = [
-        (graph.incidence, root_darts, euler_base, slots, k, lo, hi)
+        (graph.incidence, root_darts, euler_base, slots, k, side_a, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]

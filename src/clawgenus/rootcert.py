@@ -26,10 +26,6 @@ Certificates produced:
   runs out; both counters give the same certificate.  The degree is read
   from the polynomial; the claw degree (n+2)//2 is a data check of
   ``NormalizedPoly.validate``.
-* ``Brackets`` -- what the bracket counter works out on the way, kept with
-  the certificate: the polynomial's gaps and the predecessor's intervals
-  halved apart from them, two complete certificates whose intervals
-  already alternate.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
@@ -37,8 +33,9 @@ Certificates produced:
   complete); the sign at the kept upper endpoint is carried from one
   halving to the next, and where the brackets counted it starts from the
   sign the search already read there, so each halving evaluates only its
-  midpoint.  From the bracket certificates a consecutive pair needs no
-  halving, and a skip pair starts from intervals already refined.
+  midpoint.  ``certificate_chain`` isolates each W_n from W_{n-1} and
+  pairs what the brackets worked out on the way, so a consecutive pair
+  needs no halving, and a skip pair starts from intervals already refined.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
   the other's roots, read at the midpoints of the same merged, disjoint
   intervals.
@@ -49,10 +46,10 @@ Certificates produced:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import NamedTuple
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
@@ -206,15 +203,13 @@ class RootCertificate:
     real.  All intervals lie in (-2**E, 0], 2**E the least power of two at
     or above the root bound: positive coefficients rule out roots at or
     above zero.  The certificate holds only what it certifies: a Sturm
-    chain, where one counted, stays inside ``isolate_roots``.  A complete
-    certificate has ``degree`` distinct roots, so its ``poly`` is squarefree
-    and halving reads it.  ``brackets``, never serialized nor compared,
-    keeps the two bracket certificates where the brackets counted (see
-    ``Brackets``), and is None where a Sturm chain did.  ``hi_signs``,
-    likewise, is set where the brackets counted, here and on both bracket
-    certificates: the sign of ``poly`` at each interval's hi where the
-    search read it, else None, so that ``_brackets`` and ``_merge`` need not
-    read it again.
+    chain, where one counted, stays inside ``isolate_roots``, and so do the
+    brackets (``certificate_chain`` hands them on).  A complete certificate
+    has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
+    reads it.  ``hi_signs``, never serialized nor compared, is set where the
+    brackets counted, here and on both bracket certificates: the sign of
+    ``poly`` at each interval's hi where the search read it, else None, so
+    that ``_brackets`` and ``_merge`` need not read it again.
     """
 
     n: int
@@ -222,7 +217,6 @@ class RootCertificate:
     intervals: tuple[Interval, ...]
     complete: bool
     poly: IntPoly = field(compare=False)
-    brackets: Brackets | None = field(default=None, compare=False, repr=False)
     hi_signs: tuple[int | None, ...] | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -232,23 +226,6 @@ class RootCertificate:
             "intervals": [iv.as_json_list() for iv in self.intervals],
             "complete": self.complete,
         }
-
-
-class Brackets(NamedTuple):
-    """Two complete isolating certificates that ``_brackets`` works out for
-    w = W_n from its predecessor W_{n-1}, kept for the interlacing pairs.
-
-    ``gaps`` holds w's bracket gaps, each narrowed to w's isolating
-    interval of the same root; ``prev`` holds the predecessor's intervals,
-    halved until w has no root in them.  Each gap lies between two of
-    ``prev``'s intervals, or between one and an end of (-2**E, 0], so the
-    two lists are disjoint and alternate: ``_merge`` separates the pair
-    (n, n-1) with no halving.  For the pair (n, n-2) the CLI merges
-    ``gaps`` with the ``prev`` of step n-1, W_{n-2} as halved there.
-    """
-
-    gaps: RootCertificate
-    prev: RootCertificate
 
 
 def root_bound(p: IntPoly) -> Fraction:
@@ -335,19 +312,28 @@ def isolate_roots(
     The bisection of (-2**E, 0], 2**E the least power of two at or above
     ``root_bound(w)``, is the same on every path and so is the certificate;
     only the root counter differs.  With a complete certificate ``prev``
-    whose roots alternate with those of w (the CLI passes index n-1), the
-    counter reads the brackets of ``_brackets``: the roots at or below x are
-    the brackets with h <= x, plus the one with l < x < h when w(x) is 0 or
-    has the sign of w(h), which takes at most one evaluation of w.  The
-    brackets' exponent is never below a query's (see ``_brackets``), so x
-    is raised to it by one shift.  Without such a ``prev``, or when its
-    brackets do not account for every root of w, a Sturm chain counts.
-
-    Where the brackets counted, the certificate keeps them as ``Brackets``:
-    the gaps as intervals of w and ``prev`` as halved, both complete, so
-    the interlacing pairs start from intervals already apart.  The degree
-    is w's own, whatever n the polynomial is labelled with.
+    whose roots alternate with those of w (index n-1 in
+    ``certificate_chain``), the counter reads the brackets of
+    ``_brackets``: the roots at or below x are the brackets with h <= x,
+    plus the one with l < x < h when w(x) is 0 or has the sign of w(h),
+    which takes at most one evaluation of w.  The brackets' exponent is
+    never below a query's (see ``_brackets``), so x is raised to it by one
+    shift.  Without such a ``prev``, or when its brackets do not account
+    for every root of w, a Sturm chain counts.  The degree is w's own,
+    whatever n the polynomial is labelled with.
     """
+    return _isolate(np_, prev)[0]
+
+
+def _isolate(
+    np_: NormalizedPoly, prev: RootCertificate | None
+) -> tuple[RootCertificate, RootCertificate | None, RootCertificate | None]:
+    """``isolate_roots``, with the brackets where they counted: w's gaps,
+    each narrowed to w's interval of the same root, and prev's intervals
+    halved until w has no root in them, both as complete certificates, else
+    None and None.  Each gap lies between two of the halved intervals, or
+    between one and an end of (-2**E, 0], so the two alternate and
+    ``_merge`` separates them with no halving."""
     w = np_.w
     E = _bound_exponent(w)
     counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
@@ -390,33 +376,53 @@ def isolate_roots(
         r_mid = rank(mid, k)
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
-    kept = hi_signs = None
+    gaps = halved = hi_signs = None
     if counted is not None:
         # the j-th gap and the j-th interval hold the same root, and neither
         # end of their meet is another root: the gap is open around its one
         # root, and top is no coarser than any interval's exponent
         ends = [(iv.a << (top - iv.k), iv.b << (top - iv.k)) for iv in found]
-        gaps = tuple(
+        narrowed = tuple(
             Interval(max(l, a), min(h, b), top) for (l, h, _), (a, b) in zip(spans, ends)
         )
         # w's sign at the interval's hi and at the gap's, one value: the
         # bracket's sign at h where that hi is h or beyond (no root of w lies
         # between), else the sign rank read there inside the bracket
         hi_signs = tuple(s if b >= h else read[b] for (_, h, s), (_, b) in zip(spans, ends))
-        kept = Brackets(
-            RootCertificate(np_.n, w.degree, gaps, True, w, hi_signs=hi_signs),
-            RootCertificate(prev.n, prev.degree, tuple(iv for iv, _ in refined), True,
-                            prev.poly, hi_signs=tuple(p for _, p in refined)),
-        )
-    return RootCertificate(
+        gaps = RootCertificate(np_.n, w.degree, narrowed, True, w, hi_signs=hi_signs)
+        halved = RootCertificate(prev.n, prev.degree, tuple(iv for iv, _ in refined), True,
+                                 prev.poly, hi_signs=tuple(p for _, p in refined))
+    cert = RootCertificate(
         n=np_.n,
         degree=w.degree,
         intervals=tuple(found),
         complete=r_hi - r_lo == w.degree,
         poly=w,
-        brackets=kept,
         hi_signs=hi_signs,
     )
+    return cert, gaps, halved
+
+
+def certificate_chain(
+    polys: Iterable[NormalizedPoly],
+) -> Iterator[tuple[RootCertificate, tuple | None, tuple | None]]:
+    """Isolate each of polys, in consecutive index order, from the one
+    before, and yield (certificate, consecutive, skip) for each W_n: the
+    two certificates ``certify_interlacing`` merges for (n, n-1) and for
+    (n, n-2), or None where that predecessor is not in polys.  They are
+    W_n's gaps with W_{n-1} as halved at step n, and with W_{n-2} as
+    halved at step n-1; where either step counted with a Sturm chain, the
+    canonical certificates.  While it isolates W_n, the chain holds
+    certificates of n-2 and n-1 only, and no pair it has yielded."""
+    prev = older = below = None  # certificates n-1, n-2; W_{n-2} as halved at n-1
+    for np_ in polys:
+        cert, gaps, halved = _isolate(np_, prev)
+        yield (
+            cert,
+            None if prev is None else (gaps, halved) if gaps else (cert, prev),
+            None if older is None else (gaps, below) if gaps and below else (cert, older),
+        )
+        prev, older, below = cert, prev, halved
 
 
 def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval, int]:
@@ -533,12 +539,12 @@ def certify_interlacing(
     and any other pair raises ValueError.  a must have as many roots as b
     or one more; the merged order, which must start with a's root and
     alternate, decides which side owns the rightmost root.  Any complete
-    certificates of the two polynomials give the same verdict: the CLI
-    passes the bracket certificates (``Brackets``) where it has them, which
-    are already apart for a consecutive pair.  Raises InterlacingUndecided
-    when ``_merge``'s worst-case refinement allowance runs out (the roots
-    may coincide), ConsistencyError if the counts or the alternation
-    pattern fail outright.
+    certificates of the two polynomials give the same verdict:
+    ``certificate_chain`` pairs the bracket certificates where it has them,
+    already apart for a consecutive pair.  Raises InterlacingUndecided when
+    ``_merge``'s worst-case refinement allowance runs out (the roots may
+    coincide), ConsistencyError if the counts or the alternation pattern
+    fail outright.
     """
     if a.n - b.n not in (1, 2):
         raise ValueError(f"pair ({a.n}, {b.n}) is neither (n, n-1) nor (n, n-2)")

@@ -28,7 +28,12 @@ from clawgenus.errors import InterlacingUndecided
 from clawgenus.formulas import genus_recurrence
 from clawgenus.pgd import PgdVector
 from clawgenus.polynomials import IntPoly
-from clawgenus.rootcert import NormalizedPoly, isolate_roots, normalized_recurrence
+from clawgenus.rootcert import (
+    NormalizedPoly,
+    certificate_chain,
+    isolate_roots,
+    normalized_recurrence,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -251,17 +256,17 @@ class TestCertify:
         assert "n=1 consecutive interlacing failed" in err and "separate" in err
 
     def test_keeps_only_the_certificates_the_chain_needs(self, capsys, monkeypatch):
-        isolate = cli.isolate_roots
+        isolate = rootcert._isolate
         built, alive_at_call, cold = [], [], []
 
-        def spy(np_, prev=None):
+        def spy(np_, prev):
             alive_at_call.append(sum(ref() is not None for ref in built))
             cold.append(prev is None)
-            c = isolate(np_, prev)
+            c, *brackets = isolate(np_, prev)
             built.append(weakref.ref(c))
-            return c
+            return c, *brackets
 
-        monkeypatch.setattr(cli, "isolate_roots", spy)
+        monkeypatch.setattr(rootcert, "_isolate", spy)
         code, _, _ = run(capsys, "certify", "--n", "0..12")
         assert code == 0
         assert len(built) == 13  # each certificate is built exactly once
@@ -271,17 +276,17 @@ class TestCertify:
     def test_holds_certificates_for_at_most_three_indices(self, capsys, monkeypatch):
         """The certificates alive while W_n is isolated, with their bracket
         certificates, cover n-2..n: the brackets of n-2, which hold W_{n-3},
-        are dropped with it."""
-        isolate = cli.isolate_roots
+        are dropped with it, and so is every pair already certified."""
+        isolate = rootcert._isolate
         built, most = [], [0]
 
-        def spy(np_, prev=None):
-            c = isolate(np_, prev)
-            built.extend(weakref.ref(x) for x in (c, *(c.brackets or ())))
+        def spy(np_, prev):
+            made = isolate(np_, prev)
+            built.extend(weakref.ref(x) for x in made if x is not None)
             most[0] = max(most[0], len({r().n for r in built if r() is not None}))
-            return c
+            return made
 
-        monkeypatch.setattr(cli, "isolate_roots", spy)
+        monkeypatch.setattr(rootcert, "_isolate", spy)
         code, _, _ = run(capsys, "certify", "--n", "0..120")
         assert code == 0 and most[0] == 3
 
@@ -356,16 +361,15 @@ class TestCertify:
         assert all(c["sign_at"] == c["halve"] for c in spent.values()), spent
 
     def test_carried_signs_are_the_signs_at_each_hi(self):
-        certs = {}
-        for n in range(61):
-            certs[n] = c = isolate_roots(normalized_recurrence(n), certs.get(n - 1))
-            for cert in (c, *(c.brackets or ())):
+        chain = certificate_chain(map(normalized_recurrence, range(61)))
+        for c, consecutive, skip in chain:
+            for cert in (c, *(consecutive or ()), *(skip or ())):
                 signs = cert.hi_signs or (None,) * len(cert.intervals)
                 assert len(signs) == len(cert.intervals)
                 for iv, s in zip(cert.intervals, signs):
                     assert s in (None, cert.poly.sign_at(iv.b, iv.k))
-            if c.brackets is not None:
-                assert None not in c.hi_signs and None not in c.brackets.gaps.hi_signs
+            if consecutive is not None and consecutive[0] is not c:  # brackets counted
+                assert None not in c.hi_signs and None not in consecutive[0].hi_signs
 
     def test_a_step_without_brackets_pairs_the_canonical_certificates(
         self, capsys, monkeypatch
@@ -379,27 +383,51 @@ class TestCertify:
         monkeypatch.setattr(
             rootcert, "_brackets", lambda w, prev, E: None if w == w5 else real(w, prev, E)
         )
-        isolate, certify = cli.isolate_roots, cli.certify_interlacing
+        isolate, certify = rootcert._isolate, cli.certify_interlacing
         built, chained, canonical = {}, [], set()
 
-        def isolate_spy(np_, prev=None):
-            c = isolate(np_, prev)
+        def isolate_spy(np_, prev):
+            c, gaps, halved = isolate(np_, prev)
             built[c.n] = c.intervals
-            if c.brackets is None:
+            if gaps is None:
                 chained.append(c.n)
-            return c
+            return c, gaps, halved
 
         def certify_spy(a, b):
             if all(x.intervals == built[x.n] for x in (a, b)):
                 canonical.add((a.n, b.n))
             return certify(a, b)
 
-        monkeypatch.setattr(cli, "isolate_roots", isolate_spy)
+        monkeypatch.setattr(rootcert, "_isolate", isolate_spy)
         monkeypatch.setattr(cli, "certify_interlacing", certify_spy)
         code, out, _ = run(capsys, "certify", "--n", "3..8")
         assert code == 0 and out.count("✗") == 0
         assert chained == [1, 5]  # 1: where the range's walk starts
         assert canonical == {(5, 4), (5, 3), (6, 4)}
+
+    @pytest.mark.parametrize("spec", ["0..12", "1..2", "5", "9..16"])
+    def test_pairs_are_the_ones_the_chain_yields(self, capsys, monkeypatch, spec):
+        """``certify`` merges what ``certificate_chain`` pairs, over the same
+        polynomials from two below the range, and nothing else."""
+        merged = []
+        certify = cli.certify_interlacing
+
+        def spy(a, b):
+            merged.append((a, b))
+            return certify(a, b)
+
+        monkeypatch.setattr(cli, "certify_interlacing", spy)
+        code, _, _ = run(capsys, "certify", "--n", spec)
+        assert code == 0
+        indices = parse_n_spec(spec)
+        start = max(indices[0] - 2, 0)
+        chain = certificate_chain(map(normalized_recurrence, range(start, indices[-1] + 1)))
+        want = [pair for c, *pairs in chain if c.n in indices for pair in pairs if pair]
+
+        def fields(x):
+            return x.n, x.intervals, x.poly, x.hi_signs
+
+        assert [tuple(map(fields, p)) for p in merged] == [tuple(map(fields, p)) for p in want]
 
     def test_incomplete_certificate_is_a_cross_not_a_traceback(self, capsys, monkeypatch):
         real = cli.normalized_recurrence

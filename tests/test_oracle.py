@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import clawgenus.cli as cli
 import clawgenus.oracle as oracle
 from clawgenus.errors import OracleCapExceeded, StructureViolation
 from clawgenus.oracle import (
@@ -126,7 +127,8 @@ def chunk_args(n, lo, hi, k=None, euler_shift=0):
     g = build_iterated_claw(n)
     euler_base = 2 - g.num_vertices + g.num_edges + euler_shift
     k = oracle._split(g) if k is None else k
-    return (g.incidence, g.incidence[g.root], euler_base, n + 2, k, lo, hi)
+    side_a = oracle._side(g.incidence, g.incidence[g.root], 0, k, range(1 << k))
+    return (g.incidence, g.incidence[g.root], euler_base, n + 2, k, side_a, lo, hi)
 
 
 @lru_cache(maxsize=None)
@@ -177,20 +179,41 @@ class TestSplitWalk:
         assert len(calls) > 1
 
 
+def imported_names(module) -> set[str]:
+    """Every module a source file imports, and every name it imports from
+    one as "module.name"; relative modules keep no leading dots."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    return imported
+
+
 class TestIndependence:
     def test_oracle_imports_no_algebraic_route(self):
         """The oracle is ground truth only while it shares no code with the
         routes it checks."""
-        tree = ast.parse(Path(oracle.__file__).read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(a.name for a in node.names)
+        imported = imported_names(oracle)
         parts = {p for name in imported for p in name.split(".")}
         assert not parts & {"pgd", "formulas", "rootcert"}, sorted(imported)
+
+
+class TestCliImports:
+    def test_cli_imports_no_part_of_the_certificate_walk(self):
+        """``certificate_chain`` owns the walk: which certificates each
+        pair merges, and what each step keeps.  The CLI takes no private
+        name from the package, no ``isolate_roots`` and no ``dataclasses``
+        to rebuild a certificate with, so it can only certify and format."""
+        imported = {n.removeprefix("clawgenus.") for n in imported_names(cli)}
+        package = {"errors", "formulas", "oracle", "pgd", "polynomials", "rootcert"}
+        private = {n for n in imported if n.split(".")[0] in package
+                   and n.rsplit(".", 1)[-1].startswith("_")}
+        walk = {n for n in imported
+                if n.split(".")[0] == "dataclasses" or n.endswith(".isolate_roots")}
+        assert not private | walk, sorted(private | walk)
 
 
 class TestEnumeration:

@@ -17,6 +17,7 @@ from clawgenus.rootcert import (
     NormalizedPoly,
     RootCertificate,
     SturmChain,
+    certificate_chain,
     certify_interlacing,
     concavity_report,
     _bound_exponent,
@@ -390,12 +391,13 @@ class TestPredecessorBrackets:
         the one a Sturm chain gives."""
         import clawgenus.rootcert as rootcert
 
-        c = cert(0)
-        assert c.brackets is None  # a Sturm chain counted
-        for n in range(1, 21):
-            prev, c = c, isolate_roots(normalized_recurrence(n), prev=c)
+        steps = certificate_chain(map(normalized_recurrence, range(21)))
+        c, consecutive, _ = next(steps)
+        assert consecutive is None  # a Sturm chain counted, with no predecessor
+        for n, (next_c, (gaps, halved), _) in enumerate(steps, start=1):
+            prev, c = c, next_c
             assert c == cert(n)
-            gaps, halved = c.brackets
+            assert gaps is not c and halved is not prev  # the brackets counted
             assert (gaps.n, halved.n) == (n, n - 1) and gaps.complete and halved.complete
             chain, prev_chain = SturmChain(c.poly), SturmChain(prev.poly)
             for own, canonical in ((gaps, c), (halved, prev)):
