@@ -25,15 +25,14 @@ Certificates produced:
   fallback when that sign count falls short or its small halving allowance
   runs out; both counters give the same certificate.  The degree is read
   from the polynomial; the claw degree (n+2)//2 is a data check of
-  ``NormalizedPoly.validate``.
+  ``NormalizedPoly.validate``.  Each certified polynomial has one sign
+  table, shared by every certificate of it, so the search, the halvings
+  and the merges read each of its signs once.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
   certified polynomial at the midpoint (squarefree, as its certificate is
-  complete); the sign at the kept upper endpoint is carried from one
-  halving to the next, and where the brackets counted it starts from the
-  sign the search already read there, so each halving evaluates only its
-  midpoint.  ``certificate_chain`` isolates each W_n from W_{n-1} and
+  complete).  ``certificate_chain`` isolates each W_n from W_{n-1} and
   pairs what the brackets worked out on the way, so a consecutive pair
   needs no halving, and a skip pair starts from intervals already refined.
 * ``SignPatternReport`` -- alternating-sign checks of each polynomial at
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil
 
@@ -194,6 +193,27 @@ class Interval:
         return float(self.midpoint)
 
 
+class _Signs(dict):
+    """Signs of ``poly`` at dyadic points, each read once: a dict keyed by
+    the point x/2**k in lowest terms as (x, k) that calls ``poly.sign_at``
+    only on a miss.  ``table(x, k)`` reads x/2**k written at any exponent.
+    """
+
+    def __init__(self, poly: IntPoly):
+        self.poly = poly
+
+    def __call__(self, x: int, k: int = 0) -> int:
+        if x:
+            t = (x & -x).bit_length() - 1  # trailing zero bits of x
+            point = (x >> t, k - t) if t < k else (x >> k, 0)
+        else:
+            point = (0, 0)
+        s = self.get(point)
+        if s is None:
+            s = self[point] = self.poly.sign_at(*point)
+        return s
+
+
 @dataclass(frozen=True)
 class RootCertificate:
     """Isolating intervals for all real roots of a normalized polynomial.
@@ -206,10 +226,9 @@ class RootCertificate:
     chain, where one counted, stays inside ``isolate_roots``, and so do the
     brackets (``certificate_chain`` hands them on).  A complete certificate
     has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
-    reads it.  ``hi_signs``, never serialized nor compared, is set where the
-    brackets counted, here and on both bracket certificates: the sign of
-    ``poly`` at each interval's hi where the search read it, else None, so
-    that ``_brackets`` and ``_merge`` need not read it again.
+    reads it.  ``signs``, never serialized nor compared, is the sign table
+    of ``poly``: a new one unless given, and one of another polynomial is
+    rejected.
     """
 
     n: int
@@ -217,7 +236,13 @@ class RootCertificate:
     intervals: tuple[Interval, ...]
     complete: bool
     poly: IntPoly = field(compare=False)
-    hi_signs: tuple[int | None, ...] | None = field(default=None, compare=False, repr=False)
+    signs: _Signs = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.signs is None:
+            object.__setattr__(self, "signs", _Signs(self.poly))
+        elif self.signs.poly != self.poly:
+            raise ValueError(f"sign table of another polynomial at n={self.n}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,14 +268,14 @@ _BRACKET_HALVINGS = 8
 
 
 def _brackets(
-    w: IntPoly, prev: RootCertificate, E: int
-) -> tuple[int, list[tuple[int, int, int]], list[tuple[Interval, int | None]]] | None:
+    w: _Signs, prev: RootCertificate, E: int
+) -> tuple[int, list[tuple[int, int]], list[Interval]] | None:
     """Open intervals (l/2**k, h/2**k), each holding exactly one simple root
-    of w, as (k, [(l, h, sign of w at h), ...], refined) in increasing order
-    with one exponent k = e + E for all; None unless they hold every root
-    of w.  ``refined`` is prev's intervals as halved here, each still
-    isolating one root of prev and holding no root of w, with the sign of
-    prev at its hi where halving read it, else None.
+    of w, as (k, [(l, h), ...], refined) in increasing order with one
+    exponent k = e + E for all; None unless they hold every root of w.
+    ``w`` is the sign table of the polynomial.  ``refined`` is prev's
+    intervals as halved here, each still isolating one root of prev and
+    holding no root of w.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
@@ -271,37 +296,29 @@ def _brackets(
     depth-d nodes of the bisection of (-2**E, 0] sit at every multiple of
     2**(E - d), so by depth e + E no interval holds two roots.
     """
-    d = w.degree
+    d = w.poly.degree
     budget = _BRACKET_HALVINGS * len(prev.intervals)
     refined = []
     steps = 0
-    p_his = prev.hi_signs or (None,) * len(prev.intervals)
-    for j, (iv, p_hi) in enumerate(zip(prev.intervals, p_his), start=1):
+    for j, iv in enumerate(prev.intervals, start=1):
         want = -1 if (d - j) % 2 else 1
-        at_lo, at_hi = w.sign_at(iv.a, iv.k), w.sign_at(iv.b, iv.k)
-        while at_lo != want or at_hi != want:
+        while w(iv.a, iv.k) != want or w(iv.b, iv.k) != want:
             if steps == budget:
                 return None
-            half, p_hi = _halve(prev.poly, iv, p_hi)
-            if half.a == iv.a << 1:
-                at_hi = w.sign_at(half.b, half.k)
-            else:
-                at_lo = w.sign_at(half.a, half.k)
-            iv = half
+            iv = _halve(prev.signs, iv)
             steps += 1
-        refined.append((iv, at_lo, at_hi, p_hi))
-    k = max((iv.k for iv, _, _, _ in refined), default=0) + E
-    samples = [(-1 << (E + k), w.sign_at(-1 << E)), (0, w.sign_at(0))]
-    for iv, at_lo, at_hi, _ in refined:
-        samples += [(iv.a << (k - iv.k), at_lo), (iv.b << (k - iv.k), at_hi)]
-    # sorted, the count holds whatever the layout of prev's intervals
-    samples.sort()
+        refined.append((iv, want))
+    k = max((iv.k for iv, _ in refined), default=0) + E
+    # w has sign want at both ends of each refined interval; sorted, the
+    # count holds whatever the layout of prev's intervals
+    samples = sorted([(-1 << (E + k), w(-1 << E)), (0, w(0))] + [
+        (e << (k - iv.k), want) for iv, want in refined for e in (iv.a, iv.b)])
     if any(s == 0 for _, s in samples):
         return None
-    found = [(a, b, sb) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
+    found = [(a, b) for (a, sa), (b, sb) in zip(samples, samples[1:]) if sa != sb]
     if len(found) != d:
         return None
-    return k, found, [(iv, p_hi) for iv, _, _, p_hi in refined]
+    return k, found, [iv for iv, _ in refined]
 
 
 def isolate_roots(
@@ -316,11 +333,11 @@ def isolate_roots(
     ``certificate_chain``), the counter reads the brackets of
     ``_brackets``: the roots at or below x are the brackets with h <= x,
     plus the one with l < x < h when w(x) is 0 or has the sign of w(h),
-    which takes at most one evaluation of w.  The brackets' exponent is
-    never below a query's (see ``_brackets``), so x is raised to it by one
-    shift.  Without such a ``prev``, or when its brackets do not account
-    for every root of w, a Sturm chain counts.  The degree is w's own,
-    whatever n the polynomial is labelled with.
+    a sign the brackets read.  The brackets' exponent is never below a
+    query's (see ``_brackets``), so x is raised to it by one shift.
+    Without such a ``prev``, or when its brackets do not account for every
+    root of w, a Sturm chain counts.  The degree is w's own, whatever n the
+    polynomial is labelled with.
     """
     return _isolate(np_, prev)[0]
 
@@ -333,10 +350,12 @@ def _isolate(
     halved until w has no root in them, both as complete certificates, else
     None and None.  Each gap lies between two of the halved intervals, or
     between one and an end of (-2**E, 0], so the two alternate and
-    ``_merge`` separates them with no halving."""
+    ``_merge`` separates them with no halving.  The certificate and the
+    gaps share w's sign table, made here; the halved intervals share prev's."""
     w = np_.w
+    signs = _Signs(w)
     E = _bound_exponent(w)
-    counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
+    counted = _brackets(signs, prev, E) if prev is not None and prev.complete else None
     if counted is None:
         chain = SturmChain(w)
 
@@ -344,18 +363,14 @@ def _isolate(
             return -chain.variations(Fraction(x, 1 << k))
     else:
         top, spans, refined = counted
-        lows = [l for l, _, _ in spans]
-        his = [h for _, h, _ in spans]
-        signs = [s for _, _, s in spans]
-
-        read: dict[int, int] = {}  # w's sign at the points ranked inside a bracket
+        lows = [l for l, _ in spans]
+        his = [h for _, h in spans]
 
         def rank(x: int, k: int) -> int:
             at = x << (top - k)
             j = bisect_right(his, at)
             if j < len(his) and lows[j] < at:
-                read[at] = w.sign_at(x, k)
-                j += read[at] in (0, signs[j])
+                j += signs(x, k) in (0, signs(his[j], top))
             return j
 
     # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
@@ -376,31 +391,25 @@ def _isolate(
         r_mid = rank(mid, k)
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
-    gaps = halved = hi_signs = None
-    if counted is not None:
-        # the j-th gap and the j-th interval hold the same root, and neither
-        # end of their meet is another root: the gap is open around its one
-        # root, and top is no coarser than any interval's exponent
-        ends = [(iv.a << (top - iv.k), iv.b << (top - iv.k)) for iv in found]
-        narrowed = tuple(
-            Interval(max(l, a), min(h, b), top) for (l, h, _), (a, b) in zip(spans, ends)
-        )
-        # w's sign at the interval's hi and at the gap's, one value: the
-        # bracket's sign at h where that hi is h or beyond (no root of w lies
-        # between), else the sign rank read there inside the bracket
-        hi_signs = tuple(s if b >= h else read[b] for (_, h, s), (_, b) in zip(spans, ends))
-        gaps = RootCertificate(np_.n, w.degree, narrowed, True, w, hi_signs=hi_signs)
-        halved = RootCertificate(prev.n, prev.degree, tuple(iv for iv, _ in refined), True,
-                                 prev.poly, hi_signs=tuple(p for _, p in refined))
     cert = RootCertificate(
         n=np_.n,
         degree=w.degree,
         intervals=tuple(found),
         complete=r_hi - r_lo == w.degree,
         poly=w,
-        hi_signs=hi_signs,
+        signs=signs,
     )
-    return cert, gaps, halved
+    if counted is None:
+        return cert, None, None
+    # the j-th gap and the j-th interval hold the same root, and neither end
+    # of their meet is another root: the gap is open around its one root,
+    # and top is no coarser than any interval's exponent
+    ends = [(iv.a << (top - iv.k), iv.b << (top - iv.k)) for iv in found]
+    narrowed = tuple(
+        Interval(max(l, a), min(h, b), top) for (l, h), (a, b) in zip(spans, ends)
+    )
+    halved = replace(prev, intervals=tuple(refined))
+    return cert, replace(cert, intervals=narrowed), halved
 
 
 def certificate_chain(
@@ -425,26 +434,17 @@ def certificate_chain(
         prev, older, below = cert, prev, halved
 
 
-def _halve(p: IntPoly, iv: Interval, at_hi: int | None = None) -> tuple[Interval, int]:
-    """Halve an isolating interval of p, keeping its single root.
-
-    p must be squarefree, as the polynomial of a complete certificate is,
-    so the root is simple and p changes sign across it unless it sits
-    exactly on hi or on the midpoint.  ``at_hi`` is the
-    sign of p at iv.hi if the caller already has it; the sign at the kept
-    half's hi comes back with the half, so repeated halving evaluates p at
-    the midpoints only.
-    """
+def _halve(p: _Signs, iv: Interval) -> Interval:
+    """Halve an isolating interval of p, read through its sign table, keeping
+    its single root.  p must be squarefree, as the polynomial of a complete
+    certificate is, so the root is simple and p changes sign across it
+    unless it sits exactly on hi or on the midpoint."""
     a, b, k = iv.a, iv.b, iv.k
-    if at_hi is None:
-        at_hi = p.sign_at(b, k)
     mid = a + b
-    if at_hi == 0:
-        return Interval(mid, b << 1, k + 1), at_hi
-    at_mid = p.sign_at(mid, k + 1)
-    if at_mid == -at_hi:
-        return Interval(mid, b << 1, k + 1), at_hi
-    return Interval(a << 1, mid, k + 1), at_mid
+    s = p(b, k)
+    if s == 0 or p(mid, k + 1) == -s:
+        return Interval(mid, b << 1, k + 1)
+    return Interval(a << 1, mid, k + 1)
 
 
 def _merge(
@@ -468,9 +468,6 @@ def _merge(
     bits = max(p.max_abs_coeff().bit_length() for p in (a.poly, b.poly))
     allowance = 4 * max(a.degree, 1) * max(bits, 1)
     xs, ys = list(a.intervals), list(b.intervals)
-    # sign of a.poly at xs[i].hi and of b.poly at ys[j].hi, where known
-    x_signs = list(a.hi_signs or [None] * len(xs))
-    y_signs = list(b.hi_signs or [None] * len(ys))
     merged: list[tuple[int, Interval]] = []
     steps = i = j = 0
     while i < len(xs) and j < len(ys):
@@ -488,9 +485,9 @@ def _merge(
             )
         else:
             if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
-                xs[i], x_signs[i] = _halve(a.poly, x, x_signs[i])
+                xs[i] = _halve(a.signs, x)
             else:
-                ys[j], y_signs[j] = _halve(b.poly, y, y_signs[j])
+                ys[j] = _halve(b.signs, y)
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
 
@@ -588,11 +585,11 @@ class SignPatternReport:
         return self.hypothesis_ok and self.p_signs_ok and self.q_signs_ok
 
 
-def _first_wrong_sign(poly: IntPoly, roots, offset: int) -> int | None:
-    """First k >= 1 where poly lacks sign (-1)^(k + offset) at the k-th root."""
+def _first_wrong_sign(signs: _Signs, roots, offset: int) -> int | None:
+    """First k >= 1 where ``signs`` lacks sign (-1)^(k + offset) at the k-th root."""
     return next(
         (k for k, (_, iv) in enumerate(roots, start=1)
-         if poly.sign_at(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
+         if signs(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
         None,
     )
 
@@ -626,8 +623,8 @@ def sign_pattern_check(
     if _misplaced(merged) is not None:
         return SignPatternReport(p, q, False, False, False, "hypothesis violated")
 
-    bad_p = _first_wrong_sign(p_cert.poly, merged[1::2], p_cert.degree)
-    bad_q = _first_wrong_sign(q_cert.poly, merged[0::2], q_cert.degree + 1)
+    bad_p = _first_wrong_sign(p_cert.signs, merged[1::2], p_cert.degree)
+    bad_q = _first_wrong_sign(q_cert.signs, merged[0::2], q_cert.degree + 1)
     first = (
         f"sign of p at root {bad_p} of q" if bad_p
         else f"sign of q at root {bad_q} of p" if bad_q else None

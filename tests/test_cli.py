@@ -276,19 +276,23 @@ class TestCertify:
     def test_holds_certificates_for_at_most_three_indices(self, capsys, monkeypatch):
         """The certificates alive while W_n is isolated, with their bracket
         certificates, cover n-2..n: the brackets of n-2, which hold W_{n-3},
-        are dropped with it, and so is every pair already certified."""
+        are dropped with it, and so is every pair already certified.  So are
+        the sign tables: none of an index below n-2 is reachable."""
         isolate = rootcert._isolate
-        built, most = [], [0]
+        built, most, oldest = [], [0], [0]
 
         def spy(np_, prev):
             made = isolate(np_, prev)
-            built.extend(weakref.ref(x) for x in made if x is not None)
-            most[0] = max(most[0], len({r().n for r in built if r() is not None}))
+            built.extend((weakref.ref(x), weakref.ref(x.signs), x.n)
+                         for x in made if x is not None)
+            most[0] = max(most[0], len({n for c, _, n in built if c() is not None}))
+            tables = [n for _, t, n in built if t() is not None]
+            oldest[0] = max(oldest[0], np_.n - min(tables))
             return made
 
         monkeypatch.setattr(rootcert, "_isolate", spy)
         code, _, _ = run(capsys, "certify", "--n", "0..120")
-        assert code == 0 and most[0] == 3
+        assert code == 0 and most[0] == 3 and oldest[0] == 2
 
     def test_pairs_merge_from_the_bracket_certificates(self, capsys, monkeypatch):
         """A consecutive pair is apart as the brackets of its step leave it;
@@ -330,8 +334,9 @@ class TestCertify:
     def test_pair_merges_read_the_polynomials_at_midpoints_only(
         self, capsys, monkeypatch
     ):
-        """The bracket certificates carry the signs their search read at each
-        interval's hi, so every sign a merge reads is a halving's midpoint."""
+        """The bracket certificates share the sign tables their search
+        filled, so a merge reads at most one new sign per halving, its
+        midpoint, and often none."""
         counts = {"halve": 0, "sign_at": 0}
         real_halve, real_sign_at = rootcert._halve, IntPoly.sign_at
 
@@ -358,18 +363,38 @@ class TestCertify:
         code, _, _ = run(capsys, "certify", "--n", "0..40")
         assert code == 0
         assert sum(c["halve"] for c in spent.values()) > 0
-        assert all(c["sign_at"] == c["halve"] for c in spent.values()), spent
+        assert all(c["sign_at"] <= c["halve"] for c in spent.values()), spent
+        assert spent[3, 1] == {"halve": 2, "sign_at": 1}
 
-    def test_carried_signs_are_the_signs_at_each_hi(self):
-        chain = certificate_chain(map(normalized_recurrence, range(61)))
-        for c, consecutive, skip in chain:
-            for cert in (c, *(consecutive or ()), *(skip or ())):
-                signs = cert.hi_signs or (None,) * len(cert.intervals)
-                assert len(signs) == len(cert.intervals)
-                for iv, s in zip(cert.intervals, signs):
-                    assert s in (None, cert.poly.sign_at(iv.b, iv.k))
-            if consecutive is not None and consecutive[0] is not c:  # brackets counted
-                assert None not in c.hi_signs and None not in consecutive[0].hi_signs
+    def test_each_polynomial_has_one_table_of_true_signs(self):
+        """Every certificate of W_n, its own, its gaps and its halved
+        intervals, shares one sign table, and each entry is the sign of W_n
+        at its key, a point in lowest terms."""
+        tables = {}
+        for c, *pairs in certificate_chain(map(normalized_recurrence, range(61))):
+            for cert in (c, *(x for pair in pairs if pair for x in pair)):
+                assert tables.setdefault(cert.n, cert.signs) is cert.signs
+        for n, table in tables.items():
+            assert table and table.poly == normalized_recurrence(n).w
+            for (x, k), s in table.items():
+                assert x % 2 or k == 0
+                assert s == table.poly.sign_at(x, k)
+
+    def test_certify_reads_each_sign_once(self, capsys, monkeypatch):
+        """No polynomial is read twice at one point, however the point is
+        written: each certified polynomial's signs go through its table,
+        and a Sturm chain reads its own polynomials."""
+        reads, real = [], IntPoly.sign_at
+
+        def sign_at(self, x, k=0):
+            point = Fraction(x) / (1 << k)
+            reads.append((self.coeffs, point.numerator, point.denominator))
+            return real(self, x, k)
+
+        monkeypatch.setattr(IntPoly, "sign_at", sign_at)
+        code, _, _ = run(capsys, "certify", "--n", "0..100", "--format", "json")
+        assert code == 0
+        assert 0 < len(reads) == len(set(reads))
 
     def test_a_step_without_brackets_pairs_the_canonical_certificates(
         self, capsys, monkeypatch
@@ -381,7 +406,8 @@ class TestCertify:
         step too, but no pair printed needs its brackets."""
         real, w5 = rootcert._brackets, normalized_recurrence(5).w
         monkeypatch.setattr(
-            rootcert, "_brackets", lambda w, prev, E: None if w == w5 else real(w, prev, E)
+            rootcert, "_brackets",
+            lambda w, prev, E: None if w.poly == w5 else real(w, prev, E),
         )
         isolate, certify = rootcert._isolate, cli.certify_interlacing
         built, chained, canonical = {}, [], set()
@@ -425,7 +451,7 @@ class TestCertify:
         want = [pair for c, *pairs in chain if c.n in indices for pair in pairs if pair]
 
         def fields(x):
-            return x.n, x.intervals, x.poly, x.hi_signs
+            return x.n, x.intervals, x.poly
 
         assert [tuple(map(fields, p)) for p in merged] == [tuple(map(fields, p)) for p in want]
 

@@ -8,6 +8,7 @@ import pytest
 
 import clawgenus.cli as cli
 import clawgenus.oracle as oracle
+import clawgenus.rootcert as rootcert
 from clawgenus.errors import OracleCapExceeded, StructureViolation
 from clawgenus.oracle import (
     DEFAULT_CAP,
@@ -216,6 +217,31 @@ class TestCliImports:
         assert not private | walk, sorted(private | walk)
 
 
+def attribute_owners(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
+    """Qualified names of the functions and classes (dotted, innermost
+    last) whose bodies use ``.attr``; "" stands for module level."""
+    owners = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owners |= attribute_owners(node, attr, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            owners.add(scope)
+        owners |= attribute_owners(node, attr, scope)
+    return owners
+
+
+class TestRootcertSignReads:
+    def test_signs_are_read_only_through_the_tables_and_sturm_chains(self):
+        """A certified polynomial's signs live in its one ``_Signs`` table,
+        and a Sturm chain reads its own polynomials; any other reader would
+        be a second carrier of the same signs, read again."""
+        tree = ast.parse(Path(rootcert.__file__).read_text())
+        assert attribute_owners(tree, "sign_at") == {
+            "_Signs.__call__", "SturmChain.variations",
+        }
+
+
 class TestEnumeration:
     def test_dipole_tallies(self):
         o = enumerate_pgd(0)
@@ -227,6 +253,12 @@ class TestEnumeration:
     def test_matches_engine_componentwise(self, n):
         o = enumerate_pgd(n)
         v = pgd(n)
+        assert o.as_polys() == (v.a, v.b, v.c)
+
+    def test_matches_engine_at_n5(self):
+        """Ground truth past n = 4: 2^22 systems, split over two workers."""
+        o = enumerate_pgd(5, jobs=2, acknowledge_cost=True)
+        v = pgd(5)
         assert o.as_polys() == (v.a, v.b, v.c)
 
     def test_total_count(self):

@@ -22,6 +22,7 @@ from clawgenus.rootcert import (
     concavity_report,
     _bound_exponent,
     _halve,
+    _Signs,
     is_squarefree,
     isolate_roots,
     normalize,
@@ -244,13 +245,13 @@ class TestHalve:
 
     def test_root_at_the_midpoint_keeps_the_lower_half(self):
         p = P(2, 2)  # root -1
-        half, _ = _halve(p, Interval(-2, 0, 0))
+        half = _halve(_Signs(p), Interval(-2, 0, 0))
         assert (half.lo, half.hi) == (F(-2), F(-1))
         assert SturmChain(p).count(half.lo, half.hi) == 1
 
     def test_root_at_hi_keeps_the_upper_half(self):
         p = P(2, 2)
-        half, _ = _halve(p, Interval(-2, -1, 0))
+        half = _halve(_Signs(p), Interval(-2, -1, 0))
         assert (half.lo, half.hi) == (F(-3, 2), F(-1))
         assert SturmChain(p).count(half.lo, half.hi) == 1
 
@@ -260,8 +261,31 @@ class TestHalve:
             chain = SturmChain(c.poly)
             for iv in c.intervals:
                 for _ in range(6):
-                    iv = _halve(c.poly, iv)[0]
+                    iv = _halve(c.signs, iv)
                     assert chain.count(iv.lo, iv.hi) == 1
+
+
+class TestSignTable:
+    def test_one_entry_per_point_however_written(self, monkeypatch):
+        p, calls, real = P(2, 2), [], IntPoly.sign_at
+
+        def sign_at(self, x, k=0):
+            calls.append((x, k))
+            return real(self, x, k)
+
+        monkeypatch.setattr(IntPoly, "sign_at", sign_at)
+        table = _Signs(p)
+        assert table(-4, 2) == table(-2, 1) == table(-1) == 0
+        assert table(0, 5) == table(0) == 1
+        assert calls == [(-1, 0), (0, 0)] and dict(table) == {(-1, 0): 0, (0, 0): 1}
+
+    def test_certificate_takes_only_a_table_of_its_own_polynomial(self):
+        p = P(2, 2)
+        c = RootCertificate(0, 1, (Interval(-2, 0, 0),), True, p)
+        assert c.signs.poly == p and not c.signs  # a fresh table of p
+        assert RootCertificate(0, 1, (), True, p, _Signs(P(2, 2))).signs.poly == p
+        with pytest.raises(ValueError, match="sign table of another polynomial"):
+            RootCertificate(0, 1, (), True, p, _Signs(P(1, 2)))
 
 
 class TestIntervalJson:
@@ -284,7 +308,7 @@ class TestIntervalJson:
 class TestMergeSignEvaluations:
     @pytest.mark.parametrize("n,m", [(12, 11), (20, 18)])
     def test_one_evaluation_per_halving(self, monkeypatch, n, m):
-        """The sign at the kept upper endpoint is carried, not re-read."""
+        """The sign at the kept upper endpoint is in the table, not re-read."""
         import clawgenus.rootcert as rootcert
 
         a, b = cert(n), cert(m)
