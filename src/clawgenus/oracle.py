@@ -318,9 +318,9 @@ def _tally_chunk(args) -> list[list[int]]:
     is small, so few distinct port maps come out, and ``_join`` runs once
     per pair of them.  Each system then gets its own face and root face
     counts, A's closed faces plus B's plus the joined ones, and its own
-    Euler check.  Any range and any k in 0..V work; ``enumerate_pgd``
-    passes blocks of the lower half, split at ``_split``, and doubles
-    their tallies.
+    Euler and root class checks.  Any range and any k in 0..V work;
+    ``enumerate_pgd`` passes blocks of the lower half, split at ``_split``,
+    and doubles their tallies.
     """
     incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), lo, hi = args
     size = sum(map(len, incidence))
@@ -338,10 +338,14 @@ def _tally_chunk(args) -> list[list[int]]:
         base = b << k
         for faces_a, roots_a, ia in side_a[max(lo - base, 0):hi - base]:
             residue, cls = row[ia]
-            doubled = residue - faces_a
+            doubled, cls = residue - faces_a, cls - roots_a
             if doubled < 0 or doubled & 1:
                 raise StructureViolation("impossible Euler residue in enumeration")
-            tallies[cls - roots_a][doubled >> 1] += 1
+            if not 0 <= cls <= 2:
+                raise StructureViolation(
+                    f"{3 - cls} root faces in enumeration; the root has 1 to 3"
+                )
+            tallies[cls][doubled >> 1] += 1
     return tallies
 
 

@@ -2,17 +2,20 @@
 
 Polynomials are dense coefficient vectors: index i holds the coefficient of
 z**i.  The genus polynomials handled downstream never have internal zeros, so
-dense storage is the right shape.  Every value is immutable once built and
-every operation returns a fresh object, so values can move freely between
-threads.  ``remainder_sequence`` is the one Euclidean kernel: ``poly_gcd``
-reads its last entry, and a Sturm chain in ``rootcert`` is the sequence.
+dense storage is the right shape.  Coefficients are immutable once built
+and every operation returns a fresh object.  ``IntPoly.sign``'s memo caches
+a pure function of them, so two threads that fill it write the same value,
+and values can move freely between threads.  ``remainder_sequence`` is the
+one Euclidean kernel: ``poly_gcd`` reads its last entry, and a Sturm chain
+in ``rootcert`` is the sequence.
 
 Signs are read at dyadic points x / 2**k given as two integers, or as a
 ``fractions.Fraction`` with a power-of-two denominator, which is all root
-certification needs; ``eval`` is the exact evaluator at any other rational
-point.  An element of Q(sqrt 3) met downstream always has integer parts, so
-``Sqrt3Poly`` is a pair of integer polynomials rat + irr*sqrt(3); the one
-power-of-two scale the explicit formula needs is applied by its caller.
+certification needs; ``sign`` reads each point once, through ``sign_at``.
+``eval`` is the exact evaluator at any other rational point.  An element of
+Q(sqrt 3) met downstream always has integer parts, so ``Sqrt3Poly`` is a
+pair of integer polynomials rat + irr*sqrt(3); the one power-of-two scale
+the explicit formula needs is applied by its caller.
 """
 
 from __future__ import annotations
@@ -26,10 +29,16 @@ from math import gcd
 NEG_INF = float("-inf")
 
 
+def _lowest_terms(x: int, k: int) -> tuple[int, int]:
+    """The point x / 2**k as (x', k') with x' odd or k' = 0."""
+    t = min((x & -x).bit_length() - 1, k) if x else k  # common factors of 2
+    return x >> t, k - t
+
+
 class IntPoly:
     """Polynomial with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_signs")  # _signs: made by the first ``sign``
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -159,15 +168,25 @@ class IntPoly:
             if b & (b - 1):
                 raise ValueError(f"sign_at needs a dyadic point, got {x}/{b}")
             k = b.bit_length() - 1
-        if x:  # evaluate at x / 2**k in lowest terms
-            t = min((x & -x).bit_length() - 1, k)
-            x >>= t
-            k -= t
+        x, k = _lowest_terms(x, k)
         acc = s = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c << s)
             s += k
         return (acc > 0) - (acc < 0)
+
+    def sign(self, x: int, k: int = 0) -> int:
+        """``sign_at(x, k)``, kept in a memo keyed by the point in lowest
+        terms: x / 2**k written at any exponent is evaluated once."""
+        point = _lowest_terms(x, k)
+        try:
+            memo = self._signs
+        except AttributeError:
+            memo = self._signs = {}
+        s = memo.get(point)
+        if s is None:
+            s = memo[point] = self.sign_at(*point)
+        return s
 
     def derivative(self) -> IntPoly:
         return IntPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)

@@ -25,9 +25,9 @@ Certificates produced:
   fallback when that sign count falls short or its small halving allowance
   runs out; both counters give the same certificate.  The degree is read
   from the polynomial; the claw degree (n+2)//2 is a data check of
-  ``NormalizedPoly.validate``.  Each certified polynomial has one sign
-  table, shared by every certificate of it, so the search, the halvings
-  and the merges read each of its signs once.
+  ``NormalizedPoly.validate``.  The search, the halvings and the merges
+  read the polynomial through ``IntPoly.sign``, so each of its signs is
+  evaluated once, whichever certificate of it reads it.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 
@@ -193,27 +193,6 @@ class Interval:
         return float(self.midpoint)
 
 
-class _Signs(dict):
-    """Signs of ``poly`` at dyadic points, each read once: a dict keyed by
-    the point x/2**k in lowest terms as (x, k) that calls ``poly.sign_at``
-    only on a miss.  ``table(x, k)`` reads x/2**k written at any exponent.
-    """
-
-    def __init__(self, poly: IntPoly):
-        self.poly = poly
-
-    def __call__(self, x: int, k: int = 0) -> int:
-        if x:
-            t = (x & -x).bit_length() - 1  # trailing zero bits of x
-            point = (x >> t, k - t) if t < k else (x >> k, 0)
-        else:
-            point = (0, 0)
-        s = self.get(point)
-        if s is None:
-            s = self[point] = self.poly.sign_at(*point)
-        return s
-
-
 @dataclass(frozen=True)
 class RootCertificate:
     """Isolating intervals for all real roots of a normalized polynomial.
@@ -226,23 +205,20 @@ class RootCertificate:
     chain, where one counted, stays inside ``isolate_roots``, and so do the
     brackets (``certificate_chain`` hands them on).  A complete certificate
     has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
-    reads it.  ``signs``, never serialized nor compared, is the sign table
-    of ``poly``: a new one unless given, and one of another polynomial is
-    rejected.
+    reads it, through the signs ``poly`` keeps (``IntPoly.sign``).
     """
 
     n: int
-    degree: int
     intervals: tuple[Interval, ...]
-    complete: bool
-    poly: IntPoly = field(compare=False)
-    signs: _Signs = field(default=None, compare=False, repr=False)
+    poly: IntPoly
 
-    def __post_init__(self):
-        if self.signs is None:
-            object.__setattr__(self, "signs", _Signs(self.poly))
-        elif self.signs.poly != self.poly:
-            raise ValueError(f"sign table of another polynomial at n={self.n}")
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    @property
+    def complete(self) -> bool:
+        return len(self.intervals) == self.poly.degree
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,14 +244,13 @@ _BRACKET_HALVINGS = 8
 
 
 def _brackets(
-    w: _Signs, prev: RootCertificate, E: int
+    w: IntPoly, prev: RootCertificate, E: int
 ) -> tuple[int, list[tuple[int, int]], list[Interval]] | None:
     """Open intervals (l/2**k, h/2**k), each holding exactly one simple root
     of w, as (k, [(l, h), ...], refined) in increasing order with one
     exponent k = e + E for all; None unless they hold every root of w.
-    ``w`` is the sign table of the polynomial.  ``refined`` is prev's
-    intervals as halved here, each still isolating one root of prev and
-    holding no root of w.
+    ``refined`` is prev's intervals as halved here, each still isolating
+    one root of prev and holding no root of w.
 
     prev's isolating intervals are halved until w has sign (-1)^(deg w - j)
     at both ends of the j-th: the sign w takes at prev's j-th root when the
@@ -296,22 +271,22 @@ def _brackets(
     depth-d nodes of the bisection of (-2**E, 0] sit at every multiple of
     2**(E - d), so by depth e + E no interval holds two roots.
     """
-    d = w.poly.degree
+    d = w.degree
     budget = _BRACKET_HALVINGS * len(prev.intervals)
     refined = []
     steps = 0
     for j, iv in enumerate(prev.intervals, start=1):
         want = -1 if (d - j) % 2 else 1
-        while w(iv.a, iv.k) != want or w(iv.b, iv.k) != want:
+        while w.sign(iv.a, iv.k) != want or w.sign(iv.b, iv.k) != want:
             if steps == budget:
                 return None
-            iv = _halve(prev.signs, iv)
+            iv = _halve(prev.poly, iv)
             steps += 1
         refined.append((iv, want))
     k = max((iv.k for iv, _ in refined), default=0) + E
     # w has sign want at both ends of each refined interval; sorted, the
     # count holds whatever the layout of prev's intervals
-    samples = sorted([(-1 << (E + k), w(-1 << E)), (0, w(0))] + [
+    samples = sorted([(-1 << (E + k), w.sign(-1 << E)), (0, w.sign(0))] + [
         (e << (k - iv.k), want) for iv, want in refined for e in (iv.a, iv.b)])
     if any(s == 0 for _, s in samples):
         return None
@@ -350,12 +325,12 @@ def _isolate(
     halved until w has no root in them, both as complete certificates, else
     None and None.  Each gap lies between two of the halved intervals, or
     between one and an end of (-2**E, 0], so the two alternate and
-    ``_merge`` separates them with no halving.  The certificate and the
-    gaps share w's sign table, made here; the halved intervals share prev's."""
+    ``_merge`` separates them with no halving.  The gaps hold w itself and
+    the halved intervals prev's polynomial, so each reads the signs its
+    polynomial has already read."""
     w = np_.w
-    signs = _Signs(w)
     E = _bound_exponent(w)
-    counted = _brackets(signs, prev, E) if prev is not None and prev.complete else None
+    counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
     if counted is None:
         chain = SturmChain(w)
 
@@ -370,7 +345,7 @@ def _isolate(
             at = x << (top - k)
             j = bisect_right(his, at)
             if j < len(his) and lows[j] < at:
-                j += signs(x, k) in (0, signs(his[j], top))
+                j += w.sign(x, k) in (0, w.sign(his[j], top))
             return j
 
     # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
@@ -391,14 +366,7 @@ def _isolate(
         r_mid = rank(mid, k)
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
-    cert = RootCertificate(
-        n=np_.n,
-        degree=w.degree,
-        intervals=tuple(found),
-        complete=r_hi - r_lo == w.degree,
-        poly=w,
-        signs=signs,
-    )
+    cert = RootCertificate(n=np_.n, intervals=tuple(found), poly=w)
     if counted is None:
         return cert, None, None
     # the j-th gap and the j-th interval hold the same root, and neither end
@@ -434,15 +402,15 @@ def certificate_chain(
         prev, older, below = cert, prev, halved
 
 
-def _halve(p: _Signs, iv: Interval) -> Interval:
-    """Halve an isolating interval of p, read through its sign table, keeping
-    its single root.  p must be squarefree, as the polynomial of a complete
-    certificate is, so the root is simple and p changes sign across it
-    unless it sits exactly on hi or on the midpoint."""
+def _halve(p: IntPoly, iv: Interval) -> Interval:
+    """Halve an isolating interval of p, keeping its single root.  p must be
+    squarefree, as the polynomial of a complete certificate is, so the root
+    is simple and p changes sign across it unless it sits exactly on hi or
+    on the midpoint."""
     a, b, k = iv.a, iv.b, iv.k
     mid = a + b
-    s = p(b, k)
-    if s == 0 or p(mid, k + 1) == -s:
+    s = p.sign(b, k)
+    if s == 0 or p.sign(mid, k + 1) == -s:
         return Interval(mid, b << 1, k + 1)
     return Interval(a << 1, mid, k + 1)
 
@@ -485,9 +453,9 @@ def _merge(
             )
         else:
             if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
-                xs[i] = _halve(a.signs, x)
+                xs[i] = _halve(a.poly, x)
             else:
-                ys[j] = _halve(b.signs, y)
+                ys[j] = _halve(b.poly, y)
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
 
@@ -585,11 +553,11 @@ class SignPatternReport:
         return self.hypothesis_ok and self.p_signs_ok and self.q_signs_ok
 
 
-def _first_wrong_sign(signs: _Signs, roots, offset: int) -> int | None:
-    """First k >= 1 where ``signs`` lacks sign (-1)^(k + offset) at the k-th root."""
+def _first_wrong_sign(p: IntPoly, roots, offset: int) -> int | None:
+    """First k >= 1 where p lacks sign (-1)^(k + offset) at the k-th root."""
     return next(
         (k for k, (_, iv) in enumerate(roots, start=1)
-         if signs(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
+         if p.sign(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
         None,
     )
 
@@ -623,8 +591,8 @@ def sign_pattern_check(
     if _misplaced(merged) is not None:
         return SignPatternReport(p, q, False, False, False, "hypothesis violated")
 
-    bad_p = _first_wrong_sign(p_cert.signs, merged[1::2], p_cert.degree)
-    bad_q = _first_wrong_sign(q_cert.signs, merged[0::2], q_cert.degree + 1)
+    bad_p = _first_wrong_sign(p_cert.poly, merged[1::2], p_cert.degree)
+    bad_q = _first_wrong_sign(q_cert.poly, merged[0::2], q_cert.degree + 1)
     first = (
         f"sign of p at root {bad_p} of q" if bad_p
         else f"sign of q at root {bad_q} of p" if bad_q else None

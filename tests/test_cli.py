@@ -52,6 +52,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def sign_reads(capsys, monkeypatch, spec: str) -> list[tuple]:
+    """Every ``IntPoly.sign_at`` evaluation of ``certify --n spec --format
+    json``, as (coefficients, numerator, denominator) in lowest terms."""
+    reads, real = [], IntPoly.sign_at
+
+    def sign_at(self, x, k=0):
+        point = Fraction(x) / (1 << k)
+        reads.append((self.coeffs, point.numerator, point.denominator))
+        return real(self, x, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(IntPoly, "sign_at", sign_at)
+        code, _, _ = run(capsys, "certify", "--n", spec, "--format", "json")
+    assert code == 0
+    return reads
+
+
 def checked_rows(out: str) -> list[dict]:
     """The rows of ``certify --format json`` output, which must pass the
     independent check in ``certcheck``."""
@@ -277,17 +294,23 @@ class TestCertify:
         """The certificates alive while W_n is isolated, with their bracket
         certificates, cover n-2..n: the brackets of n-2, which hold W_{n-3},
         are dropped with it, and so is every pair already certified.  So are
-        the sign tables: none of an index below n-2 is reachable."""
+        the polynomials, and with them their memos of signs: none of an
+        index below n-2 is reachable.  IntPoly takes no weak reference, so
+        each W_n is isolated as an equal polynomial of a subclass that does."""
         isolate = rootcert._isolate
-        built, most, oldest = [], [0], [0]
+        built, polys, most, oldest = [], [], [0], [0]
+
+        class Traced(IntPoly):
+            __slots__ = ("__weakref__",)
 
         def spy(np_, prev):
+            np_ = NormalizedPoly(np_.n, Traced(np_.w.coeffs))
+            polys.append((weakref.ref(np_.w), np_.n))
             made = isolate(np_, prev)
-            built.extend((weakref.ref(x), weakref.ref(x.signs), x.n)
-                         for x in made if x is not None)
-            most[0] = max(most[0], len({n for c, _, n in built if c() is not None}))
-            tables = [n for _, t, n in built if t() is not None]
-            oldest[0] = max(oldest[0], np_.n - min(tables))
+            built.extend((weakref.ref(x), x.n) for x in made if x is not None)
+            most[0] = max(most[0], len({n for c, n in built if c() is not None}))
+            alive = [n for w, n in polys if w() is not None]
+            oldest[0] = max(oldest[0], np_.n - min(alive))
             return made
 
         monkeypatch.setattr(rootcert, "_isolate", spy)
@@ -368,32 +391,24 @@ class TestCertify:
 
     def test_each_polynomial_has_one_table_of_true_signs(self):
         """Every certificate of W_n, its own, its gaps and its halved
-        intervals, shares one sign table, and each entry is the sign of W_n
-        at its key, a point in lowest terms."""
-        tables = {}
+        intervals, holds the same polynomial object, so they share its memo
+        of signs, and each entry is the sign of W_n at its key, a point in
+        lowest terms."""
+        polys = {}
         for c, *pairs in certificate_chain(map(normalized_recurrence, range(61))):
             for cert in (c, *(x for pair in pairs if pair for x in pair)):
-                assert tables.setdefault(cert.n, cert.signs) is cert.signs
-        for n, table in tables.items():
-            assert table and table.poly == normalized_recurrence(n).w
-            for (x, k), s in table.items():
+                assert polys.setdefault(cert.n, cert.poly) is cert.poly
+        for n, w in polys.items():
+            assert w._signs and w == normalized_recurrence(n).w
+            for (x, k), s in w._signs.items():
                 assert x % 2 or k == 0
-                assert s == table.poly.sign_at(x, k)
+                assert s == w.sign_at(x, k)
 
     def test_certify_reads_each_sign_once(self, capsys, monkeypatch):
         """No polynomial is read twice at one point, however the point is
-        written: each certified polynomial's signs go through its table,
+        written: each certified polynomial's signs go through its memo,
         and a Sturm chain reads its own polynomials."""
-        reads, real = [], IntPoly.sign_at
-
-        def sign_at(self, x, k=0):
-            point = Fraction(x) / (1 << k)
-            reads.append((self.coeffs, point.numerator, point.denominator))
-            return real(self, x, k)
-
-        monkeypatch.setattr(IntPoly, "sign_at", sign_at)
-        code, _, _ = run(capsys, "certify", "--n", "0..100", "--format", "json")
-        assert code == 0
+        reads = sign_reads(capsys, monkeypatch, "0..100")
         assert 0 < len(reads) == len(set(reads))
 
     def test_a_step_without_brackets_pairs_the_canonical_certificates(
@@ -407,7 +422,7 @@ class TestCertify:
         real, w5 = rootcert._brackets, normalized_recurrence(5).w
         monkeypatch.setattr(
             rootcert, "_brackets",
-            lambda w, prev, E: None if w.poly == w5 else real(w, prev, E),
+            lambda w, prev, E: None if w == w5 else real(w, prev, E),
         )
         isolate, certify = rootcert._isolate, cli.certify_interlacing
         built, chained, canonical = {}, [], set()

@@ -1,44 +1,89 @@
-"""Mutants of the certificate search, each with the check that catches it.
+"""Mutants of the package, each with the check that catches it.
 
-Each row makes one small change to a private function of ``rootcert``,
-applied with ``monkeypatch``, and runs ``certify --format json`` over a
-short range.  The mutant is compiled from the function's own source with
-one piece of text replaced, so a row whose text the source no longer holds
-fails instead of testing nothing.
+Each row makes one small change to a constant or to a private function,
+applied with ``monkeypatch``, and runs a command over a short range.  A
+function's mutant is compiled from its own source with one piece of text
+replaced, so a row whose text the source no longer holds fails instead of
+testing nothing.  The routes keep state between calls, the
+``ResumableSequence`` windows and the ``_composition_sum`` cache:
+``fresh_routes`` starts them over, so a patched constant is read, and no
+term computed from it outlives the test.
 """
 
 import __future__
 import inspect
 import json
+import sys
 import textwrap
 
 import pytest
 
+import clawgenus.formulas as formulas
+import clawgenus.oracle as oracle
 import clawgenus.rootcert as rootcert
 from certcheck import certificate_errors
 from clawgenus.cli import main
+from clawgenus.errors import ConsistencyError
+from clawgenus.polynomials import IntPoly
+from test_cli import sign_reads
+
+#: The module; ``clawgenus.pgd`` is the function the package exports.
+pgd = sys.modules["clawgenus.pgd"]
 
 RANGE = "0..40"
 
-#: W_{n-1}'s halved intervals, paired for the skip merge at step n+1, read
-#: through W_n's sign table instead of their own.
-ALIASED_TABLE = (
-    rootcert, "_isolate",
-    "halved = replace(prev, intervals=tuple(refined))",
-    "halved = replace(prev, intervals=tuple(refined), signs=signs)",
-)
-UNGUARDED = (
-    rootcert.RootCertificate, "__post_init__",
-    "elif self.signs.poly != self.poly:", "elif False:",
-)
 
-#: Mutants that certcheck or the exit code of ``certify`` must catch.
+def entry(table: tuple, i: int, value) -> tuple:
+    """table with entry i replaced by value."""
+    return table[:i] + (value,) + table[i + 1:]
+
+
+#: Mutants of the certificate search that certcheck or the exit code of
+#: ``certify`` must catch, with the range certified.
 CAUGHT = {
-    "aliased-table-past-the-guard": [ALIASED_TABLE, UNGUARDED],
     # W_0 = 2 + 2z has its root -1 at the hi of its interval (-2, -1]
-    "halve-keeps-the-lower-half-at-a-root-hi": [
-        (rootcert, "_halve", "if s == 0 or p(", "if s != 0 and p("),
-    ],
+    "halve-keeps-the-lower-half-at-a-root-hi": ([
+        (rootcert, "_halve", "if s == 0 or p.sign(", "if s != 0 and p.sign("),
+    ], RANGE),
+    # The memo lives on the mutant function, so it goes with the mutant.
+    # Every pair fails from (1, 0) on, each at a growing cost: 8.6 s over
+    # 0..30, so the range is short.
+    "one-memo-for-every-polynomial": ([
+        (IntPoly, "sign", "memo = self._signs = {}",
+         "memo = self._signs = IntPoly.sign.__dict__.setdefault('memo', {})"),
+    ], "0..8"),
+}
+
+#: Mutants past ``rootcert``: each edit is (owner, name, value) for a
+#: constant or (owner, name, old text, new text) for a function, with the
+#: command that must exit 1 and what its error must say.
+FAILS = {
+    "recurrence-c2-minus-63": (
+        [(formulas, "RECURRENCE", entry(formulas.RECURRENCE, 1, IntPoly((0, 24, -63))))],
+        ["compute", "--n", "0..4"],
+        "error: coefficient sum at n=3 is 16448, expected 2^14",
+    ),
+    "production-matrix-8-to-9": (
+        [(pgd, "PRODUCTION_MATRIX", entry(
+            pgd.PRODUCTION_MATRIX, 0,
+            entry(pgd.PRODUCTION_MATRIX[0], 2, IntPoly.constant(9))))],
+        ["compute", "--n", "0..4"], "error: embedding total at n=1 is 66, expected 64",
+    ),
+    "tally-files-class-a-as-c": (
+        [(oracle, "_tally_chunk", "tallies[cls][", "tallies[cls or 2][")],
+        ["oracle-check", "--n", "0..3"],
+        "n=0: oracle differs from the production route in class(es) a, c",
+    ),
+    # the two below raised a bare IndexError out of the CLI before the
+    # enumeration checked the root class it derives
+    "join-drops-the-root-flags": (
+        [(oracle, "_join", "nxt[p], root[p] = e, touched", "nxt[p] = e")],
+        ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
+    ),
+    "walk-drops-the-root-darts-it-passes": (
+        [(oracle, "_walk", "touched |= root[d]", "pass")],
+        ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
+    ),
 }
 
 
@@ -54,28 +99,67 @@ def mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
     monkeypatch.setattr(owner, name, namespace[name])
 
 
-def certify(capsys) -> tuple[int, str, str]:
-    code = main(["certify", "--n", RANGE, "--format", "json"])
+def apply(monkeypatch, edit: tuple) -> None:
+    """Set a constant, (owner, name, value), or mutate a function."""
+    if len(edit) == 3:
+        monkeypatch.setattr(*edit)
+    else:
+        mutate(monkeypatch, *edit)
+
+
+@pytest.fixture
+def fresh_routes(monkeypatch):
+    """Every route starts from its first terms, and none keeps a mutant's."""
+    for seq in (formulas._GENUS, pgd._PGD, pgd._ROWS):
+        monkeypatch.setattr(seq, "last", (0, seq.first))
+    formulas._composition_sum.cache_clear()
+    yield
+    formulas._composition_sum.cache_clear()
+
+
+def certify(capsys, spec: str = RANGE) -> tuple[int, str, str]:
+    code = main(["certify", "--n", spec, "--format", "json"])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("name", CAUGHT)
 def test_certcheck_or_the_exit_code_catches(capsys, monkeypatch, name):
-    for edit in CAUGHT[name]:
-        mutate(monkeypatch, *edit)
-    code, out, _ = certify(capsys)
+    edits, spec = CAUGHT[name]
+    for edit in edits:
+        apply(monkeypatch, edit)
+    code, out, _ = certify(capsys, spec)
     assert code != 0 or certificate_errors(json.loads(out))
 
 
-def test_the_certificate_refuses_a_table_of_another_polynomial(capsys, monkeypatch):
-    """The search's own merge trusts the signs it is given (past the guard
-    ``certify`` exits 0 with every check passed), so the guard in
-    ``RootCertificate`` is what stops an aliased table."""
-    mutate(monkeypatch, *ALIASED_TABLE)
-    code, out, err = certify(capsys)
-    assert code == 1 and out == ""
-    assert "sign table of another polynomial" in err
+@pytest.mark.parametrize("name", FAILS)
+def test_the_command_fails_with_its_own_error(capsys, monkeypatch, fresh_routes, name):
+    edits, argv, message = FAILS[name]
+    for edit in edits:
+        apply(monkeypatch, edit)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and message in err, err
+
+
+def test_the_series_check_catches_a_numerator_entry(monkeypatch, fresh_routes):
+    """-12z -> -11z in the closed generating function's numerator."""
+    monkeypatch.setattr(formulas, "SERIES_NUMERATOR", entry(
+        formulas.SERIES_NUMERATOR, 1, IntPoly((8, -11))))
+    with pytest.raises(ConsistencyError, match="at t\\^1"):
+        formulas.verify_series_closed_form(6)
+
+
+def test_the_read_count_catches_a_memo_keyed_as_written(capsys, monkeypatch):
+    """A memo keyed by the point as written, not in lowest terms, still
+    gives true signs, so ``certify`` passes with the same points read; only
+    the count of evaluations in lowest terms, as in
+    ``test_certify_reads_each_sign_once``, sees the repeats."""
+    clean = sign_reads(capsys, monkeypatch, "0..28")
+    mutate(monkeypatch, IntPoly, "sign",
+           "point = _lowest_terms(x, k)", "point = (x, k)")
+    reads = sign_reads(capsys, monkeypatch, "0..28")
+    assert len(clean) == len(set(clean)) == len(set(reads)) < len(reads)
 
 
 def test_flipped_bracket_parity_shows_only_in_the_digests(capsys, monkeypatch):

@@ -233,13 +233,19 @@ def attribute_owners(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
 
 class TestRootcertSignReads:
     def test_signs_are_read_only_through_the_tables_and_sturm_chains(self):
-        """A certified polynomial's signs live in its one ``_Signs`` table,
-        and a Sturm chain reads its own polynomials; any other reader would
-        be a second carrier of the same signs, read again."""
+        """A certified polynomial's signs live in its own memo, read through
+        ``IntPoly.sign``, and a Sturm chain reads its own polynomials; any
+        other reader would be a second carrier of the same signs, read
+        again.  No code of the package but ``IntPoly.sign`` touches the
+        memo, so nothing else can fill it with another polynomial's signs."""
         tree = ast.parse(Path(rootcert.__file__).read_text())
-        assert attribute_owners(tree, "sign_at") == {
-            "_Signs.__call__", "SturmChain.variations",
+        assert attribute_owners(tree, "sign_at") == {"SturmChain.variations"}
+        memo = {
+            f"{path.stem}:{owner}"
+            for path in Path(rootcert.__file__).parent.glob("*.py")
+            for owner in attribute_owners(ast.parse(path.read_text()), "_signs")
         }
+        assert memo == {"polynomials:IntPoly.sign"}
 
 
 class TestEnumeration:

@@ -1,7 +1,10 @@
 """Root isolation, interlacing and concavity certification."""
 
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,6 @@ from clawgenus.rootcert import (
     concavity_report,
     _bound_exponent,
     _halve,
-    _Signs,
     is_squarefree,
     isolate_roots,
     normalize,
@@ -225,16 +227,12 @@ def shared_root_pair() -> tuple[RootCertificate, RootCertificate]:
     q = P(2, 3, 1)  # roots -2, -1
     a = RootCertificate(
         n=1,
-        degree=2,
         intervals=(Interval(-5, -2, 0), Interval(-2, 0, 0)),
-        complete=True,
         poly=p,
     )
     b = RootCertificate(
         n=0,
-        degree=2,
         intervals=(Interval(-6, -3, 1), Interval(-3, 0, 1)),  # (-3, -3/2], (-3/2, 0]
-        complete=True,
         poly=q,
     )
     return a, b
@@ -245,13 +243,13 @@ class TestHalve:
 
     def test_root_at_the_midpoint_keeps_the_lower_half(self):
         p = P(2, 2)  # root -1
-        half = _halve(_Signs(p), Interval(-2, 0, 0))
+        half = _halve(p, Interval(-2, 0, 0))
         assert (half.lo, half.hi) == (F(-2), F(-1))
         assert SturmChain(p).count(half.lo, half.hi) == 1
 
     def test_root_at_hi_keeps_the_upper_half(self):
         p = P(2, 2)
-        half = _halve(_Signs(p), Interval(-2, -1, 0))
+        half = _halve(p, Interval(-2, -1, 0))
         assert (half.lo, half.hi) == (F(-3, 2), F(-1))
         assert SturmChain(p).count(half.lo, half.hi) == 1
 
@@ -261,7 +259,7 @@ class TestHalve:
             chain = SturmChain(c.poly)
             for iv in c.intervals:
                 for _ in range(6):
-                    iv = _halve(c.signs, iv)
+                    iv = _halve(c.poly, iv)
                     assert chain.count(iv.lo, iv.hi) == 1
 
 
@@ -274,18 +272,42 @@ class TestSignTable:
             return real(self, x, k)
 
         monkeypatch.setattr(IntPoly, "sign_at", sign_at)
-        table = _Signs(p)
-        assert table(-4, 2) == table(-2, 1) == table(-1) == 0
-        assert table(0, 5) == table(0) == 1
-        assert calls == [(-1, 0), (0, 0)] and dict(table) == {(-1, 0): 0, (0, 0): 1}
+        assert not hasattr(p, "_signs")  # made by the first read, not by __init__
+        assert p.sign(-4, 2) == p.sign(-2, 1) == p.sign(-1) == 0
+        assert p.sign(0, 5) == p.sign(0) == 1
+        assert calls == [(-1, 0), (0, 0)] and p._signs == {(-1, 0): 0, (0, 0): 1}
+        assert P(2, 2).sign(-1) == 0 and len(calls) == 3  # an equal polynomial reads its own
 
-    def test_certificate_takes_only_a_table_of_its_own_polynomial(self):
+    def test_threads_filling_one_memo_read_true_signs(self):
+        """The memo caches a pure function of the coefficients, so threads
+        that race to make it and to fill it only ever store true signs."""
+        w = normalized_recurrence(30).w
+        points = [(x, 6) for x in range(-(1 << 9), 1)]  # many not in lowest terms
+        want = [w.sign_at(x, k) for x, k in points]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                p = IntPoly(w.coeffs)
+                with ThreadPoolExecutor(8) as pool:
+                    got = list(pool.map(
+                        lambda _: [p.sign(x, k) for x, k in points], range(8), timeout=60))
+                assert got == [want] * 8
+                assert all(s == p.sign_at(x, k) for (x, k), s in p._signs.items())
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestCertificateFields:
+    def test_degree_and_completeness_are_read_from_the_polynomial(self):
+        """A certificate is (n, intervals, poly): nothing else can be set,
+        so nothing can disagree with the polynomial it certifies."""
         p = P(2, 2)
-        c = RootCertificate(0, 1, (Interval(-2, 0, 0),), True, p)
-        assert c.signs.poly == p and not c.signs  # a fresh table of p
-        assert RootCertificate(0, 1, (), True, p, _Signs(P(2, 2))).signs.poly == p
-        with pytest.raises(ValueError, match="sign table of another polynomial"):
-            RootCertificate(0, 1, (), True, p, _Signs(P(1, 2)))
+        assert [f.name for f in fields(RootCertificate)] == ["n", "intervals", "poly"]
+        c = RootCertificate(0, (Interval(-2, 0, 0),), p)
+        assert c.degree == 1 and c.complete
+        assert not RootCertificate(0, (), p).complete
+        assert c != RootCertificate(0, c.intervals, P(3, 3))  # the polynomial counts
 
 
 class TestIntervalJson:
@@ -620,7 +642,7 @@ class TestSignPatterns:
 
     def test_vacuous_pass_when_a_side_has_no_roots(self):
         p = P(1, 1, 1)  # no real roots at all
-        a = RootCertificate(n=1, degree=2, intervals=(), complete=False, poly=p)
+        a = RootCertificate(n=1, intervals=(), poly=p)
         rep = sign_pattern_check(a, cert(0))
         assert rep.ok and rep.hypothesis_ok  # nothing to evaluate at
 
