@@ -22,7 +22,7 @@ from itertools import islice, starmap
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
-from .oracle import MAX_JOBS, enumerate_pgd, worker_pool
+from .oracle import MAX_JOBS, enumerate_pgd
 from .pgd import pgd
 from .polynomials import IntPoly
 from .rootcert import (
@@ -94,28 +94,26 @@ ROUTES = (*_ALGEBRAIC, "oracle")
 
 def cmd_compute(args) -> int:
     rows = []
-    jobs = args.parallelism if args.route == "oracle" else 1  # one pool per range
-    with worker_pool(jobs, args.n[-1]) as pool:
-        for n in args.n:
-            if args.route == "oracle":
-                p = enumerate_pgd(
-                    n, jobs=jobs, acknowledge_cost=args.acknowledge_cost, pool=pool
-                ).total()
-            elif args.route != "all":
-                p = _ALGEBRAIC[args.route](n)
-            else:
-                polys = {r: route(n) for r, route in _ALGEBRAIC.items()}
-                p = polys["recurrence"]
-                for r, q in polys.items():
-                    if q != p:
-                        i = next(i for i in range(max(len(q), len(p))) if q[i] != p[i])
-                        print(
-                            f"route disagreement at n={n}, coefficient i={i}: "
-                            f"{r}={q[i]}, recurrence={p[i]}",
-                            file=sys.stderr,
-                        )
-                        return 1
-            rows.append((n, p))
+    for n in args.n:
+        if args.route == "oracle":
+            p = enumerate_pgd(
+                n, jobs=args.parallelism, acknowledge_cost=args.acknowledge_cost
+            ).total()
+        elif args.route != "all":
+            p = _ALGEBRAIC[args.route](n)
+        else:
+            polys = {r: route(n) for r, route in _ALGEBRAIC.items()}
+            p = polys["recurrence"]
+            for r, q in polys.items():
+                if q != p:
+                    i = next(i for i in range(max(len(q), len(p))) if q[i] != p[i])
+                    print(
+                        f"route disagreement at n={n}, coefficient i={i}: "
+                        f"{r}={q[i]}, recurrence={p[i]}",
+                        file=sys.stderr,
+                    )
+                    return 1
+        rows.append((n, p))
 
     agree = args.route == "all"
     if args.format == "csv":
@@ -227,27 +225,23 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     status = 0
-    with worker_pool(args.parallelism, args.n[-1]) as pool:
-        for n in args.n:
-            o = enumerate_pgd(
-                n, jobs=args.parallelism, acknowledge_cost=args.acknowledge_cost,
-                pool=pool,
+    for n in args.n:
+        o = enumerate_pgd(n, jobs=args.parallelism, acknowledge_cost=args.acknowledge_cost)
+        v = pgd(n)
+        pairs = zip("abc", o.as_polys(), (v.a, v.b, v.c))
+        bad = [name for name, op, vp in pairs if op != vp]
+        if bad:
+            print(
+                f"n={n}: oracle differs from the production route in "
+                f"class(es) {', '.join(bad)}",
+                file=sys.stderr,
             )
-            v = pgd(n)
-            pairs = zip("abc", o.as_polys(), (v.a, v.b, v.c))
-            bad = [name for name, op, vp in pairs if op != vp]
-            if bad:
-                print(
-                    f"n={n}: oracle differs from the production route in "
-                    f"class(es) {', '.join(bad)}",
-                    file=sys.stderr,
-                )
-                status = 1
-            else:
-                print(
-                    f"n={n}: oracle matches the production route "
-                    f"({o.embedding_count()} embeddings) {CHECK}"
-                )
+            status = 1
+        else:
+            print(
+                f"n={n}: oracle matches the production route "
+                f"({o.embedding_count()} embeddings) {CHECK}"
+            )
     return status
 
 
@@ -271,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "algebraic routes (default)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
-                   help=f"worker count for the oracle route (1 to {MAX_JOBS})")
+                   help="oracle route: worker processes above the size cap, "
+                        f"one process up to it (1 to {MAX_JOBS})")
     p.add_argument("--acknowledge-cost", action="store_true",
                    help="allow oracle enumeration above the size cap")
     p.set_defaults(func=cmd_compute)
@@ -290,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare exhaustive enumeration with the engine")
     p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
     p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
-                   help=f"worker count (1 to {MAX_JOBS})")
+                   help="worker processes above the size cap, one process "
+                        f"up to it (1 to {MAX_JOBS})")
     p.add_argument("--acknowledge-cost", action="store_true")
     p.set_defaults(func=cmd_oracle_check)
     return parser

@@ -11,7 +11,7 @@ Setting every bit reverses every rotation, which gives the mirror
 embedding: its faces are the same walks run backwards, so it has the same
 genus and root class.  The enumeration therefore traces one system of each
 mirror pair, the indices 0..2^(4n+1)-1 whose top bit is 0, and counts it
-twice.  Workers split that range of indices.
+twice.  Above the cap, workers split that range of indices.
 
 The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
 (side B), with k at the smallest cut, three edges in a claw (the
@@ -25,26 +25,30 @@ joined, worked out once per distinct pair of maps.  Every system is still
 counted and Euler-checked on its own; none is lumped with another.  One face-walk
 loop, ``_walk``, serves the sides, the join and the per-system functions
 (``face_trace``, ``root_class``), which walk the whole graph as one
-region.  A command that enumerates several indices opens one pool with
-``worker_pool`` and hands it to every ``enumerate_pgd`` call, so the
-workers start once per command, not once per index.
+region.
 
-The enumeration refuses n above the module constant ``DEFAULT_CAP``
-(2^18 systems at n = 4) unless the caller acknowledges the cost with
-``acknowledge_cost=True``, which ``--acknowledge-cost`` sets on the command
-line; that is the one way past the cap.
+``DEFAULT_CAP`` is the one threshold of the enumeration.  Up to it, the
+whole range is one block tallied in the calling process, since starting
+workers costs more than the work (measured at the constant).  Above it,
+the caller must acknowledge the cost with ``acknowledge_cost=True``, which
+``--acknowledge-cost`` sets on the command line (the one way past the
+cap), and the blocks run in a pool that the call opens and closes itself.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .errors import OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
 
-#: Largest n enumerated without an explicit cost acknowledgment.
+#: Largest n enumerated without a cost acknowledgment, and in one process
+#: whatever ``jobs`` is.  On a 2-core host (Python 3.11) one process takes
+#: 5-6 ms at n = 3, 24-46 ms at n = 4 and 0.45-0.59 s at n = 5; a pool of two
+#: takes 7-10 ms to start and 2-12 ms to end, so two workers take 16-30 ms,
+#: 34-61 ms and 0.26-0.31 s.  Workers pay only above n = 4, so moving the
+#: cap means re-measuring where they start to pay as well.
 DEFAULT_CAP = 4
 #: Most blocks one enumeration splits into, and so most worker processes.
 MAX_JOBS = 64
@@ -349,50 +353,28 @@ def _tally_chunk(args) -> list[list[int]]:
     return tallies
 
 
-def _traced_bits(n: int) -> int:
-    """Bits of the traced system indices: 0..2^(4n+1)-1 hold one system of
-    each mirror pair, half of the 2^(4n+2)."""
-    return 4 * n + 1
-
-
-def worker_pool(jobs: int, n: int):
-    """Context manager giving a pool for ``enumerate_pgd`` at indices up to
-    n with ``jobs`` blocks each, or None when one process does the work.
-
-    The pool has no more workers than traced systems at n, which is the
-    most blocks (ranges of system indices) an enumeration there splits
-    into.  Each worker gets side A walked with its blocks and walks their
-    side B itself, so the workers share nothing but the tallies they
-    return.  Leaving the context ends the workers.
-    """
-    if not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
-    # 2**MAX_JOBS.bit_length() > MAX_JOBS, and the shift stays small at any n
-    workers = min(jobs, 1 << min(_traced_bits(n), MAX_JOBS.bit_length()))
-    return Pool(processes=workers) if workers > 1 else nullcontext()
-
-
-def enumerate_pgd(
-    n: int, jobs: int = 1, acknowledge_cost: bool = False, pool=None
-) -> OraclePgd:
+def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> OraclePgd:
     """Exhaustively tally all 2^(4n+2) rotation systems of claw n.
 
     Tallies are per root class and genus.  Each of the 2^(4n+1) traced
     systems counts twice, once for itself and once for its mirror image
-    (see the module docstring).  The result is independent of
-    ``jobs`` (1 to ``MAX_JOBS``): blocks of system indices, split at
-    ``_split``, are merged by summation.  The
-    blocks run in ``pool`` when one is given, else in one of their own from
-    ``worker_pool`` that closes on return, and in this process when that
-    gives None (``jobs`` = 1).  Enumeration above ``DEFAULT_CAP``, read at
-    call time, is refused unless ``acknowledge_cost`` is set.
+    (see the module docstring).  Up to ``DEFAULT_CAP``, read at call time,
+    the systems are one block tallied in this process, whatever ``jobs``
+    (1 to ``MAX_JOBS``) is.  Above it, enumeration is refused unless
+    ``acknowledge_cost`` is set, and the systems split into ``jobs``
+    blocks, or as many as there are systems if fewer, split at ``_split``.
+    More than one block runs in a pool of one worker per block, closed
+    before the call returns.  The result is independent of ``jobs``: the
+    blocks' tallies are merged by summation.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     bits = 4 * n + 2
-    if n > DEFAULT_CAP and not acknowledge_cost:
+    if n <= DEFAULT_CAP:
+        jobs = 1  # starting workers costs more than the whole enumeration
+    elif not acknowledge_cost:
         # Past a few thousand digits, str() of the count itself raises.
         count = 1 << bits if bits <= 64 else f"2^{bits}"
         raise OracleCapExceeded(
@@ -406,17 +388,17 @@ def enumerate_pgd(
 
     k = _split(graph)
     side_a = _side(graph.incidence, root_darts, 0, k, range(1 << k))
-    bounds = [(1 << _traced_bits(n)) * j // jobs for j in range(jobs + 1)]
+    bounds = [(1 << (bits - 1)) * j // jobs for j in range(jobs + 1)]
     chunks = [
         (graph.incidence, root_darts, euler_base, slots, k, side_a, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
         if lo < hi
     ]
-    with (nullcontext(pool) if pool is not None else worker_pool(jobs, n)) as run:
-        if run is not None:
-            results = run.map(_tally_chunk, chunks)
-        else:
-            results = [_tally_chunk(c) for c in chunks]
+    if len(chunks) == 1:
+        results = [_tally_chunk(chunks[0])]
+    else:
+        with Pool(processes=len(chunks)) as pool:
+            results = pool.map(_tally_chunk, chunks)
 
     tallies = [[0] * slots for _ in range(3)]
     for part in results:

@@ -4,11 +4,13 @@ Budgets (wall-clock) are asserted where the criterion states one.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import multiprocessing
 import time
 from itertools import islice
 
 import pytest
 
+import clawgenus.oracle as oracle
 from clawgenus.cli import canonical_json, main
 from clawgenus.errors import InterlacingUndecided
 from clawgenus.formulas import (
@@ -33,6 +35,7 @@ from clawgenus.rootcert import (
     normalized_recurrence,
     sign_pattern_check,
 )
+from test_oracle import spy_pools
 
 PAPER_TABLE_CSV = """\
 0,2,2
@@ -109,13 +112,18 @@ def test_02_four_route_consensus():
     assert elapsed_explicit < 60.0
 
 
-def test_03_oracle_equivalence():
+def test_03_oracle_equivalence(monkeypatch):
+    # up to the cap the oracle runs in one process, so lower it to 0 to
+    # split n = 1..4 over four workers
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
+    started = spy_pools(monkeypatch)
     t0 = time.perf_counter()
     for n in range(5):
-        o = enumerate_pgd(n, jobs=4)
+        o = enumerate_pgd(n, jobs=4, acknowledge_cost=True)
         v = pgd(n)
         assert o.as_polys() == (v.a, v.b, v.c), f"oracle differs at n={n}"
     assert o.embedding_count() == 262144 == 1 << 18
+    assert started == [4] * 4 and multiprocessing.active_children() == []
     elapsed = time.perf_counter() - t0
     report(3, "oracle-equivalence", elapsed < 60, elapsed,
            "componentwise n<=4 at parallelism 4")
@@ -204,10 +212,13 @@ def test_09_log_concavity():
     report(9, "log-concavity", True, elapsed, "exact integer checks, n<=500")
 
 
-def test_10_determinism():
+def test_10_determinism(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 2)  # so n = 3 runs in workers
+    started = spy_pools(monkeypatch)
     t0 = time.perf_counter()
-    runs = [enumerate_pgd(3, jobs=j) for j in (1, 2, 8)]
+    runs = [enumerate_pgd(3, jobs=j, acknowledge_cost=True) for j in (1, 2, 8)]
     assert runs[0] == runs[1] == runs[2]
+    assert started == [2, 8] and multiprocessing.active_children() == []
 
     def fresh_json(n: int) -> str:
         return canonical_json(

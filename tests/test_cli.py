@@ -34,6 +34,7 @@ from clawgenus.rootcert import (
     isolate_roots,
     normalized_recurrence,
 )
+from test_oracle import spy_pools
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -182,16 +183,17 @@ class TestCompute:
         assert code == 1
         assert "cap" in err
 
-    def test_oracle_route_opens_one_pool_per_command(self, capsys, monkeypatch):
-        started = []
-        pool = oracle.Pool
-        monkeypatch.setattr(
-            oracle, "Pool", lambda processes: started.append(processes) or pool(processes)
-        )
-        code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..2",
-                           "--parallelism", "2", "--format", "csv")
+    def test_oracle_route_opens_a_pool_per_index_above_the_cap(self, capsys, monkeypatch):
+        started = spy_pools(monkeypatch)
+        argv = ("compute", "--route", "oracle", "--n", "0..2", "--parallelism", "2",
+                "--format", "csv")
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:3])
-        assert started == [2]
+        assert started == []
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
+        code, above, _ = run(capsys, *argv, "--acknowledge-cost")
+        assert code == 0 and above == out
+        assert started == [2, 2]
         assert multiprocessing.active_children() == []
 
     def test_oracle_pool_has_no_more_workers_than_traced_positions(
@@ -201,10 +203,11 @@ class TestCompute:
         monkeypatch.setattr(  # record the size asked for, run on one thread
             oracle, "Pool", lambda processes: started.append(processes) or ThreadPool(1)
         )
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
         code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..1",
-                           "--parallelism", "64", "--format", "csv")
+                           "--parallelism", "64", "--format", "csv", "--acknowledge-cost")
         assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:2])
-        assert started == [32]  # 2^5 traced positions at n = 1
+        assert started == [32]  # none at the cap, n = 0; 2^5 traced positions at n = 1
 
     def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
@@ -534,15 +537,16 @@ class TestOracleCheck:
         assert out.count("matches") == 3
         assert "(1024 embeddings)" in out  # 2^10 at n=2
 
-    def test_one_pool_per_command(self, capsys, monkeypatch):
-        started = []
-        pool = oracle.Pool
-        monkeypatch.setattr(
-            oracle, "Pool", lambda processes: started.append(processes) or pool(processes)
-        )
-        code, out, _ = run(capsys, "oracle-check", "--n", "0..2", "--parallelism", "2")
+    def test_one_pool_per_index_above_the_cap(self, capsys, monkeypatch):
+        started = spy_pools(monkeypatch)
+        argv = ("oracle-check", "--n", "0..2", "--parallelism", "2")
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and out.count("matches") == 3
-        assert started == [2]
+        assert started == []
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
+        code, above, _ = run(capsys, *argv, "--acknowledge-cost")
+        assert code == 0 and above == out
+        assert started == [2, 2]
         assert multiprocessing.active_children() == []
 
     def test_mismatch_names_the_classes(self, capsys, monkeypatch):
@@ -568,12 +572,6 @@ class TestOracleCheck:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: n=4000 needs 2^16002 rotation systems")
         assert "digits" not in proc.stderr and "Traceback" not in proc.stderr
-
-    def test_worker_count_at_huge_n(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(oracle, "Pool", lambda processes: started.append(processes))
-        oracle.worker_pool(2, 10**6)
-        assert started == [2]
 
     def test_range_across_the_cap_prints_rows_then_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)

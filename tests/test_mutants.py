@@ -84,6 +84,21 @@ FAILS = {
         [(oracle, "_walk", "touched |= root[d]", "pass")],
         ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
     ),
+    # walked from its inner darts first, a side closes the faces that come
+    # in at its ports as if they never left it
+    "side-walks-without-its-ports-first": (
+        [(oracle, "_side", "starts = ports + [", "starts = [")],
+        ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
+    ),
+}
+
+#: Mutants of where a block of system indices starts or ends in side A's
+#: configurations, (old text, new text) in ``_tally_chunk``.  One block,
+#: which every enumeration up to ``DEFAULT_CAP`` is, runs from the first
+#: system to the last and never reaches them.
+BLOCK_EDGES = {
+    "block-runs-one-system-past-its-end": ("hi - base]", "hi - base + 1]"),
+    "block-starts-one-system-early": ("max(lo - base, 0)", "max(lo - base - 1, 0)"),
 }
 
 
@@ -140,6 +155,20 @@ def test_the_command_fails_with_its_own_error(capsys, monkeypatch, fresh_routes,
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1 and message in err, err
+
+
+@pytest.mark.parametrize("name", BLOCK_EDGES)
+def test_a_block_edge_shows_only_past_the_cap(capsys, monkeypatch, name):
+    """Up to the cap the command passes.  Past a lowered cap it splits
+    n = 2 into three blocks, which run in workers, and the count check sees
+    the systems tallied twice."""
+    mutate(monkeypatch, oracle, "_tally_chunk", *BLOCK_EDGES[name])
+    argv = ["oracle-check", "--n", "0..2", "--parallelism", "3", "--acknowledge-cost"]
+    assert main(argv) == 0
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: oracle enumerated 1028 rotation systems at n=2, expected 1024\n"
 
 
 def test_the_series_check_catches_a_numerator_entry(monkeypatch, fresh_routes):

@@ -1,6 +1,7 @@
 """Brute-force embedding enumeration against the algebraic engine."""
 
 import ast
+import multiprocessing
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from clawgenus.oracle import (
     enumerate_pgd,
     face_trace,
     root_class,
-    worker_pool,
 )
 from clawgenus.pgd import pgd
 from clawgenus.polynomials import IntPoly
@@ -132,6 +132,21 @@ def chunk_args(n, lo, hi, k=None, euler_shift=0):
     return (g.incidence, g.incidence[g.root], euler_base, n + 2, k, side_a, lo, hi)
 
 
+def spy_pools(monkeypatch) -> list[int]:
+    """Sizes of the pools the oracle opens, in order.  The pools are real,
+    and each must have started its workers, one process apiece."""
+    started, real = [], oracle.Pool
+
+    def pool(processes):
+        opened = real(processes)
+        assert len(multiprocessing.active_children()) == processes, "no workers"
+        started.append(processes)
+        return opened
+
+    monkeypatch.setattr(oracle, "Pool", pool)
+    return started
+
+
 @lru_cache(maxsize=None)
 def per_system_tallies(n):
     """Tallies of all 2^(4n+2) systems, each decoded and traced alone."""
@@ -158,12 +173,17 @@ class TestSplitWalk:
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_unaligned_chunks_match_the_engine(self, n, jobs):
+    def test_unaligned_chunks_match_the_engine(self, n, jobs, monkeypatch):
         """Three blocks split the range inside a run of side A's 2^k
-        configurations; one and two blocks split it at a multiple of 2^k."""
-        o = enumerate_pgd(n, jobs=jobs)
+        configurations; one and two blocks split it at a multiple of 2^k.
+        The blocks run in workers, so the cap is lowered below n."""
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", n - 1)
+        started = spy_pools(monkeypatch)
+        o = enumerate_pgd(n, jobs=jobs, acknowledge_cost=True)
         v = pgd(n)
         assert o.as_polys() == (v.a, v.b, v.c)
+        assert started == ([jobs] if jobs > 1 else [])
+        assert multiprocessing.active_children() == []
 
     def test_face_trace_and_enumeration_share_one_walk(self, monkeypatch):
         real, calls = oracle._walk, []
@@ -216,6 +236,19 @@ class TestCliImports:
                 if n.split(".")[0] == "dataclasses" or n.endswith(".isolate_roots")}
         assert not private | walk, sorted(private | walk)
 
+    def test_cli_imports_no_pool_machinery(self):
+        """The oracle owns its workers: ``enumerate_pgd`` decides at
+        ``DEFAULT_CAP`` whether they pay, and opens and closes its own pool.
+        The CLI imports no ``multiprocessing`` and names no pool."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = {part for name in imported_names(cli) for part in name.split(".")}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
+        pools = {n for n in names - {None}
+                 if "pool" in n.lower() or n in {"multiprocessing", "concurrent"}}
+        assert not pools, sorted(pools)
+
 
 def attribute_owners(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
     """Qualified names of the functions and classes (dotted, innermost
@@ -261,11 +294,13 @@ class TestEnumeration:
         v = pgd(n)
         assert o.as_polys() == (v.a, v.b, v.c)
 
-    def test_matches_engine_at_n5(self):
+    def test_matches_engine_at_n5(self, monkeypatch):
         """Ground truth past n = 4: 2^22 systems, split over two workers."""
+        started = spy_pools(monkeypatch)
         o = enumerate_pgd(5, jobs=2, acknowledge_cost=True)
         v = pgd(5)
         assert o.as_polys() == (v.a, v.b, v.c)
+        assert started == [2]
 
     def test_total_count(self):
         for n in range(3):
@@ -306,10 +341,26 @@ class TestEnumeration:
             with pytest.raises(StructureViolation):
                 oracle._tally_chunk(chunk_args(1, 0, 64, k, euler_shift=1))
 
-    def test_parallel_runs_agree(self):
+    def test_parallel_runs_agree(self, monkeypatch):
         serial = enumerate_pgd(2, jobs=1)
-        assert enumerate_pgd(2, jobs=2) == serial
-        assert enumerate_pgd(2, jobs=3) == serial
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
+        started = spy_pools(monkeypatch)
+        assert enumerate_pgd(2, jobs=2, acknowledge_cost=True) == serial
+        assert enumerate_pgd(2, jobs=3, acknowledge_cost=True) == serial
+        assert started == [2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_this_process_up_to_the_cap(self, monkeypatch):
+        """Starting workers costs more than the whole enumeration at any n
+        up to the cap (see ``DEFAULT_CAP``), so no jobs value opens a pool."""
+        def no_pool(processes):
+            raise AssertionError(f"a pool of {processes} was requested")
+
+        monkeypatch.setattr(oracle, "Pool", no_pool)
+        for n in range(DEFAULT_CAP + 1):
+            enumerate_pgd(n, jobs=MAX_JOBS)
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
+        assert enumerate_pgd(1, jobs=2, acknowledge_cost=True) == enumerate_pgd(1)
 
     def test_starts_no_more_workers_than_chunks(self, monkeypatch):
         started = []
@@ -328,8 +379,10 @@ class TestEnumeration:
                 return [fn(x) for x in items]
 
         monkeypatch.setattr(oracle, "Pool", SerialPool)
-        assert enumerate_pgd(0, jobs=8) == enumerate_pgd(0)  # 2 traced systems
-        assert started == [2]
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
+        serial = enumerate_pgd(1, acknowledge_cost=True)
+        assert enumerate_pgd(1, jobs=MAX_JOBS, acknowledge_cost=True) == serial
+        assert started == [32]  # 2^5 traced systems at n = 1
 
     def test_cap_refusal_mentions_cost(self):
         with pytest.raises(OracleCapExceeded) as exc:
@@ -359,5 +412,6 @@ class TestEnumeration:
         assert MAX_JOBS >= 64
         with pytest.raises(ValueError):
             enumerate_pgd(0, jobs=MAX_JOBS + 1)
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
         with pytest.raises(ValueError):
-            worker_pool(MAX_JOBS + 1, 0)
+            enumerate_pgd(1, jobs=MAX_JOBS + 1, acknowledge_cost=True)
