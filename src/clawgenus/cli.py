@@ -256,19 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    index = argparse.ArgumentParser(add_help=False)
+    index.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B",
+                       help="claw index or inclusive range, e.g. 4 or 0..10")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
+                        help="oracle: worker processes above the size cap, "
+                             f"one process up to it (1 to {MAX_JOBS})")
+    oracle.add_argument("--acknowledge-cost", action="store_true",
+                        help="allow oracle enumeration above the size cap")
 
-    p = sub.add_parser("compute", help="genus polynomial coefficients")
-    p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B",
-                   help="claw index or inclusive range, e.g. 4 or 0..10")
+    p = sub.add_parser("compute", parents=[index, oracle],
+                       help="genus polynomial coefficients")
     p.add_argument("--route", choices=ROUTES + ("all",), default="all",
                    help="computation route; 'all' cross-checks the four "
                         "algebraic routes (default)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
-                   help="oracle route: worker processes above the size cap, "
-                        f"one process up to it (1 to {MAX_JOBS})")
-    p.add_argument("--acknowledge-cost", action="store_true",
-                   help="allow oracle enumeration above the size cap")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("table", help="coefficient table for n = 0..max-n")
@@ -276,18 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("certify", help="root and log-concavity certificates")
-    p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
+    p = sub.add_parser("certify", parents=[index],
+                       help="root and log-concavity certificates")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("oracle-check",
+    p = sub.add_parser("oracle-check", parents=[index, oracle],
                        help="compare exhaustive enumeration with the engine")
-    p.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B")
-    p.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
-                   help="worker processes above the size cap, one process "
-                        f"up to it (1 to {MAX_JOBS})")
-    p.add_argument("--acknowledge-cost", action="store_true")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 
@@ -314,6 +312,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

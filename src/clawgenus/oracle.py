@@ -11,7 +11,7 @@ Setting every bit reverses every rotation, which gives the mirror
 embedding: its faces are the same walks run backwards, so it has the same
 genus and root class.  The enumeration therefore traces one system of each
 mirror pair, the indices 0..2^(4n+1)-1 whose top bit is 0, and counts it
-twice.  Above the cap, workers split that range of indices.
+twice.  That bit is vertex V-1's, on side B below.
 
 The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
 (side B), with k at the smallest cut, three edges in a claw (the
@@ -19,7 +19,8 @@ cut-and-glue view of Gross, Khan and Poshni, Ars Math. Contemp. 3, 2010).
 Each side is walked once per configuration of its own vertices, from the
 ports where faces come in across the cut to where they leave, and the
 faces left inside are closed there: side A once per enumeration, in the
-calling process, and side B per block of system indices.  A system's
+calling process, and side B per block, a range of its configurations
+with that bit 0, which workers split above the cap.  A system's
 faces are then A's closed faces, B's, and the cycles of the two port maps
 joined, worked out once per distinct pair of maps.  Every system is still
 counted and Euler-checked on its own; none is lumped with another.  One face-walk
@@ -38,7 +39,6 @@ cap), and the blocks run in a pool that the call opens and closes itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .errors import OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
@@ -313,34 +313,30 @@ def _join(ports_a, map_a, ports_b, map_b, size) -> tuple[int, int]:
 
 
 def _tally_chunk(args) -> list[list[int]]:
-    """Tally the rotation systems with indices lo..hi-1, split at k.
+    """Tally the systems (b << k) | a with b_lo <= b < b_hi, every a.
 
     The hot loop.  System s = (b << k) | a sets vertices 0..k-1 (side A)
     by a and the rest (side B) by b.  Each side is walked once per
-    configuration (``_side``): A's 2^k by the caller, once for all chunks,
-    and here those of B that the range reaches.  The cut between the sides
-    is small, so few distinct port maps come out, and ``_join`` runs once
-    per pair of them.  Each system then gets its own face and root face
-    counts, A's closed faces plus B's plus the joined ones, and its own
-    Euler and root class checks.  Any range and any k in 0..V work;
-    ``enumerate_pgd`` passes blocks of the lower half, split at ``_split``,
-    and doubles their tallies.
+    configuration (``_side``): A's 2^k by the caller, once for all blocks,
+    and here B's b_lo..b_hi-1.  The cut between the sides is small, so few
+    distinct port maps come out, and ``_join`` runs once per pair of them.
+    Each system then gets its own face and root face counts, A's closed
+    faces plus B's plus the joined ones, and its own Euler and root class
+    checks.  Any range of B and k in 0..V work; ``enumerate_pgd`` passes
+    B's configurations with the mirror bit 0 and doubles the tallies.
     """
-    incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), lo, hi = args
+    incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), b_lo, b_hi = args
     size = sum(map(len, incidence))
-    b_lo = lo >> k
-    ports_b, maps_b, side_b = _side(
-        incidence, root_darts, k, len(incidence), range(b_lo, ((hi - 1) >> k) + 1)
-    )
+    ports_b, maps_b, side_b = _side(incidence, root_darts, k, len(incidence),
+                                    range(b_lo, b_hi))
     joined: dict[int, list[tuple[int, int]]] = {}
     tallies = [[0] * slots for _ in range(3)]
-    for b, (faces_b, roots_b, ib) in enumerate(side_b, start=b_lo):
+    for faces_b, roots_b, ib in side_b:
         if ib not in joined:
             joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], size) for m in maps_a]
         # per port map of A: Euler residue and root class before A's closed faces
         row = [(euler_base - faces_b - f, 3 - roots_b - r) for f, r in joined[ib]]
-        base = b << k
-        for faces_a, roots_a, ia in side_a[max(lo - base, 0):hi - base]:
+        for faces_a, roots_a, ia in side_a:
             residue, cls = row[ia]
             doubled, cls = residue - faces_a, cls - roots_a
             if doubled < 0 or doubled & 1:
@@ -361,11 +357,11 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
     (see the module docstring).  Up to ``DEFAULT_CAP``, read at call time,
     the systems are one block tallied in this process, whatever ``jobs``
     (1 to ``MAX_JOBS``) is.  Above it, enumeration is refused unless
-    ``acknowledge_cost`` is set, and the systems split into ``jobs``
-    blocks, or as many as there are systems if fewer, split at ``_split``.
-    More than one block runs in a pool of one worker per block, closed
-    before the call returns.  The result is independent of ``jobs``: the
-    blocks' tallies are merged by summation.
+    ``acknowledge_cost`` is set, and side B's 2^(V-k-1) configurations
+    with the mirror bit 0, for k = ``_split``, divide into ``jobs`` blocks,
+    or one apiece if fewer.  More than one block runs in a pool of one
+    worker per block, deaf to SIGINT and closed before the call returns.
+    The result is independent of ``jobs``: the blocks' tallies are summed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -388,23 +384,24 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
 
     k = _split(graph)
     side_a = _side(graph.incidence, root_darts, 0, k, range(1 << k))
-    bounds = [(1 << (bits - 1)) * j // jobs for j in range(jobs + 1)]
+    configs = 1 << (bits - k - 1)  # side B's with the mirror bit 0
+    jobs = min(jobs, configs)
+    bounds = [configs * j // jobs for j in range(jobs + 1)]
     chunks = [
         (graph.incidence, root_darts, euler_base, slots, k, side_a, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
-        if lo < hi
     ]
-    if len(chunks) == 1:
+    if jobs == 1:
         results = [_tally_chunk(chunks[0])]
     else:
-        with Pool(processes=len(chunks)) as pool:
+        # imported here, so a command at or below the cap loads no multiprocessing
+        from multiprocessing import Pool
+        from signal import SIG_IGN, SIGINT, signal
+
+        with Pool(jobs, initializer=signal, initargs=(SIGINT, SIG_IGN)) as pool:
             results = pool.map(_tally_chunk, chunks)
 
-    tallies = [[0] * slots for _ in range(3)]
-    for part in results:
-        for c in range(3):
-            for g in range(slots):
-                tallies[c][g] += 2 * part[c][g]
-    out = OraclePgd(n, tuple(tuple(t) for t in tallies))
+    tallies = tuple(tuple(2 * sum(col) for col in zip(*rows)) for rows in zip(*results))
+    out = OraclePgd(n, tallies)
     out.validate()
     return out

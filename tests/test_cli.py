@@ -7,8 +7,10 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction
 from multiprocessing.pool import ThreadPool
@@ -201,13 +203,16 @@ class TestCompute:
     ):
         started = []
         monkeypatch.setattr(  # record the size asked for, run on one thread
-            oracle, "Pool", lambda processes: started.append(processes) or ThreadPool(1)
+            multiprocessing, "Pool",
+            lambda processes, **_: started.append(processes) or ThreadPool(1),
         )
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
-        code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..1",
+        code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..2",
                            "--parallelism", "64", "--format", "csv", "--acknowledge-cost")
-        assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:2])
-        assert started == [32]  # none at the cap, n = 0; 2^5 traced positions at n = 1
+        assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:3])
+        # none at the cap, n = 0; at n = 1 and 2, side B has 2^4 configurations
+        # with the mirror bit 0
+        assert started == [16, 16]
 
     def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
@@ -681,6 +686,44 @@ class TestSubprocess:
         assert max(map(len, want.split(","))) > 640
         assert proc.stdout == want + "\n"
         assert proc.stderr == "0 640\n"
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        """Only a pool above the oracle cap needs ``multiprocessing``, so no
+        command pays for importing it until one opens."""
+        script = ("import sys, clawgenus.cli\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=module_env())
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize(
+        "argv",
+        [("certify", "--n", "0..400"),
+         ("oracle-check", "--n", "5..6", "--acknowledge-cost", "--parallelism", "2")],
+        ids=["certify", "oracle-check-in-a-pool"],
+    )
+    def test_ctrl_c_exits_130_with_one_line(self, argv):
+        """Ctrl-C sends SIGINT to the whole foreground process group, pool
+        workers included.  Once the first row is out, the command is in
+        ``main``; oracle-check is then 0.2 s into n = 6, in its pool."""
+        with subprocess.Popen([sys.executable, "-m", "clawgenus", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=module_env({"PYTHONUNBUFFERED": "1"}),
+                              start_new_session=True) as proc:
+            try:
+                assert proc.stdout.readline().startswith(b"n=")
+                time.sleep(0.2)
+                os.killpg(proc.pid, signal.SIGINT)
+                _, err = proc.communicate(timeout=10)
+            finally:  # a command that hangs goes, with its workers
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 130
+        assert err == b"error: interrupted\n"
+        with pytest.raises(ProcessLookupError):  # no worker outlives the command
+            os.killpg(proc.pid, 0)
 
 
 class TestClosedPipe:

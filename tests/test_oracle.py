@@ -123,8 +123,8 @@ class TestFaceTrace:
 
 
 def chunk_args(n, lo, hi, k=None, euler_shift=0):
-    """Arguments for ``_tally_chunk`` over system indices lo..hi-1, split at
-    k (the graph's own split when None)."""
+    """Arguments for ``_tally_chunk`` over side B's configurations lo..hi-1,
+    split at k (the graph's own split when None)."""
     g = build_iterated_claw(n)
     euler_base = 2 - g.num_vertices + g.num_edges + euler_shift
     k = oracle._split(g) if k is None else k
@@ -135,15 +135,15 @@ def chunk_args(n, lo, hi, k=None, euler_shift=0):
 def spy_pools(monkeypatch) -> list[int]:
     """Sizes of the pools the oracle opens, in order.  The pools are real,
     and each must have started its workers, one process apiece."""
-    started, real = [], oracle.Pool
+    started, real = [], multiprocessing.Pool
 
-    def pool(processes):
-        opened = real(processes)
+    def pool(processes, **kwargs):
+        opened = real(processes, **kwargs)
         assert len(multiprocessing.active_children()) == processes, "no workers"
         started.append(processes)
         return opened
 
-    monkeypatch.setattr(oracle, "Pool", pool)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     return started
 
 
@@ -165,7 +165,7 @@ class TestSplitWalk:
         """Any k in 0..V-1 tallies all systems as tracing each alone does."""
         size = 4 * n + 2
         for k in range(size):
-            got = oracle._tally_chunk(chunk_args(n, 0, 1 << size, k))
+            got = oracle._tally_chunk(chunk_args(n, 0, 1 << (size - k), k))
             assert tuple(map(tuple, got)) == per_system_tallies(n), f"k={k}"
 
     def test_split_is_the_smallest_then_most_even_cut(self):
@@ -174,8 +174,8 @@ class TestSplitWalk:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_unaligned_chunks_match_the_engine(self, n, jobs, monkeypatch):
-        """Three blocks split the range inside a run of side A's 2^k
-        configurations; one and two blocks split it at a multiple of 2^k.
+        """One, two and three blocks of side B's 256 configurations with the
+        mirror bit 0, the three of unequal size, give the engine's tallies.
         The blocks run in workers, so the cap is lowered below n."""
         monkeypatch.setattr(oracle, "DEFAULT_CAP", n - 1)
         started = spy_pools(monkeypatch)
@@ -315,21 +315,22 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("lo", range(65))
     def test_blocks_split_at_any_position(self, lo):
-        """A block walks side B only in the configurations its indices
-        reach and starts and ends anywhere in a run of A's, so two blocks
-        split at any index sum to the whole range, at every k."""
+        """A block walks side B only in its own configurations, each with
+        every one of A's, so two blocks split at any configuration (lo, or
+        the last if lo is past it) sum to the whole range, at every k."""
         for k in range(7):
-            whole = oracle._tally_chunk(chunk_args(1, 0, 64, k))
-            parts = [oracle._tally_chunk(chunk_args(1, 0, lo, k)),
-                     oracle._tally_chunk(chunk_args(1, lo, 64, k))]
+            top = 1 << (6 - k)
+            whole = oracle._tally_chunk(chunk_args(1, 0, top, k))
+            parts = [oracle._tally_chunk(chunk_args(1, 0, min(lo, top), k)),
+                     oracle._tally_chunk(chunk_args(1, min(lo, top), top, k))]
             assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
 
     @pytest.mark.parametrize("n", range(4))
     def test_upper_half_of_the_positions_tallies_like_the_lower(self, n):
-        """The upper half holds the systems whose top bit is 1, the mirrors
-        of the lower half's, so both halves give the same tallies and the
-        enumeration reads twice the lower half."""
-        half = 1 << (4 * n + 1)
+        """The upper half of side B's configurations holds the systems whose
+        top bit is 1, the mirrors of the lower half's, so both halves give
+        the same tallies and the enumeration reads twice the lower half."""
+        half = 1 << (4 * n + 1 - oracle._split(build_iterated_claw(n)))
         lower = oracle._tally_chunk(chunk_args(n, 0, half))
         assert oracle._tally_chunk(chunk_args(n, half, 2 * half)) == lower
         assert enumerate_pgd(n).tallies == tuple(
@@ -339,7 +340,7 @@ class TestEnumeration:
     def test_every_system_passes_the_euler_check(self):
         for k in range(7):
             with pytest.raises(StructureViolation):
-                oracle._tally_chunk(chunk_args(1, 0, 64, k, euler_shift=1))
+                oracle._tally_chunk(chunk_args(1, 0, 1 << (6 - k), k, euler_shift=1))
 
     def test_parallel_runs_agree(self, monkeypatch):
         serial = enumerate_pgd(2, jobs=1)
@@ -353,10 +354,10 @@ class TestEnumeration:
     def test_runs_in_this_process_up_to_the_cap(self, monkeypatch):
         """Starting workers costs more than the whole enumeration at any n
         up to the cap (see ``DEFAULT_CAP``), so no jobs value opens a pool."""
-        def no_pool(processes):
+        def no_pool(processes, **_):
             raise AssertionError(f"a pool of {processes} was requested")
 
-        monkeypatch.setattr(oracle, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         for n in range(DEFAULT_CAP + 1):
             enumerate_pgd(n, jobs=MAX_JOBS)
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
@@ -366,7 +367,7 @@ class TestEnumeration:
         started = []
 
         class SerialPool:
-            def __init__(self, processes):
+            def __init__(self, processes, **_):
                 started.append(processes)
 
             def __enter__(self):
@@ -378,11 +379,14 @@ class TestEnumeration:
             def map(self, fn, items):
                 return [fn(x) for x in items]
 
-        monkeypatch.setattr(oracle, "Pool", SerialPool)
-        monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
-        serial = enumerate_pgd(1, acknowledge_cost=True)
-        assert enumerate_pgd(1, jobs=MAX_JOBS, acknowledge_cost=True) == serial
-        assert started == [32]  # 2^5 traced systems at n = 1
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", -1)
+        for n in range(3):
+            serial = enumerate_pgd(n, acknowledge_cost=True)
+            assert enumerate_pgd(n, jobs=MAX_JOBS, acknowledge_cost=True) == serial
+        # one block for side B's one configuration at n = 0, so no pool;
+        # 2^4 configurations with the mirror bit 0 at n = 1 and 2
+        assert started == [16, 16]
 
     def test_cap_refusal_mentions_cost(self):
         with pytest.raises(OracleCapExceeded) as exc:
@@ -405,10 +409,10 @@ class TestEnumeration:
             enumerate_pgd(1, jobs=0)
 
     def test_rejects_jobs_above_the_ceiling_before_any_pool(self, monkeypatch):
-        def no_pool(processes):
+        def no_pool(processes, **_):
             raise AssertionError(f"a pool of {processes} was requested")
 
-        monkeypatch.setattr(oracle, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         assert MAX_JOBS >= 64
         with pytest.raises(ValueError):
             enumerate_pgd(0, jobs=MAX_JOBS + 1)
