@@ -17,23 +17,24 @@ The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
 (side B), with k at the smallest cut, three edges in a claw (the
 cut-and-glue view of Gross, Khan and Poshni, Ars Math. Contemp. 3, 2010).
 Each side is walked once per configuration of its own vertices, from the
-ports where faces come in across the cut to where they leave, and the
-faces left inside are closed there: side A once per enumeration, in the
-calling process, and side B per block, a range of its configurations
-with that bit 0, which workers split above the cap.  A system's
-faces are then A's closed faces, B's, and the cycles of the two port maps
-joined, worked out once per distinct pair of maps.  Every system is still
-counted and Euler-checked on its own; none is lumped with another.  One face-walk
-loop, ``_walk``, serves the sides, the join and the per-system functions
-(``face_trace``, ``root_class``), which walk the whole graph as one
-region.
+ports where faces come in across the cut to where they leave, and the faces
+left inside are closed there: side A once per enumeration, in the calling
+process, and side B per block, a range of its configurations with that bit
+0, which workers split above the cap.  Configurations with the same closed
+faces, closed root faces and port map share a bucket, and a system's faces
+are A's closed faces, B's, and the cycles of the two port maps joined (once
+per pair of maps); so each pair of buckets is Euler-checked once and counts
+the product of their sizes (meet in the middle: Horowitz and Sahni, J. ACM
+21, 1974).  One face-walk loop, ``_walk``, serves the sides, the join and
+the per-system functions (``face_trace``, ``root_class``), which walk the
+whole graph as one region.
 
 ``DEFAULT_CAP`` is the one threshold of the enumeration.  Up to it, the
-whole range is one block tallied in the calling process, since starting
-workers costs more than the work (measured at the constant).  Above it,
-the caller must acknowledge the cost with ``acknowledge_cost=True``, which
-``--acknowledge-cost`` sets on the command line (the one way past the
-cap), and the blocks run in a pool that the call opens and closes itself.
+whole range is one block tallied in the calling process, since workers do
+not pay there (measured at the constant).  Above it, the caller must
+acknowledge the cost with ``acknowledge_cost=True``, which
+``--acknowledge-cost`` sets on the command line (the one way past the cap),
+and the blocks run in a pool that the call opens and closes itself.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from .polynomials import IntPoly
 
 #: Largest n enumerated without a cost acknowledgment, and in one process
 #: whatever ``jobs`` is.  On a 2-core host (Python 3.11) one process takes
-#: 5-6 ms at n = 3, 24-46 ms at n = 4 and 0.45-0.59 s at n = 5; a pool of two
-#: takes 7-10 ms to start and 2-12 ms to end, so two workers take 16-30 ms,
-#: 34-61 ms and 0.26-0.31 s.  Workers pay only above n = 4, so moving the
-#: cap means re-measuring where they start to pay as well.
-DEFAULT_CAP = 4
+#: 7 ms at n = 4, 27-40 ms at n = 5, 0.10-0.13 s at n = 6, 0.50-0.76 s at
+#: n = 7 and 1.4-1.9 s at n = 8; a pool of two 18-21 ms, 33-38 ms,
+#: 0.09-0.11 s, 0.30-0.43 s and 1.3-1.4 s.  Workers pay only above n = 6, and
+#: little at n = 8, where side A's 2^17 walks run serially in the caller.
+DEFAULT_CAP = 6
 #: Most blocks one enumeration splits into, and so most worker processes.
 MAX_JOBS = 64
 
@@ -274,10 +275,10 @@ def _side(incidence, root_darts, first, last, configs):
     vertex v (see RotationSystem.from_bits).  Its ports are the owned darts
     that start on the other side, where faces come in.  Per configuration
     the walks run from every port first, then close the faces left inside.
-    Returns (ports, maps, walked): the ports, the distinct port maps in
+    Returns (ports, maps, buckets): the ports, the distinct port maps in
     order of first appearance, each a tuple of (dart where the walk from
-    that port leaves, whether it passed a root dart), and per configuration
-    (closed faces, closed root faces, index of its port map).
+    that port leaves, whether it passed a root dart), and the number of
+    configurations per (closed faces, closed root faces, port map index).
     """
     heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
     succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
@@ -288,14 +289,15 @@ def _side(incidence, root_darts, first, last, configs):
     starts = ports + [d for d in range(len(at)) if owned[d]]
     nxt, visited = [0] * len(at), [-1] * len(at)
     maps: dict[tuple, int] = {}
-    walked = []
+    buckets: dict[tuple[int, int, int], int] = {}
     for c in configs:
         for v in range(first, last):
             e0, e1, e2 = heads[v]
             nxt[e0], nxt[e1], nxt[e2] = succs[v][(c >> (v - first)) & 1]
         exits, faces, root_faces = _walk(nxt, root, owned, starts, visited, c)
-        walked.append((faces, root_faces, maps.setdefault(tuple(exits), len(maps))))
-    return ports, list(maps), walked
+        key = (faces, root_faces, maps.setdefault(tuple(exits), len(maps)))
+        buckets[key] = buckets.get(key, 0) + 1
+    return ports, list(maps), buckets
 
 
 def _join(ports_a, map_a, ports_b, map_b, size) -> tuple[int, int]:
@@ -315,15 +317,16 @@ def _join(ports_a, map_a, ports_b, map_b, size) -> tuple[int, int]:
 def _tally_chunk(args) -> list[list[int]]:
     """Tally the systems (b << k) | a with b_lo <= b < b_hi, every a.
 
-    The hot loop.  System s = (b << k) | a sets vertices 0..k-1 (side A)
-    by a and the rest (side B) by b.  Each side is walked once per
-    configuration (``_side``): A's 2^k by the caller, once for all blocks,
-    and here B's b_lo..b_hi-1.  The cut between the sides is small, so few
+    System s = (b << k) | a sets vertices 0..k-1 (side A) by a and the
+    rest (side B) by b.  Each side is walked once per configuration into
+    buckets (``_side``): A's 2^k by the caller, once for all blocks, and
+    here B's b_lo..b_hi-1.  The cut between the sides is small, so few
     distinct port maps come out, and ``_join`` runs once per pair of them.
-    Each system then gets its own face and root face counts, A's closed
-    faces plus B's plus the joined ones, and its own Euler and root class
-    checks.  Any range of B and k in 0..V work; ``enumerate_pgd`` passes
-    B's configurations with the mirror bit 0 and doubles the tallies.
+    Each pair of buckets then gets its face and root face counts, A's
+    closed faces plus B's plus the joined ones, its Euler and root class
+    checks, and count_a * count_b systems at its genus and class: 12 x 154
+    pairs at n = 7.  Any range of B and k in 0..V work; ``enumerate_pgd``
+    passes B's configurations with the mirror bit 0 and doubles the tallies.
     """
     incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), b_lo, b_hi = args
     size = sum(map(len, incidence))
@@ -331,21 +334,19 @@ def _tally_chunk(args) -> list[list[int]]:
                                     range(b_lo, b_hi))
     joined: dict[int, list[tuple[int, int]]] = {}
     tallies = [[0] * slots for _ in range(3)]
-    for faces_b, roots_b, ib in side_b:
+    for (faces_b, roots_b, ib), count_b in side_b.items():
         if ib not in joined:
             joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], size) for m in maps_a]
-        # per port map of A: Euler residue and root class before A's closed faces
-        row = [(euler_base - faces_b - f, 3 - roots_b - r) for f, r in joined[ib]]
-        for faces_a, roots_a, ia in side_a:
-            residue, cls = row[ia]
-            doubled, cls = residue - faces_a, cls - roots_a
+        for (faces_a, roots_a, ia), count_a in side_a.items():
+            faces, roots = joined[ib][ia]
+            doubled = euler_base - faces_a - faces_b - faces
+            cls = 3 - roots_a - roots_b - roots
             if doubled < 0 or doubled & 1:
                 raise StructureViolation("impossible Euler residue in enumeration")
             if not 0 <= cls <= 2:
-                raise StructureViolation(
-                    f"{3 - cls} root faces in enumeration; the root has 1 to 3"
-                )
-            tallies[cls][doubled >> 1] += 1
+                raise StructureViolation(f"{3 - cls} root faces in enumeration; "
+                                         "the root has 1 to 3")
+            tallies[cls][doubled >> 1] += count_a * count_b
     return tallies
 
 
@@ -356,10 +357,10 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
     systems counts twice, once for itself and once for its mirror image
     (see the module docstring).  Up to ``DEFAULT_CAP``, read at call time,
     the systems are one block tallied in this process, whatever ``jobs``
-    (1 to ``MAX_JOBS``) is.  Above it, enumeration is refused unless
-    ``acknowledge_cost`` is set, and side B's 2^(V-k-1) configurations
-    with the mirror bit 0, for k = ``_split``, divide into ``jobs`` blocks,
-    or one apiece if fewer.  More than one block runs in a pool of one
+    (1 to ``MAX_JOBS``) is: 0.1 s at n = 6.  Above it, enumeration is
+    refused unless ``acknowledge_cost`` is set, and side B's 2^(V-k-1)
+    configurations with the mirror bit 0, for k = ``_split``, divide into
+    ``jobs`` blocks, or one apiece if fewer.  More than one block runs in a pool of one
     worker per block, deaf to SIGINT and closed before the call returns.
     The result is independent of ``jobs``: the blocks' tallies are summed.
     """
@@ -369,7 +370,7 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     bits = 4 * n + 2
     if n <= DEFAULT_CAP:
-        jobs = 1  # starting workers costs more than the whole enumeration
+        jobs = 1  # workers do not pay here (see DEFAULT_CAP)
     elif not acknowledge_cost:
         # Past a few thousand digits, str() of the count itself raises.
         count = 1 << bits if bits <= 64 else f"2^{bits}"
@@ -379,7 +380,6 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
         )
     graph = build_iterated_claw(n)
     euler_base = 2 - graph.num_vertices + graph.num_edges
-    slots = n + 2
     root_darts = graph.incidence[graph.root]
 
     k = _split(graph)
@@ -388,7 +388,7 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
     jobs = min(jobs, configs)
     bounds = [configs * j // jobs for j in range(jobs + 1)]
     chunks = [
-        (graph.incidence, root_darts, euler_base, slots, k, side_a, lo, hi)
+        (graph.incidence, root_darts, euler_base, n + 2, k, side_a, lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
     ]
     if jobs == 1:

@@ -701,13 +701,14 @@ class TestInterrupt:
     @pytest.mark.parametrize(
         "argv",
         [("certify", "--n", "0..400"),
-         ("oracle-check", "--n", "5..6", "--acknowledge-cost", "--parallelism", "2")],
+         ("oracle-check", "--n", "6..7", "--acknowledge-cost", "--parallelism", "2")],
         ids=["certify", "oracle-check-in-a-pool"],
     )
     def test_ctrl_c_exits_130_with_one_line(self, argv):
         """Ctrl-C sends SIGINT to the whole foreground process group, pool
         workers included.  Once the first row is out, the command is in
-        ``main``; oracle-check is then 0.2 s into n = 6, in its pool."""
+        ``main``; oracle-check is then 0.2 s into n = 7, in its pool, which
+        opens about 0.08 s after n = 6's row and runs for about 0.4 s."""
         with subprocess.Popen([sys.executable, "-m", "clawgenus", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=module_env({"PYTHONUNBUFFERED": "1"}),
@@ -776,10 +777,12 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("top", ["1000000000000000000", str(1 << 70)],
                              ids=["10^18", "2^70"])
     def test_huge_index_range_fails_cleanly(self, top):
-        """The range is never listed: n=5 meets the oracle cap first."""
-        proc = run_module("oracle-check", "--n", f"5..{top}")
+        """The range is never listed: the first n above the oracle cap
+        meets it first."""
+        first = oracle.DEFAULT_CAP + 1
+        proc = run_module("oracle-check", "--n", f"{first}..{top}")
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: n=5 needs")
+        assert proc.stderr.startswith(f"error: n={first} needs")
         assert "Traceback" not in proc.stderr
 
     def test_every_option_is_pinned(self):

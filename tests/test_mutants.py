@@ -119,6 +119,24 @@ FAILS = {
         [(oracle, "_side", "starts = ports + [", "starts = [")],
         ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
     ),
+    # side A's buckets hold one configuration each up to n = 1, so the
+    # count first goes wrong at n = 2
+    "join-drops-side-a-multiplicity": (
+        [(oracle, "_tally_chunk", "+= count_a * count_b", "+= count_b")],
+        ["oracle-check", "--n", "0..3"],
+        "error: oracle enumerated 192 rotation systems at n=2, expected 1024",
+    ),
+    "side-counts-each-bucket-once": (
+        [(oracle, "_side", "buckets.get(key, 0) + 1", "1")],
+        ["oracle-check", "--n", "0..3"],
+        "error: oracle enumerated 32 rotation systems at n=1, expected 64",
+    ),
+    # the counts stay right, so only the routes see the classes move
+    "bucket-key-drops-the-closed-root-faces": (
+        [(oracle, "_side", "key = (faces, root_faces, ", "key = (faces, 0, ")],
+        ["oracle-check", "--n", "0..3"],
+        "n=1: oracle differs from the production route in class(es) a, c",
+    ),
 }
 
 

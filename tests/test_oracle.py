@@ -288,14 +288,19 @@ class TestEnumeration:
         assert o.class_poly("b") == IntPoly()
         assert o.class_poly("c") == IntPoly((0, 2))
 
-    @pytest.mark.parametrize("n", range(4))
-    def test_matches_engine_componentwise(self, n):
+    @pytest.mark.parametrize("n", range(DEFAULT_CAP + 1))
+    def test_matches_engine_componentwise(self, n, monkeypatch):
+        """Ground truth at every n up to the cap, in this process."""
+        started = spy_pools(monkeypatch)
         o = enumerate_pgd(n)
         v = pgd(n)
         assert o.as_polys() == (v.a, v.b, v.c)
+        assert started == []
 
     def test_matches_engine_at_n5(self, monkeypatch):
-        """Ground truth past n = 4: 2^22 systems, split over two workers."""
+        """Ground truth past n = 4: 2^22 systems, split over two workers.
+        The blocks run in workers, so the cap is lowered below n."""
+        monkeypatch.setattr(oracle, "DEFAULT_CAP", 4)
         started = spy_pools(monkeypatch)
         o = enumerate_pgd(5, jobs=2, acknowledge_cost=True)
         v = pgd(5)
@@ -316,13 +321,16 @@ class TestEnumeration:
     @pytest.mark.parametrize("lo", range(65))
     def test_blocks_split_at_any_position(self, lo):
         """A block walks side B only in its own configurations, each with
-        every one of A's, so two blocks split at any configuration (lo, or
-        the last if lo is past it) sum to the whole range, at every k."""
+        every one of A's, so two blocks split at configuration lo sum to
+        the whole range, at every k where side B's 2^(6-k) configurations
+        reach lo; each distinct (k, lo) pair, 134 in all, runs once."""
         for k in range(7):
             top = 1 << (6 - k)
+            if lo > top:
+                break
             whole = oracle._tally_chunk(chunk_args(1, 0, top, k))
-            parts = [oracle._tally_chunk(chunk_args(1, 0, min(lo, top), k)),
-                     oracle._tally_chunk(chunk_args(1, min(lo, top), top, k))]
+            parts = [oracle._tally_chunk(chunk_args(1, 0, lo, k)),
+                     oracle._tally_chunk(chunk_args(1, lo, top, k))]
             assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
 
     @pytest.mark.parametrize("n", range(4))
