@@ -18,10 +18,11 @@ Routes implemented here:
 * ``genus_explicit`` -- an exact closed form over Q(sqrt 3): a scaled
   combination of three consecutive terms of an auxiliary polynomial family
   (``composition_sum``) defined by a sum over compositions.  The sum is
-  evaluated by Pascal's rule, as repeated weighted prefix sums over
-  Z[sqrt 3], in O(n^2) integer steps per index.  All sqrt(3) parts must
-  cancel and all rational parts must be nonnegative integers; anything else
-  raises FormulaIntegrityError.
+  evaluated by Pascal's rule, as rows of weighted prefix sums over
+  Z[sqrt 3] that continue from the last index (``pgd.ResumableSequence``),
+  in O(n) integer steps per index.  All sqrt(3) parts must cancel and all
+  rational parts must be nonnegative integers; anything else raises
+  FormulaIntegrityError.
 
 The routes are independent implementations on purpose: agreement between
 them (and with the pgd engine and the brute-force embedding oracle) is the
@@ -31,7 +32,6 @@ package's core correctness argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from math import comb
 from typing import Iterator
@@ -200,6 +200,45 @@ def verify_series_closed_form(n_max: int) -> None:
             )
 
 
+#: The multipliers a = 3, 1 + sqrt 3 and 1 - sqrt 3 of the composition sum's
+#: weighted prefix sums S(m) = f(m) + a S(m-1), as (rational part, sqrt 3
+#: part), applied in this order.
+MULTIPLIERS = ((3, 0), (1, 1), (1, -1))
+
+
+def _composition_step(state):
+    """Rows and window (T(k-2), T(k-1), T(k)) to those of k + 1.
+
+    T(k)[j] = T_j(k-2j), a pair (rat, irr) in Z[sqrt 3], for j <= k // 2.
+    Row j holds one sum S per multiplier and advances one m per index: it
+    is fed T_{j-1} at its own m, from T(k-1), and row 0 the unit sequence,
+    1 only where the row starts.  A row starts from zero sums.
+    """
+    rows, (_, back, last) = state
+    grown = []
+    for f, sums in zip([(int(not rows), 0), *back], rows + (((0, 0),) * 3,)):
+        row = []
+        for (p, q), (x, y) in zip(MULTIPLIERS, sums):  # S = f + aS, a = p + q sqrt 3
+            f = (f[0] + p * x + 3 * q * y, f[1] + p * y + q * x)
+            row.append(f)
+        grown.append(tuple(row))
+    return tuple(grown), (back, last, tuple(row[-1] for row in grown))
+
+
+#: Element i holds the window (T(i-3), T(i-2), T(i-1)) and the rows of
+#: T(i-1).  The first is empty, so a restart reads MULTIPLIERS afresh.
+_COMPOSITION = ResumableSequence(((), ((), (), ())), _composition_step)
+
+
+def _sum(k: int, t) -> Sqrt3Poly:
+    """H_k from T(k): 3^j 2^(k-j) T_j(k-2j) is its coefficient of z^(k-j)."""
+    rat, irr = [0] * (k + 1), [0] * (k + 1)
+    for j, (x, y) in enumerate(t):
+        w = 3 ** j << (k - j)
+        rat[k - j], irr[k - j] = w * x, w * y
+    return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
+
+
 def composition_sum(n: int) -> Sqrt3Poly:
     """Auxiliary polynomial over Q(sqrt 3) used by the explicit formula.
 
@@ -215,48 +254,12 @@ def composition_sum(n: int) -> Sqrt3Poly:
     t <= i of C(j+t, t) a^t a^(i-t), so T_{j+1} is T_j sent through the
     weighted prefix sums S(m) = f(m) + a S(m-1) for the three
     ``MULTIPLIERS`` a = 3, 1+sqrt 3 and 1-sqrt 3, and T_0 is the unit
-    sequence sent through the same three.
-    That is O(n^2) integer steps on pairs (rat, irr) in Z[sqrt 3].
+    sequence sent through the same three.  Each row advances one m per
+    index: O(n) integer steps on pairs (rat, irr) in Z[sqrt 3] per index.
     """
     if n < -1:
         raise ValueError("n must be at least -1")
-    return _composition_sum(n)
-
-
-#: The multipliers a = 3, 1 + sqrt 3 and 1 - sqrt 3 of the composition sum's
-#: weighted prefix sums S(m) = f(m) + a S(m-1), as (rational part, sqrt 3
-#: part).  ``_composition_sum`` runs one hand-written loop per entry, in
-#: this order.
-MULTIPLIERS = ((3, 0), (1, 1), (1, -1))
-
-
-# genus_explicit(n) reads n-1 .. n+1, so an ascending scan hits twice per call.
-@lru_cache(maxsize=4)
-def _composition_sum(n: int) -> Sqrt3Poly:
-    # T_j(m) = rat[m] + irr[m] sqrt 3, for m <= n - 2j.  T_{j+1} needs T_j
-    # only up to n - 2j - 2, so slot n - j is free for the z^(n-j) term.
-    rat = [int(m == 0) for m in range(n + 1)]
-    irr = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        top = n - 2 * j
-        x = y = 0
-        for m in range(top + 1):  # a = MULTIPLIERS[0] = 3
-            x = rat[m] = rat[m] + 3 * x
-            y = irr[m] = irr[m] + 3 * y
-        x = y = 0
-        for m in range(top + 1):  # a = MULTIPLIERS[1] = 1 + sqrt 3
-            x, y = rat[m] + x + 3 * y, irr[m] + x + y
-            rat[m], irr[m] = x, y
-        x = y = 0
-        for m in range(top + 1):  # a = MULTIPLIERS[2] = 1 - sqrt 3
-            x, y = rat[m] + x - 3 * y, irr[m] + y - x
-            rat[m], irr[m] = x, y
-        w = 3 ** j << (n - j)
-        rat[n - j] = w * rat[top]
-        irr[n - j] = w * irr[top]
-    low = n - n // 2  # the lowest power z^(n-j), at j = n // 2
-    rat[:low] = irr[:low] = [0] * low
-    return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
+    return _sum(n, _COMPOSITION(n + 1)[1][2])
 
 
 def genus_explicit(n: int) -> GenusPolynomial:
@@ -265,15 +268,12 @@ def genus_explicit(n: int) -> GenusPolynomial:
     Evaluates 2^(n-1) * (H_{n+1} + 2(2-3z) H_n - 6z H_{n-1}) where H is the
     composition-sum family, entirely over Z[sqrt 3]; the sqrt(3) part must
     cancel, and the halving at n = 0 must be exact, so integrality is
-    asserted rather than assumed.
+    asserted rather than assumed.  The three sums are one window.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    combo = (
-        composition_sum(n + 1)
-        + composition_sum(n) * IntPoly((4, -6))
-        - composition_sum(n - 1) * IntPoly((0, 6))
-    )
+    h0, h1, h2 = (_sum(k, t) for k, t in enumerate(_COMPOSITION(n + 2)[1], n - 1))
+    combo = h2 + h1 * IntPoly((4, -6)) - h0 * IntPoly((0, 6))
     for i, c in enumerate(combo.irr.coeffs):
         if c:
             raise FormulaIntegrityError(

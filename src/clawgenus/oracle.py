@@ -300,18 +300,26 @@ def _side(incidence, root_darts, first, last, configs):
     return ports, list(maps), buckets
 
 
-def _join(ports_a, map_a, ports_b, map_b, size) -> tuple[int, int]:
-    """Faces and root faces across the cut: the cycles of the two sides'
-    port maps followed in turn, each walk of one side leaving through a
-    port of the other.  size is the number of darts."""
-    nxt, root = [0] * size, [0] * size
-    for ports, pmap in ((ports_a, map_a), (ports_b, map_b)):
-        for p, (e, touched) in zip(ports, pmap):
-            nxt[p], root[p] = e, touched
-    _, faces, root_faces = _walk(
-        nxt, root, [True] * size, ports_a + ports_b, [-1] * size, 0
-    )
-    return faces, root_faces
+def _join(ports_a, maps_a, ports_b, maps_b, size) -> list[list[tuple[int, int]]]:
+    """Faces and root faces across the cut for each pair of port maps, B's
+    index first: the cycles of the two maps followed in turn, each walk of
+    one side leaving through a port of the other.  size is the number of
+    darts.  Each map's exits must be the other side's ports, or a walk
+    could cycle without its start, so any other map raises first."""
+    for maps, other in ((maps_a, ports_b), (maps_b, ports_a)):
+        if any(sorted(e for e, _ in pmap) != sorted(other) for pmap in maps):
+            raise StructureViolation("a port map leaves through darts that are not ports")
+    joined = []
+    for map_b in maps_b:
+        row = []
+        for map_a in maps_a:
+            nxt, root = [0] * size, [0] * size
+            for ports, pmap in ((ports_a, map_a), (ports_b, map_b)):
+                for p, (e, touched) in zip(ports, pmap):
+                    nxt[p], root[p] = e, touched
+            row.append(_walk(nxt, root, [True] * size, ports_a + ports_b, [-1] * size, 0)[1:])
+        joined.append(row)
+    return joined
 
 
 def _tally_chunk(args) -> list[list[int]]:
@@ -321,7 +329,7 @@ def _tally_chunk(args) -> list[list[int]]:
     rest (side B) by b.  Each side is walked once per configuration into
     buckets (``_side``): A's 2^k by the caller, once for all blocks, and
     here B's b_lo..b_hi-1.  The cut between the sides is small, so few
-    distinct port maps come out, and ``_join`` runs once per pair of them.
+    distinct port maps come out, and ``_join`` joins each pair of them once.
     Each pair of buckets then gets its face and root face counts, A's
     closed faces plus B's plus the joined ones, its Euler and root class
     checks, and count_a * count_b systems at its genus and class: 12 x 154
@@ -332,11 +340,9 @@ def _tally_chunk(args) -> list[list[int]]:
     size = sum(map(len, incidence))
     ports_b, maps_b, side_b = _side(incidence, root_darts, k, len(incidence),
                                     range(b_lo, b_hi))
-    joined: dict[int, list[tuple[int, int]]] = {}
+    joined = _join(ports_a, maps_a, ports_b, maps_b, size)
     tallies = [[0] * slots for _ in range(3)]
     for (faces_b, roots_b, ib), count_b in side_b.items():
-        if ib not in joined:
-            joined[ib] = [_join(ports_a, m, ports_b, maps_b[ib], size) for m in maps_a]
         for (faces_a, roots_a, ia), count_a in side_a.items():
             faces, roots = joined[ib][ia]
             doubled = euler_base - faces_a - faces_b - faces

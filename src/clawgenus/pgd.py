@@ -17,8 +17,9 @@ keeps the last (index, term) pair it returned and steps on from it when
 asked for the same or a later index, so an ascending scan costs one step
 per index, and a request below it restarts from the first term.
 ``pgd(n)`` and ``column_sum(n)`` read it here, over the matrix and its
-transpose, and the recurrence route in ``formulas`` reads it over its own
-three-term window.
+transpose; in ``formulas`` the recurrence route reads it over its own
+three-term window, and the explicit route over the rows of its
+composition sums.
 """
 
 from __future__ import annotations

@@ -88,12 +88,10 @@ def test_02_four_route_consensus():
     assert agree == 501
 
     t1 = time.perf_counter()
-    for n in range(151):
-        combo = (
-            composition_sum(n + 1)
-            + composition_sum(n) * IntPoly((4, -6))
-            - composition_sum(n - 1) * IntPoly((0, 6))
-        )
+    h = [composition_sum(-1), composition_sum(0)]
+    for n in range(151):  # one ascending pass over the sums
+        h = h[-2:] + [composition_sum(n + 1)]  # H_{n-1}, H_n, H_{n+1}
+        combo = h[2] + h[1] * IntPoly((4, -6)) - h[0] * IntPoly((0, 6))
         assert combo.irr.is_zero(), (
             f"irrational residue at n={n}"
         )

@@ -156,10 +156,11 @@ class TestExplicitRoute:
             assert composition_sum(n).irr.is_zero()
 
     def test_composition_cache_stays_bounded(self):
+        """The sequence keeps one state: n//2 + 1 rows and T(n-1), T(n), T(n+1)."""
         for n in range(61):
             genus_explicit(n)
-        info = formulas._composition_sum.cache_info()
-        assert info.currsize == info.maxsize
+        i, (rows, window) = formulas._COMPOSITION.last
+        assert i == 62 and len(rows) == 31 and list(map(len, window)) == [30, 31, 31]
 
     @pytest.mark.parametrize("n", sorted(TABLE))
     def test_matches_table(self, n):
@@ -182,8 +183,8 @@ class TestExplicitRoute:
         ],
     )
     def test_integrity_failures_raise(self, monkeypatch, n, extra):
-        real = formulas.composition_sum
-        monkeypatch.setattr(formulas, "composition_sum", lambda k: real(k) + extra)
+        real = formulas._sum
+        monkeypatch.setattr(formulas, "_sum", lambda k, t: real(k, t) + extra)
         with pytest.raises(FormulaIntegrityError):
             genus_explicit(n)
 
@@ -228,31 +229,11 @@ class TestRouteIdentities:
         _, e1, e2, e3 = (rat for rat, _ in e)
         c1, c2, c3 = P(0, 2 * e1), P(0, 6, -4 * e2), P(0, 0, 0, 8 * e3)
         assert (c1, c2, c3) == (P(0, 10), P(0, 6, -16), P(0, 0, 0, -48))
-        for n in range(2, 40):
-            h = [composition_sum(n - k) for k in range(4)]  # H_n, ..., H_{n-3}
-            assert h[0] == h[1] * c1 + h[2] * c2 + h[3] * c3
+        h = [composition_sum(n) for n in range(-1, 40)]  # one ascending pass
+        for n in range(3, 41):  # h[n] is H_{n-1}
+            assert h[n] == h[n - 1] * c1 + h[n - 2] * c2 + h[n - 3] * c3
         # the explicit route's 2^(n-1) prefactor turns t into 2t
         assert (c1 * 2, c2 * 4, c3 * 8) == formulas.RECURRENCE
-
-    def test_unrolled_loops_are_the_multipliers(self):
-        """The three hand-written loops of ``_composition_sum`` are the
-        weighted prefix sums S(m) = f(m) + a S(m-1) for a in
-        ``formulas.MULTIPLIERS``, in that order: one loop over the table,
-        with the coefficient 3^j 2^(n-j) T_j(n-2j) of z^(n-j), gives H_n."""
-        def h(n):
-            t = [(int(m == 0), 0) for m in range(n + 1)]  # T_j, rat and irr
-            rat, irr = [0] * (n + 1), [0] * (n + 1)
-            for j in range(n // 2 + 1):
-                for r, i in formulas.MULTIPLIERS:
-                    x = y = 0
-                    for m in range(n - 2 * j + 1):
-                        x, y = t[m][0] + r * x + 3 * i * y, t[m][1] + r * y + i * x
-                        t[m] = (x, y)
-                rat[n - j], irr[n - j] = (3 ** j << (n - j)) * x, (3 ** j << (n - j)) * y
-            return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
-
-        for n in range(25):
-            assert h(n) == composition_sum(n), n
 
     def test_series_numerator_from_the_seeds(self):
         """D(t) (1 + sum_{n>=1} 4 G_{n-1} t^n), D(t) = 1 - c1 t - c2 t^2 - c3 t^3,

@@ -4,10 +4,9 @@ Each row makes one small change to a constant or to a private function,
 applied with ``monkeypatch``, and runs a command over a short range.  A
 function's mutant is compiled from its own source with one piece of text
 replaced, so a row whose text the source no longer holds fails instead of
-testing nothing.  The routes keep state between calls, the
-``ResumableSequence`` windows and the ``_composition_sum`` cache:
-``fresh_routes`` starts them over, so a patched constant is read, and no
-term computed from it outlives the test.
+testing nothing.  The routes keep state between calls, each in a
+``ResumableSequence``: ``fresh_routes`` starts every one of them over, so a
+patched constant is read, and no term computed from it outlives the test.
 """
 
 import __future__
@@ -25,8 +24,9 @@ import clawgenus.rootcert as rootcert
 from certcheck import certificate_errors
 from clawgenus.cli import main
 from clawgenus.errors import ConsistencyError
+from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
-from test_cli import sign_reads
+from test_cli import certificate_reach, sign_reads
 
 #: The module; ``clawgenus.pgd`` is the function the package exports.
 pgd = sys.modules["clawgenus.pgd"]
@@ -82,7 +82,7 @@ FAILS = {
         ["compute", "--n", "0..4"], "error: embedding total at n=1 is 62, expected 64",
     ),
     "composition-sum-multiplier-3-to-2": (
-        [(formulas, "_composition_sum", "rat[m] + 3 * x", "rat[m] + 2 * x")],
+        [(formulas, "MULTIPLIERS", entry(formulas.MULTIPLIERS, 0, (2, 0)))],
         ["compute", "--n", "0..4"], "error: coefficient sum at n=0 is 3, expected 2^2",
     ),
     # the CLI reads genus_explicit through its own name
@@ -114,10 +114,12 @@ FAILS = {
         ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
     ),
     # walked from its inner darts first, a side closes the faces that come
-    # in at its ports as if they never left it
+    # in at its ports as if they never left it, and its port map leaves
+    # through inner darts, which the join refuses before it walks
     "side-walks-without-its-ports-first": (
         [(oracle, "_side", "starts = ports + [", "starts = [")],
-        ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
+        ["oracle-check", "--n", "0..3"],
+        "error: a port map leaves through darts that are not ports",
     ),
     # side A's buckets hold one configuration each up to n = 1, so the
     # count first goes wrong at n = 2
@@ -163,12 +165,12 @@ def apply(monkeypatch, edit: tuple) -> None:
 
 @pytest.fixture
 def fresh_routes(monkeypatch):
-    """Every route starts from its first terms, and none keeps a mutant's."""
-    for seq in (formulas._GENUS, pgd._PGD, pgd._ROWS):
-        monkeypatch.setattr(seq, "last", (0, seq.first))
-    formulas._composition_sum.cache_clear()
-    yield
-    formulas._composition_sum.cache_clear()
+    """Every route starts from its first terms, and none keeps a mutant's:
+    each ``ResumableSequence`` of the route modules, found by its type."""
+    for module in (formulas, pgd):
+        for seq in vars(module).values():
+            if isinstance(seq, ResumableSequence):
+                monkeypatch.setattr(seq, "last", (0, seq.first))
 
 
 def certify(capsys, spec: str = RANGE) -> tuple[int, str, str]:
@@ -233,3 +235,13 @@ def test_flipped_bracket_parity_shows_only_in_the_digests(capsys, monkeypatch):
     code, mutant_out, _ = certify(capsys)
     assert code == 0 and certificate_errors(json.loads(mutant_out)) == []
     assert mutant_out != out and len(builds) == 41
+
+
+def test_the_reach_check_catches_a_chain_step_kept_alive(capsys, monkeypatch):
+    """A plain ``for`` over the chain keeps the last step bound while the
+    next is isolated, and with it the brackets that hold W_{n-3}."""
+    mutate(monkeypatch, cli, "cmd_certify",
+           "for c, pairs in starmap(_interlace, islice(chain, args.n[0] - first, None)):",
+           "for step in islice(chain, args.n[0] - first, None):\n"
+           "        c, pairs = _interlace(*step)")
+    assert certificate_reach(capsys, monkeypatch, "0..12") != (3, 2)

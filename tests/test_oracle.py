@@ -2,6 +2,8 @@
 
 import ast
 import multiprocessing
+import signal
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from clawgenus.oracle import (
     face_trace,
     root_class,
 )
-from clawgenus.pgd import pgd
+from clawgenus.pgd import PRODUCTION_MATRIX, initial_pgd, pgd
 from clawgenus.polynomials import IntPoly
 
 
@@ -66,13 +68,11 @@ class TestFaceTrace:
         assert face_trace(tri, rot) == (2, 0)
 
     def test_dipole_rotation_classes(self):
-        g = build_iterated_claw(0)
-        results = []
-        for bits in range(4):
-            rot = RotationSystem.from_bits(g, bits)
-            faces, genus = face_trace(g, rot)
-            results.append((genus, root_class(g, rot)))
-        assert sorted(results) == [(0, "a"), (0, "a"), (1, "c"), (1, "c")]
+        """The dipole's four embeddings, traced one by one, give the
+        production route's base triple: two planar of class a, two toroidal
+        of class c."""
+        v = initial_pgd()
+        assert tuple(map(IntPoly, per_system_tallies(0))) == (v.a, v.b, v.c)
 
     def test_k33_genus_range(self):
         g = build_iterated_claw(1)
@@ -122,6 +122,40 @@ class TestFaceTrace:
         assert tuple(map(tuple, tallies)) == enumerate_pgd(n).tallies
 
 
+@lru_cache(maxsize=None)
+def gadget_columns(m) -> set[tuple[int, tuple]]:
+    """(root class j, histogram of (new class, genus increment)) of each
+    embedding of G_m, over the 16 rotations of what G_{m+1} adds: the three
+    midpoints and the new root.  Each old vertex keeps its cyclic order of
+    edges.  At the old root a root edge's place goes to the edge from the
+    midpoint that subdivides it, so the bits that keep the orders are
+    found, not assumed to carry over."""
+    old, new = build_iterated_claw(m), build_iterated_claw(m + 1)
+    v, r = old.num_vertices, old.root
+    rename = {}  # at the old root: old edge -> new edge
+    for e in (d >> 1 for d in old.incidence[r]):
+        (w,) = set(new.edges[e]) - set(old.edges[e])
+        rename[e] = next(d >> 1 for d in new.incidence[r] if w in new.edges[d >> 1])
+
+    def cyclic(graph, u, names):  # u's edges at bit 0, least first
+        order = [names.get(d >> 1, d >> 1) for d in graph.incidence[u]]
+        i = order.index(min(order))
+        return order[i:] + order[:i]
+
+    flips = sum((cyclic(old, u, rename if u == r else {}) != cyclic(new, u, {})) << u
+                for u in range(v))
+    columns = set()
+    for bits in range(1 << v):
+        rot = RotationSystem.from_bits(old, bits)
+        hist = Counter()
+        for gadget in range(16):
+            grown = RotationSystem.from_bits(new, bits ^ flips | gadget << v)
+            hist[ROOT_CLASSES.index(root_class(new, grown)),
+                 face_trace(new, grown)[1] - face_trace(old, rot)[1]] += 1
+        columns.add((ROOT_CLASSES.index(root_class(old, rot)), tuple(sorted(hist.items()))))
+    return columns
+
+
 def chunk_args(n, lo, hi, k=None, euler_shift=0):
     """Arguments for ``_tally_chunk`` over side B's configurations lo..hi-1,
     split at k (the graph's own split when None)."""
@@ -159,6 +193,31 @@ def per_system_tallies(n):
     return tuple(map(tuple, tallies))
 
 
+class TestProductionRule:
+    """PRODUCTION_MATRIX at its source: column j is what one claw makes of
+    any embedding whose root has class j, by face tracing alone.  The
+    embeddings of G_0 and G_1 realize classes a, b and c."""
+
+    @staticmethod
+    def disagreements(matrix) -> list:
+        columns = gadget_columns(0) | gadget_columns(1)
+        assert {j for j, _ in columns} == {0, 1, 2}
+        return [(j, hist) for j, hist in columns if hist != tuple(sorted(
+            ((i, g), c) for i in range(3) for g, c in enumerate(matrix[i][j].coeffs) if c))]
+
+    def test_each_embedding_grows_by_its_class_column(self):
+        assert self.disagreements(PRODUCTION_MATRIX) == []
+
+    @pytest.mark.parametrize("i,j", [(i, j) for i in range(3) for j in range(3)
+                                     if PRODUCTION_MATRIX[i][j]])
+    def test_an_entry_moved_one_power_of_z_disagrees(self, i, j):
+        e = PRODUCTION_MATRIX[i][j]
+        for power in {max(e.degree - 1, 0), e.degree + 1} - {e.degree}:
+            moved = [list(row) for row in PRODUCTION_MATRIX]
+            moved[i][j] = IntPoly.monomial(power, e.lead)
+            assert self.disagreements(moved), power
+
+
 class TestSplitWalk:
     @pytest.mark.parametrize("n", range(3))
     def test_every_split_matches_the_per_system_walks(self, n):
@@ -184,6 +243,25 @@ class TestSplitWalk:
         assert o.as_polys() == (v.a, v.b, v.c)
         assert started == ([jobs] if jobs > 1 else [])
         assert multiprocessing.active_children() == []
+
+    def test_join_rejects_an_exit_that_is_not_a_port(self):
+        """A walk sent to an inner dart would never come back to its start,
+        so the join must fail before it walks; the timer turns a hang into
+        a failure."""
+        g = build_iterated_claw(2)
+        k, root = oracle._split(g), g.incidence[g.root]
+        ports_a, maps_a, _ = oracle._side(g.incidence, root, 0, k, range(1 << k))
+        ports_b, maps_b, _ = oracle._side(g.incidence, root, k, g.num_vertices, range(1))
+        inner = min(set(range(g.num_darts)) - set(ports_a + ports_b))
+        bad = ((inner, 0),) + maps_a[0][1:]  # one exit swapped for an inner dart
+        previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the join hangs"))
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(StructureViolation, match="not ports"):
+                oracle._join(ports_a, [bad], ports_b, maps_b, g.num_darts)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_face_trace_and_enumeration_share_one_walk(self, monkeypatch):
         real, calls = oracle._walk, []

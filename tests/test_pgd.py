@@ -172,6 +172,8 @@ class TestWindows:
 
         monkeypatch.setattr(self.module, "_apply", spy)
         monkeypatch.setattr(formulas, "_recurrence_step", recurrence_spy)
+        sums, composition = [], formulas._COMPOSITION
+        monkeypatch.setattr(composition, "step", lambda s, f=composition.step: sums.append(s) or f(s))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["compute", "--route", "all", "--format", "csv",
                          "--n", "0..40"]) == 0
@@ -179,3 +181,5 @@ class TestWindows:
         assert len(products) <= 2 * 42
         # and of the recurrence, 41 plus the window's look-ahead
         assert len(steps) <= 41 + 3
+        # and of the composition sums, H_{-1} .. H_41
+        assert len(sums) <= 43
