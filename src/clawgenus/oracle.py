@@ -18,23 +18,25 @@ The kernel splits the graph in two: vertices 0..k-1 (side A) and the rest
 cut-and-glue view of Gross, Khan and Poshni, Ars Math. Contemp. 3, 2010).
 Each side is walked once per configuration of its own vertices, from the
 ports where faces come in across the cut to where they leave, and the faces
-left inside are closed there: side A once per enumeration, in the calling
-process, and side B per block, a range of its configurations with that bit
-0, which workers split above the cap.  Configurations with the same closed
-faces, closed root faces and port map share a bucket, and a system's faces
-are A's closed faces, B's, and the cycles of the two port maps joined (once
-per pair of maps); so each pair of buckets is Euler-checked once and counts
-the product of their sizes (meet in the middle: Horowitz and Sahni, J. ACM
-21, 1974).  One face-walk loop, ``_walk``, serves the sides, the join and
-the per-system functions (``face_trace``, ``root_class``), which walk the
-whole graph as one region.
+left inside are closed there.  A block is a range of one side's
+configurations (side B's with that bit 0), and ``_side``, which walks it,
+is all a worker runs.  Configurations with the same port map, closed faces
+and closed root faces share a bucket, so a side's blocks add up bucket by
+bucket.  A system's faces are A's closed faces, B's, and the cycles of the
+two port maps joined; so ``_tally`` joins the two sides once, walking each
+pair of maps once, and each pair of buckets is Euler-checked once and
+counts the product of their sizes (meet in the middle: Horowitz and Sahni,
+J. ACM 21, 1974).  One face-walk loop, ``_walk``, serves the sides, the
+join and the per-system functions (``face_trace``, ``root_class``), which
+walk the whole graph as one region.
 
-``DEFAULT_CAP`` is the one threshold of the enumeration.  Up to it, the
-whole range is one block tallied in the calling process, since workers do
-not pay there (measured at the constant).  Above it, the caller must
-acknowledge the cost with ``acknowledge_cost=True``, which
-``--acknowledge-cost`` sets on the command line (the one way past the cap),
-and the blocks run in a pool that the call opens and closes itself.
+``DEFAULT_CAP`` is the one threshold of the enumeration.  Up to it, each
+side is one block walked in the calling process; that is the policy of
+the cap, where the cost needs no acknowledgment, and not where a pool
+starts to pay (see the constant).  Above it, the caller must acknowledge
+the cost with ``acknowledge_cost=True``, which ``--acknowledge-cost`` sets
+on the command line (the one way past the cap), and the blocks run in a
+pool that the call opens and closes itself.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .errors import OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
 
 #: Largest n enumerated without a cost acknowledgment, and in one process
-#: whatever ``jobs`` is.  On a 2-core host (Python 3.11) one process takes
-#: 7 ms at n = 4, 27-40 ms at n = 5, 0.10-0.13 s at n = 6, 0.50-0.76 s at
-#: n = 7 and 1.4-1.9 s at n = 8; a pool of two 18-21 ms, 33-38 ms,
-#: 0.09-0.11 s, 0.30-0.43 s and 1.3-1.4 s.  Workers pay only above n = 6, and
-#: little at n = 8, where side A's 2^17 walks run serially in the caller.
+#: whatever ``jobs`` is.  On a 2-core host (Python 3.11), in-process, one
+#: process takes 27-44 ms at n = 5, 79-95 ms at n = 6, 0.52-0.74 s at n = 7
+#: and 1.6-2.3 s at n = 8; a pool of two, which splits both sides, 35-50 ms,
+#: 60-74 ms, 0.37-0.47 s and 1.0-1.2 s.  With both sides split, a pool pays
+#: from n = 6 on, by 15-20 ms there, so the cap is no longer that break-even:
+#: it stays at 6 as the point where a caller must acknowledge the cost.
 DEFAULT_CAP = 6
 #: Most blocks one enumeration splits into, and so most worker processes.
 MAX_JOBS = 64
@@ -267,7 +270,8 @@ def _split(graph: MultiGraph) -> int:
 
 
 def _side(incidence, root_darts, first, last, configs):
-    """Walk one side, vertices first..last-1, in each of its configurations.
+    """Walk one side, vertices first..last-1, in each of configs, a range of
+    its configurations: the one function a worker runs.
 
     The side owns the darts whose face-map entry its rotations set, those
     whose partner sits at one of its vertices; bit v - first of a
@@ -275,10 +279,11 @@ def _side(incidence, root_darts, first, last, configs):
     vertex v (see RotationSystem.from_bits).  Its ports are the owned darts
     that start on the other side, where faces come in.  Per configuration
     the walks run from every port first, then close the faces left inside.
-    Returns (ports, maps, buckets): the ports, the distinct port maps in
-    order of first appearance, each a tuple of (dart where the walk from
-    that port leaves, whether it passed a root dart), and the number of
-    configurations per (closed faces, closed root faces, port map index).
+    Returns (ports, buckets): the ports, and for each port map, a tuple of
+    (dart where the walk from that port leaves, whether it passed a root
+    dart), the number of its configurations per (closed faces, closed root
+    faces).  Keyed by the maps themselves, the buckets of two ranges add up
+    to those of their union.
     """
     heads = [(d0 ^ 1, d1 ^ 1, d2 ^ 1) for d0, d1, d2 in incidence]
     succs = [((d1, d2, d0), (d2, d0, d1)) for d0, d1, d2 in incidence]
@@ -288,71 +293,54 @@ def _side(incidence, root_darts, first, last, configs):
     ports = [d for d in range(len(at)) if owned[d] and not first <= at[d] < last]
     starts = ports + [d for d in range(len(at)) if owned[d]]
     nxt, visited = [0] * len(at), [-1] * len(at)
-    maps: dict[tuple, int] = {}
-    buckets: dict[tuple[int, int, int], int] = {}
+    buckets: dict[tuple, dict[tuple[int, int], int]] = {}
     for c in configs:
         for v in range(first, last):
             e0, e1, e2 = heads[v]
             nxt[e0], nxt[e1], nxt[e2] = succs[v][(c >> (v - first)) & 1]
         exits, faces, root_faces = _walk(nxt, root, owned, starts, visited, c)
-        key = (faces, root_faces, maps.setdefault(tuple(exits), len(maps)))
-        buckets[key] = buckets.get(key, 0) + 1
-    return ports, list(maps), buckets
+        key, counts = (faces, root_faces), buckets.setdefault(tuple(exits), {})
+        counts[key] = counts.get(key, 0) + 1
+    return ports, buckets
 
 
-def _join(ports_a, maps_a, ports_b, maps_b, size) -> list[list[tuple[int, int]]]:
-    """Faces and root faces across the cut for each pair of port maps, B's
-    index first: the cycles of the two maps followed in turn, each walk of
-    one side leaving through a port of the other.  size is the number of
-    darts.  Each map's exits must be the other side's ports, or a walk
-    could cycle without its start, so any other map raises first."""
-    for maps, other in ((maps_a, ports_b), (maps_b, ports_a)):
-        if any(sorted(e for e, _ in pmap) != sorted(other) for pmap in maps):
+def _tally(side_a, side_b, euler_base, slots) -> list[list[int]]:
+    """Tally per root class and genus the systems that pair each bucket of
+    side A with each of side B, both (ports, buckets) as ``_side`` gives
+    them for vertices 0..k-1 and k..V-1, and euler_base = 2 - V + E.
+
+    Each map's exits must be the other side's ports, or a walk could cycle
+    without its start, so any other map raises before anything walks.  Per
+    pair of port maps, one walk follows their cycles across the cut, each
+    walk of one side leaving through a port of the other.  Each pair of
+    buckets then gets its face and root face counts, A's closed faces plus
+    B's plus the joined ones, its Euler and root class checks, and
+    count_a * count_b systems at its genus and class.
+    """
+    (ports_a, buckets_a), (ports_b, buckets_b) = side_a, side_b
+    for buckets, other in ((buckets_a, ports_b), (buckets_b, ports_a)):
+        if any(sorted(e for e, _ in pmap) != sorted(other) for pmap in buckets):
             raise StructureViolation("a port map leaves through darts that are not ports")
-    joined = []
-    for map_b in maps_b:
-        row = []
-        for map_a in maps_a:
-            nxt, root = [0] * size, [0] * size
+    starts = ports_a + ports_b
+    size = max(starts, default=0) + 1  # a joined walk reaches only ports
+    nxt, root, owned = [0] * size, [0] * size, [True] * size
+    tallies = [[0] * slots for _ in ROOT_CLASSES]
+    for map_a, counts_a in buckets_a.items():
+        for map_b, counts_b in buckets_b.items():
             for ports, pmap in ((ports_a, map_a), (ports_b, map_b)):
                 for p, (e, touched) in zip(ports, pmap):
                     nxt[p], root[p] = e, touched
-            row.append(_walk(nxt, root, [True] * size, ports_a + ports_b, [-1] * size, 0)[1:])
-        joined.append(row)
-    return joined
-
-
-def _tally_chunk(args) -> list[list[int]]:
-    """Tally the systems (b << k) | a with b_lo <= b < b_hi, every a.
-
-    System s = (b << k) | a sets vertices 0..k-1 (side A) by a and the
-    rest (side B) by b.  Each side is walked once per configuration into
-    buckets (``_side``): A's 2^k by the caller, once for all blocks, and
-    here B's b_lo..b_hi-1.  The cut between the sides is small, so few
-    distinct port maps come out, and ``_join`` joins each pair of them once.
-    Each pair of buckets then gets its face and root face counts, A's
-    closed faces plus B's plus the joined ones, its Euler and root class
-    checks, and count_a * count_b systems at its genus and class: 12 x 154
-    pairs at n = 7.  Any range of B and k in 0..V work; ``enumerate_pgd``
-    passes B's configurations with the mirror bit 0 and doubles the tallies.
-    """
-    incidence, root_darts, euler_base, slots, k, (ports_a, maps_a, side_a), b_lo, b_hi = args
-    size = sum(map(len, incidence))
-    ports_b, maps_b, side_b = _side(incidence, root_darts, k, len(incidence),
-                                    range(b_lo, b_hi))
-    joined = _join(ports_a, maps_a, ports_b, maps_b, size)
-    tallies = [[0] * slots for _ in range(3)]
-    for (faces_b, roots_b, ib), count_b in side_b.items():
-        for (faces_a, roots_a, ia), count_a in side_a.items():
-            faces, roots = joined[ib][ia]
-            doubled = euler_base - faces_a - faces_b - faces
-            cls = 3 - roots_a - roots_b - roots
-            if doubled < 0 or doubled & 1:
-                raise StructureViolation("impossible Euler residue in enumeration")
-            if not 0 <= cls <= 2:
-                raise StructureViolation(f"{3 - cls} root faces in enumeration; "
-                                         "the root has 1 to 3")
-            tallies[cls][doubled >> 1] += count_a * count_b
+            _, faces, roots = _walk(nxt, root, owned, starts, [-1] * size, 0)
+            for (faces_a, roots_a), count_a in counts_a.items():
+                for (faces_b, roots_b), count_b in counts_b.items():
+                    doubled = euler_base - faces_a - faces_b - faces
+                    cls = 3 - roots_a - roots_b - roots
+                    if doubled < 0 or doubled & 1:
+                        raise StructureViolation("impossible Euler residue in enumeration")
+                    if not 0 <= cls <= 2:
+                        raise StructureViolation(f"{3 - cls} root faces in enumeration; "
+                                                 "the root has 1 to 3")
+                    tallies[cls][doubled >> 1] += count_a * count_b
     return tallies
 
 
@@ -361,14 +349,16 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
 
     Tallies are per root class and genus.  Each of the 2^(4n+1) traced
     systems counts twice, once for itself and once for its mirror image
-    (see the module docstring).  Up to ``DEFAULT_CAP``, read at call time,
-    the systems are one block tallied in this process, whatever ``jobs``
-    (1 to ``MAX_JOBS``) is: 0.1 s at n = 6.  Above it, enumeration is
-    refused unless ``acknowledge_cost`` is set, and side B's 2^(V-k-1)
-    configurations with the mirror bit 0, for k = ``_split``, divide into
-    ``jobs`` blocks, or one apiece if fewer.  More than one block runs in a pool of one
-    worker per block, deaf to SIGINT and closed before the call returns.
-    The result is independent of ``jobs``: the blocks' tallies are summed.
+    (see the module docstring).  Side A's 2^k configurations, for
+    k = ``_split``, and side B's 2^(V-k-1) with the mirror bit 0 each divide
+    into ``jobs`` (1 to ``MAX_JOBS``) blocks, or one apiece if fewer, and
+    each block is walked by ``_side``.  Up to ``DEFAULT_CAP``, read at call
+    time, there is one block per side, walked in this process whatever
+    ``jobs`` is: 0.1 s at n = 6.  Above it, enumeration is refused unless
+    ``acknowledge_cost`` is set, and the blocks run in a pool of one worker
+    per block of the larger side, deaf to SIGINT and closed before the call
+    returns.  Each side's blocks add up bucket by bucket, and ``_tally``
+    joins the two sides once, so the result is independent of ``jobs``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -376,7 +366,7 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
         raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
     bits = 4 * n + 2
     if n <= DEFAULT_CAP:
-        jobs = 1  # workers do not pay here (see DEFAULT_CAP)
+        jobs = 1  # one block per side (see DEFAULT_CAP)
     elif not acknowledge_cost:
         # Past a few thousand digits, str() of the count itself raises.
         count = 1 << bits if bits <= 64 else f"2^{bits}"
@@ -385,29 +375,35 @@ def enumerate_pgd(n: int, jobs: int = 1, acknowledge_cost: bool = False) -> Orac
             "pass --acknowledge-cost (acknowledge_cost=True) to proceed"
         )
     graph = build_iterated_claw(n)
-    euler_base = 2 - graph.num_vertices + graph.num_edges
     root_darts = graph.incidence[graph.root]
 
-    k = _split(graph)
-    side_a = _side(graph.incidence, root_darts, 0, k, range(1 << k))
-    configs = 1 << (bits - k - 1)  # side B's with the mirror bit 0
-    jobs = min(jobs, configs)
-    bounds = [configs * j // jobs for j in range(jobs + 1)]
-    chunks = [
-        (graph.incidence, root_darts, euler_base, n + 2, k, side_a, lo, hi)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    if jobs == 1:
-        results = [_tally_chunk(chunks[0])]
+    k, v = _split(graph), graph.num_vertices
+    sides = ((0, k, 1 << k), (k, v, 1 << (v - k - 1)))  # side B's with the mirror bit 0
+    parts = [min(jobs, configs) for _, _, configs in sides]
+    blocks = [(graph.incidence, root_darts, first, last,
+               range(configs * j // p, configs * (j + 1) // p))
+              for (first, last, configs), p in zip(sides, parts) for j in range(p)]
+    if max(parts) == 1:
+        walked = [_side(*block) for block in blocks]
     else:
         # imported here, so a command at or below the cap loads no multiprocessing
         from multiprocessing import Pool
         from signal import SIG_IGN, SIGINT, signal
 
-        with Pool(jobs, initializer=signal, initargs=(SIGINT, SIG_IGN)) as pool:
-            results = pool.map(_tally_chunk, chunks)
+        # one worker per block of the larger side
+        with Pool(max(parts), initializer=signal, initargs=(SIGINT, SIG_IGN)) as pool:
+            walked = pool.starmap(_side, blocks)
 
-    tallies = tuple(tuple(2 * sum(col) for col in zip(*rows)) for rows in zip(*results))
-    out = OraclePgd(n, tallies)
+    summed = []  # each side's first block, with its later blocks added into it
+    for walks in (walked[:parts[0]], walked[parts[0]:]):
+        ports, buckets = walks[0]
+        for _, more in walks[1:]:
+            for pmap, counts in more.items():
+                into = buckets.setdefault(pmap, {})
+                for key, count in counts.items():
+                    into[key] = into.get(key, 0) + count
+        summed.append((ports, buckets))
+    tallies = _tally(*summed, 2 - v + graph.num_edges, n + 2)
+    out = OraclePgd(n, tuple(tuple(2 * x for x in row) for row in tallies))
     out.validate()
     return out

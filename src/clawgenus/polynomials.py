@@ -86,7 +86,8 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its int (see __eq__), so it hashes as that int
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self[0])
 
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)

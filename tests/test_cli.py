@@ -7,13 +7,13 @@ import io
 import json
 import multiprocessing
 import os
+import runpy
 import signal
 import subprocess
 import sys
 import time
 import weakref
 from fractions import Fraction
-from multiprocessing.pool import ThreadPool
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +36,7 @@ from clawgenus.rootcert import (
     isolate_roots,
     normalized_recurrence,
 )
-from test_oracle import spy_pools
+from test_oracle import serial_pool, spy_pools  # noqa: F401 (a fixture)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -70,6 +70,58 @@ def sign_reads(capsys, monkeypatch, spec: str) -> list[tuple]:
         code, _, _ = run(capsys, "certify", "--n", spec, "--format", "json")
     assert code == 0
     return reads
+
+
+def merge_calls(monkeypatch, merge, *args) -> tuple[object, dict[str, int]]:
+    """``merge(*args)``, and the calls of ``rootcert._halve`` and of
+    ``IntPoly.sign_at`` it made."""
+    counts, real_halve, real_sign_at = {"halve": 0, "sign_at": 0}, rootcert._halve, IntPoly.sign_at
+
+    def halve(*args):
+        counts["halve"] += 1
+        return real_halve(*args)
+
+    def sign_at(self, *args):
+        counts["sign_at"] += 1
+        return real_sign_at(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(rootcert, "_halve", halve)
+        m.setattr(IntPoly, "sign_at", sign_at)
+        return merge(*args), counts
+
+
+def pair_calls(capsys, monkeypatch, spec: str) -> dict[tuple[int, int], dict[str, int]]:
+    """``merge_calls`` of each pair (n, m) that ``certify --n spec`` merges."""
+    spent, certify = {}, cli.certify_interlacing
+
+    def spy(a, b):
+        ic, spent[a.n, b.n] = merge_calls(monkeypatch, certify, a, b)
+        return ic
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "certify_interlacing", spy)
+        assert run(capsys, "certify", "--n", spec)[0] == 0
+    return spent
+
+
+def halving_errors(capsys, monkeypatch, spec: str) -> list[str]:
+    """Which claims of the bracket merge ``certify --n spec`` breaks, as
+    counted in calls of ``rootcert._halve``: a consecutive pair is apart as
+    the brackets of its step leave it; a skip pair, merged from W_n's gaps
+    and W_{n-2} as halved at step n-1, halves no more than the canonical
+    certificates of the pair, and less than half as often over the range."""
+    spent = {pair: c["halve"] for pair, c in pair_calls(capsys, monkeypatch, spec).items()}
+    canonical = {n: merge_calls(monkeypatch, rootcert._merge, *(
+        isolate_roots(normalized_recurrence(i)) for i in (n, m)), "canonical")[1]["halve"]
+        for n, m in spent if n - m == 2}
+    errors = [f"({n}, {m}) halved {c} times" for (n, m), c in spent.items() if n - m == 1 and c]
+    errors += [f"({n}, {n - 2}) halved {spent[n, n - 2]} > {c} times"
+               for n, c in canonical.items() if spent[n, n - 2] > c]
+    skip = sum(spent[n, n - 2] for n in canonical)
+    if 2 * skip >= sum(canonical.values()):
+        errors.append(f"skip pairs halved {skip} of {sum(canonical.values())} times")
+    return errors
 
 
 def certificate_reach(capsys, monkeypatch, spec: str) -> tuple[int, int]:
@@ -229,20 +281,15 @@ class TestCompute:
         assert multiprocessing.active_children() == []
 
     def test_oracle_pool_has_no_more_workers_than_traced_positions(
-        self, capsys, monkeypatch
+        self, capsys, monkeypatch, serial_pool
     ):
-        started = []
-        monkeypatch.setattr(  # record the size asked for, run on one thread
-            multiprocessing, "Pool",
-            lambda processes, **_: started.append(processes) or ThreadPool(1),
-        )
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
         code, out, _ = run(capsys, "compute", "--route", "oracle", "--n", "0..2",
                            "--parallelism", "64", "--format", "csv", "--acknowledge-cost")
         assert code == 0 and out == "".join(TABLE_CSV.splitlines(True)[:3])
-        # none at the cap, n = 0; at n = 1 and 2, side B has 2^4 configurations
-        # with the mirror bit 0
-        assert started == [16, 16]
+        # none at the cap, n = 0; the larger side's configurations above it:
+        # side B's 2^4 with the mirror bit 0 at n = 1, side A's 2^5 at n = 2
+        assert serial_pool.sizes == [16, 32]
 
     def test_oracle_route_across_the_cap_fails_before_any_row(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
@@ -326,38 +373,8 @@ class TestCertify:
         """A consecutive pair is apart as the brackets of its step leave it;
         a skip pair, merged from W_n's gaps and W_{n-2} as halved at step
         n-1, halves no more than the canonical certificates of the pair, and
-        less than half as often over the range."""
-        halvings = [0]
-        real_halve = rootcert._halve
-
-        def halve(*args):
-            halvings[0] += 1
-            return real_halve(*args)
-
-        spent = {}
-        certify = cli.certify_interlacing
-
-        def spy(a, b):
-            before = halvings[0]
-            ic = certify(a, b)
-            spent[a.n, b.n] = halvings[0] - before
-            return ic
-
-        monkeypatch.setattr(rootcert, "_halve", halve)
-        monkeypatch.setattr(cli, "certify_interlacing", spy)
-        code, _, _ = run(capsys, "certify", "--n", "0..40")
-        assert code == 0
-        assert [spent[n, n - 1] for n in range(1, 41)] == [0] * 40
-        canonical = {}
-        for n in range(2, 41):
-            before = halvings[0]
-            rootcert._merge(
-                isolate_roots(normalized_recurrence(n)),
-                isolate_roots(normalized_recurrence(n - 2)), "canonical",
-            )
-            canonical[n] = halvings[0] - before
-        assert all(spent[n, n - 2] <= canonical[n] for n in canonical)
-        assert 2 * sum(spent[n, n - 2] for n in canonical) < sum(canonical.values())
+        less than half as often over the range (``halving_errors``)."""
+        assert halving_errors(capsys, monkeypatch, "0..40") == []
 
     def test_pair_merges_read_the_polynomials_at_midpoints_only(
         self, capsys, monkeypatch
@@ -365,31 +382,7 @@ class TestCertify:
         """The bracket certificates share the sign tables their search
         filled, so a merge reads at most one new sign per halving, its
         midpoint, and often none."""
-        counts = {"halve": 0, "sign_at": 0}
-        real_halve, real_sign_at = rootcert._halve, IntPoly.sign_at
-
-        def halve(*args):
-            counts["halve"] += 1
-            return real_halve(*args)
-
-        def sign_at(self, *args):
-            counts["sign_at"] += 1
-            return real_sign_at(self, *args)
-
-        certify, spent = cli.certify_interlacing, {}
-
-        def spy(a, b):
-            with monkeypatch.context() as m:
-                m.setattr(rootcert, "_halve", halve)
-                m.setattr(IntPoly, "sign_at", sign_at)
-                ic = certify(a, b)
-            spent[a.n, b.n] = dict(counts)
-            counts.update(halve=0, sign_at=0)
-            return ic
-
-        monkeypatch.setattr(cli, "certify_interlacing", spy)
-        code, _, _ = run(capsys, "certify", "--n", "0..40")
-        assert code == 0
+        spent = pair_calls(capsys, monkeypatch, "0..40")
         assert sum(c["halve"] for c in spent.values()) > 0
         assert all(c["sign_at"] <= c["halve"] for c in spent.values()), spent
         assert spent[3, 1] == {"halve": 2, "sign_at": 1}
@@ -650,6 +643,27 @@ class TestSubprocess:
         proc = run_module("table", "--max-n", "4", "--format", "csv", timeout=60)
         assert proc.returncode == 0
         assert proc.stdout == TABLE_CSV
+
+    def test_bench_tracer_still_wraps_what_it_reads(self):
+        """``bench/tracer.py`` wraps methods and reads attributes of the
+        package by name, so a package change can silently empty its spans.
+        One traced child over the three kinds of bench call: every method
+        span and the oracle's span must see calls, and the oracle count
+        must be 4 + 64 + 1024 systems."""
+        bench = Path(SRC).parent / "bench"
+        methods = runpy.run_path(str(bench / "tracer.py"))["METHODS"]
+        calls = [["certify", "--n", "0..4"], ["compute", "--route", "all", "--format", "csv",
+                 "--n", "0..4"], ["oracle-check", "--parallelism", "2", "--n", "0..2"]]
+        spec = json.dumps({"src": SRC, "calls": calls, "trace": True})
+        proc = subprocess.run([sys.executable, str(bench / "child.py"), spec],
+                              capture_output=True, text=True, timeout=60, env=module_env())
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exits"] == [0, 0, 0], report["stderr"]
+        spans = report["trace"]["spans"]
+        for name in [name for name, *_ in methods] + ["oracle.enumerate_pgd"]:
+            assert spans.get(name, {}).get("calls", 0) > 0, name
+        assert report["trace"]["counters"]["systems"] == 1092
 
     def test_certificate_json_is_deterministic_across_runs(self):
         cmd = ("certify", "--n", "0..6", "--format", "json")

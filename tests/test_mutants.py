@@ -26,7 +26,7 @@ from clawgenus.cli import main
 from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
-from test_cli import certificate_reach, sign_reads
+from test_cli import certificate_reach, halving_errors, sign_reads
 
 #: The module; ``clawgenus.pgd`` is the function the package exports.
 pgd = sys.modules["clawgenus.pgd"]
@@ -53,6 +53,17 @@ CAUGHT = {
         (IntPoly, "sign", "memo = self._signs = {}",
          "memo = self._signs = IntPoly.sign.__dict__.setdefault('memo', {})"),
     ], "0..8"),
+}
+
+#: Mutants of the certificate search that keep every certificate true and
+#: the exit code 0, so only the halving counts (``halving_errors``) over
+#: ``RANGE`` see them; the CLI reads certificate_chain through its own name.
+MISCOUNTED = {
+    "skip-pair-merges-w-n-2-unhalved":
+        (cli, "certificate_chain", "(gaps, below) if gaps", "(gaps, older) if gaps"),
+    "isolate-keeps-the-gaps-unnarrowed":
+        (rootcert, "_isolate", "cert, replace(cert, intervals=narrowed), halved",
+         "cert, cert, halved"),
 }
 
 #: The recurrence's first window with G_2 = 48z + 720z^2 + 256z^3 moved to
@@ -99,14 +110,14 @@ FAILS = {
         "route disagreement at n=2, coefficient i=1: pgd=48, recurrence=49",
     ),
     "tally-files-class-a-as-c": (
-        [(oracle, "_tally_chunk", "tallies[cls][", "tallies[cls or 2][")],
+        [(oracle, "_tally", "tallies[cls][", "tallies[cls or 2][")],
         ["oracle-check", "--n", "0..3"],
         "n=0: oracle differs from the production route in class(es) a, c",
     ),
     # the two below raised a bare IndexError out of the CLI before the
     # enumeration checked the root class it derives
     "join-drops-the-root-flags": (
-        [(oracle, "_join", "nxt[p], root[p] = e, touched", "nxt[p] = e")],
+        [(oracle, "_tally", "nxt[p], root[p] = e, touched", "nxt[p] = e")],
         ["oracle-check", "--n", "0..3"], "error: 0 root faces in enumeration",
     ),
     "walk-drops-the-root-darts-it-passes": (
@@ -124,20 +135,30 @@ FAILS = {
     # side A's buckets hold one configuration each up to n = 1, so the
     # count first goes wrong at n = 2
     "join-drops-side-a-multiplicity": (
-        [(oracle, "_tally_chunk", "+= count_a * count_b", "+= count_b")],
+        [(oracle, "_tally", "+= count_a * count_b", "+= count_b")],
         ["oracle-check", "--n", "0..3"],
         "error: oracle enumerated 192 rotation systems at n=2, expected 1024",
     ),
     "side-counts-each-bucket-once": (
-        [(oracle, "_side", "buckets.get(key, 0) + 1", "1")],
+        [(oracle, "_side", "counts.get(key, 0) + 1", "1")],
         ["oracle-check", "--n", "0..3"],
         "error: oracle enumerated 32 rotation systems at n=1, expected 64",
     ),
     # the counts stay right, so only the routes see the classes move
     "bucket-key-drops-the-closed-root-faces": (
-        [(oracle, "_side", "key = (faces, root_faces, ", "key = (faces, 0, ")],
+        [(oracle, "_side", "key, counts = (faces, root_faces)", "key, counts = (faces, 0)")],
         ["oracle-check", "--n", "0..3"],
         "n=1: oracle differs from the production route in class(es) a, c",
+    ),
+    # the caller drops every block of a side after its first, which shows
+    # only where a side splits: above the cap, with more than one job; the
+    # CLI reads enumerate_pgd through its own name
+    "caller-keeps-one-block-per-side": (
+        [(oracle, "DEFAULT_CAP", 1),
+         (cli, "enumerate_pgd", "for pmap, counts in more.items():",
+          "for pmap, counts in ():")],
+        ["oracle-check", "--n", "2", "--parallelism", "2", "--acknowledge-cost"],
+        "error: oracle enumerated 256 rotation systems at n=2, expected 1024",
     ),
 }
 
@@ -186,6 +207,14 @@ def test_certcheck_or_the_exit_code_catches(capsys, monkeypatch, name):
         apply(monkeypatch, edit)
     code, out, _ = certify(capsys, spec)
     assert code != 0 or certificate_errors(json.loads(out))
+
+
+@pytest.mark.parametrize("name", MISCOUNTED)
+def test_only_the_halving_counts_catch(capsys, monkeypatch, name):
+    mutate(monkeypatch, *MISCOUNTED[name])
+    code, out, _ = certify(capsys)
+    assert code == 0 and not certificate_errors(json.loads(out))
+    assert halving_errors(capsys, monkeypatch, RANGE)
 
 
 @pytest.mark.parametrize("name", FAILS)

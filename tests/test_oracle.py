@@ -6,6 +6,7 @@ import signal
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -156,14 +157,51 @@ def gadget_columns(m) -> set[tuple[int, tuple]]:
     return columns
 
 
-def chunk_args(n, lo, hi, k=None, euler_shift=0):
-    """Arguments for ``_tally_chunk`` over side B's configurations lo..hi-1,
-    split at k (the graph's own split when None)."""
+def side(n, first, last=None, lo=0, hi=None):
+    """``_side`` of claw n for vertices first..last-1 (to the last vertex
+    when last is None), over configurations lo..hi-1 (to the last when hi
+    is None)."""
     g = build_iterated_claw(n)
-    euler_base = 2 - g.num_vertices + g.num_edges + euler_shift
-    k = oracle._split(g) if k is None else k
-    side_a = oracle._side(g.incidence, g.incidence[g.root], 0, k, range(1 << k))
-    return (g.incidence, g.incidence[g.root], euler_base, n + 2, k, side_a, lo, hi)
+    last = g.num_vertices if last is None else last
+    hi = 1 << (last - first) if hi is None else hi
+    return oracle._side(g.incidence, g.incidence[g.root], first, last, range(lo, hi))
+
+
+def tally(n, side_a, side_b, euler_shift=0):
+    """``_tally`` of two sides of claw n, with its Euler base shifted."""
+    g = build_iterated_claw(n)
+    return oracle._tally(side_a, side_b, 2 - g.num_vertices + g.num_edges + euler_shift, n + 2)
+
+
+def flat(buckets) -> Counter:
+    """A side's buckets as one count per (port map, closed faces, closed
+    root faces)."""
+    return Counter({(pmap, key): c for pmap, counts in buckets.items()
+                    for key, c in counts.items()})
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for ``multiprocessing.Pool``: runs each block in this
+    process, and records the size of each pool and the blocks it ran."""
+    record = SimpleNamespace(sizes=[], blocks=[])
+
+    class SerialPool:
+        def __init__(self, processes, **_):
+            record.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, items):
+            record.blocks += items
+            return [fn(*x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return record
 
 
 def spy_pools(monkeypatch) -> list[int]:
@@ -221,10 +259,10 @@ class TestProductionRule:
 class TestSplitWalk:
     @pytest.mark.parametrize("n", range(3))
     def test_every_split_matches_the_per_system_walks(self, n):
-        """Any k in 0..V-1 tallies all systems as tracing each alone does."""
-        size = 4 * n + 2
-        for k in range(size):
-            got = oracle._tally_chunk(chunk_args(n, 0, 1 << (size - k), k))
+        """At any k in 0..V-1, the two whole sides tally all systems as
+        tracing each alone does."""
+        for k in range(4 * n + 2):
+            got = tally(n, side(n, 0, k), side(n, k))
             assert tuple(map(tuple, got)) == per_system_tallies(n), f"k={k}"
 
     def test_split_is_the_smallest_then_most_even_cut(self):
@@ -249,16 +287,16 @@ class TestSplitWalk:
         so the join must fail before it walks; the timer turns a hang into
         a failure."""
         g = build_iterated_claw(2)
-        k, root = oracle._split(g), g.incidence[g.root]
-        ports_a, maps_a, _ = oracle._side(g.incidence, root, 0, k, range(1 << k))
-        ports_b, maps_b, _ = oracle._side(g.incidence, root, k, g.num_vertices, range(1))
+        k = oracle._split(g)
+        ports_a, buckets_a = side(2, 0, k)
+        ports_b, buckets_b = side(2, k, hi=1)
         inner = min(set(range(g.num_darts)) - set(ports_a + ports_b))
-        bad = ((inner, 0),) + maps_a[0][1:]  # one exit swapped for an inner dart
+        bad = ((inner, 0),) + next(iter(buckets_a))[1:]  # one exit swapped for an inner dart
         previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the join hangs"))
         signal.setitimer(signal.ITIMER_REAL, 2.0)
         try:
             with pytest.raises(StructureViolation, match="not ports"):
-                oracle._join(ports_a, [bad], ports_b, maps_b, g.num_darts)
+                tally(2, (ports_a, {bad: {(0, 0): 1}}), (ports_b, buckets_b))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -398,27 +436,27 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("lo", range(65))
     def test_blocks_split_at_any_position(self, lo):
-        """A block walks side B only in its own configurations, each with
-        every one of A's, so two blocks split at configuration lo sum to
-        the whole range, at every k where side B's 2^(6-k) configurations
-        reach lo; each distinct (k, lo) pair, 134 in all, runs once."""
-        for k in range(7):
-            top = 1 << (6 - k)
-            if lo > top:
-                break
-            whole = oracle._tally_chunk(chunk_args(1, 0, top, k))
-            parts = [oracle._tally_chunk(chunk_args(1, 0, lo, k)),
-                     oracle._tally_chunk(chunk_args(1, lo, top, k))]
-            assert [[x + y for x, y in zip(*rows)] for rows in zip(*parts)] == whole
+        """A block walks a side only in its own configurations, so the
+        buckets of two blocks split at configuration lo add up to the whole
+        range's, for either side at every k where its configurations reach
+        lo; each distinct (first, last, lo), 203 in all, runs once."""
+        for first, last in [(0, k) for k in range(7)] + [(k, 6) for k in range(1, 7)]:
+            if lo > 1 << (last - first):
+                continue
+            ports, whole = side(1, first, last)
+            lower, upper = side(1, first, last, hi=lo), side(1, first, last, lo=lo)
+            assert lower[0] == upper[0] == ports
+            assert flat(lower[1]) + flat(upper[1]) == flat(whole)
 
     @pytest.mark.parametrize("n", range(4))
     def test_upper_half_of_the_positions_tallies_like_the_lower(self, n):
         """The upper half of side B's configurations holds the systems whose
         top bit is 1, the mirrors of the lower half's, so both halves give
         the same tallies and the enumeration reads twice the lower half."""
-        half = 1 << (4 * n + 1 - oracle._split(build_iterated_claw(n)))
-        lower = oracle._tally_chunk(chunk_args(n, 0, half))
-        assert oracle._tally_chunk(chunk_args(n, half, 2 * half)) == lower
+        k = oracle._split(build_iterated_claw(n))
+        half, side_a = 1 << (4 * n + 1 - k), side(n, 0, k)
+        lower = tally(n, side_a, side(n, k, hi=half))
+        assert tally(n, side_a, side(n, k, lo=half)) == lower
         assert enumerate_pgd(n).tallies == tuple(
             tuple(2 * x for x in row) for row in lower
         )
@@ -426,7 +464,7 @@ class TestEnumeration:
     def test_every_system_passes_the_euler_check(self):
         for k in range(7):
             with pytest.raises(StructureViolation):
-                oracle._tally_chunk(chunk_args(1, 0, 1 << (6 - k), k, euler_shift=1))
+                tally(1, side(1, 0, k), side(1, k), euler_shift=1)
 
     def test_parallel_runs_agree(self, monkeypatch):
         serial = enumerate_pgd(2, jobs=1)
@@ -437,42 +475,26 @@ class TestEnumeration:
         assert started == [2, 3]
         assert multiprocessing.active_children() == []
 
-    def test_runs_in_this_process_up_to_the_cap(self, monkeypatch):
-        """Starting workers costs more than the whole enumeration at any n
-        up to the cap (see ``DEFAULT_CAP``), so no jobs value opens a pool."""
-        def no_pool(processes, **_):
-            raise AssertionError(f"a pool of {processes} was requested")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    def test_runs_in_this_process_up_to_the_cap(self, monkeypatch, serial_pool):
+        """Up to the cap, where the cost needs no acknowledgment, no jobs
+        value opens a pool (see ``DEFAULT_CAP``)."""
         for n in range(DEFAULT_CAP + 1):
             enumerate_pgd(n, jobs=MAX_JOBS)
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         assert enumerate_pgd(1, jobs=2, acknowledge_cost=True) == enumerate_pgd(1)
+        assert serial_pool.sizes == []
 
-    def test_starts_no_more_workers_than_chunks(self, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, processes, **_):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(x) for x in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    def test_starts_no_more_workers_than_chunks(self, monkeypatch, serial_pool):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", -1)
         for n in range(3):
             serial = enumerate_pgd(n, acknowledge_cost=True)
             assert enumerate_pgd(n, jobs=MAX_JOBS, acknowledge_cost=True) == serial
-        # one block for side B's one configuration at n = 0, so no pool;
-        # 2^4 configurations with the mirror bit 0 at n = 1 and 2
-        assert started == [16, 16]
+        # the larger side's configurations: side A's 2 at n = 0, side B's
+        # 2^4 with the mirror bit 0 at n = 1, side A's 2^5 at n = 2, whose
+        # vertices 0..4 reach the pool in blocks as much as side B's
+        assert serial_pool.sizes == [2, 16, 32]
+        assert [b[4] for b in serial_pool.blocks if b[2:4] == (0, 5)] == [
+            range(j, j + 1) for j in range(32)]
 
     def test_cap_refusal_mentions_cost(self):
         with pytest.raises(OracleCapExceeded) as exc:
@@ -494,14 +516,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_pgd(1, jobs=0)
 
-    def test_rejects_jobs_above_the_ceiling_before_any_pool(self, monkeypatch):
-        def no_pool(processes, **_):
-            raise AssertionError(f"a pool of {processes} was requested")
-
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    def test_rejects_jobs_above_the_ceiling_before_any_pool(self, monkeypatch, serial_pool):
         assert MAX_JOBS >= 64
         with pytest.raises(ValueError):
             enumerate_pgd(0, jobs=MAX_JOBS + 1)
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 0)
         with pytest.raises(ValueError):
             enumerate_pgd(1, jobs=MAX_JOBS + 1, acknowledge_cost=True)
+        assert serial_pool.sizes == []

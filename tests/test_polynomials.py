@@ -39,6 +39,10 @@ class TestIntPolyBasics:
         assert P(0, 40, 24).lead == 24
         assert P(7).degree == 0
 
+    def test_constants_hash_as_the_ints_they_equal(self):
+        assert P() == 0 and 0 in {P()} and 5 in {P(5)} and P(-3) in {-3: None}
+        assert P(0, 1) != 1 and P(0, 1) not in {1}
+
     def test_add_cancellation(self):
         assert P(1, 1) + P(1, -1) == P(2)
 
