@@ -18,7 +18,6 @@ from .errors import (
 from .formulas import (
     GenusPolynomial,
     StructureReport,
-    column_sum_series,
     composition_sum,
     genus_explicit,
     genus_from_series,
@@ -42,7 +41,6 @@ from .pgd import (
     PRODUCTION_MATRIX,
     PgdVector,
     column_sum,
-    column_sum_check,
     initial_pgd,
     iter_pgd,
     newclaw_step,

@@ -8,9 +8,9 @@ Routes implemented here:
   its coefficients; every consumer of the recurrence reads it.  The route
   continues from its last three-term window (``pgd.ResumableSequence``).
 
-* ``column_sum_series`` -- the sequence r_n of third-column sums of the
-  production-matrix powers, (1,1,1)M^n, taken from the matrix iteration in
-  ``pgd``; term n+1 is four times the genus polynomial of claw n.
+* ``genus_from_series`` -- one quarter of term n+1 of the sequence r_n of
+  third-column sums of the production-matrix powers, (1,1,1)M^n, which
+  ``pgd`` iterates (``column_sum``, ``iter_column_sums``).
   ``verify_series_closed_form`` checks the series against its closed
   rational generating function in t, whose denominator comes from
   ``RECURRENCE``.
@@ -151,13 +151,6 @@ def iter_genus() -> Iterator[GenusPolynomial]:
         yield g
 
 
-def column_sum_series(last: int) -> list[IntPoly]:
-    """Terms r_0 .. r_last of the column-sum series."""
-    if last < 0:
-        raise ValueError("last must be nonnegative")
-    return list(islice(iter_column_sums(), last + 1))
-
-
 def genus_from_series(n: int) -> GenusPolynomial:
     """Genus polynomial as one quarter of series term n+1."""
     if n < 0:
@@ -186,7 +179,7 @@ def verify_series_closed_form(n_max: int) -> None:
     coefficientwise in t.  Raises ConsistencyError on the first mismatch.
     """
     denominator = (IntPoly.constant(1),) + tuple(-c for c in RECURRENCE)
-    r = column_sum_series(n_max)
+    r = list(islice(iter_column_sums(), n_max + 1))
     for n in range(n_max + 1):
         acc = IntPoly()
         for k, d in enumerate(denominator):
@@ -335,15 +328,15 @@ def leading_coefficient(n: int) -> int:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Outcome of the elevenfold growth check on one genus polynomial."""
+    """Outcome of the elevenfold growth check on one genus polynomial:
+    the first index i where it fails, or None."""
 
     n: int
-    growth_ok: bool
-    first_failure: tuple[str, int] | None
+    first_failure: int | None
 
     @property
     def ok(self) -> bool:
-        return self.growth_ok
+        return self.first_failure is None
 
 
 def structure_check(n: int) -> StructureReport:
@@ -358,11 +351,7 @@ def structure_check(n: int) -> StructureReport:
     prev = genus_recurrence(n - 1).poly if n >= 1 else IntPoly()
     g = genus_recurrence(n)
     first = next(
-        (
-            ("growth", i)
-            for i in range(g.min_genus + 1, n + 1)
-            if not g.poly[i] > 11 * prev[i - 1]
-        ),
+        (i for i in range(g.min_genus + 1, n + 1) if not g.poly[i] > 11 * prev[i - 1]),
         None,
     )
-    return StructureReport(n=n, growth_ok=first is None, first_failure=first)
+    return StructureReport(n=n, first_failure=first)

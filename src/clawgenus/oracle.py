@@ -90,9 +90,6 @@ class MultiGraph:
     def num_darts(self) -> int:
         return 2 * len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.incidence[v])
-
 
 def build_iterated_claw(n: int) -> MultiGraph:
     """Iterated-claw multigraph after n claw attachments.
@@ -234,9 +231,6 @@ class OraclePgd:
 
     n: int
     tallies: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def class_poly(self, cls: str) -> IntPoly:
-        return IntPoly(self.tallies[ROOT_CLASSES.index(cls)])
 
     def as_polys(self) -> tuple[IntPoly, IntPoly, IntPoly]:
         return tuple(IntPoly(t) for t in self.tallies)

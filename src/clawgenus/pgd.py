@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, Iterator, TypeVar
 
-from .errors import ConsistencyError, StructureViolation
+from .errors import StructureViolation
 from .polynomials import IntPoly
 
 #: Fixed production matrix: column j feeds class j of the parent into the
@@ -177,21 +177,3 @@ def column_sum(n: int) -> IntPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _ROWS(n)[2]
-
-
-def column_sum_check(n: int) -> IntPoly:
-    """Column sum of the n-th matrix power, checked against the pgd route.
-
-    Raises ConsistencyError when the sum differs from four times the total
-    of pgd(n-1); n must be at least 1.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    sum_n = column_sum(n)
-    expected = 4 * pgd(n - 1).total()
-    if sum_n != expected:
-        raise ConsistencyError(
-            f"third-column sum at n={n} is {sum_n}, "
-            f"but the pgd route gives {expected}"
-        )
-    return sum_n

@@ -5,17 +5,21 @@ z**i.  The genus polynomials handled downstream never have internal zeros, so
 dense storage is the right shape.  Coefficients are immutable once built
 and every operation returns a fresh object.  ``IntPoly.sign``'s memo caches
 a pure function of them, so two threads that fill it write the same value,
-and values can move freely between threads.  ``remainder_sequence`` is the
-one Euclidean kernel: ``poly_gcd`` reads its last entry, and a Sturm chain
-in ``rootcert`` is the sequence.
+and values can move freely between threads.  ``IntPoly`` compares, adds
+and subtracts only with ``IntPoly``; an ``int`` scales it.
+``remainder_sequence`` is the one Euclidean kernel: its last entry is the
+gcd, and a Sturm chain in ``rootcert`` is the sequence.
 
 Signs are read at dyadic points x / 2**k given as two integers, or as a
 ``fractions.Fraction`` with a power-of-two denominator, which is all root
 certification needs; ``sign`` reads each point once, through ``sign_at``.
 ``eval`` is the exact evaluator at any other rational point.  An element of
 Q(sqrt 3) met downstream always has integer parts, so ``Sqrt3Poly`` is a
-pair of integer polynomials rat + irr*sqrt(3); the one power-of-two scale
-the explicit formula needs is applied by its caller.
+pair of integer polynomials rat + irr*sqrt(3) that adds, subtracts and
+scales by an ``IntPoly``, all the explicit formula does with it.  Its one
+product of two elements of Z[sqrt 3] is the explicit route's step in
+``formulas``; the one power-of-two scale the formula needs is applied by
+its caller.
 """
 
 from __future__ import annotations
@@ -66,9 +70,6 @@ class IntPoly:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.coeffs[-1] if self.coeffs else 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -79,22 +80,17 @@ class IntPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = IntPoly.constant(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        # a constant equals its int (see __eq__), so it hashes as that int
-        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self[0])
+        return hash(self.coeffs)
 
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __add__(self, other) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly.constant(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -105,11 +101,7 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly.constant(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self + (-other)
@@ -150,8 +142,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    __call__ = eval
 
     def sign_at(self, x, k: int = 0) -> int:
         """Sign of the value at x / 2**k, via integer arithmetic only.
@@ -251,13 +241,13 @@ def signed_pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
     coefficient; here the multiplier is always positive, which is what
     Sturm-sequence construction needs.
     """
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("pseudo-division by zero polynomial")
     lg = g.lead
     alg = abs(lg)
     sg = 1 if lg > 0 else -1
     r = f
-    while not r.is_zero() and r.degree >= g.degree:
+    while r and r.degree >= g.degree:
         s = r.degree - g.degree
         r = r * alg - g.shift(s) * (r.lead * sg)
     return r
@@ -265,7 +255,7 @@ def signed_pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
 
 def exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     """Exact polynomial division over the integers; raises if not exact."""
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("division by zero polynomial")
     out = [0] * (len(f.coeffs) - len(g.coeffs) + 1) if len(f) >= len(g) else []
     r = list(f.coeffs)
@@ -300,22 +290,12 @@ def remainder_sequence(f: IntPoly, g: IntPoly) -> list[IntPoly]:
     return seq
 
 
-def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient."""
-    g = remainder_sequence(p.primitive_part(), q.primitive_part())[-1]
-    return -g if g.lead < 0 else g
-
-
 @dataclass(frozen=True)
 class Sqrt3Poly:
     """Polynomial rat + irr*sqrt(3) over Z[sqrt 3], as a pair of IntPoly."""
 
     rat: IntPoly = IntPoly()
     irr: IntPoly = IntPoly()
-
-    @classmethod
-    def zero(cls) -> Sqrt3Poly:
-        return cls()
 
     def __add__(self, other) -> Sqrt3Poly:
         if not isinstance(other, Sqrt3Poly):
@@ -328,14 +308,9 @@ class Sqrt3Poly:
         return Sqrt3Poly(self.rat - other.rat, self.irr - other.irr)
 
     def __mul__(self, other) -> Sqrt3Poly:
-        if isinstance(other, (int, IntPoly)):
-            return Sqrt3Poly(self.rat * other, self.irr * other)
-        if not isinstance(other, Sqrt3Poly):
+        """Scale both parts by an IntPoly."""
+        if not isinstance(other, IntPoly):
             return NotImplemented
-        # (a + b*s)(c + d*s) = (ac + 3bd) + (ad + bc)*s   with s*s = 3
-        return Sqrt3Poly(
-            self.rat * other.rat + 3 * (self.irr * other.irr),
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        return Sqrt3Poly(self.rat * other, self.irr * other)
 
     __rmul__ = __mul__

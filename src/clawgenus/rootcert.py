@@ -52,7 +52,7 @@ from math import ceil
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
-from .polynomials import IntPoly, exact_div, poly_gcd, remainder_sequence
+from .polynomials import IntPoly, exact_div, remainder_sequence
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SturmChain:
     __slots__ = ("polys", "_cache")
 
     def __init__(self, p: IntPoly):
-        if p.is_zero():
+        if not p:
             raise ValueError("Sturm chain of the zero polynomial")
         p0 = p.primitive_part()
         polys = remainder_sequence(p0, p0.derivative().primitive_part())
@@ -155,7 +155,9 @@ class SturmChain:
 
 
 def is_squarefree(p: IntPoly) -> bool:
-    return poly_gcd(p, p.derivative()).degree == 0
+    """Whether gcd(p, p'), the last entry of their remainder sequence, is
+    a nonzero constant; the zero polynomial is not squarefree."""
+    return remainder_sequence(p, p.derivative())[-1].degree == 0
 
 
 @dataclass(frozen=True, slots=True)

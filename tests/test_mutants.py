@@ -96,6 +96,12 @@ FAILS = {
         [(formulas, "MULTIPLIERS", entry(formulas.MULTIPLIERS, 0, (2, 0)))],
         ["compute", "--n", "0..4"], "error: coefficient sum at n=0 is 3, expected 2^2",
     ),
+    # the one product rule of Z[sqrt 3]; _COMPOSITION keeps the step
+    # function it was built with, so the row mutates that reference
+    "sqrt3-squared-is-2": (
+        [(formulas._COMPOSITION, "step", "3 * q * y", "2 * q * y")],
+        ["compute", "--n", "0..4"], "error: coefficient sum at n=1 is 60, expected 2^6",
+    ),
     # the CLI reads genus_explicit through its own name
     "explicit-4-6z-to-4-5z": (
         [(cli, "genus_explicit", "IntPoly((4, -6))", "IntPoly((4, -5))")],
@@ -165,7 +171,8 @@ FAILS = {
 
 def mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
     """Set ``owner.name`` to its own source with ``old`` replaced by ``new``;
-    a decorated function's source holds its decorators, so they apply again."""
+    a decorated function's source holds its decorators, so they apply again.
+    The attribute may hold the function under another name."""
     func = inspect.unwrap(getattr(owner, name))
     source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1, f"{name} no longer holds {old!r}"
@@ -173,7 +180,7 @@ def mutate(monkeypatch, owner, name: str, old: str, new: str) -> None:
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     namespace = {}
     exec(code, func.__globals__, namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[func.__name__])
 
 
 def apply(monkeypatch, edit: tuple) -> None:

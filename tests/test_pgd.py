@@ -9,12 +9,10 @@ import pytest
 
 import clawgenus.formulas as formulas
 from clawgenus.cli import main
-from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import (
     PRODUCTION_MATRIX,
     PgdVector,
     column_sum,
-    column_sum_check,
     initial_pgd,
     iter_column_sums,
     iter_pgd,
@@ -114,25 +112,16 @@ class TestColumnSum:
         assert column_sum(1) == P(8, 8)
         assert column_sum(2) == P(0, 160, 96)
 
-    def test_checked_sums(self):
-        assert column_sum_check(1) == P(8, 8)
-        assert column_sum_check(2) == P(0, 160, 96)
-
     def test_sum_is_four_times_previous_total(self):
         for n in range(1, 9):
-            assert column_sum_check(n) == 4 * pgd(n - 1).total()
+            assert column_sum(n) == 4 * pgd(n - 1).total()
 
     def test_fifth_sum_recovers_table_row_four(self):
         assert column_sum(5).exact_scalar_div(4) == TABLE[4]
 
-    def test_requires_positive_n(self):
+    def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            column_sum_check(0)
-
-    def test_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["clawgenus.pgd"], "column_sum", lambda n: P(1))
-        with pytest.raises(ConsistencyError, match="third-column sum at n=2 is 1,"):
-            column_sum_check(2)
+            column_sum(-1)
 
 
 class TestWindows:
