@@ -5,7 +5,8 @@ positive coefficients and nonzero constant term; dividing that power out
 gives the normalized polynomial certified here.  All machinery is exact:
 every point is dyadic, x / 2**k held as the two integers, so interval
 endpoints are integers at a shared exponent and signs come from
-integer-only evaluation; Sturm sequences are over the integers, each one
+integer-only evaluation; Bernstein coefficients are integers up to one
+positive factor, and Sturm sequences are over the integers, each one
 primitive remainder sequence of (p, p') whose last entry decides
 squarefreeness.  Floating point appears only in optional diagnostic output.
 
@@ -20,10 +21,14 @@ Certificates produced:
   intervals are refined until the polynomial has the sign it must have at
   each of the predecessor's roots, and if it then changes sign as many
   times as its degree, each changing gap holds exactly one simple root
-  (intermediate value theorem plus the degree count).  A Sturm chain
-  counts only without a predecessor, where a range starts, and as the
-  fallback when that sign count falls short or its small halving allowance
-  runs out; both counters give the same certificate.  The degree is read
+  (intermediate value theorem plus the degree count).  Without a
+  predecessor, where a range starts, or when that sign count falls short
+  or its small halving allowance runs out, the isolation is cold: each node
+  is counted by Descartes' rule on its Bernstein coefficients, split by de
+  Casteljau's triangle, which is exact when every root is real and simple
+  (Collins and Akritas; Rouillier and Zimmermann).  A Sturm chain counts
+  only where that count cannot prove deg w simple real roots.  All three
+  counters give the same certificate.  The degree is read
   from the polynomial; the claw degree (n+2)//2 is a data check of
   ``NormalizedPoly.validate``.  The search, the halvings and the merges
   read the polynomial through ``IntPoly.sign``, so each of its signs is
@@ -48,7 +53,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb, factorial, gcd
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
@@ -99,9 +104,11 @@ def normalized_recurrence(n: int) -> NormalizedPoly:
 class SturmChain:
     """Sturm sequence of the squarefree part of an integer polynomial.
 
-    The chain is the primitive remainder sequence of (p, p'), with positive
-    pseudo-division multipliers and content removal, which keeps
-    coefficients small without touching any sign.  Its last entry is
+    ``isolate_roots`` counts with one only where neither brackets nor
+    Descartes' rule prove deg p simple real roots.  The chain is the
+    primitive remainder sequence of (p, p'), with positive pseudo-division
+    multipliers and content removal, which keeps coefficients small without
+    touching any sign.  Its last entry is
     gcd(p, p'): only if that is not constant is the sequence run again on
     p / gcd.  Sign-variation counts are cached per point, but bisection
     asks about each point once, so the cache does not hit; it is kept
@@ -203,8 +210,8 @@ class RootCertificate:
     when the number of certified intervals equals it, i.e. every root is
     real.  All intervals lie in (-2**E, 0], 2**E the least power of two at
     or above the root bound: positive coefficients rule out roots at or
-    above zero.  The certificate holds only what it certifies: a Sturm
-    chain, where one counted, stays inside ``isolate_roots``, and so do the
+    above zero.  The certificate holds only what it certifies: how its
+    roots were counted stays inside ``isolate_roots``, and so do the
     brackets (``certificate_chain`` hands them on).  A complete certificate
     has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
     reads it, through the signs ``poly`` keeps (``IntPoly.sign``).
@@ -265,7 +272,7 @@ def _brackets(
     (-2**E, 0]) to the next: the gaps and ``refined`` alternate.
     The halvings share an allowance of ``_BRACKET_HALVINGS`` per interval of
     prev, as genuine chains up to n = 200 use at most 2.5; running out only
-    returns None, and the caller's Sturm chain gives the same certificate.
+    returns None, and the caller's cold count gives the same certificate.
 
     With e the finest exponent of the halved intervals, no query of
     ``isolate_roots`` is finer than e + E: each high but the last is a
@@ -298,6 +305,94 @@ def _brackets(
     return k, found, [iv for iv, _ in refined]
 
 
+def _bernstein(w: IntPoly, E: int) -> list[int]:
+    """The Bernstein coefficients of w on [-2**E, 0], d = deg w, times one
+    positive factor that makes them coprime integers.  With
+    x = -2**E (1 - t), w is the sum over i of B_i (1 - t)**(d - i) t**i,
+    B_i = sum over j <= d - i of c_j (-2**E)**j C(d - j, i), and its i-th
+    Bernstein coefficient is B_i / C(d, i) = B_i i! (d - i)! / d!."""
+    d = w.degree
+    terms = [c * (-1 << E) ** j for j, c in enumerate(w.coeffs)]
+    cs = [
+        factorial(i) * factorial(d - i)
+        * sum(terms[j] * comb(d - j, i) for j in range(d - i + 1))
+        for i in range(d + 1)
+    ]
+    g = gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _split(cs: list[int]) -> tuple[list[int], list[int]]:
+    """The Bernstein coefficients of both halves of a node, each up to a
+    positive factor: one de Casteljau triangle of pairwise sums, row r of
+    which is 2**r times the average triangle's, so both halves come out
+    2**d times cs's scale; each is then divided by the largest power of
+    two that divides all of its coefficients."""
+    d = len(cs) - 1
+    left, right, row = [cs[0] << d], [cs[-1] << d], cs
+    for shift in range(d - 1, -1, -1):
+        row = [x + y for x, y in zip(row, row[1:])]
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
+    right.reverse()
+    return _drop_twos(left), _drop_twos(right)
+
+
+def _drop_twos(cs: list[int]) -> list[int]:
+    """cs divided by the largest power of two that divides every entry."""
+    bits = 0
+    for c in cs:
+        bits |= c
+    shift = (bits & -bits).bit_length() - 1
+    return [c >> shift for c in cs] if shift > 0 else cs
+
+
+def _roots(cs: list[int]) -> int:
+    """Descartes' count for a node (a, b] from its Bernstein coefficients.
+    The sign variations, zeros skipped, bound the roots in (a, b), counted
+    with multiplicity, from above and have their parity; they are exact
+    when every root is real.  A last coefficient 0 is a root at b, which
+    the node owns."""
+    signs = [c > 0 for c in cs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:])) + (cs[-1] == 0)
+
+
+def _descartes(w: IntPoly, E: int) -> list[Interval] | None:
+    """The intervals of the bisection of (-2**E, 0], each node counted by
+    Descartes' rule (``_roots``) on its Bernstein coefficients, or None
+    unless it ends with deg w intervals.
+
+    A count of 1 means at least one root, and the intervals are disjoint,
+    so deg w of them prove deg w simple real roots; every count was then
+    exact, so the tree, and the certificate, are the Sturm chain's.  A
+    root at a midpoint goes to the left half, as in (a, mid].  A repeated
+    root never splits off, so the splits share the allowance that
+    ``_merge`` takes, 4 * max(deg, 1) * max(coefficient bits, 1); running
+    out, or a top count other than deg w, returns None too."""
+    d = w.degree
+    cs = _bernstein(w, E)
+    if _roots(cs) != d:
+        return None
+    allowance = 4 * max(d, 1) * max(w.max_abs_coeff().bit_length(), 1)
+    found: list[Interval] = []
+    stack = [(-1 << E, 0, 0, d, cs)]
+    while stack:
+        a, b, k, roots, cs = stack.pop()
+        if roots == 0:
+            continue
+        if roots == 1:
+            found.append(Interval(a, b, k))
+            continue
+        if allowance == 0:
+            return None
+        allowance -= 1
+        left, right = _split(cs)
+        mid, k = a + b, k + 1
+        stack.append((mid, b << 1, k, _roots(right), right))
+        stack.append((a << 1, mid, k, _roots(left), left))
+    return found if len(found) == d else None
+
+
 def isolate_roots(
     np_: NormalizedPoly, prev: RootCertificate | None = None
 ) -> RootCertificate:
@@ -313,8 +408,10 @@ def isolate_roots(
     a sign the brackets read.  The brackets' exponent is never below a
     query's (see ``_brackets``), so x is raised to it by one shift.
     Without such a ``prev``, or when its brackets do not account for every
-    root of w, a Sturm chain counts.  The degree is w's own, whatever n the
-    polynomial is labelled with.
+    root of w, each node is counted by Descartes' rule (``_descartes``),
+    and where that cannot prove deg w simple real roots, by a Sturm chain.
+    The degree is w's own, whatever n the polynomial is labelled with; the
+    zero polynomial raises ValueError.
     """
     return _isolate(np_, prev)[0]
 
@@ -329,11 +426,18 @@ def _isolate(
     between one and an end of (-2**E, 0], so the two alternate and
     ``_merge`` separates them with no halving.  The gaps hold w itself and
     the halved intervals prev's polynomial, so each reads the signs its
-    polynomial has already read."""
+    polynomial has already read.  Without brackets the count is cold:
+    ``_descartes`` returns the intervals outright, or None, and then a Sturm
+    chain ranks the points of the same bisection."""
     w = np_.w
+    if not w:
+        raise ValueError("cannot isolate the roots of the zero polynomial")
     E = _bound_exponent(w)
     counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
     if counted is None:
+        found = _descartes(w, E)
+        if found is not None:
+            return RootCertificate(n=np_.n, intervals=tuple(found), poly=w), None, None
         chain = SturmChain(w)
 
         def rank(x: int, k: int) -> int:
@@ -390,8 +494,8 @@ def certificate_chain(
     two certificates ``certify_interlacing`` merges for (n, n-1) and for
     (n, n-2), or None where that predecessor is not in polys.  They are
     W_n's gaps with W_{n-1} as halved at step n, and with W_{n-2} as
-    halved at step n-1; where either step counted with a Sturm chain, the
-    canonical certificates.  While it isolates W_n, the chain holds
+    halved at step n-1; where either step counted cold, the canonical
+    certificates.  While it isolates W_n, the chain holds
     certificates of n-2 and n-1 only, and no pair it has yielded."""
     prev = older = below = None  # certificates n-1, n-2; W_{n-2} as halved at n-1
     for np_ in polys:

@@ -648,10 +648,14 @@ class TestSubprocess:
         """``bench/tracer.py`` wraps methods and reads attributes of the
         package by name, so a package change can silently empty its spans.
         One traced child over the three kinds of bench call: every method
-        span and the oracle's span must see calls, and the oracle count
-        must be 4 + 64 + 1024 systems."""
+        span outside the Sturm chain and the oracle's span must see calls,
+        and the oracle count must be 4 + 64 + 1024 systems.  No command
+        builds a Sturm chain, so a second traced child isolates the roots of
+        (z + 1)^2 (z + 2), which only a chain counts: its spans and the
+        chain's coefficient bits must be read."""
         bench = Path(SRC).parent / "bench"
         methods = runpy.run_path(str(bench / "tracer.py"))["METHODS"]
+        chain_spans = ["rootcert.SturmChain", "rootcert.variations"]
         calls = [["certify", "--n", "0..4"], ["compute", "--route", "all", "--format", "csv",
                  "--n", "0..4"], ["oracle-check", "--parallelism", "2", "--n", "0..2"]]
         spec = json.dumps({"src": SRC, "calls": calls, "trace": True})
@@ -661,9 +665,27 @@ class TestSubprocess:
         report = json.loads(proc.stdout)
         assert report["exits"] == [0, 0, 0], report["stderr"]
         spans = report["trace"]["spans"]
-        for name in [name for name, *_ in methods] + ["oracle.enumerate_pgd"]:
+        for name in [name for name, *_ in methods if name not in chain_spans] + [
+                "oracle.enumerate_pgd"]:
             assert spans.get(name, {}).get("calls", 0) > 0, name
         assert report["trace"]["counters"]["systems"] == 1092
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(bench)!r})\n"
+            "import clawgenus.cli, tracer\n"
+            "from clawgenus.polynomials import IntPoly\n"
+            "from clawgenus import rootcert\n"
+            "rec = tracer.install()\n"
+            "rootcert.isolate_roots(rootcert.NormalizedPoly(3, IntPoly((2, 5, 4, 1))))\n"
+            "print(json.dumps(rec.summary()))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=module_env())
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(proc.stdout)
+        for name in chain_spans:
+            assert trace["spans"].get(name, {}).get("calls", 0) > 0, name
+        assert trace["counters"]["coeff_bits_max"] > 0
 
     def test_certificate_json_is_deterministic_across_runs(self):
         cmd = ("certify", "--n", "0..6", "--format", "json")

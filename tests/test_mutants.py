@@ -1,7 +1,8 @@
 """Mutants of the package, each with the check that catches it.
 
 Each row makes one small change to a constant or to a private function,
-applied with ``monkeypatch``, and runs a command over a short range.  A
+applied with ``monkeypatch``, and runs a command over a short range, or
+the check that the row names.  A
 function's mutant is compiled from its own source with one piece of text
 replaced, so a row whose text the source no longer holds fails instead of
 testing nothing.  The routes keep state between calls, each in a
@@ -27,6 +28,7 @@ from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
 from test_cli import certificate_reach, halving_errors, sign_reads
+from test_rootcert import cold_mismatches, splits_before_the_fallback
 
 #: The module; ``clawgenus.pgd`` is the function the package exports.
 pgd = sys.modules["clawgenus.pgd"]
@@ -64,6 +66,26 @@ MISCOUNTED = {
     "isolate-keeps-the-gaps-unnarrowed":
         (rootcert, "_isolate", "cert, replace(cert, intervals=narrowed), halved",
          "cert, cert, halved"),
+}
+
+#: Mutants of Descartes' rule, each with the check that catches it:
+#: ``cold_mismatches`` names the inputs whose cold certificate is not the
+#: Sturm chain's, ``splits_before_the_fallback`` counts what a complex pair
+#: costs before the chain takes over.
+COLD = {
+    # (z + 1)(z + 4) is certified as (-4, -2], (-2, 0]
+    "midpoint-root-goes-to-the-right-half": (
+        (rootcert, "_roots", "(cs[-1] == 0)", "(cs[0] == 0)"), cold_mismatches),
+    # (z + 1)(z^2 + 2z + 2) keeps the one interval its counts end with
+    "fewer-intervals-are-kept": (
+        (rootcert, "_descartes", "return found if len(found) == d else None",
+         "return found"), cold_mismatches),
+    # the counts stay right on real-rooted input, so every certificate does
+    # too; a complex pair's 2 is handed down until the allowance runs out
+    "right-half-count-inferred": (
+        (rootcert, "_descartes", "_roots(right), right))",
+         "roots - _roots(left), right))"),
+        lambda: splits_before_the_fallback() != 2),
 }
 
 #: The recurrence's first window with G_2 = 48z + 720z^2 + 256z^3 moved to
@@ -224,6 +246,15 @@ def test_only_the_halving_counts_catch(capsys, monkeypatch, name):
     assert halving_errors(capsys, monkeypatch, RANGE)
 
 
+@pytest.mark.parametrize("name", COLD)
+def test_the_cold_count_checks_catch(name):
+    edit, check = COLD[name]
+    assert not check()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        mutate(monkeypatch, *edit)
+        assert check()
+
+
 @pytest.mark.parametrize("name", FAILS)
 def test_the_command_fails_with_its_own_error(capsys, monkeypatch, fresh_routes, name):
     edits, argv, message = FAILS[name]
@@ -257,20 +288,20 @@ def test_the_read_count_catches_a_memo_keyed_as_written(capsys, monkeypatch):
 def test_flipped_bracket_parity_shows_only_in_the_digests(capsys, monkeypatch):
     """``_brackets`` asking w for the opposite sign at each of prev's roots.
     Its sign count proves every root it claims whatever sign it asks for,
-    so every step falls back to a Sturm chain and pairs the canonical
+    so every step falls back to a cold count and pairs the canonical
     certificates.  The merges printed change but stay true: certcheck and
     the exit code cannot tell, and only the golden certify digests (the
-    bytes) and the count of Sturm chains show it."""
-    builds, real = [], rootcert.SturmChain
-    monkeypatch.setattr(rootcert, "SturmChain", lambda p: builds.append(p) or real(p))
+    bytes) and the count of cold isolations show it."""
+    cold, real = [], rootcert._descartes
+    monkeypatch.setattr(rootcert, "_descartes", lambda w, E: cold.append(w) or real(w, E))
     code, out, _ = certify(capsys)
-    assert code == 0 and len(builds) == 1  # W_0's, where the walk starts
-    builds.clear()
+    assert code == 0 and len(cold) == 1  # W_0's, where the walk starts
+    cold.clear()
     mutate(monkeypatch, rootcert, "_brackets",
            "want = -1 if (d - j) % 2 else 1", "want = 1 if (d - j) % 2 else -1")
     code, mutant_out, _ = certify(capsys)
     assert code == 0 and certificate_errors(json.loads(mutant_out)) == []
-    assert mutant_out != out and len(builds) == 41
+    assert mutant_out != out and len(cold) == 41
 
 
 def test_the_reach_check_catches_a_chain_step_kept_alive(capsys, monkeypatch):

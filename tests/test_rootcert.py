@@ -8,9 +8,10 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clawgenus.rootcert as rootcert
 from clawgenus.errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
 from clawgenus.polynomials import IntPoly
@@ -131,7 +132,6 @@ class TestSturm:
     def test_one_remainder_per_chain_entry(self, monkeypatch, n):
         """Euclid runs once: no separate gcd pass before the chain."""
         import clawgenus.polynomials as polynomials
-        import clawgenus.rootcert as rootcert
 
         w = normalized_recurrence(n).w
         real, calls = polynomials.signed_pseudo_rem, []
@@ -331,8 +331,6 @@ class TestMergeSignEvaluations:
     @pytest.mark.parametrize("n,m", [(12, 11), (20, 18)])
     def test_one_evaluation_per_halving(self, monkeypatch, n, m):
         """The sign at the kept upper endpoint is in the table, not re-read."""
-        import clawgenus.rootcert as rootcert
-
         a, b = cert(n), cert(m)
         halved, calls = [], [0]
         real_halve, real_sign_at = rootcert._halve, IntPoly.sign_at
@@ -356,13 +354,58 @@ class TestMergeSignEvaluations:
 
 def chain_builds(monkeypatch) -> list[IntPoly]:
     """The polynomials ``isolate_roots`` builds a Sturm chain for from now on."""
-    import clawgenus.rootcert as rootcert
-
     builds = []
     monkeypatch.setattr(
         rootcert, "SturmChain", lambda p: builds.append(p) or SturmChain(p)
     )
     return builds
+
+
+def cold_counts(monkeypatch) -> list[IntPoly]:
+    """The polynomials ``isolate_roots`` counts by Descartes' rule from now on."""
+    real, counted = rootcert._descartes, []
+    monkeypatch.setattr(rootcert, "_descartes", lambda w, E: counted.append(w) or real(w, E))
+    return counted
+
+
+def sturm_isolation(np_: NormalizedPoly) -> RootCertificate:
+    """``isolate_roots`` with Descartes' rule turned off: a cold Sturm chain."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rootcert, "_descartes", lambda w, E: None)
+        return isolate_roots(np_)
+
+
+#: Cold inputs for Descartes' rule, each named for what it exercises.
+COLD_PANEL = {
+    "root-at-the-first-midpoint": P(4, 5, 1),  # (z + 1)(z + 4) on (-8, 0]
+    "roots-at-zero-and-a-midpoint": P(0, 2, 1),  # z(z + 2) on (-4, 0]
+    "non-dyadic-roots": P(2, 9, 9),  # (3z + 1)(3z + 2)
+    "complex-pair-counted-on-top": P(2, 4, 3, 1),  # (z + 1)(z^2 + 2z + 2)
+    "repeated-root": P(1, 6, 9) * P(1, 1),  # (3z + 1)^2 (z + 1)
+    "w-12": normalized_recurrence(12).w,
+}
+
+
+def cold_mismatches() -> list[str]:
+    """The names in ``COLD_PANEL`` whose cold certificate is not the Sturm
+    chain's."""
+    return [
+        name for name, w in COLD_PANEL.items()
+        if isolate_roots(NormalizedPoly(0, w)).to_json_dict()
+        != sturm_isolation(NormalizedPoly(0, w)).to_json_dict()
+    ]
+
+
+def splits_before_the_fallback() -> int:
+    """The de Casteljau splits Descartes' rule spends on 4z^2 + 8z + 5, roots
+    -1 +- i/2, before the Sturm chain takes over.  The top count on (-4, 0]
+    is 2, the count of (-2, 0] is 2 again, and both its halves count 0."""
+    splits = []
+    with pytest.MonkeyPatch.context() as m:
+        real = rootcert._split
+        m.setattr(rootcert, "_split", lambda cs: splits.append(cs) or real(cs))
+        isolate_roots(NormalizedPoly(2, P(5, 8, 4)))
+    return len(splits)
 
 
 class TestPredecessorBrackets:
@@ -388,23 +431,23 @@ class TestPredecessorBrackets:
         ids=["shared-roots", "too-few-roots", "no-alternation", "incomplete"],
     )
     def test_fallback_gives_the_sturm_certificate(self, monkeypatch, prev_n, prev_w):
+        """Where the brackets fail, Descartes' rule counts W_6 cold, and as
+        W_6 is real-rooted it needs no Sturm chain for the same certificate."""
         w6 = normalized_recurrence(6)
         prev = isolate_roots(
             normalized_recurrence(prev_n) if prev_w is None
             else NormalizedPoly(prev_n, P(*prev_w))
         )
-        builds = chain_builds(monkeypatch)
+        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
         got = isolate_roots(w6, prev=prev)
-        assert builds == [w6.w]  # the Sturm fallback ran
-        assert got.to_json_dict() == cert(6).to_json_dict()
+        assert counted == [w6.w] and builds == []  # the cold fallback ran
+        assert got.to_json_dict() == sturm_isolation(w6).to_json_dict()
 
     def test_stalled_predecessor_falls_back_within_the_allowance(self, monkeypatch):
         """W_21 is W_20's successor: its leftmost root comes first, so W_20
         never takes the signs the brackets ask for at W_21's roots.  The
         allowance of 8 halvings per interval of W_21 (11 of them) runs out
-        and the Sturm chain gives the certificate."""
-        import clawgenus.rootcert as rootcert
-
+        and Descartes' rule gives the Sturm chain's certificate."""
         prev = cert(21)
         halvings = [0]
         real_halve = rootcert._halve
@@ -414,20 +457,21 @@ class TestPredecessorBrackets:
             return real_halve(*args)
 
         monkeypatch.setattr(rootcert, "_halve", halve)
-        builds = chain_builds(monkeypatch)
+        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
         w20 = normalized_recurrence(20)
         got = isolate_roots(w20, prev=prev)
-        assert builds == [w20.w]
-        assert got.to_json_dict() == cert(20).to_json_dict()
+        assert counted == [w20.w] and builds == []
         assert halvings[0] <= 8 * 11
+        assert got.to_json_dict() == sturm_isolation(w20).to_json_dict()
 
-    def test_walk_from_w0_to_w100_builds_one_chain(self, monkeypatch):
-        builds = chain_builds(monkeypatch)
+    def test_walk_from_w0_to_w100_builds_no_chain(self, monkeypatch):
+        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
         c = isolate_roots(normalized_recurrence(0))
         for n in range(1, 101):
             c = isolate_roots(normalized_recurrence(n), prev=c)
             assert c.complete
-        assert len(builds) == 1  # W_0's, where the walk starts
+        assert counted == [normalized_recurrence(0).w]  # where the walk starts
+        assert builds == []
 
     def test_bracket_certificates_alternate_inside_the_canonical_ones(self, monkeypatch):
         """The kept brackets of step n: W_n's gaps, each inside W_n's
@@ -435,8 +479,6 @@ class TestPredecessorBrackets:
         intervals halved inside its own, each holding its root and none of
         W_n's.  The two merge with no halving.  The certificate itself is
         the one a Sturm chain gives."""
-        import clawgenus.rootcert as rootcert
-
         steps = certificate_chain(map(normalized_recurrence, range(21)))
         c, consecutive, _ = next(steps)
         assert consecutive is None  # a Sturm chain counted, with no predecessor
@@ -476,15 +518,17 @@ class TestPredecessorBrackets:
         assert not got.complete and builds == [np_.w]
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
-    def test_root_at_zero_falls_back_to_sturm(self, monkeypatch):
+    def test_root_at_zero_falls_back_to_the_cold_count(self, monkeypatch):
         """z(z + 2) has the asked-for sign around the root -1 of z + 1, but
-        the sample w(0) = 0 is no sign the count may rest on."""
+        the sample w(0) = 0 is no sign the count may rest on.  Descartes'
+        rule counts the root at 0 in the node (-4, 0] it ends, and gives
+        the Sturm chain's certificate."""
         np_ = NormalizedPoly(2, P(0, 2, 1))
         prev = isolate_roots(NormalizedPoly(0, P(1, 1)))
-        builds = chain_builds(monkeypatch)
+        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
         got = isolate_roots(np_, prev=prev)
-        assert builds == [np_.w] and got.complete
-        assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
+        assert counted == [np_.w] and builds == [] and got.complete
+        assert got.to_json_dict() == sturm_isolation(np_).to_json_dict()
 
     def test_rolle_predecessor_takes_the_bracket_path(self, monkeypatch):
         """For (z + 1)(z + 4)(z + 7) the halved intervals of w' stop at
@@ -511,6 +555,80 @@ class TestPredecessorBrackets:
         got = isolate_roots(np_, prev=prev)
         assert got.complete
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
+
+
+#: Linear factors q z + p: dyadic roots (0 and the bisection midpoints among
+#: them), non-dyadic roots and roots at -2**j, a few of them positive.
+LINEAR = st.one_of(
+    st.builds(lambda p, j: P(p, 1 << j), st.integers(-2, 24), st.integers(0, 5)),
+    st.builds(P, st.integers(-2, 24), st.sampled_from([3, 5, 7, 9])),
+    st.builds(lambda j: P(1 << j, 1), st.integers(0, 6)),
+)
+
+#: Irreducible quadratics a z^2 + b z + c, b^2 < 4ac.
+QUADRATIC = st.builds(lambda a, b, c: P(b * b // (4 * a) + 1 + c, b, a),
+                      st.integers(1, 4), st.integers(-6, 6), st.integers(0, 5))
+
+
+class TestColdCount:
+    """Without brackets, Descartes' rule counts on Bernstein coefficients and
+    gives the Sturm chain's certificate, which still counts for input that
+    is not real-rooted with simple roots."""
+
+    @pytest.mark.parametrize("n", [0, 1, 34, 60, 147])
+    def test_cold_claws_build_no_chain(self, monkeypatch, n):
+        np_ = normalized_recurrence(n)
+        builds = chain_builds(monkeypatch)
+        got = isolate_roots(np_)
+        assert builds == [] and got.complete
+        if n <= 60:
+            assert got.to_json_dict() == sturm_isolation(np_).to_json_dict()
+
+    def test_panel_gives_the_sturm_certificates(self):
+        assert cold_mismatches() == []
+
+    @pytest.mark.parametrize("name", ["complex-pair-counted-on-top", "repeated-root"])
+    def test_input_without_simple_real_roots_reaches_the_chain(self, monkeypatch, name):
+        w = COLD_PANEL[name]
+        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        assert not isolate_roots(NormalizedPoly(0, w)).complete
+        assert counted == builds == [w]
+
+    def test_counts_that_fall_short_give_up_at_once(self):
+        """Each half's count is its own sign variations, so the pair of
+        complex roots drops out as soon as the halves lose it."""
+        assert splits_before_the_fallback() == 2
+
+    def test_zero_polynomial_is_refused_whichever_counter_runs(self, monkeypatch):
+        zero = NormalizedPoly(0, IntPoly())
+        for prev in (None, cert(0)):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                isolate_roots(zero, prev)
+        monkeypatch.setattr(rootcert, "_descartes", lambda w, E: None)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            isolate_roots(zero)
+
+    def test_constants_have_no_intervals(self):
+        for c in (5, -3):
+            np_ = NormalizedPoly(0, P(c))
+            got = isolate_roots(np_)
+            assert got.intervals == () and got.complete
+            assert got == sturm_isolation(np_)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(LINEAR, st.sampled_from([1, 1, 1, 1, 2])), min_size=1, max_size=5,
+                    unique_by=lambda f: F(-f[0][0], f[0][1])),
+           st.lists(QUADRATIC, max_size=1))
+    def test_gives_the_sturm_certificate(self, linear, quadratic):
+        """Repeated factors, roots at 0, at -2**j and at midpoints, and
+        complex pairs: the cold certificate is the Sturm chain's, whichever
+        counter ends up giving it."""
+        w = P(1)
+        for f, times in linear + [(q, 1) for q in quadratic]:
+            for _ in range(times):
+                w = w * f
+        np_ = NormalizedPoly(0, w)
+        assert isolate_roots(np_).to_json_dict() == sturm_isolation(np_).to_json_dict()
 
 
 def product_of_linear_factors(roots) -> IntPoly:
