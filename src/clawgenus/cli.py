@@ -178,8 +178,8 @@ def _interlace(c: RootCertificate, *pairs: tuple | None) -> tuple[RootCertificat
 
 def cmd_certify(args) -> int:
     # the chain starts two below the range, so its first index has both
-    # pairs; a cold count (Descartes' rule, a Sturm chain only for input
-    # that is not real-rooted) runs only there, or where the brackets fail
+    # pairs; a cold count (Descartes' rule on the squarefree part) runs
+    # only there, or where the brackets fail
     first = max(args.n[0] - 2, 0)
     chain = certificate_chain(map(normalized_recurrence, range(first, args.n[-1] + 1)))
     failures = 0

@@ -6,9 +6,8 @@ gives the normalized polynomial certified here.  All machinery is exact:
 every point is dyadic, x / 2**k held as the two integers, so interval
 endpoints are integers at a shared exponent and signs come from
 integer-only evaluation; Bernstein coefficients are integers up to one
-positive factor, and Sturm sequences are over the integers, each one
-primitive remainder sequence of (p, p') whose last entry decides
-squarefreeness.  Floating point appears only in optional diagnostic output.
+positive factor, and Sturm sequences are over the integers.  Floating
+point appears only in optional diagnostic output.
 
 Certificates produced:
 
@@ -24,15 +23,14 @@ Certificates produced:
   (intermediate value theorem plus the degree count).  Without a
   predecessor, where a range starts, or when that sign count falls short
   or its small halving allowance runs out, the isolation is cold: each node
-  is counted by Descartes' rule on its Bernstein coefficients, split by de
-  Casteljau's triangle, which is exact when every root is real and simple
-  (Collins and Akritas; Rouillier and Zimmermann).  A Sturm chain counts
-  only where that count cannot prove deg w simple real roots.  All three
-  counters give the same certificate.  The degree is read
-  from the polynomial; the claw degree (n+2)//2 is a data check of
-  ``NormalizedPoly.validate``.  The search, the halvings and the merges
-  read the polynomial through ``IntPoly.sign``, so each of its signs is
-  evaluated once, whichever certificate of it reads it.
+  is counted by Descartes' rule on the Bernstein coefficients of the
+  squarefree part, split by de Casteljau's triangle (Collins and Akritas;
+  Rouillier and Zimmermann).  On real-rooted input both counters give the
+  same certificate.  The degree is read from the polynomial; the claw
+  degree (n+2)//2 is a data check of ``NormalizedPoly.validate``.  The
+  search, the halvings and the merges read the polynomial through
+  ``IntPoly.sign``, so each of its signs is evaluated once, whichever
+  certificate of it reads it.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
@@ -101,18 +99,51 @@ def normalized_recurrence(n: int) -> NormalizedPoly:
     return normalize(genus_recurrence(n))
 
 
+def _squarefree_mod_prime(p: IntPoly) -> bool:
+    """Whether gcd(p, p') over GF(q), q = 2**31 - 1 prime not dividing p's
+    lead, is constant, by Euclid with monic divisors on small ints.  That
+    proves p squarefree, as reduction modulo such a prime can only raise
+    the gcd's degree (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 6)."""
+    q = (1 << 31) - 1
+    f = [c % q for c in p.coeffs]
+    g = [i * c % q for i, c in enumerate(f)][1:]
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        inv, dg = pow(g[-1], -1, q), len(g) - 1
+        g = [c * inv % q for c in g]
+        for i in range(len(f) - 1 - dg, -1, -1):
+            c = f.pop()  # f[i + dg], cleared by c * g shifted up by i
+            for j in range(dg):
+                f[i + j] = (f[i + j] - c * g[j]) % q
+        f, g = g, f
+    return len(f) == 1 and p.lead % q != 0
+
+
+def _squarefree_part(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p'), with the sign of p's lead, or p itself where
+    ``_squarefree_mod_prime`` proves it squarefree; only otherwise is the
+    exact gcd taken, the last entry of the remainder sequence of (p, p')."""
+    if _squarefree_mod_prime(p):
+        return p
+    g = remainder_sequence(p, p.derivative())[-1].primitive_part()
+    return exact_div(p, -g if g.lead < 0 else g) if g.degree >= 1 else p
+
+
+def is_squarefree(p: IntPoly) -> bool:
+    """Whether gcd(p, p') is a nonzero constant (for p = 0 it is 0)."""
+    return bool(p) and _squarefree_part(p).degree == p.degree
+
+
 class SturmChain:
     """Sturm sequence of the squarefree part of an integer polynomial.
 
-    ``isolate_roots`` counts with one only where neither brackets nor
-    Descartes' rule prove deg p simple real roots.  The chain is the
-    primitive remainder sequence of (p, p'), with positive pseudo-division
-    multipliers and content removal, which keeps coefficients small without
-    touching any sign.  Its last entry is
-    gcd(p, p'): only if that is not constant is the sequence run again on
-    p / gcd.  Sign-variation counts are cached per point, but bisection
-    asks about each point once, so the cache does not hit; it is kept
-    because the benchmark tracer (bench/tracer.py) reads it.
+    No certificate path builds one: it is the public, independent counter
+    the tests compare isolation against.  The chain is the primitive
+    remainder sequence of (p, p'), p made primitive and squarefree, with
+    positive pseudo-division multipliers.  Its per-point cache never hits;
+    bench/tracer.py reads it.
     """
 
     __slots__ = ("polys", "_cache")
@@ -120,14 +151,8 @@ class SturmChain:
     def __init__(self, p: IntPoly):
         if not p:
             raise ValueError("Sturm chain of the zero polynomial")
-        p0 = p.primitive_part()
-        polys = remainder_sequence(p0, p0.derivative().primitive_part())
-        g = polys[-1]
-        if g.degree >= 1:
-            # gcd(p0, p0') is not constant: chain the squarefree part instead
-            p0 = exact_div(p0, -g if g.lead < 0 else g).primitive_part()
-            polys = remainder_sequence(p0, p0.derivative().primitive_part())
-        self.polys = polys
+        p0 = _squarefree_part(p.primitive_part())
+        self.polys = remainder_sequence(p0, p0.derivative().primitive_part())
         self._cache: dict[Fraction, int] = {}
 
     def variations(self, x) -> int:
@@ -159,12 +184,6 @@ class SturmChain:
         if not lo < hi:
             raise ValueError("need lo < hi")
         return self.variations(lo) - self.variations(hi)
-
-
-def is_squarefree(p: IntPoly) -> bool:
-    """Whether gcd(p, p'), the last entry of their remainder sequence, is
-    a nonzero constant; the zero polynomial is not squarefree."""
-    return remainder_sequence(p, p.derivative())[-1].degree == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,7 +291,7 @@ def _brackets(
     (-2**E, 0]) to the next: the gaps and ``refined`` alternate.
     The halvings share an allowance of ``_BRACKET_HALVINGS`` per interval of
     prev, as genuine chains up to n = 200 use at most 2.5; running out only
-    returns None, and the caller's cold count gives the same certificate.
+    returns None; on real-rooted w the cold count gives the same certificate.
 
     With e the finest exponent of the halved intervals, no query of
     ``isolate_roots`` is finer than e + E: each high but the last is a
@@ -357,25 +376,19 @@ def _roots(cs: list[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:])) + (cs[-1] == 0)
 
 
-def _descartes(w: IntPoly, E: int) -> list[Interval] | None:
-    """The intervals of the bisection of (-2**E, 0], each node counted by
-    Descartes' rule (``_roots``) on its Bernstein coefficients, or None
-    unless it ends with deg w intervals.
-
-    A count of 1 means at least one root, and the intervals are disjoint,
-    so deg w of them prove deg w simple real roots; every count was then
-    exact, so the tree, and the certificate, are the Sturm chain's.  A
-    root at a midpoint goes to the left half, as in (a, mid].  A repeated
-    root never splits off, so the splits share the allowance that
-    ``_merge`` takes, 4 * max(deg, 1) * max(coefficient bits, 1); running
-    out, or a top count other than deg w, returns None too."""
-    d = w.degree
-    cs = _bernstein(w, E)
-    if _roots(cs) != d:
-        return None
-    allowance = 4 * max(d, 1) * max(w.max_abs_coeff().bit_length(), 1)
+def _descartes(w: IntPoly, E: int) -> list[Interval]:
+    """The intervals of the bisection of (-2**E, 0] that hold one distinct
+    real root of w each, every node counted by Descartes' rule (``_roots``)
+    on the Bernstein coefficients of w's squarefree part.  A count bounds
+    the roots from above and has their parity, so a node counted 0 holds
+    none and one counted 1 holds exactly one, whatever the complex roots
+    do; on a squarefree polynomial every node ends so (Vincent's theorem;
+    Eigenwillig, Sharma and Yap bound the tree).  On real-rooted input every
+    count is exact, so the tree is the one the true counts give.  A root at
+    a midpoint goes to the left half, as in (a, mid]."""
+    cs = _bernstein(_squarefree_part(w), E)
     found: list[Interval] = []
-    stack = [(-1 << E, 0, 0, d, cs)]
+    stack = [(-1 << E, 0, 0, _roots(cs), cs)]
     while stack:
         a, b, k, roots, cs = stack.pop()
         if roots == 0:
@@ -383,14 +396,11 @@ def _descartes(w: IntPoly, E: int) -> list[Interval] | None:
         if roots == 1:
             found.append(Interval(a, b, k))
             continue
-        if allowance == 0:
-            return None
-        allowance -= 1
         left, right = _split(cs)
         mid, k = a + b, k + 1
         stack.append((mid, b << 1, k, _roots(right), right))
         stack.append((a << 1, mid, k, _roots(left), left))
-    return found if len(found) == d else None
+    return found
 
 
 def isolate_roots(
@@ -399,19 +409,19 @@ def isolate_roots(
     """Isolate every real root of a normalized polynomial by bisection.
 
     The bisection of (-2**E, 0], 2**E the least power of two at or above
-    ``root_bound(w)``, is the same on every path and so is the certificate;
-    only the root counter differs.  With a complete certificate ``prev``
-    whose roots alternate with those of w (index n-1 in
-    ``certificate_chain``), the counter reads the brackets of
+    ``root_bound(w)``, is the same on every path, and on real-rooted input
+    so is the certificate; only the root counter differs.  With a complete
+    certificate ``prev`` whose roots alternate with those of w (index n-1
+    in ``certificate_chain``), the counter reads the brackets of
     ``_brackets``: the roots at or below x are the brackets with h <= x,
     plus the one with l < x < h when w(x) is 0 or has the sign of w(h),
     a sign the brackets read.  The brackets' exponent is never below a
     query's (see ``_brackets``), so x is raised to it by one shift.
     Without such a ``prev``, or when its brackets do not account for every
-    root of w, each node is counted by Descartes' rule (``_descartes``),
-    and where that cannot prove deg w simple real roots, by a Sturm chain.
-    The degree is w's own, whatever n the polynomial is labelled with; the
-    zero polynomial raises ValueError.
+    root of w, Descartes' rule counts (``_descartes``): one interval per
+    distinct real root, finer than needed where complex roots raise a
+    count.  The degree is w's own, whatever n the polynomial is labelled
+    with; the zero polynomial raises ValueError.
     """
     return _isolate(np_, prev)[0]
 
@@ -426,33 +436,25 @@ def _isolate(
     between one and an end of (-2**E, 0], so the two alternate and
     ``_merge`` separates them with no halving.  The gaps hold w itself and
     the halved intervals prev's polynomial, so each reads the signs its
-    polynomial has already read.  Without brackets the count is cold:
-    ``_descartes`` returns the intervals outright, or None, and then a Sturm
-    chain ranks the points of the same bisection."""
+    polynomial has already read.  Without brackets the count is cold, and
+    ``_descartes`` returns the intervals outright."""
     w = np_.w
     if not w:
         raise ValueError("cannot isolate the roots of the zero polynomial")
     E = _bound_exponent(w)
     counted = _brackets(w, prev, E) if prev is not None and prev.complete else None
     if counted is None:
-        found = _descartes(w, E)
-        if found is not None:
-            return RootCertificate(n=np_.n, intervals=tuple(found), poly=w), None, None
-        chain = SturmChain(w)
+        return RootCertificate(np_.n, tuple(_descartes(w, E)), w), None, None
+    top, spans, refined = counted
+    lows = [l for l, _ in spans]
+    his = [h for _, h in spans]
 
-        def rank(x: int, k: int) -> int:
-            return -chain.variations(Fraction(x, 1 << k))
-    else:
-        top, spans, refined = counted
-        lows = [l for l, _ in spans]
-        his = [h for _, h in spans]
-
-        def rank(x: int, k: int) -> int:
-            at = x << (top - k)
-            j = bisect_right(his, at)
-            if j < len(his) and lows[j] < at:
-                j += w.sign(x, k) in (0, w.sign(his[j], top))
-            return j
+    def rank(x: int, k: int) -> int:
+        at = x << (top - k)
+        j = bisect_right(his, at)
+        if j < len(his) and lows[j] < at:
+            j += w.sign(x, k) in (0, w.sign(his[j], top))
+        return j
 
     # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
     # the lower half goes on the stack last, so intervals come out ascending
@@ -473,8 +475,6 @@ def _isolate(
         stack.append((mid, b << 1, k, r_mid, rb))
         stack.append((a << 1, mid, k, ra, r_mid))
     cert = RootCertificate(n=np_.n, intervals=tuple(found), poly=w)
-    if counted is None:
-        return cert, None, None
     # the j-th gap and the j-th interval hold the same root, and neither end
     # of their meet is another root: the gap is open around its one root,
     # and top is no coarser than any interval's exponent

@@ -404,15 +404,14 @@ class TestCertify:
 
     def test_certify_reads_each_sign_once(self, capsys, monkeypatch):
         """No polynomial is read twice at one point, however the point is
-        written: each certified polynomial's signs go through its memo,
-        and a Sturm chain reads its own polynomials."""
+        written: each certified polynomial's signs go through its memo."""
         reads = sign_reads(capsys, monkeypatch, "0..100")
         assert 0 < len(reads) == len(set(reads))
 
     def test_a_step_without_brackets_pairs_the_canonical_certificates(
         self, capsys, monkeypatch
     ):
-        """Where a step counts with a Sturm chain, forced here at n = 5, the
+        """Where a step counts cold, forced here at n = 5, the
         pairs that need its brackets, (5, 4), (5, 3) and (6, 4), use the
         certificates ``isolate_roots`` returned; every other pair uses
         bracket certificates.  The first index a range isolates is such a
@@ -650,8 +649,8 @@ class TestSubprocess:
         One traced child over the three kinds of bench call: every method
         span outside the Sturm chain and the oracle's span must see calls,
         and the oracle count must be 4 + 64 + 1024 systems.  No command
-        builds a Sturm chain, so a second traced child isolates the roots of
-        (z + 1)^2 (z + 2), which only a chain counts: its spans and the
+        builds a Sturm chain, so a second traced child builds one for
+        (z + 1)^2 (z + 2) and counts its roots in (-4, 0]: its spans and the
         chain's coefficient bits must be read."""
         bench = Path(SRC).parent / "bench"
         methods = runpy.run_path(str(bench / "tracer.py"))["METHODS"]
@@ -676,7 +675,7 @@ class TestSubprocess:
             "from clawgenus.polynomials import IntPoly\n"
             "from clawgenus import rootcert\n"
             "rec = tracer.install()\n"
-            "rootcert.isolate_roots(rootcert.NormalizedPoly(3, IntPoly((2, 5, 4, 1))))\n"
+            "assert rootcert.SturmChain(IntPoly((2, 5, 4, 1))).count(-4, 0) == 2\n"
             "print(json.dumps(rec.summary()))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -28,7 +28,7 @@ from clawgenus.errors import ConsistencyError
 from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
 from test_cli import certificate_reach, halving_errors, sign_reads
-from test_rootcert import cold_mismatches, splits_before_the_fallback
+from test_rootcert import COLD_PANEL, cold_mismatches, cold_splits
 
 #: The module; ``clawgenus.pgd`` is the function the package exports.
 pgd = sys.modules["clawgenus.pgd"]
@@ -69,23 +69,28 @@ MISCOUNTED = {
 }
 
 #: Mutants of Descartes' rule, each with the check that catches it:
-#: ``cold_mismatches`` names the inputs whose cold certificate is not the
-#: Sturm chain's, ``splits_before_the_fallback`` counts what a complex pair
-#: costs before the chain takes over.
+#: ``cold_mismatches`` names the inputs whose cold certificate fails the
+#: Sturm reference, ``cold_splits`` counts the splits of a cold count and
+#: is None for a count that would split forever.
 COLD = {
     # (z + 1)(z + 4) is certified as (-4, -2], (-2, 0]
     "midpoint-root-goes-to-the-right-half": (
         (rootcert, "_roots", "(cs[-1] == 0)", "(cs[0] == 0)"), cold_mismatches),
-    # (z + 1)(z^2 + 2z + 2) keeps the one interval its counts end with
+    # (z + 1)(z + 4) is certified as the one interval (-8, 0]
     "fewer-intervals-are-kept": (
-        (rootcert, "_descartes", "return found if len(found) == d else None",
-         "return found"), cold_mismatches),
+        (rootcert, "_descartes", "if roots == 1:", "if roots in (1, 2):"),
+        cold_mismatches),
     # the counts stay right on real-rooted input, so every certificate does
-    # too; a complex pair's 2 is handed down until the allowance runs out
+    # too; a complex pair's 2 is handed down the right spine for ever
     "right-half-count-inferred": (
         (rootcert, "_descartes", "_roots(right), right))",
          "roots - _roots(left), right))"),
-        lambda: splits_before_the_fallback() != 2),
+        lambda: cold_splits(IntPoly((5, 8, 4))) != 2),
+    # no split separates the two copies of the double root -1/3
+    "repeated-root-counted-on-w-itself": (
+        (rootcert, "_descartes", "_bernstein(_squarefree_part(w), E)",
+         "_bernstein(w, E)"),
+        lambda: cold_splits(COLD_PANEL["repeated-root"]) is None),
 }
 
 #: The recurrence's first window with G_2 = 48z + 720z^2 + 256z^3 moved to

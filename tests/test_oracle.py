@@ -368,13 +368,15 @@ class TestCliImports:
 
 def attribute_owners(tree: ast.AST, attr: str, scope: str = "") -> set[str]:
     """Qualified names of the functions and classes (dotted, innermost
-    last) whose bodies use ``.attr``; "" stands for module level."""
+    last) whose bodies use ``.attr``, or ``attr`` as a bare name; "" stands
+    for module level."""
     owners = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             owners |= attribute_owners(node, attr, f"{scope}.{node.name}".lstrip("."))
             continue
-        if isinstance(node, ast.Attribute) and node.attr == attr:
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                or isinstance(node, ast.Name) and node.id == attr):
             owners.add(scope)
         owners |= attribute_owners(node, attr, scope)
     return owners
@@ -395,6 +397,13 @@ class TestRootcertSignReads:
             for owner in attribute_owners(ast.parse(path.read_text()), "_signs")
         }
         assert memo == {"polynomials:IntPoly.sign"}
+
+    def test_no_certificate_path_builds_a_sturm_chain(self):
+        """Brackets and Descartes' rule are the only root counters: no code
+        of ``rootcert`` outside the class names ``SturmChain``, so none can
+        build one, and the class stays the tests' independent reference."""
+        tree = ast.parse(Path(rootcert.__file__).read_text())
+        assert attribute_owners(tree, "SturmChain") <= {"SturmChain"}
 
 
 class TestEnumeration:

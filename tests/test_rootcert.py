@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import clawgenus.rootcert as rootcert
 from clawgenus.errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from clawgenus.formulas import GenusPolynomial, genus_recurrence
-from clawgenus.polynomials import IntPoly
+from clawgenus.cli import main
+from clawgenus.polynomials import IntPoly, remainder_sequence
 from clawgenus.rootcert import (
     InterlacingCertificate,
     Interval,
@@ -33,6 +34,10 @@ from clawgenus.rootcert import (
     root_bound,
     sign_pattern_check,
 )
+
+
+#: The prime of the modular squarefree step.
+Q = (1 << 31) - 1
 
 
 def P(*coeffs):
@@ -352,15 +357,6 @@ class TestMergeSignEvaluations:
         assert calls[0] <= len(halved) + first
 
 
-def chain_builds(monkeypatch) -> list[IntPoly]:
-    """The polynomials ``isolate_roots`` builds a Sturm chain for from now on."""
-    builds = []
-    monkeypatch.setattr(
-        rootcert, "SturmChain", lambda p: builds.append(p) or SturmChain(p)
-    )
-    return builds
-
-
 def cold_counts(monkeypatch) -> list[IntPoly]:
     """The polynomials ``isolate_roots`` counts by Descartes' rule from now on."""
     real, counted = rootcert._descartes, []
@@ -369,10 +365,42 @@ def cold_counts(monkeypatch) -> list[IntPoly]:
 
 
 def sturm_isolation(np_: NormalizedPoly) -> RootCertificate:
-    """``isolate_roots`` with Descartes' rule turned off: a cold Sturm chain."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(rootcert, "_descartes", lambda w, E: None)
-        return isolate_roots(np_)
+    """The reference certificate, counted by a Sturm chain alone: the
+    bisection of (-2**E, 0], 2**E the least power of two at or above
+    ``root_bound``, keeps each node that holds one distinct root and splits
+    each that holds more, the lower half first, so a root at a midpoint
+    goes to the lower half."""
+    w = np_.w
+    chain, E = SturmChain(w), 0
+    while 2 ** E < root_bound(w):
+        E += 1
+    found, stack = [], [(-1 << E, 0, 0)]
+    while stack:
+        a, b, k = stack.pop()
+        roots = chain.count(F(a, 1 << k), F(b, 1 << k))
+        if roots == 1:
+            found.append(Interval(a, b, k))
+        elif roots > 1:
+            stack += [(a + b, b << 1, k + 1), (a << 1, a + b, k + 1)]
+    return RootCertificate(np_.n, tuple(found), w)
+
+
+def reference_errors(w: IntPoly) -> list[str]:
+    """What the cold certificate of w gets wrong against ``sturm_isolation``.
+    It must have as many intervals as the reference, one per distinct root
+    in (-2**E, 0], and exactly one root in each.  Where w is real-rooted and
+    squarefree, it must be the reference; elsewhere a complex pair may lift
+    a count of Descartes' rule and split a node the reference keeps."""
+    np_ = NormalizedPoly(0, w)
+    got, want, chain = isolate_roots(np_), sturm_isolation(np_), SturmChain(w)
+    errors = [f"{chain.count(iv.lo, iv.hi)} roots in {iv}"
+              for iv in got.intervals if chain.count(iv.lo, iv.hi) != 1]
+    if len(got.intervals) != len(want.intervals):
+        errors.append(f"{len(got.intervals)} intervals for {len(want.intervals)} roots")
+    bound = math.ceil(root_bound(w))  # an integer, so sign_at reads it
+    if chain.count(-bound, bound) == w.degree and got != want:
+        errors.append("a real-rooted squarefree input lost the reference certificate")
+    return errors
 
 
 #: Cold inputs for Descartes' rule, each named for what it exercises.
@@ -387,38 +415,45 @@ COLD_PANEL = {
 
 
 def cold_mismatches() -> list[str]:
-    """The names in ``COLD_PANEL`` whose cold certificate is not the Sturm
-    chain's."""
-    return [
-        name for name, w in COLD_PANEL.items()
-        if isolate_roots(NormalizedPoly(0, w)).to_json_dict()
-        != sturm_isolation(NormalizedPoly(0, w)).to_json_dict()
-    ]
+    """The names in ``COLD_PANEL`` whose cold certificate has
+    ``reference_errors``."""
+    return [name for name, w in COLD_PANEL.items() if reference_errors(w)]
 
 
-def splits_before_the_fallback() -> int:
-    """The de Casteljau splits Descartes' rule spends on 4z^2 + 8z + 5, roots
-    -1 +- i/2, before the Sturm chain takes over.  The top count on (-4, 0]
-    is 2, the count of (-2, 0] is 2 again, and both its halves count 0."""
+class SplitBoundReached(Exception):
+    """A cold count took more splits than ``cold_splits`` allows."""
+
+
+def cold_splits(w: IntPoly, bound: int = 1000) -> int | None:
+    """The de Casteljau splits a cold count of w takes, or None once they
+    pass ``bound``: a count that would split forever stops there."""
     splits = []
+    real = rootcert._split
+
+    def split(cs):
+        if len(splits) == bound:
+            raise SplitBoundReached
+        splits.append(cs)
+        return real(cs)
+
     with pytest.MonkeyPatch.context() as m:
-        real = rootcert._split
-        m.setattr(rootcert, "_split", lambda cs: splits.append(cs) or real(cs))
-        isolate_roots(NormalizedPoly(2, P(5, 8, 4)))
+        m.setattr(rootcert, "_split", split)
+        try:
+            isolate_roots(NormalizedPoly(0, w))
+        except SplitBoundReached:
+            return None
     return len(splits)
 
 
 class TestPredecessorBrackets:
     """Isolation from the predecessor's intervals gives the Sturm certificate."""
 
-    def test_chained_certificates_match_sturm_without_a_chain(self, monkeypatch):
+    def test_chained_certificates_match_sturm_without_a_chain(self):
         sturm = [cert(n) for n in range(41)]
-        builds = chain_builds(monkeypatch)
         for n in range(1, 41):
             chained = isolate_roots(normalized_recurrence(n), prev=sturm[n - 1])
             assert chained.to_json_dict() == sturm[n].to_json_dict()
             assert chained.complete is sturm[n].complete is True
-        assert builds == []
 
     @pytest.mark.parametrize(
         "prev_n,prev_w",
@@ -432,15 +467,15 @@ class TestPredecessorBrackets:
     )
     def test_fallback_gives_the_sturm_certificate(self, monkeypatch, prev_n, prev_w):
         """Where the brackets fail, Descartes' rule counts W_6 cold, and as
-        W_6 is real-rooted it needs no Sturm chain for the same certificate."""
+        W_6 is real-rooted it gives the Sturm reference's certificate."""
         w6 = normalized_recurrence(6)
         prev = isolate_roots(
             normalized_recurrence(prev_n) if prev_w is None
             else NormalizedPoly(prev_n, P(*prev_w))
         )
-        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         got = isolate_roots(w6, prev=prev)
-        assert counted == [w6.w] and builds == []  # the cold fallback ran
+        assert counted == [w6.w]  # the cold fallback ran
         assert got.to_json_dict() == sturm_isolation(w6).to_json_dict()
 
     def test_stalled_predecessor_falls_back_within_the_allowance(self, monkeypatch):
@@ -457,21 +492,20 @@ class TestPredecessorBrackets:
             return real_halve(*args)
 
         monkeypatch.setattr(rootcert, "_halve", halve)
-        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         w20 = normalized_recurrence(20)
         got = isolate_roots(w20, prev=prev)
-        assert counted == [w20.w] and builds == []
+        assert counted == [w20.w]
         assert halvings[0] <= 8 * 11
         assert got.to_json_dict() == sturm_isolation(w20).to_json_dict()
 
     def test_walk_from_w0_to_w100_builds_no_chain(self, monkeypatch):
-        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         c = isolate_roots(normalized_recurrence(0))
         for n in range(1, 101):
             c = isolate_roots(normalized_recurrence(n), prev=c)
             assert c.complete
         assert counted == [normalized_recurrence(0).w]  # where the walk starts
-        assert builds == []
 
     def test_bracket_certificates_alternate_inside_the_canonical_ones(self, monkeypatch):
         """The kept brackets of step n: W_n's gaps, each inside W_n's
@@ -481,7 +515,7 @@ class TestPredecessorBrackets:
         the one a Sturm chain gives."""
         steps = certificate_chain(map(normalized_recurrence, range(21)))
         c, consecutive, _ = next(steps)
-        assert consecutive is None  # a Sturm chain counted, with no predecessor
+        assert consecutive is None  # counted cold, with no predecessor
         for n, (next_c, (gaps, halved), _) in enumerate(steps, start=1):
             prev, c = c, next_c
             assert c == cert(n)
@@ -510,24 +544,22 @@ class TestPredecessorBrackets:
         ],
         ids=["no-real-root", "one-real-root", "repeated-root"],
     )
-    def test_non_real_rooted_input_stays_incomplete(self, monkeypatch, n, w):
+    def test_non_real_rooted_input_stays_incomplete(self, n, w):
         np_ = NormalizedPoly(n, P(*w))
-        prev = cert(n - 1)
-        builds = chain_builds(monkeypatch)
-        got = isolate_roots(np_, prev=prev)
-        assert not got.complete and builds == [np_.w]
+        got = isolate_roots(np_, prev=cert(n - 1))
+        assert not got.complete
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
     def test_root_at_zero_falls_back_to_the_cold_count(self, monkeypatch):
         """z(z + 2) has the asked-for sign around the root -1 of z + 1, but
         the sample w(0) = 0 is no sign the count may rest on.  Descartes'
         rule counts the root at 0 in the node (-4, 0] it ends, and gives
-        the Sturm chain's certificate."""
+        the Sturm reference's certificate."""
         np_ = NormalizedPoly(2, P(0, 2, 1))
         prev = isolate_roots(NormalizedPoly(0, P(1, 1)))
-        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         got = isolate_roots(np_, prev=prev)
-        assert counted == [np_.w] and builds == [] and got.complete
+        assert counted == [np_.w] and got.complete
         assert got.to_json_dict() == sturm_isolation(np_).to_json_dict()
 
     def test_rolle_predecessor_takes_the_bracket_path(self, monkeypatch):
@@ -536,9 +568,9 @@ class TestPredecessorBrackets:
         w = product_of_linear_factors([(1, 1), (4, 1), (7, 1)])
         np_ = NormalizedPoly(4, w)
         prev = isolate_roots(NormalizedPoly(2, w.derivative()))
-        builds = chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         got = isolate_roots(np_, prev=prev)
-        assert builds == [] and got.complete
+        assert counted == [] and got.complete
         assert got.to_json_dict() == isolate_roots(np_).to_json_dict()
 
     @given(st.lists(st.fractions(F(1, 60), 60, max_denominator=60), min_size=2,
@@ -571,16 +603,15 @@ QUADRATIC = st.builds(lambda a, b, c: P(b * b // (4 * a) + 1 + c, b, a),
 
 
 class TestColdCount:
-    """Without brackets, Descartes' rule counts on Bernstein coefficients and
-    gives the Sturm chain's certificate, which still counts for input that
-    is not real-rooted with simple roots."""
+    """Without brackets, Descartes' rule counts on the Bernstein coefficients
+    of the squarefree part: one interval per distinct real root, and on
+    real-rooted input the Sturm reference's certificate."""
 
     @pytest.mark.parametrize("n", [0, 1, 34, 60, 147])
-    def test_cold_claws_build_no_chain(self, monkeypatch, n):
+    def test_cold_claws_build_no_chain(self, n):
         np_ = normalized_recurrence(n)
-        builds = chain_builds(monkeypatch)
         got = isolate_roots(np_)
-        assert builds == [] and got.complete
+        assert got.complete
         if n <= 60:
             assert got.to_json_dict() == sturm_isolation(np_).to_json_dict()
 
@@ -588,25 +619,36 @@ class TestColdCount:
         assert cold_mismatches() == []
 
     @pytest.mark.parametrize("name", ["complex-pair-counted-on-top", "repeated-root"])
-    def test_input_without_simple_real_roots_reaches_the_chain(self, monkeypatch, name):
+    def test_input_without_simple_real_roots_stays_incomplete(self, monkeypatch, name):
         w = COLD_PANEL[name]
-        counted, builds = cold_counts(monkeypatch), chain_builds(monkeypatch)
+        counted = cold_counts(monkeypatch)
         assert not isolate_roots(NormalizedPoly(0, w)).complete
-        assert counted == builds == [w]
+        assert counted == [w]
+
+    @pytest.mark.parametrize("n", [16, 30])
+    def test_repeated_root_is_counted_on_the_squarefree_part(self, n):
+        """W_n (3z + 1)^2: no split separates the two copies of -1/3, so
+        Descartes' rule on W_n (3z + 1)^2 itself would never end.  On the
+        squarefree part it ends within a few dozen splits, with the Sturm
+        reference's intervals, one per distinct root."""
+        np_ = NormalizedPoly(n, normalized_recurrence(n).w * P(1, 6, 9))
+        got = isolate_roots(np_)
+        assert not got.complete
+        assert got.intervals == sturm_isolation(np_).intervals
+        assert cold_splits(np_.w, bound=100) is not None
 
     def test_counts_that_fall_short_give_up_at_once(self):
-        """Each half's count is its own sign variations, so the pair of
-        complex roots drops out as soon as the halves lose it."""
-        assert splits_before_the_fallback() == 2
+        """4z^2 + 8z + 5, roots -1 +- i/2: the top count on (-4, 0] is 2, the
+        count of (-2, 0] is 2 again, and both its halves count 0.  Each
+        half's count is its own sign variations, so the pair of complex
+        roots drops out as soon as the halves lose it."""
+        assert cold_splits(P(5, 8, 4)) == 2
 
-    def test_zero_polynomial_is_refused_whichever_counter_runs(self, monkeypatch):
+    def test_zero_polynomial_is_refused_whichever_counter_runs(self):
         zero = NormalizedPoly(0, IntPoly())
         for prev in (None, cert(0)):
             with pytest.raises(ValueError, match="zero polynomial"):
                 isolate_roots(zero, prev)
-        monkeypatch.setattr(rootcert, "_descartes", lambda w, E: None)
-        with pytest.raises(ValueError, match="zero polynomial"):
-            isolate_roots(zero)
 
     def test_constants_have_no_intervals(self):
         for c in (5, -3):
@@ -621,14 +663,14 @@ class TestColdCount:
            st.lists(QUADRATIC, max_size=1))
     def test_gives_the_sturm_certificate(self, linear, quadratic):
         """Repeated factors, roots at 0, at -2**j and at midpoints, and
-        complex pairs: the cold certificate is the Sturm chain's, whichever
-        counter ends up giving it."""
+        complex pairs: the cold certificate has the Sturm reference's number
+        of intervals, one root in each, and on real-rooted squarefree input
+        the reference's intervals (``reference_errors``)."""
         w = P(1)
         for f, times in linear + [(q, 1) for q in quadratic]:
             for _ in range(times):
                 w = w * f
-        np_ = NormalizedPoly(0, w)
-        assert isolate_roots(np_).to_json_dict() == sturm_isolation(np_).to_json_dict()
+        assert reference_errors(w) == []
 
 
 def product_of_linear_factors(roots) -> IntPoly:
@@ -816,6 +858,38 @@ class TestSquarefree:
     @pytest.mark.parametrize("p, squarefree", [
         (P(), False),  # gcd(0, 0) is 0, not a nonzero constant
         (P(5), True),
+        # the prime q = 2**31 - 1 divides the lead, so the modular gcd proves
+        # nothing and the exact gcd decides
+        (P(1, 1, Q), True),
+        # (z + 1)(z + 1 + q) is (z + 1)^2 modulo q, an unlucky prime
+        (P(1, 1) * P(1 + Q, 1), True),
+        (P(1, 1) * P(1 + Q, 1) * P(1 + Q, 1), False),
     ])
     def test_edge_cases(self, p, squarefree):
         assert is_squarefree(p) is squarefree
+
+    @pytest.mark.parametrize("p, proved", [
+        (P(5), True),
+        (P(4, 5, 1), True),
+        (P(1, 2, 1), False),
+        (P(1, 1, Q), False),
+        (P(1, 1) * P(1 + Q, 1), False),
+    ])
+    def test_the_modular_step_proves_only_what_holds(self, p, proved):
+        assert rootcert._squarefree_mod_prime(p) is proved
+
+    def test_the_modular_step_alone_proves_claws_squarefree(self):
+        """gcd(W_n, W_n') is constant modulo 2**31 - 1 for every n up to 200,
+        so no cold count of a claw polynomial takes the exact gcd there."""
+        assert [n for n in range(201)
+                if not rootcert._squarefree_mod_prime(normalized_recurrence(n).w)] == []
+
+    def test_certify_never_takes_the_exact_gcd(self, capsys, monkeypatch):
+        """The exact gcd is the remainder sequence of (w, w'); over
+        ``certify --n 0..60`` the modular step proves every cold start
+        squarefree, so it never runs."""
+        exact = []
+        monkeypatch.setattr(rootcert, "remainder_sequence",
+                            lambda f, g: exact.append(f) or remainder_sequence(f, g))
+        assert main(["certify", "--n", "0..60"]) == 0
+        assert "✗" not in capsys.readouterr().out and exact == []
