@@ -10,12 +10,15 @@ Results go to stdout, diagnostics to stderr.  The exit status is 0 exactly
 when every requested check passed.  Exact quantities never serialize as
 floating point: rationals appear as [numerator, denominator] pairs, and the
 only float fields are decimal approximations explicitly marked "approx".
+
+Each command-line call starts a fresh interpreter and pays for every module
+imported here: ``json`` is imported by ``canonical_json``, the first time a
+command writes JSON, so a text or CSV command never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice, starmap
@@ -40,6 +43,8 @@ CHECK, CROSS, SKIP = "✓", "✗", "-"
 def canonical_json(obj) -> str:
     """Canonical serialization: sorted keys, no whitespace, no floats for
     exact quantities.  Parsing and re-serializing is byte-identical."""
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

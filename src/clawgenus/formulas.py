@@ -31,18 +31,16 @@ package's core correctness argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ConsistencyError, FormulaIntegrityError, StructureViolation
 from .pgd import ResumableSequence, column_sum, iter_column_sums
 from .polynomials import IntPoly, Sqrt3Poly
 
 
-@dataclass(frozen=True)
-class GenusPolynomial:
+class GenusPolynomial(NamedTuple):
     """Genus polynomial of the n-th iterated claw.
 
     Coefficient i counts the embeddings into the orientable surface of
@@ -326,8 +324,7 @@ def leading_coefficient(n: int) -> int:
     return closed
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Outcome of the elevenfold growth check on one genus polynomial:
     the first index i where it fails, or None."""
 

@@ -41,7 +41,7 @@ pool that the call opens and closes itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OracleCapExceeded, StructureViolation
 from .polynomials import IntPoly
@@ -124,8 +124,7 @@ def build_iterated_claw(n: int) -> MultiGraph:
     return MultiGraph(num_vertices, edges, root)
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(NamedTuple):
     """Cyclic order of darts at each vertex."""
 
     orders: tuple[tuple[int, ...], ...]
@@ -225,8 +224,7 @@ def root_class(graph: MultiGraph, rot: RotationSystem) -> str:
     return ROOT_CLASSES[3 - root_faces]
 
 
-@dataclass(frozen=True)
-class OraclePgd:
+class OraclePgd(NamedTuple):
     """Enumeration tallies per root class and genus."""
 
     n: int

@@ -24,8 +24,7 @@ composition sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, TypeVar
+from typing import Callable, Generic, Iterator, NamedTuple, TypeVar
 
 from .errors import StructureViolation
 from .polynomials import IntPoly
@@ -82,8 +81,7 @@ def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
     )
 
 
-@dataclass(frozen=True)
-class PgdVector:
+class PgdVector(NamedTuple):
     """Partitioned genus distribution (A, B, C) of the n-th iterated claw."""
 
     a: IntPoly

@@ -19,13 +19,12 @@ pair of integer polynomials rat + irr*sqrt(3) that adds, subtracts and
 scales by an ``IntPoly``, all the explicit formula does with it.  Its one
 product of two elements of Z[sqrt 3] is the explicit route's step in
 ``formulas``; the one power-of-two scale the formula needs is applied by
-its caller.
+its caller.  It is an immutable slotted class, not a tuple, so ``3 * s``
+and ``(1,) + s`` raise TypeError instead of repeating or concatenating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 # Degree of the zero polynomial.  A float sentinel compares correctly against
@@ -290,12 +289,41 @@ def remainder_sequence(f: IntPoly, g: IntPoly) -> list[IntPoly]:
     return seq
 
 
-@dataclass(frozen=True)
 class Sqrt3Poly:
-    """Polynomial rat + irr*sqrt(3) over Z[sqrt 3], as a pair of IntPoly."""
+    """Polynomial rat + irr*sqrt(3) over Z[sqrt 3], as a pair of IntPoly.
 
-    rat: IntPoly = IntPoly()
-    irr: IntPoly = IntPoly()
+    Immutable, and equal to another ``Sqrt3Poly`` with the same parts.  It
+    is no tuple, so an int or a tuple meets it in ``*`` or ``+`` with a
+    TypeError, not with repetition or concatenation.
+    """
+
+    __slots__ = ("rat", "irr")
+
+    def __init__(self, rat: IntPoly = IntPoly(), irr: IntPoly = IntPoly()):
+        object.__setattr__(self, "rat", rat)
+        object.__setattr__(self, "irr", irr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rat, self.irr) == (other.rat, other.irr)
+
+    def __hash__(self) -> int:
+        return hash((self.rat, self.irr))
+
+    def __repr__(self) -> str:
+        return f"Sqrt3Poly(rat={self.rat!r}, irr={self.irr!r})"
+
+    def __reduce__(self):
+        """Rebuild through ``__init__``: by default pickle and copy set each
+        slot, which ``__setattr__`` refuses."""
+        return type(self), (self.rat, self.irr)
 
     def __add__(self, other) -> Sqrt3Poly:
         if not isinstance(other, Sqrt3Poly):

@@ -7,7 +7,12 @@ every point is dyadic, x / 2**k held as the two integers, so interval
 endpoints are integers at a shared exponent and signs come from
 integer-only evaluation; Bernstein coefficients are integers up to one
 positive factor, and Sturm sequences are over the integers.  Floating
-point appears only in optional diagnostic output.
+point appears only in optional diagnostic output.  ``Fraction`` appears
+only where a caller asks for one (``Interval.lo``, ``hi`` and
+``midpoint``, ``root_bound``, ``SturmChain``), each importing ``fractions``
+when called, so certifying loads neither it nor ``decimal``.  The records
+are ``NamedTuple``s, except ``RootCertificate``, a slotted class that
+takes a weak reference.
 
 Certificates produced:
 
@@ -49,17 +54,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import ceil, comb, factorial, gcd
+from math import comb, factorial, gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
 from .formulas import GenusPolynomial, genus_recurrence
-from .polynomials import IntPoly, exact_div, remainder_sequence
+from .polynomials import IntPoly, _lowest_terms, exact_div, remainder_sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class NormalizedPoly:
+class NormalizedPoly(NamedTuple):
     """Genus polynomial with the minimum-genus power of z divided out."""
 
     n: int
@@ -163,6 +169,8 @@ class SturmChain:
         only the difference V(lo) - V(hi) counts the distinct real roots in
         (lo, hi].
         """
+        from fractions import Fraction
+
         if not isinstance(x, Fraction):
             x = Fraction(x)
         cached = self._cache.get(x)
@@ -186,14 +194,13 @@ class SturmChain:
         return self.variations(lo) - self.variations(hi)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(NamedTuple):
     """Half-open dyadic interval (a/2**k, b/2**k] containing exactly one root.
 
     Halving gives (2a, a+b, k+1) or (a+b, 2b, k+1), so refinement stays in
     integers.  Equality compares the triple: the same interval at another
     exponent is a different value.  ``lo``, ``hi`` and ``midpoint`` are
-    exact Fractions for output and tests.
+    exact Fractions for tests and tools; output reads the integers.
     """
 
     a: int
@@ -202,26 +209,34 @@ class Interval:
 
     @property
     def lo(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.a, 1 << self.k)
 
     @property
     def hi(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.b, 1 << self.k)
 
     @property
     def midpoint(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.a + self.b, 2 << self.k)
 
     def as_json_list(self) -> list[int]:
         """[lo_num, lo_den, hi_num, hi_den], each endpoint in lowest terms."""
-        lo, hi = self.lo, self.hi
-        return [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
+        a, i = _lowest_terms(self.a, self.k)
+        b, j = _lowest_terms(self.b, self.k)
+        return [a, 1 << i, b, 1 << j]
 
     def approx(self) -> float:
-        return float(self.midpoint)
+        """The midpoint, correctly rounded: int true division rounds the
+        exact quotient, as ``float(self.midpoint)`` does."""
+        return (self.a + self.b) / (2 << self.k)
 
 
-@dataclass(frozen=True)
 class RootCertificate:
     """Isolating intervals for all real roots of a normalized polynomial.
 
@@ -234,11 +249,40 @@ class RootCertificate:
     brackets (``certificate_chain`` hands them on).  A complete certificate
     has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
     reads it, through the signs ``poly`` keeps (``IntPoly.sign``).
+
+    Immutable, and equal to another certificate with the same (n,
+    intervals, poly).  It is no tuple, and it takes a weak reference.
     """
 
-    n: int
-    intervals: tuple[Interval, ...]
-    poly: IntPoly
+    __slots__ = ("n", "intervals", "poly", "__weakref__")
+
+    def __init__(self, n: int, intervals: tuple[Interval, ...], poly: IntPoly):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "poly", poly)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.intervals, self.poly) == (other.n, other.intervals, other.poly)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.intervals, self.poly))
+
+    def __repr__(self) -> str:
+        return (f"RootCertificate(n={self.n!r}, intervals={self.intervals!r}, "
+                f"poly={self.poly!r})")
+
+    def __reduce__(self):
+        """Rebuild through ``__init__``: by default pickle and copy set each
+        slot, which ``__setattr__`` refuses."""
+        return type(self), (self.n, self.intervals, self.poly)
 
     @property
     def degree(self) -> int:
@@ -259,12 +303,15 @@ class RootCertificate:
 
 def root_bound(p: IntPoly) -> Fraction:
     """Cauchy bound: all real roots have magnitude below 1 + max|c|/lead."""
+    from fractions import Fraction
+
     return 1 + Fraction(p.max_abs_coeff(), abs(p.lead))
 
 
 def _bound_exponent(p: IntPoly) -> int:
-    """Least E with 2**E >= root_bound(p): 2**E >= ceil(bound) is the same."""
-    return (ceil(root_bound(p)) - 1).bit_length()
+    """Least E with 2**E >= root_bound(p): 2**E >= ceil(bound) is the same,
+    and ceil(bound) - 1 = ceil(max|c| / |lead|), an integer ceiling."""
+    return (-(-p.max_abs_coeff() // abs(p.lead))).bit_length()
 
 
 #: Halvings ``_brackets`` may spend per interval of the predecessor.
@@ -482,8 +529,8 @@ def _isolate(
     narrowed = tuple(
         Interval(max(l, a), min(h, b), top) for (l, h), (a, b) in zip(spans, ends)
     )
-    halved = replace(prev, intervals=tuple(refined))
-    return cert, replace(cert, intervals=narrowed), halved
+    halved = RootCertificate(prev.n, tuple(refined), prev.poly)
+    return cert, RootCertificate(np_.n, narrowed, w), halved
 
 
 def certificate_chain(
@@ -571,8 +618,7 @@ def _misplaced(merged: list[tuple[int, Interval]]) -> int | None:
     return next((k for k, (side, _) in enumerate(merged) if side != k % 2), None)
 
 
-@dataclass(frozen=True)
-class InterlacingCertificate:
+class InterlacingCertificate(NamedTuple):
     """Witness that the roots of two normalized polynomials alternate.
 
     ``merged`` lists disjoint isolating intervals in increasing order, each
@@ -637,8 +683,7 @@ def certify_interlacing(
     return InterlacingCertificate(n=a.n, m=b.n, merged=tagged)
 
 
-@dataclass(frozen=True)
-class SignPatternReport:
+class SignPatternReport(NamedTuple):
     """Alternating-sign evaluations of interlacing polynomials at each
     other's roots.
 
@@ -706,8 +751,7 @@ def sign_pattern_check(
     return SignPatternReport(p, q, True, bad_p is None, bad_q is None, first)
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
+class ConcavityReport(NamedTuple):
     """Exact log-concavity, unimodality and internal-zero checks."""
 
     n: int

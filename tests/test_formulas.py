@@ -98,6 +98,17 @@ class TestRecurrenceRoute:
         with pytest.raises(StructureViolation):
             GenusPolynomial(1, P(0, 40, 23)).validate()  # bad total
 
+    def test_validation_catches_bad_degree_and_a_hole_in_the_support(self):
+        """Each polynomial passes every other check of ``validate``: the
+        right total, and nothing below the minimum genus."""
+        from clawgenus.errors import StructureViolation
+
+        with pytest.raises(StructureViolation, match="degree at n=1 is 3, expected 2"):
+            GenusPolynomial(1, P(0, 40, 23, 1)).validate()
+        with pytest.raises(StructureViolation,
+                           match="nonpositive coefficient inside the support at n=2, i=2"):
+            GenusPolynomial(2, P(0, 768, 0, 256)).validate()
+
 
 class TestSeriesRoute:
     def test_seeds(self):

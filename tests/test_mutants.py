@@ -64,7 +64,7 @@ MISCOUNTED = {
     "skip-pair-merges-w-n-2-unhalved":
         (cli, "certificate_chain", "(gaps, below) if gaps", "(gaps, older) if gaps"),
     "isolate-keeps-the-gaps-unnarrowed":
-        (rootcert, "_isolate", "cert, replace(cert, intervals=narrowed), halved",
+        (rootcert, "_isolate", "cert, RootCertificate(np_.n, narrowed, w), halved",
          "cert, cert, halved"),
 }
 

@@ -342,8 +342,10 @@ class TestCliImports:
     def test_cli_imports_no_part_of_the_certificate_walk(self):
         """``certificate_chain`` owns the walk: which certificates each
         pair merges, and what each step keeps.  The CLI takes no private
-        name from the package, no ``isolate_roots`` and no ``dataclasses``
-        to rebuild a certificate with, so it can only certify and format."""
+        name from the package and no ``isolate_roots``, so it can only
+        certify and format.  Nor does it import ``dataclasses``, which the
+        package does not load at all (``test_stdlib_only``): its records
+        are NamedTuples or classes with their own constructors."""
         imported = {n.removeprefix("clawgenus.") for n in imported_names(cli)}
         package = {"errors", "formulas", "oracle", "pgd", "polynomials", "rootcert"}
         private = {n for n in imported if n.split(".")[0] in package

@@ -9,6 +9,7 @@ import pytest
 
 import clawgenus.formulas as formulas
 from clawgenus.cli import main
+from clawgenus.errors import StructureViolation
 from clawgenus.pgd import (
     PRODUCTION_MATRIX,
     PgdVector,
@@ -104,6 +105,24 @@ class TestPgd:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             pgd(-1)
+
+
+class TestValidate:
+    """Each vector fails one check of ``PgdVector.validate`` and passes the
+    others: the negative one and the one with b(0) != 0 have the right
+    total, 2^(4n+2)."""
+
+    def test_negative_coefficient(self):
+        with pytest.raises(StructureViolation, match="negative coefficient in partial c at n=0"):
+            PgdVector(P(5), P(), P(0, -1), 0).validate()
+
+    def test_wrong_total(self):
+        with pytest.raises(StructureViolation, match="embedding total at n=0 is 3, expected 4"):
+            PgdVector(P(2), P(), P(0, 1), 0).validate()
+
+    def test_nonzero_constant_term_of_b(self):
+        with pytest.raises(StructureViolation, match="partial b has nonzero constant term at n=1"):
+            PgdVector(P(63), P(1), P(), 1).validate()
 
 
 class TestColumnSum:

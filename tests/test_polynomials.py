@@ -94,8 +94,16 @@ class TestIntPolyBasics:
 
     def test_exact_scalar_div(self):
         assert P(8, 8).exact_scalar_div(4) == P(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coefficient 9 not divisible by 4"):
             P(8, 9).exact_scalar_div(4)
+        with pytest.raises(ZeroDivisionError, match="division of polynomial by zero"):
+            P(8, 8).exact_scalar_div(0)
+
+    def test_negative_powers_are_refused(self):
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            IntPoly.monomial(-1)
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            P(1, 1).shift(-1)
 
     def test_str(self):
         assert str(P()) == "0"
@@ -110,8 +118,16 @@ class TestPolyDivision:
         assert exact_div(p, P(2, 2)) == P(3, 0, 1)
 
     def test_exact_div_rejects_inexact(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="division left a nonzero remainder"):
             exact_div(P(1, 0, 1), P(1, 1))
+        with pytest.raises(ValueError, match="division is not exact over the integers"):
+            exact_div(P(1, 0, 1), P(1, 2))  # the lead 2 does not divide 1
+
+    def test_zero_divisors_are_refused(self):
+        with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+            exact_div(P(1, 1), P())
+        with pytest.raises(ZeroDivisionError, match="pseudo-division by zero polynomial"):
+            signed_pseudo_rem(P(1, 1), P())
 
     def test_signed_pseudo_rem_is_positive_multiple(self):
         f, g = P(-3, 0, 1), P(1, 2)  # rem(f, g) at z=-1/2: f(-1/2) = -11/4

@@ -4,11 +4,11 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 from fractions import Fraction
+from inspect import signature
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clawgenus.rootcert as rootcert
@@ -67,6 +67,12 @@ class TestNormalize:
         for n in range(12):
             w = normalize(genus_recurrence(n))
             assert w.degree == w.w.degree == (n + 2) // 2
+
+    def test_validation_catches_a_nonpositive_coefficient(self):
+        """The degree is right, so only the positivity check can fire."""
+        with pytest.raises(StructureViolation,
+                           match="normalized polynomial at n=2 must have all positive"):
+            NormalizedPoly(2, P(1, 0, 1)).validate()
 
 
 class TestNormalizedRecurrence:
@@ -210,6 +216,16 @@ class TestIsolation:
         assert _bound_exponent(P(1, 1000, 3)) == 9  # bound 1003/3 -> 512
         assert isolate_roots(normalized_recurrence(2)).intervals[0].lo == -4
 
+    @given(st.lists(st.integers(-(1 << 200), 1 << 200), max_size=6),
+           st.integers(-(1 << 200), 1 << 200).filter(bool))
+    @example([], -1)  # a constant: bound 2
+    @example([1 << 200], -3)
+    def test_bound_exponent_is_the_exponent_of_the_rational_bound(self, low, lead):
+        """The integer ceiling gives the exponent that the Fraction bound
+        gives, whatever the signs, down to constants."""
+        p = IntPoly(low + [lead])
+        assert _bound_exponent(p) == (math.ceil(root_bound(p)) - 1).bit_length()
+
     def test_json_shape(self):
         cert = isolate_roots(normalized_recurrence(2))
         d = cert.to_json_dict()
@@ -308,7 +324,7 @@ class TestCertificateFields:
         """A certificate is (n, intervals, poly): nothing else can be set,
         so nothing can disagree with the polynomial it certifies."""
         p = P(2, 2)
-        assert [f.name for f in fields(RootCertificate)] == ["n", "intervals", "poly"]
+        assert list(signature(RootCertificate).parameters) == ["n", "intervals", "poly"]
         c = RootCertificate(0, (Interval(-2, 0, 0),), p)
         assert c.degree == 1 and c.complete
         assert not RootCertificate(0, (), p).complete
@@ -325,6 +341,22 @@ class TestIntervalJson:
         lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
         want = [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
         assert Interval(a, b, k).as_json_list() == want
+
+    @given(st.integers(-(1 << 1100), 1 << 1100), st.integers(-(1 << 1100), 1 << 1100),
+           st.integers(0, 1200))
+    @example(1 << 1100, 1 << 1100, 0)  # past the largest float
+    @example(1, 0, 1150)  # below the smallest subnormal
+    @example(3, 0, 1074)  # 3 * 2**-1075, a subnormal tie
+    def test_approx_is_the_rounded_fraction(self, a, b, k):
+        """Int true division rounds as ``Fraction.__float__`` does, and
+        overflows where it does."""
+        try:
+            want = float(Fraction(a + b, 2 << k))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                Interval(a, b, k).approx()
+        else:
+            assert Interval(a, b, k).approx() == want
 
     def test_zero_and_negative_endpoints(self):
         assert Interval(0, 0, 5).as_json_list() == [0, 1, 0, 1]
