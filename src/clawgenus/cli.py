@@ -1,10 +1,5 @@
-"""Command-line interface.
-
-Commands:
-  compute       genus polynomial coefficients by a chosen route (or all)
-  table         the coefficient table for n = 0 .. max-n
-  certify       root / interlacing / log-concavity certificates
-  oracle-check  compare exhaustive enumeration against the algebraic engine
+"""Command-line interface: the four commands of ``COMMANDS``, compute,
+table, certify and oracle-check.
 
 Results go to stdout, diagnostics to stderr.  The exit status is 0 exactly
 when every requested check passed.  Exact quantities never serialize as
@@ -13,15 +8,16 @@ only float fields are decimal approximations explicitly marked "approx".
 
 Each command-line call starts a fresh interpreter and pays for every module
 imported here: ``json`` is imported by ``canonical_json``, the first time a
-command writes JSON, so a text or CSV command never loads it.
+command writes JSON, so a text or CSV command never loads it, and
+``parse_args`` reads the arguments over ``COMMANDS`` without ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import islice, starmap
+from types import SimpleNamespace
 
 from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
@@ -58,22 +54,22 @@ def parse_n_spec(spec: str) -> range:
         else:
             a = b = int(spec)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index spec {spec!r}") from None
+        raise ValueError(f"bad index spec {spec!r}") from None
     if a < 0 or b < a:
-        raise argparse.ArgumentTypeError(f"bad index range {spec!r}")
+        raise ValueError(f"bad index range {spec!r}")
     return range(a, b + 1)
 
 
 def _int_at_least(low: int, high: int | None = None):
-    """argparse type: an integer no smaller than low, nor larger than high."""
+    """Converter: an integer no smaller than low, nor larger than high."""
     def parse(text: str) -> int:
         try:
-            if low <= int(text) and (high is None or int(text) <= high):
-                return int(text)
+            if low <= (value := int(text)) and (high is None or value <= high):
+                return value
         except ValueError:
             pass
         bounds = f">= {low}" if high is None else f">= {low} and <= {high}"
-        raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+        raise ValueError(f"expected an integer {bounds}, got {text!r}")
     return parse
 
 
@@ -251,53 +247,146 @@ def cmd_oracle_check(args) -> int:
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clawgenus",
-        description=(
-            "Exact genus polynomials of iterated-claw graphs: computation "
-            "by independent routes, brute-force verification, and "
-            "machine-checkable certificates of real-rootedness, root "
-            "interlacing and log-concavity."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    index = argparse.ArgumentParser(add_help=False)
-    index.add_argument("--n", type=parse_n_spec, required=True, metavar="N|A..B",
-                       help="claw index or inclusive range, e.g. 4 or 0..10")
-    oracle = argparse.ArgumentParser(add_help=False)
-    oracle.add_argument("--parallelism", type=_int_at_least(1, MAX_JOBS), default=1,
-                        help="oracle: worker processes above the size cap, "
-                             f"one process up to it (1 to {MAX_JOBS})")
-    oracle.add_argument("--acknowledge-cost", action="store_true",
-                        help="allow oracle enumeration above the size cap")
+#: The default of an option that every call must give.
+REQUIRED = object()
+_INDEX = ("--n", parse_n_spec, REQUIRED, "N|A..B", "claw index or inclusive range, e.g. 4 or 0..10")
+_ORACLE = (
+    ("--parallelism", _int_at_least(1, MAX_JOBS), 1, "PARALLELISM",
+     f"oracle: worker processes above the size cap, one process up to it (1 to {MAX_JOBS})"),
+    ("--acknowledge-cost", None, False, None, "allow oracle enumeration above the size cap"),
+)
 
-    p = sub.add_parser("compute", parents=[index, oracle],
-                       help="genus polynomial coefficients")
-    p.add_argument("--route", choices=ROUTES + ("all",), default="all",
-                   help="computation route; 'all' cross-checks the four "
-                        "algebraic routes (default)")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_compute)
+#: command -> (name of its function, looked up on each call so that a
+#: rebinding of the module's name reaches it; help; options).  An option is
+#: (flag, a converter raising ValueError or the choices or None for a switch,
+#: default or REQUIRED, metavar, help).  Every command also takes -h.
+COMMANDS = {
+    "compute": ("cmd_compute", "genus polynomial coefficients", (
+        _INDEX, *_ORACLE,
+        ("--route", (*ROUTES, "all"), "all", None,
+         "computation route; 'all' cross-checks the four algebraic routes (default)"),
+        ("--format", ("text", "csv", "json"), "text", None, "output format"))),
+    "table": ("cmd_table", "coefficient table for n = 0..max-n", (
+        ("--max-n", _int_at_least(0), 4, "MAX_N", "largest index (default 4)"),
+        ("--format", ("text", "csv", "json"), "text", None, "output format"))),
+    "certify": ("cmd_certify", "root and log-concavity certificates", (
+        _INDEX, ("--format", ("text", "json"), "text", None, "output format"))),
+    "oracle-check": ("cmd_oracle_check", "compare exhaustive enumeration with the engine",
+                     (_INDEX, *_ORACLE)),
+}
+DESCRIPTION = """\
+Exact genus polynomials of iterated-claw graphs: computation by independent
+routes, brute-force verification, and machine-checkable certificates of
+real-rootedness, root interlacing and log-concavity."""
 
-    p = sub.add_parser("table", help="coefficient table for n = 0..max-n")
-    p.add_argument("--max-n", type=_int_at_least(0), default=4)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("certify", parents=[index],
-                       help="root and log-concavity certificates")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_certify)
+def _spelled(flag: str, kind, _default, metavar: str | None, _text: str) -> str:
+    return f"{flag} {metavar or '{%s}' % ','.join(kind)}" if kind else flag
 
-    p = sub.add_parser("oracle-check", parents=[index, oracle],
-                       help="compare exhaustive enumeration with the engine")
-    p.set_defaults(func=cmd_oracle_check)
-    return parser
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: clawgenus [-h] {{{','.join(COMMANDS)}}} ..."
+    words = (_spelled(*o) if o[2] is REQUIRED else f"[{_spelled(*o)}]" for o in COMMANDS[command][2])
+    return " ".join([f"usage: clawgenus {command} [-h]", *words])
+
+
+def _help(command: str | None):
+    """Print the usage and what each command or option does, and exit 0."""
+    if command is None:
+        about, rows = DESCRIPTION, [(c, spec[1]) for c, spec in COMMANDS.items()]
+    else:
+        about, rows = COMMANDS[command][1], [(_spelled(*o), o[4]) for o in COMMANDS[command][2]]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    print(_usage(command), "", about, "", *(f"  {a:<20}  {b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    """Exit 2 as argparse does: usage, then the error line, on stderr."""
+    prog = f"clawgenus {command}" if command else "clawgenus"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _convert(command: str | None, name: str, kind, text: str):
+    if not callable(kind) and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        _fail(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return kind(text) if callable(kind) else text
+    except ValueError as exc:
+        _fail(command, f"argument {name}: {exc}")
+
+
+def _classify(tokens: list[str], flags: tuple[str, ...], command: str | None) -> list:
+    """Each token as argparse reads it, all before any acts: None for a
+    value, "--" for the end of the options, else (flag or None where it is
+    unknown, the text after "=" or None)."""
+    kinds = []
+    for token in tokens:
+        if "--" in kinds or token[:1] != "-" or token == "-":
+            kinds.append(None)
+        elif token == "--":
+            kinds.append(token)
+        elif token[1] == "h":  # -h; -hh is -h twice, other text after it is ignored
+            bad = (token[3:] if token[:3] == "-h=" else token[2:]).lstrip("h")
+            kinds.append(("--help", bad if bad or token == "-h=" else None))
+        elif token[1] == "-" and (hits := [f for f in flags if f.startswith(token.split("=")[0])]):
+            head, eq, value = token.partition("=")
+            if len(hits) > 1 and head not in hits:
+                _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+            kinds.append((head if head in hits else hits[0], value if eq else None))
+        else:  # argparse's negative numbers (-1, -.5) and text with a space are values
+            number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+            kinds.append(None if number or " " in token else (None, None))
+    return kinds
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its options, read from argv over ``COMMANDS`` as
+    argparse read them: unique prefixes, ``--opt=value``, the last of a
+    repeated option, ``-1`` as a value.  ``-h`` prints help and exits 0; a
+    usage error prints argparse's usage and error lines and exits 2."""
+    command, specs, values, extras = None, {}, {}, []
+    tokens, i = list(argv), 0
+    kinds = _classify(tokens, ("--help",), None)
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        flag, value = kind if isinstance(kind, tuple) else (None, None)
+        i += 1
+        if command is None and (kind is None or kind == "--" and i < len(tokens)):
+            command = _convert(None, "command", COMMANDS, token)
+            specs = {opt[0]: opt for opt in COMMANDS[command][2]}
+            values = {flag: opt[2] for flag, opt in specs.items()}
+            tokens, i, kinds = tokens[i:], 0, _classify(tokens[i:], ("--help", *specs), command)
+        elif flag is None:
+            extras.append(token)
+        elif flag == "--help" or specs[flag][1] is None:  # -h or a switch
+            if value is not None:
+                name = flag if flag in specs else "-h/--help"
+                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                _help(command)
+            values[flag] = True
+        else:
+            if value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    _fail(command, f"argument {flag}: expected one argument")
+                value, i = tokens[i], i + 1
+            values[flag] = _convert(command, flag, specs[flag][1], value)
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if missing := [flag for flag, value in values.items() if value is REQUIRED]:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    fields = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=command, func=globals()[COMMANDS[command][0]], **fields)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # exact output at any size: lift the int-to-str digit limit (Python
     # 3.10.7 on) for this command only, and give the caller its own back
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

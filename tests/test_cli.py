@@ -1,6 +1,5 @@
 """Command-line surface: formats, exit codes, JSON round-trips."""
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 import clawgenus.cli as cli
 import clawgenus.oracle as oracle
 import clawgenus.rootcert as rootcert
+from argparse_reference import build_parser
 from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
 from clawgenus.errors import InterlacingUndecided
@@ -200,10 +200,8 @@ class TestParsing:
         assert list(parse_n_spec("0..3")) == [0, 1, 2, 3]
 
     def test_bad_specs(self):
-        import argparse
-
         for bad in ("x", "3..1", "-1", "1..b"):
-            with pytest.raises(argparse.ArgumentTypeError):
+            with pytest.raises(ValueError):
                 parse_n_spec(bad)
 
 
@@ -817,15 +815,12 @@ class TestBoundaryValidation:
         assert proc.stderr.startswith(f"error: n={first} needs")
         assert "Traceback" not in proc.stderr
 
-    def test_every_option_is_pinned(self):
-        """A new flag changes this list on purpose, never by accident."""
-        parser = cli.build_parser()
-        (sub,) = [a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction)]
-        options = {
-            name: sorted(s for a in p._actions for s in a.option_strings)
-            for name, p in [(None, parser), *sub.choices.items()]
-        }
+    def test_every_option_is_pinned(self, capsys):
+        """A new flag changes this list on purpose, never by accident; -h
+        prints the usage on stdout and exits 0 everywhere."""
+        options = {None: ["--help", "-h"]}
+        for name, (_, _, opts) in cli.COMMANDS.items():
+            options[name] = sorted(["--help", "-h", *(opt[0] for opt in opts)])
         assert options == {
             None: ["--help", "-h"],
             "compute": ["--acknowledge-cost", "--format", "--help", "--n",
@@ -835,6 +830,13 @@ class TestBoundaryValidation:
             "oracle-check": ["--acknowledge-cost", "--help", "--n", "--parallelism",
                              "-h"],
         }
+        for name in options:
+            for flag in ("-h", "--help"):
+                with pytest.raises(SystemExit) as exit_:
+                    main([name, flag] if name else [flag])
+                out, err = capsys.readouterr()
+                assert exit_.value.code == 0 and err == ""
+                assert out.startswith(f"usage: clawgenus {name or ''}".rstrip() + " [-h]")
 
     def test_library_value_error_exits_one(self, capsys, monkeypatch):
         def broken(n):
@@ -847,7 +849,7 @@ class TestBoundaryValidation:
 
 
 def mostly(valid, bad):
-    """Valid values three times in four, so most runs get past argparse."""
+    """Valid values three times in four, so most runs get past the parser."""
     return st.sampled_from([valid, valid, valid, bad]).flatmap(lambda strategy: strategy)
 
 
@@ -898,7 +900,7 @@ class TestFuzz:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse usage errors
+            except SystemExit as exc:  # usage errors
                 code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
@@ -907,3 +909,60 @@ class TestFuzz:
             assert canonical_json(json.loads(payload)) == payload
             if argv[0] == "certify" and code == 0:
                 checked_rows(payload)
+
+
+#: Every long option of any command; a prefix is unique when no other of
+#: these starts with it.
+FLAGS = ("--n", "--parallelism", "--acknowledge-cost", "--route", "--format",
+         "--max-n", "--help")
+VALUES = ("0", "2", "0..3", "3..1", "65", "x", "", "-1", "-2..5", "json", "xml", "all")
+TOKENS = (
+    *(flag[:k] for flag in FLAGS for k in range(3, len(flag) + 1)
+      if sum(f.startswith(flag[:k]) for f in FLAGS) == 1),
+    *(f"{flag}={value}" for flag in FLAGS[:-1] for value in ("1", "json", "")),
+    *VALUES, "--acknowledge-cost=x", "-h", "--bogus", "x",
+    # argparse's corners: the end of the options, -h twice or with text
+    # after it, an option-like token with a space
+    "--", "-hh", "-hx", "--n 0",
+)
+
+
+def parse_outcome(parse, argv):
+    """(0, the parsed fields) when parse returns, else (exit status, whether
+    the text went to stdout, the usage up to its options, the error line)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return 0, vars(parse(argv))
+        except SystemExit as exc:
+            status = exc.code
+    on_stdout = bool(out.getvalue())
+    lines = (out.getvalue() or err.getvalue()).splitlines()
+    return status, on_stdout, lines[0].split(" [")[0], status and lines[-1]
+
+
+class TestParserMatchesArgparse:
+    """``parse_args`` against the argparse parser the CLI used to build:
+    same exit status, and the same fields on success, the same usage
+    prefix and ``error:`` line on a usage error, help on stdout."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([[], ["junk"], *([c] for c in cli.COMMANDS)]),
+           st.lists(st.sampled_from(TOKENS), max_size=6))
+    def test_same_outcome_on_any_argv(self, command, tokens):
+        argv = command + tokens
+        got = parse_outcome(cli.parse_args, argv)
+        assert got == parse_outcome(lambda a: build_parser().parse_args(a), argv)
+        if len(got) > 2:  # help exits 0 on stdout, a usage error 2 on stderr
+            assert got[0] in (0, 2) and got[1] == (got[0] == 0)
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["table", "--max", "8", "--fo", "csv"], {"max_n": 8, "format": "csv"}),
+        (["table", "--max-n=2", "--format", "csv", "--format", "json"],
+         {"max_n": 2, "format": "json"}),
+        (["oracle-check", "--n=0..1", "--a", "--p", "2"],
+         {"n": range(2), "acknowledge_cost": True, "parallelism": 2}),
+    ])
+    def test_prefixes_equals_and_the_last_value(self, argv, fields):
+        args = cli.parse_args(argv)
+        assert {k: getattr(args, k) for k in fields} == fields

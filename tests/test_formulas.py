@@ -19,6 +19,7 @@ from clawgenus.formulas import (
     structure_check,
     verify_series_closed_form,
 )
+from clawgenus.oracle import build_iterated_claw
 from clawgenus.pgd import PRODUCTION_MATRIX, column_sum, iter_pgd
 from clawgenus.polynomials import IntPoly, Sqrt3Poly
 
@@ -51,6 +52,16 @@ def composition_sum_by_definition(n):
                 rat[n - j] += w * (pa * ma + 3 * pb * mb)
                 irr[n - j] += w * (pa * mb + pb * ma)
     return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
+
+
+@pytest.mark.parametrize("fn", [genus_recurrence, genus_from_series, genus_explicit,
+                                leading_coefficient, build_iterated_claw, composition_sum],
+                         ids=lambda fn: fn.__name__)
+def test_each_route_rejects_an_index_below_its_range(fn):
+    """composition_sum's range starts at -1, where its sum is empty."""
+    n, message = (-2, "at least -1") if fn is composition_sum else (-1, "nonnegative")
+    with pytest.raises(ValueError, match=f"^n must be {message}$"):
+        fn(n)
 
 
 class TestRecurrenceRoute:

@@ -84,9 +84,13 @@ class TestFaceTrace:
         assert genera <= {1, 2}
 
     def test_rejects_mismatched_rotation(self):
-        g = build_iterated_claw(0)
-        with pytest.raises(ValueError):
-            face_trace(g, RotationSystem(((0, 1, 2),)))
+        g = build_iterated_claw(0)  # darts (0, 2, 4) and (1, 3, 5)
+        for orders, message in [
+            (((0, 2, 4),), "rotation system does not match the vertex count"),
+            (((0, 2, 4), (1, 3, 4)), "rotation at vertex 1 is not a permutation of its darts"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                face_trace(g, RotationSystem(orders))
 
     @pytest.mark.parametrize("fn", [face_trace, root_class])
     def test_validates_the_rotation_once_per_call(self, monkeypatch, fn):

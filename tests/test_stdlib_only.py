@@ -34,9 +34,11 @@ def test_every_import_is_relative_or_from_the_standard_library():
 
 #: Modules no command needs at import: the records are NamedTuples, not
 #: dataclasses (which pull in ``inspect``), ``Fraction`` (which pulls in
-#: ``decimal``) is built only where a caller asks for one, and ``json``
-#: loads with the first JSON output.
-NOT_AT_IMPORT = ("dataclasses", "inspect", "fractions", "decimal", "json")
+#: ``decimal``) is built only where a caller asks for one, ``json`` loads
+#: with the first JSON output, and the CLI reads its arguments without
+#: ``argparse`` (whose messages pull in ``gettext``).
+NOT_AT_IMPORT = ("dataclasses", "inspect", "fractions", "decimal", "json", "argparse",
+                 "gettext")
 
 #: The commands of the benchmark's four workloads, none of which prints JSON.
 WORKLOAD_CALLS = (
@@ -62,8 +64,8 @@ print(sorted(ran))
 
 def test_the_cli_imports_no_stdlib_machinery_its_commands_do_not_need():
     """In a fresh interpreter, ``import clawgenus.cli`` loads none of
-    ``NOT_AT_IMPORT``, and the workloads' commands then load neither
-    ``fractions`` nor ``json``."""
+    ``NOT_AT_IMPORT``, and the workloads' commands then load no
+    ``fractions``, ``json``, ``argparse``, ``gettext`` or ``locale``."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SCRIPT.format(calls=WORKLOAD_CALLS)],
@@ -72,4 +74,4 @@ def test_the_cli_imports_no_stdlib_machinery_its_commands_do_not_need():
     imported, ran = map(ast.literal_eval, proc.stdout.splitlines())
     assert "clawgenus.cli" in imported
     assert not set(NOT_AT_IMPORT) & set(imported), imported
-    assert not {"fractions", "json"} & set(ran), ran
+    assert not {"fractions", "json", "argparse", "gettext", "locale"} & set(ran), ran
