@@ -8,10 +8,10 @@ endpoints are integers at a shared exponent and signs come from
 integer-only evaluation; Bernstein coefficients are integers up to one
 positive factor, and Sturm sequences are over the integers.  Floating
 point appears only in optional diagnostic output.  ``Fraction`` appears
-only where a caller asks for one (``Interval.lo``, ``hi`` and
-``midpoint``, ``root_bound``, ``SturmChain``), each importing ``fractions``
-when called, so certifying loads neither it nor ``decimal``.  The records
-are ``NamedTuple``s, except ``RootCertificate``, a slotted class that
+only where a caller asks for one (``Interval.lo`` and ``hi``,
+``root_bound``, ``SturmChain``), each importing ``fractions`` when called,
+so certifying loads neither it nor ``decimal``.  The records are
+``NamedTuple``s, except ``RootCertificate``, a slotted class that
 takes a weak reference.
 
 Certificates produced:
@@ -20,7 +20,8 @@ Certificates produced:
   containing exactly one (negative) real root, found by bisection of
   (-2**E, 0], 2**E being the least power of two at or above the Cauchy
   bound; ``complete`` means the count matches the degree, i.e. the
-  polynomial is real-rooted.  The bisection counts roots with the
+  polynomial is real-rooted.  One walker does the bisection, with either
+  of two root counters passed in.  It counts roots with the
   predecessor's brackets when it is given one: the predecessor's isolating
   intervals are refined until the polynomial has the sign it must have at
   each of the predecessor's roots, and if it then changes sign as many
@@ -199,8 +200,8 @@ class Interval(NamedTuple):
 
     Halving gives (2a, a+b, k+1) or (a+b, 2b, k+1), so refinement stays in
     integers.  Equality compares the triple: the same interval at another
-    exponent is a different value.  ``lo``, ``hi`` and ``midpoint`` are
-    exact Fractions for tests and tools; output reads the integers.
+    exponent is a different value.  ``lo`` and ``hi`` are exact Fractions
+    for tests and tools; output reads the integers.
     """
 
     a: int
@@ -219,12 +220,6 @@ class Interval(NamedTuple):
 
         return Fraction(self.b, 1 << self.k)
 
-    @property
-    def midpoint(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.a + self.b, 2 << self.k)
-
     def as_json_list(self) -> list[int]:
         """[lo_num, lo_den, hi_num, hi_den], each endpoint in lowest terms."""
         a, i = _lowest_terms(self.a, self.k)
@@ -233,7 +228,7 @@ class Interval(NamedTuple):
 
     def approx(self) -> float:
         """The midpoint, correctly rounded: int true division rounds the
-        exact quotient, as ``float(self.midpoint)`` does."""
+        exact quotient (a + b) / 2**(k + 1)."""
         return (self.a + self.b) / (2 << self.k)
 
 
@@ -423,9 +418,33 @@ def _roots(cs: list[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:])) + (cs[-1] == 0)
 
 
-def _descartes(w: IntPoly, E: int) -> list[Interval]:
+def _bisect(E: int, node, count, split) -> list[Interval]:
     """The intervals of the bisection of (-2**E, 0] that hold one distinct
-    real root of w each, every node counted by Descartes' rule (``_roots``)
+    root each, in increasing order: the one walk of both root counters.
+    ``node`` is the payload of (-2**E, 0], ``count(payload)`` a node's
+    count, and ``split(payload, mid, k)`` the payloads of its halves
+    (2a, mid] and (mid, 2b] at exponent k, mid = a + b.  A node counted 0
+    is dropped, one counted 1 kept, and any other split; each count is taken
+    as its node is pushed.  The lower half goes on the stack last, so the
+    intervals come out ascending."""
+    found: list[Interval] = []
+    stack = [(-1 << E, 0, 0, count(node), node)]
+    while stack:
+        a, b, k, roots, node = stack.pop()
+        if roots == 0:
+            continue
+        if roots == 1:
+            found.append(Interval(a, b, k))
+            continue
+        mid, k = a + b, k + 1
+        left, right = split(node, mid, k)
+        stack.append((mid, b << 1, k, count(right), right))
+        stack.append((a << 1, mid, k, count(left), left))
+    return found
+
+
+def _descartes(w: IntPoly, E: int) -> list[Interval]:
+    """``_bisect`` with every node counted by Descartes' rule (``_roots``)
     on the Bernstein coefficients of w's squarefree part.  A count bounds
     the roots from above and has their parity, so a node counted 0 holds
     none and one counted 1 holds exactly one, whatever the complex roots
@@ -433,21 +452,8 @@ def _descartes(w: IntPoly, E: int) -> list[Interval]:
     Eigenwillig, Sharma and Yap bound the tree).  On real-rooted input every
     count is exact, so the tree is the one the true counts give.  A root at
     a midpoint goes to the left half, as in (a, mid]."""
-    cs = _bernstein(_squarefree_part(w), E)
-    found: list[Interval] = []
-    stack = [(-1 << E, 0, 0, _roots(cs), cs)]
-    while stack:
-        a, b, k, roots, cs = stack.pop()
-        if roots == 0:
-            continue
-        if roots == 1:
-            found.append(Interval(a, b, k))
-            continue
-        left, right = _split(cs)
-        mid, k = a + b, k + 1
-        stack.append((mid, b << 1, k, _roots(right), right))
-        stack.append((a << 1, mid, k, _roots(left), left))
-    return found
+    return _bisect(E, _bernstein(_squarefree_part(w), E), _roots,
+                   lambda cs, mid, k: _split(cs))
 
 
 def isolate_roots(
@@ -456,13 +462,13 @@ def isolate_roots(
     """Isolate every real root of a normalized polynomial by bisection.
 
     The bisection of (-2**E, 0], 2**E the least power of two at or above
-    ``root_bound(w)``, is the same on every path, and on real-rooted input
-    so is the certificate; only the root counter differs.  With a complete
-    certificate ``prev`` whose roots alternate with those of w (index n-1
-    in ``certificate_chain``), the counter reads the brackets of
-    ``_brackets``: the roots at or below x are the brackets with h <= x,
-    plus the one with l < x < h when w(x) is 0 or has the sign of w(h),
-    a sign the brackets read.  The brackets' exponent is never below a
+    ``root_bound(w)``, is one walker (``_bisect``) on every path, and on
+    real-rooted input so is the certificate; only the root counter passed
+    to it differs.  With a complete certificate ``prev`` whose roots
+    alternate with those of w (index n-1 in ``certificate_chain``), the
+    counter reads the brackets of ``_brackets``: the roots at or below x
+    are the brackets with h <= x, plus the one with l < x < h when w(x) is
+    0 or has the sign of w(h), a sign the brackets read.  The brackets' exponent is never below a
     query's (see ``_brackets``), so x is raised to it by one shift.
     Without such a ``prev``, or when its brackets do not account for every
     root of w, Descartes' rule counts (``_descartes``): one interval per
@@ -484,7 +490,8 @@ def _isolate(
     ``_merge`` separates them with no halving.  The gaps hold w itself and
     the halved intervals prev's polynomial, so each reads the signs its
     polynomial has already read.  Without brackets the count is cold, and
-    ``_descartes`` returns the intervals outright."""
+    ``_descartes`` returns the intervals outright; with them ``_bisect``
+    walks the rank pair (rank(a, k), rank(b, k)) of each node."""
     w = np_.w
     if not w:
         raise ValueError("cannot isolate the roots of the zero polynomial")
@@ -503,24 +510,12 @@ def _isolate(
             j += w.sign(x, k) in (0, w.sign(his[j], top))
         return j
 
-    # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k;
-    # the lower half goes on the stack last, so intervals come out ascending
-    lo = -1 << E
-    r_lo, r_hi = rank(lo, 0), rank(0, 0)
-    found: list[Interval] = []
-    stack = [(lo, 0, 0, r_lo, r_hi)]
-    while stack:
-        a, b, k, ra, rb = stack.pop()
-        roots = rb - ra
-        if roots == 0:
-            continue
-        if roots == 1:
-            found.append(Interval(a, b, k))
-            continue
-        mid, k = a + b, k + 1
+    def halves(ranks: tuple[int, int], mid: int, k: int):
         r_mid = rank(mid, k)
-        stack.append((mid, b << 1, k, r_mid, rb))
-        stack.append((a << 1, mid, k, ra, r_mid))
+        return (ranks[0], r_mid), (r_mid, ranks[1])
+
+    # rank(b, k) - rank(a, k) is the number of distinct roots in (a, b]/2**k
+    found = _bisect(E, (rank(-1 << E, 0), rank(0, 0)), lambda r: r[1] - r[0], halves)
     cert = RootCertificate(n=np_.n, intervals=tuple(found), poly=w)
     # the j-th gap and the j-th interval hold the same root, and neither end
     # of their meet is another root: the gap is open around its one root,
@@ -756,10 +751,8 @@ class ConcavityReport(NamedTuple):
 
     n: int
     log_concave: bool
-    all_strict: bool
     unimodal: bool
     no_internal_zeros: bool
-    first_failure: int | None
 
     @property
     def ok(self) -> bool:
@@ -770,20 +763,10 @@ def concavity_report(g: GenusPolynomial) -> ConcavityReport:
     """Check a_{k-1} a_{k+1} <= a_k^2 across the coefficient sequence,
     single-peak unimodality, and absence of internal zeros."""
     cs = g.poly.coeffs
-    log_concave = True
-    all_strict = True
-    first: int | None = None
-    for k in range(len(cs)):
-        left = cs[k - 1] if k >= 1 else 0
-        right = cs[k + 1] if k + 1 < len(cs) else 0
-        prod, sq = left * right, cs[k] * cs[k]
-        if prod > sq:
-            log_concave = False
-            first = first if first is not None else k
-        if cs[k] and prod >= sq:
-            # strictness is only meaningful on the support
-            all_strict = False
-
+    # at either end one neighbour is 0, so only the interior can fail
+    log_concave = all(
+        cs[k - 1] * cs[k + 1] <= cs[k] * cs[k] for k in range(1, len(cs) - 1)
+    )
     unimodal = True
     falling = False
     for k in range(len(cs) - 1):
@@ -791,18 +774,10 @@ def concavity_report(g: GenusPolynomial) -> ConcavityReport:
             falling = True
         elif cs[k + 1] > cs[k] and falling:
             unimodal = False
-            first = first if first is not None else k + 1
             break
 
     nz = [i for i, c in enumerate(cs) if c]
     no_internal_zeros = not nz or all(
         cs[i] for i in range(nz[0], nz[-1] + 1)
     )
-    return ConcavityReport(
-        n=g.n,
-        log_concave=log_concave,
-        all_strict=all_strict,
-        unimodal=unimodal,
-        no_internal_zeros=no_internal_zeros,
-        first_failure=first,
-    )
+    return ConcavityReport(g.n, log_concave, unimodal, no_internal_zeros)

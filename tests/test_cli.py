@@ -606,6 +606,11 @@ class TestGoldenDigests:
                 ("certify", "--n", "37..38", "--format", "json"),
                 "59bbb24ea9fe9eaff3778f5204848bb1b6885f6bd91bcd0e6dee901564ee2a37",
             ),
+            # the narrowing of _isolate cuts a gap's upper end at n = 50
+            (
+                ("certify", "--n", "49..50", "--format", "json"),
+                "450bfdbf5a1eae9c79eb4b5717c63c77c8b72c6a5d8b0bc87acc73d430a03a42",
+            ),
             (
                 ("compute", "--route", "pgd", "--format", "csv", "--n", "30..45"),
                 "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
@@ -624,8 +629,8 @@ class TestGoldenDigests:
                 "0b56fd761a408044036c08fcd7f0c93c13d5c2b2a69c5f14fa9b0a481b32e3b9",
             ),
         ],
-        ids=["table", "compute", "certify", "certify-37-38", "pgd-30-45",
-             "gf-30-45", "explicit-30-45", "oracle-check"],
+        ids=["table", "compute", "certify", "certify-37-38", "certify-49-50",
+             "pgd-30-45", "gf-30-45", "explicit-30-45", "oracle-check"],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

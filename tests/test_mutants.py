@@ -24,7 +24,7 @@ import clawgenus.oracle as oracle
 import clawgenus.rootcert as rootcert
 from certcheck import certificate_errors
 from clawgenus.cli import main
-from clawgenus.errors import ConsistencyError
+from clawgenus.errors import ConsistencyError, StructureViolation
 from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
 from test_cli import certificate_reach, halving_errors, sign_reads
@@ -68,23 +68,24 @@ MISCOUNTED = {
          "cert, cert, halved"),
 }
 
-#: Mutants of Descartes' rule, each with the check that catches it:
-#: ``cold_mismatches`` names the inputs whose cold certificate fails the
-#: Sturm reference, ``cold_splits`` counts the splits of a cold count and
-#: is None for a count that would split forever.
+#: Mutants of Descartes' rule and of the bisection walk it counts for, each
+#: with the check that catches it: ``cold_mismatches`` names the inputs
+#: whose cold certificate fails the Sturm reference, ``cold_splits`` counts
+#: the splits of a cold count and is None for a count that would split
+#: forever.
 COLD = {
     # (z + 1)(z + 4) is certified as (-4, -2], (-2, 0]
     "midpoint-root-goes-to-the-right-half": (
         (rootcert, "_roots", "(cs[-1] == 0)", "(cs[0] == 0)"), cold_mismatches),
     # (z + 1)(z + 4) is certified as the one interval (-8, 0]
     "fewer-intervals-are-kept": (
-        (rootcert, "_descartes", "if roots == 1:", "if roots in (1, 2):"),
+        (rootcert, "_bisect", "if roots == 1:", "if roots in (1, 2):"),
         cold_mismatches),
     # the counts stay right on real-rooted input, so every certificate does
     # too; a complex pair's 2 is handed down the right spine for ever
     "right-half-count-inferred": (
-        (rootcert, "_descartes", "_roots(right), right))",
-         "roots - _roots(left), right))"),
+        (rootcert, "_bisect", "count(right), right))",
+         "roots - count(left), right))"),
         lambda: cold_splits(IntPoly((5, 8, 4))) != 2),
     # no split separates the two copies of the double root -1/3
     "repeated-root-counted-on-w-itself": (
@@ -276,6 +277,18 @@ def test_the_series_check_catches_a_numerator_entry(monkeypatch, fresh_routes):
         formulas.SERIES_NUMERATOR, 1, IntPoly((8, -11))))
     with pytest.raises(ConsistencyError, match="at t\\^1"):
         formulas.verify_series_closed_form(6)
+
+
+def test_the_euler_residue_catches_a_face_counted_twice(monkeypatch):
+    """A face count one too high makes 2 - V + E - F odd, which no genus
+    gives: ``face_trace`` refuses it."""
+    g = oracle.build_iterated_claw(0)
+    rot = oracle.RotationSystem.from_bits(g, 0)
+    assert oracle.face_trace(g, rot) == (1, 1)  # one face, on the torus
+    mutate(monkeypatch, oracle, "_faces",
+           "return faces, root_faces", "return faces + 1, root_faces")
+    with pytest.raises(StructureViolation, match="residue 1;"):
+        oracle.face_trace(g, rot)
 
 
 def test_the_read_count_catches_a_memo_keyed_as_written(capsys, monkeypatch):
