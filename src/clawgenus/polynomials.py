@@ -26,6 +26,7 @@ and ``(1,) + s`` raise TypeError instead of repeating or concatenating.
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 
 # Degree of the zero polynomial.  A float sentinel compares correctly against
 # integer degrees but cannot silently be used as an index or a loop bound.
@@ -44,10 +45,13 @@ class IntPoly:
     __slots__ = ("coeffs", "_signs")  # _signs: made by the first ``sign``
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        cs = tuple(coeffs)
+        if cs and cs[-1] == 0:
+            n = len(cs) - 1
+            while n and cs[n - 1] == 0:
+                n -= 1
+            cs = cs[:n]
+        self.coeffs: tuple[int, ...] = cs
 
     @classmethod
     def constant(cls, c: int) -> IntPoly:
@@ -95,10 +99,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly((*map(add, a, b), *a[len(b):]))
 
     def __sub__(self, other) -> IntPoly:
         if not isinstance(other, IntPoly):
@@ -109,20 +110,25 @@ class IntPoly:
         if isinstance(other, int):
             if other == 0:
                 return IntPoly()
-            return IntPoly(c * other for c in self.coeffs)
+            return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        # Schoolbook convolution; iterate the shorter operand on the outside.
+        # Schoolbook convolution, one row per nonzero coefficient of the
+        # shorter operand; the first row seeds the output.
         if len(a) > len(b):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
+        out = None
         for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+            if not ai:
+                continue
+            if out is None:
+                out = [0] * i + [ai * y for y in b] + [0] * (len(a) - 1 - i)
+            else:
+                j = i + len(b)
+                out[i:j] = [x + ai * y for x, y in zip(out[i:j], b)]
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -158,7 +164,8 @@ class IntPoly:
             if b & (b - 1):
                 raise ValueError(f"sign_at needs a dyadic point, got {x}/{b}")
             k = b.bit_length() - 1
-        x, k = _lowest_terms(x, k)
+        if k and not x & 1:
+            x, k = _lowest_terms(x, k)
         acc = s = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c << s)
@@ -168,14 +175,18 @@ class IntPoly:
     def sign(self, x: int, k: int = 0) -> int:
         """``sign_at(x, k)``, kept in a memo keyed by the point in lowest
         terms: x / 2**k written at any exponent is evaluated once."""
-        point = _lowest_terms(x, k)
+        if k and not x & 1:  # _lowest_terms, inline
+            t = (x & -x).bit_length() - 1 if x else k
+            if t > k:
+                t = k
+            x, k = x >> t, k - t
         try:
             memo = self._signs
         except AttributeError:
             memo = self._signs = {}
-        s = memo.get(point)
+        s = memo.get((x, k))
         if s is None:
-            s = memo[point] = self.sign_at(*point)
+            s = memo[x, k] = self.sign_at(x, k)
         return s
 
     def derivative(self) -> IntPoly:

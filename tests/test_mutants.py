@@ -28,7 +28,7 @@ from clawgenus.errors import ConsistencyError, StructureViolation
 from clawgenus.pgd import ResumableSequence
 from clawgenus.polynomials import IntPoly
 from test_cli import certificate_reach, halving_errors, sign_reads
-from test_rootcert import COLD_PANEL, cold_mismatches, cold_splits
+from test_rootcert import COLD_PANEL, bound_mismatches, cold_mismatches, cold_splits
 
 #: The module; ``clawgenus.pgd`` is the function the package exports.
 pgd = sys.modules["clawgenus.pgd"]
@@ -68,11 +68,12 @@ MISCOUNTED = {
          "cert, cert, halved"),
 }
 
-#: Mutants of Descartes' rule and of the bisection walk it counts for, each
-#: with the check that catches it: ``cold_mismatches`` names the inputs
-#: whose cold certificate fails the Sturm reference, ``cold_splits`` counts
-#: the splits of a cold count and is None for a count that would split
-#: forever.
+#: Mutants of Descartes' rule, of the bisection walk it counts for and of
+#: the bound the walk starts from, each with the check that catches it:
+#: ``cold_mismatches`` names the inputs whose cold certificate fails the
+#: Sturm reference, ``cold_splits`` counts the splits of a cold count and is
+#: None for a count that would split forever, and ``bound_mismatches`` names
+#: the inputs with a root at or below the start.
 COLD = {
     # (z + 1)(z + 4) is certified as (-4, -2], (-2, 0]
     "midpoint-root-goes-to-the-right-half": (
@@ -92,6 +93,14 @@ COLD = {
         (rootcert, "_descartes", "_bernstein(_squarefree_part(w), E)",
          "_bernstein(w, E)"),
         lambda: cold_splits(COLD_PANEL["repeated-root"]) is None),
+    # W_2 has the root -2.74 at or below -2**1
+    "start-one-halving-too-high": (
+        (rootcert, "_bound_exponent", "max(min(cauchy, fujiwara), 1)",
+         "max(min(cauchy, fujiwara) - 1, 1)"), bound_mismatches),
+    # z^2 + 7z - 49 has the root -11.3 at or below -2**3
+    "fujiwara-without-its-factor-two": (
+        (rootcert, "_bound_exponent", "fujiwara = 1 + max(", "fujiwara = max("),
+        bound_mismatches),
 }
 
 #: The recurrence's first window with G_2 = 48z + 720z^2 + 256z^3 moved to
@@ -297,8 +306,7 @@ def test_the_read_count_catches_a_memo_keyed_as_written(capsys, monkeypatch):
     the count of evaluations in lowest terms, as in
     ``test_certify_reads_each_sign_once``, sees the repeats."""
     clean = sign_reads(capsys, monkeypatch, "0..28")
-    mutate(monkeypatch, IntPoly, "sign",
-           "point = _lowest_terms(x, k)", "point = (x, k)")
+    mutate(monkeypatch, IntPoly, "sign", "if k and not x & 1:", "if False:")
     reads = sign_reads(capsys, monkeypatch, "0..28")
     assert len(clean) == len(set(clean)) == len(set(reads)) < len(reads)
 

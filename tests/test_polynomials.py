@@ -246,6 +246,81 @@ class TestRingAxioms:
         assert (p + q).eval(x) == p.eval(x) + q.eval(x)
 
 
+def trimmed(cs) -> tuple[int, ...]:
+    """cs without its trailing zeros, popped one at a time."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def schoolbook_add(a: list[int], b: list[int], sign: int = 1) -> tuple[int, ...]:
+    """a + sign * b, entry by entry, the shorter padded with zeros."""
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return trimmed(x + sign * y for x, y in zip(a, b))
+
+
+def schoolbook_mul(a: list[int], b: list[int]) -> tuple[int, ...]:
+    """Every product a_i b_j added into entry i + j."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+big_ints = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+#: Raw coefficient lists, trailing zeros, negative entries and monomials
+#: among them.
+coefficient_lists = st.one_of(
+    st.lists(st.one_of(st.just(0), big_ints), max_size=10),
+    st.builds(lambda k, c: [0] * k + [c], st.integers(0, 9), big_ints),
+)
+
+
+class TestKernelsAgainstSchoolbook:
+    """The ``IntPoly`` kernels give the coefficients of a plain schoolbook
+    computation on the raw lists."""
+
+    @given(coefficient_lists)
+    def test_constructor(self, cs):
+        assert IntPoly(cs).coeffs == IntPoly(iter(cs)).coeffs == trimmed(cs)
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_add_and_sub(self, a, b):
+        p, q = IntPoly(a), IntPoly(b)
+        assert (p + q).coeffs == (q + p).coeffs == schoolbook_add(a, b)
+        assert (p - q).coeffs == schoolbook_add(a, b, -1)
+        assert (q - p).coeffs == schoolbook_add(b, a, -1)
+
+    @given(coefficient_lists, st.integers(0, 10), st.lists(big_ints, max_size=10))
+    def test_cancellation_to_a_lower_degree_and_to_zero(self, a, j, low):
+        """b is -a from entry j up, so a + b drops below degree j."""
+        b = (low + [0] * j)[:j] + [-x for x in a[j:]]
+        p, q = IntPoly(a), IntPoly(b)
+        total = p + q
+        assert total.coeffs == schoolbook_add(a, b) and len(total.coeffs) <= j
+        assert (p - IntPoly(-x for x in b)).coeffs == total.coeffs
+        assert (p - p).coeffs == (p + -p).coeffs == (p * 0).coeffs == ()
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_mul(self, a, b):
+        p, q = IntPoly(a), IntPoly(b)
+        assert (p * q).coeffs == (q * p).coeffs == schoolbook_mul(a, b)
+
+    @given(st.lists(st.one_of(st.just(0), big_ints), min_size=1, max_size=3),
+           st.lists(big_ints, min_size=6, max_size=14))
+    def test_short_times_long_in_both_orders(self, short, long):
+        p, q = IntPoly(short), IntPoly(long)
+        assert (p * q).coeffs == (q * p).coeffs == schoolbook_mul(short, long)
+
+    @given(coefficient_lists, st.one_of(st.just(0), st.just(-1), big_ints))
+    def test_int_scaling(self, a, c):
+        p = IntPoly(a)
+        assert (p * c).coeffs == (c * p).coeffs == trimmed(x * c for x in a)
+
+
 class TestDyadicSigns:
     @given(polys, small_ints, st.integers(min_value=0, max_value=64))
     def test_sign_at_dyadic_point_matches_eval(self, p, m, k):

@@ -31,7 +31,6 @@ from clawgenus.rootcert import (
     isolate_roots,
     normalize,
     normalized_recurrence,
-    root_bound,
     sign_pattern_check,
 )
 
@@ -51,6 +50,42 @@ SQUARED_CUBIC = P(25, 60, 96, 92, 60, 24, 4)
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def root_bound(p: IntPoly) -> Fraction:
+    """Cauchy bound: all real roots have magnitude below 1 + max|c|/lead."""
+    return 1 + Fraction(p.max_abs_coeff(), abs(p.lead))
+
+
+def cauchy_exponent(p: IntPoly) -> int:
+    """The least E with 2**E at or above ``root_bound(p)``."""
+    E, bound = 0, root_bound(p)
+    while 2 ** E < bound:
+        E += 1
+    return E
+
+
+def fujiwara_exponent(p: IntPoly) -> int:
+    """Fujiwara's bound 2 max over i of |c_{d-i} / lead|**(1/i) in a
+    power-of-two form: 1 + the largest, over the nonzero c_{d-i}, of the
+    least t with 2**(t i) at or above 2**bits(c) / 2**(bits(lead) - 1), a
+    power of two above |c| over one at or below |lead|; 1 if there is none."""
+    cs = p.coeffs
+    lead = Fraction(2) ** (abs(cs[-1]).bit_length() - 1)
+    ts = []
+    for i, c in enumerate(reversed(cs[:-1]), start=1):
+        if c:
+            t = -abs(cs[-1]).bit_length()
+            while Fraction(2) ** (t * i) < 2 ** abs(c).bit_length() / lead:
+                t += 1
+            ts.append(t)
+    return 1 + max(ts, default=0)
+
+
+def endpoints(c: RootCertificate) -> list[tuple[Fraction, Fraction]]:
+    """The intervals of c as rationals: the same intervals at another
+    exponent give the same list."""
+    return [(iv.lo, iv.hi) for iv in c.intervals]
 
 
 def contains(iv: Interval, x: float) -> bool:
@@ -223,13 +258,24 @@ class TestIsolation:
 
     @given(st.lists(st.integers(-(1 << 200), 1 << 200), max_size=6),
            st.integers(-(1 << 200), 1 << 200).filter(bool))
-    @example([], -1)  # a constant: bound 2
+    @example([], -1)  # a constant: Cauchy's bound 2
     @example([1 << 200], -3)
-    def test_bound_exponent_is_the_exponent_of_the_rational_bound(self, low, lead):
-        """The integer ceiling gives the exponent that the Fraction bound
-        gives, whatever the signs, down to constants."""
+    @example([1, 0, 0], 1 << 100)  # Fujiwara's exponent -32, raised to 1
+    def test_bound_exponent_is_the_smaller_of_the_two_bounds(self, low, lead):
+        """The bit lengths give the exponents that the rational bounds give,
+        whatever the signs, down to constants, and never one below 1."""
         p = IntPoly(low + [lead])
-        assert _bound_exponent(p) == (math.ceil(root_bound(p)) - 1).bit_length()
+        want = max(min(cauchy_exponent(p), fujiwara_exponent(p)), 1)
+        assert _bound_exponent(p) == want
+
+    @pytest.mark.parametrize("n,cauchy,fujiwara", [(0, 1, 2), (1, 2, 3), (100, 54, 20)])
+    def test_bound_exponent_pins(self, n, cauchy, fujiwara):
+        """W_100's roots lie above -2**20, far inside Cauchy's -2**54.  W_0
+        and W_1 have degree 1, where Cauchy's exponent is the smaller, and
+        the minimum keeps it."""
+        w = normalized_recurrence(n).w
+        assert (cauchy_exponent(w), fujiwara_exponent(w)) == (cauchy, fujiwara)
+        assert _bound_exponent(w) == min(cauchy, fujiwara)
 
     def test_json_shape(self):
         cert = isolate_roots(normalized_recurrence(2))
@@ -408,9 +454,7 @@ def sturm_isolation(np_: NormalizedPoly) -> RootCertificate:
     each that holds more, the lower half first, so a root at a midpoint
     goes to the lower half."""
     w = np_.w
-    chain, E = SturmChain(w), 0
-    while 2 ** E < root_bound(w):
-        E += 1
+    chain, E = SturmChain(w), cauchy_exponent(w)
     found, stack = [], [(-1 << E, 0, 0)]
     while stack:
         a, b, k = stack.pop()
@@ -422,12 +466,27 @@ def sturm_isolation(np_: NormalizedPoly) -> RootCertificate:
     return RootCertificate(np_.n, tuple(found), w)
 
 
+def reference_endpoints(want: RootCertificate) -> list[tuple[Fraction, Fraction]]:
+    """The intervals of ``want``, from ``sturm_isolation``, as the rationals
+    that a cold count of its real-rooted polynomial must give.  The
+    reference bisects from Cauchy's -2**C, ``isolate_roots`` from -2**E
+    with E <= C, and no root lies at or below -2**E, so the nodes between
+    the two starts are on the right spine and hold every root: below
+    (-2**E, 0] the two trees are the same.  Only a lone root, kept by the
+    first node, is read at either start."""
+    ends, w = endpoints(want), want.poly
+    if ends == [(-(2 ** cauchy_exponent(w)), 0)]:
+        return [(-(2 ** rootcert._bound_exponent(w)), 0)]
+    return ends
+
+
 def reference_errors(w: IntPoly) -> list[str]:
     """What the cold certificate of w gets wrong against ``sturm_isolation``.
     It must have as many intervals as the reference, one per distinct root
     in (-2**E, 0], and exactly one root in each.  Where w is real-rooted and
-    squarefree, it must be the reference; elsewhere a complex pair may lift
-    a count of Descartes' rule and split a node the reference keeps."""
+    squarefree, it must give the reference's rationals
+    (``reference_endpoints``); elsewhere a complex pair may lift a count of
+    Descartes' rule and split a node the reference keeps."""
     np_ = NormalizedPoly(0, w)
     got, want, chain = isolate_roots(np_), sturm_isolation(np_), SturmChain(w)
     errors = [f"{chain.count(iv.lo, iv.hi)} roots in {iv}"
@@ -435,7 +494,7 @@ def reference_errors(w: IntPoly) -> list[str]:
     if len(got.intervals) != len(want.intervals):
         errors.append(f"{len(got.intervals)} intervals for {len(want.intervals)} roots")
     bound = math.ceil(root_bound(w))  # an integer, so sign_at reads it
-    if chain.count(-bound, bound) == w.degree and got != want:
+    if chain.count(-bound, bound) == w.degree and endpoints(got) != reference_endpoints(want):
         errors.append("a real-rooted squarefree input lost the reference certificate")
     return errors
 
@@ -671,7 +730,7 @@ class TestColdCount:
         np_ = NormalizedPoly(n, normalized_recurrence(n).w * P(1, 6, 9))
         got = isolate_roots(np_)
         assert not got.complete
-        assert got.intervals == sturm_isolation(np_).intervals
+        assert endpoints(got) == endpoints(sturm_isolation(np_))
         assert cold_splits(np_.w, bound=100) is not None
 
     def test_counts_that_fall_short_give_up_at_once(self):
@@ -708,6 +767,83 @@ class TestColdCount:
             for _ in range(times):
                 w = w * f
         assert reference_errors(w) == []
+
+
+#: Linear factors q z + p with roots -p/q of either sign, 0 among them.
+SIGNED_LINEAR = st.builds(P, st.integers(-40, 40), st.integers(1, 9))
+
+#: Integer polynomials of degree 1 to 8 with mixed signs: products of up to
+#: three linear factors, each once or twice, and perhaps an irreducible
+#: quadratic, or random coefficients.
+MIXED = st.one_of(
+    st.builds(
+        lambda linear, quadratic: math.prod(
+            [f for f, times in linear for _ in range(times)] + quadratic, start=P(1)),
+        st.lists(st.tuples(SIGNED_LINEAR, st.integers(1, 2)), min_size=1, max_size=3),
+        st.lists(QUADRATIC, max_size=1)),
+    st.builds(lambda cs: P(*cs), st.lists(st.integers(-1000, 1000), min_size=2, max_size=9)
+              .filter(lambda cs: cs[-1])),
+)
+
+
+def start_errors(w: IntPoly) -> list[str]:
+    """What the start -2**E of w's bisection gets wrong against Cauchy's
+    exponent C: a start below -2**C, a real root at or below -2**E (a
+    Sturm count over (-2**C, -2**E]), or on real-rooted w a cold
+    certificate other than ``reference_endpoints``.  E is read through the
+    module, so a mutant of ``_bound_exponent`` is read too."""
+    E, C = rootcert._bound_exponent(w), cauchy_exponent(w)
+    if E > C:
+        return [f"start -2**{E} below Cauchy's -2**{C}"]
+    chain = SturmChain(w)
+    errors = []
+    if E < C and chain.count(-(2 ** C), -(2 ** E)):
+        errors.append(f"a root at or below -2**{E}")
+    if chain.count(-(2 ** C), 2 ** C) == chain.polys[0].degree:  # real-rooted
+        np_ = NormalizedPoly(0, w)
+        if endpoints(isolate_roots(np_)) != reference_endpoints(sturm_isolation(np_)):
+            errors.append("a real-rooted input lost the reference certificate")
+    return errors
+
+
+#: Inputs for the start of the bisection, each named for what it exercises.
+BOUND_PANEL = {
+    # roots (-7 -+ 7 sqrt 5) / 2: Fujiwara's factor 2 puts -11.3 above
+    # -2**4, and the first node keeps the one root at or below 0
+    "root-past-the-largest-ratio": P(-49, 7, 1),
+    # roots -2.74 and -0.07, Cauchy's start -4 the tightest power of two
+    "w-2": normalized_recurrence(2).w,
+    # Fujiwara's start -2**7 against Cauchy's -2**17, and the root -8 at a
+    # midpoint
+    "eight-linear-factors": math.prod([P(j, 1) for j in range(1, 9)], start=P(1)),
+}
+
+
+def bound_mismatches() -> list[str]:
+    """The names in ``BOUND_PANEL`` with ``start_errors``."""
+    return [name for name, w in BOUND_PANEL.items() if start_errors(w)]
+
+
+class TestBoundExponent:
+    """The bisection starts at -2**E, E = ``_bound_exponent``, the smaller of
+    Cauchy's and Fujiwara's power-of-two exponents."""
+
+    def test_panel_starts_above_every_root(self):
+        assert bound_mismatches() == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(MIXED)
+    def test_no_root_below_the_start_and_the_reference_certificate(self, w):
+        """No real root lies at or below -2**E, and on real-rooted input the
+        cold certificate is the Cauchy start's, as rationals."""
+        assert start_errors(w) == []
+
+    def test_claws_start_within_three_halvings_of_their_lowest_root(self):
+        """From n = 14 Fujiwara's exponent is the smaller, and W_n's lowest
+        root lies below -2**(E - 3)."""
+        for n in range(14, 61):
+            c = cert(n)
+            assert c.intervals[0].hi <= -(2 ** (_bound_exponent(c.poly) - 3)), n
 
 
 def product_of_linear_factors(roots) -> IntPoly:
