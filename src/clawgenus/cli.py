@@ -77,7 +77,8 @@ def _padded_coeffs(p: IntPoly, n: int) -> list[int]:
     return [p[i] for i in range(n + 2)]
 
 
-def _print_csv(rows: list[tuple[int, IntPoly]]) -> None:
+def _print_csv(rows) -> None:
+    """One line per (n, polynomial) pair, each written as it is read."""
     for n, p in rows:
         print(",".join(map(str, [n, *_padded_coeffs(p, n)])))
 
@@ -133,14 +134,22 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = [(n, genus_recurrence(n).poly) for n in range(args.max_n + 1)]
+    # CSV and JSON write each row as it is computed; text needs every row
+    # for the column widths first
+    rows = ((n, genus_recurrence(n).poly) for n in range(args.max_n + 1))
     if args.format == "csv":
         _print_csv(rows)
     elif args.format == "json":
-        print(canonical_json(
-            [{"n": n, "coefficients": _padded_coeffs(p, n)} for n, p in rows]
-        ))
+        # canonical_json of the list, one row at a time: "[", the rows
+        # joined by ",", then "]"
+        sep = "["
+        for n, p in rows:
+            print(sep, canonical_json({"n": n, "coefficients": _padded_coeffs(p, n)}),
+                  sep="", end="")
+            sep = ","
+        print("]")
     else:
+        rows = list(rows)
         width = args.max_n + 2
         cells = [["n/i"] + [str(i) for i in range(width)]]
         cells += [[str(n)] + [str(p[i]) for i in range(width)] for n, p in rows]

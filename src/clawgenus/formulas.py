@@ -5,7 +5,8 @@ Routes implemented here:
 * ``genus_recurrence`` -- the three-term linear recurrence
   G_n = 20z G_{n-1} + 8z(3-8z) G_{n-2} - 384z^3 G_{n-3}
   from the tabulated seeds for n <= 2.  ``RECURRENCE`` is the one table of
-  its coefficients; every consumer of the recurrence reads it.  The route
+  its coefficients; every consumer of the recurrence reads it.  Each step
+  is one ``IntPoly.dot`` of the table with the window.  The route
   continues from its last three-term window (``pgd.ResumableSequence``).
 
 * ``genus_from_series`` -- one quarter of term n+1 of the sequence r_n of
@@ -20,9 +21,10 @@ Routes implemented here:
   (``composition_sum``) defined by a sum over compositions.  The sum is
   evaluated by Pascal's rule, as rows of weighted prefix sums over
   Z[sqrt 3] that continue from the last index (``pgd.ResumableSequence``),
-  in O(n) integer steps per index.  All sqrt(3) parts must cancel and all
-  rational parts must be nonnegative integers; anything else raises
-  FormulaIntegrityError.
+  in O(n) integer steps per index.  The state also keeps the last three
+  sums, the window the formula combines, so each index builds one sum.
+  All sqrt(3) parts must cancel and all rational parts must be
+  nonnegative integers; anything else raises FormulaIntegrityError.
 
 The routes are independent implementations on purpose: agreement between
 them (and with the pgd engine and the brute-force embedding oracle) is the
@@ -65,19 +67,19 @@ class GenusPolynomial(NamedTuple):
             raise StructureViolation(
                 f"degree at n={self.n} is {p.degree}, expected {self.max_genus}"
             )
-        lo = self.min_genus
-        for i in range(lo):
-            if p[i] != 0:
-                raise StructureViolation(
-                    f"nonzero coefficient below minimum genus at n={self.n}, i={i}"
-                )
-        for i in range(lo, self.max_genus + 1):
-            if p[i] <= 0:
-                raise StructureViolation(
-                    f"nonpositive coefficient inside the support at "
-                    f"n={self.n}, i={i}"
-                )
-        total = sum(p.coeffs)
+        cs, lo = p.coeffs, self.min_genus
+        if any(cs[:lo]):
+            i = next(i for i, c in enumerate(cs) if c)
+            raise StructureViolation(
+                f"nonzero coefficient below minimum genus at n={self.n}, i={i}"
+            )
+        if min(cs[lo:]) <= 0:  # the degree check leaves cs[lo:] nonempty
+            i = next(i for i in range(lo, len(cs)) if cs[i] <= 0)
+            raise StructureViolation(
+                f"nonpositive coefficient inside the support at "
+                f"n={self.n}, i={i}"
+            )
+        total = sum(cs)
         if total != 1 << (4 * self.n + 2):
             raise StructureViolation(
                 f"coefficient sum at n={self.n} is {total}, "
@@ -102,8 +104,7 @@ RECURRENCE: tuple[IntPoly, ...] = (
 
 def _recurrence_step(g1: IntPoly, g2: IntPoly, g3: IntPoly) -> IntPoly:
     """Next term from the previous three, newest first."""
-    c1, c2, c3 = RECURRENCE
-    return c1 * g1 + c2 * g2 + c3 * g3
+    return IntPoly.dot(RECURRENCE, (g1, g2, g3))
 
 
 def _genus_step(
@@ -112,7 +113,7 @@ def _genus_step(
     """(G_n, G_{n+1}, G_{n+2}) to (G_{n+1}, G_{n+2}, G_{n+3})."""
     g0, g1, g2 = window
     nxt = GenusPolynomial(g2.n + 1, _recurrence_step(g2.poly, g1.poly, g0.poly))
-    if any(c < 0 for c in nxt.poly.coeffs):
+    if min(nxt.poly.coeffs, default=0) < 0:
         raise StructureViolation(
             f"recurrence produced a negative coefficient at n={nxt.n}"
         )
@@ -179,10 +180,7 @@ def verify_series_closed_form(n_max: int) -> None:
     denominator = (IntPoly.constant(1),) + tuple(-c for c in RECURRENCE)
     r = list(islice(iter_column_sums(), n_max + 1))
     for n in range(n_max + 1):
-        acc = IntPoly()
-        for k, d in enumerate(denominator):
-            if k <= n:
-                acc = acc + d * r[n - k]
+        acc = IntPoly.dot(denominator, r[n::-1])  # d_k r_(n-k) for k <= n
         want = SERIES_NUMERATOR[n] if n < len(SERIES_NUMERATOR) else IntPoly()
         if acc != want:
             raise ConsistencyError(
@@ -197,30 +195,6 @@ def verify_series_closed_form(n_max: int) -> None:
 MULTIPLIERS = ((3, 0), (1, 1), (1, -1))
 
 
-def _composition_step(state):
-    """Rows and window (T(k-2), T(k-1), T(k)) to those of k + 1.
-
-    T(k)[j] = T_j(k-2j), a pair (rat, irr) in Z[sqrt 3], for j <= k // 2.
-    Row j holds one sum S per multiplier and advances one m per index: it
-    is fed T_{j-1} at its own m, from T(k-1), and row 0 the unit sequence,
-    1 only where the row starts.  A row starts from zero sums.
-    """
-    rows, (_, back, last) = state
-    grown = []
-    for f, sums in zip([(int(not rows), 0), *back], rows + (((0, 0),) * 3,)):
-        row = []
-        for (p, q), (x, y) in zip(MULTIPLIERS, sums):  # S = f + aS, a = p + q sqrt 3
-            f = (f[0] + p * x + 3 * q * y, f[1] + p * y + q * x)
-            row.append(f)
-        grown.append(tuple(row))
-    return tuple(grown), (back, last, tuple(row[-1] for row in grown))
-
-
-#: Element i holds the window (T(i-3), T(i-2), T(i-1)) and the rows of
-#: T(i-1).  The first is empty, so a restart reads MULTIPLIERS afresh.
-_COMPOSITION = ResumableSequence(((), ((), (), ())), _composition_step)
-
-
 def _sum(k: int, t) -> Sqrt3Poly:
     """H_k from T(k): 3^j 2^(k-j) T_j(k-2j) is its coefficient of z^(k-j)."""
     rat, irr = [0] * (k + 1), [0] * (k + 1)
@@ -228,6 +202,37 @@ def _sum(k: int, t) -> Sqrt3Poly:
         w = 3 ** j << (k - j)
         rat[k - j], irr[k - j] = w * x, w * y
     return Sqrt3Poly(IntPoly(rat), IntPoly(irr))
+
+
+def _composition_step(state):
+    """The state of index k to that of k + 1: the index, the rows, the
+    window (T(k-1), T(k)) and the sums (H_(k-2), H_(k-1), H_k).
+
+    T(k)[j] = T_j(k-2j), a pair (rat, irr) in Z[sqrt 3], for j <= k // 2.
+    Row j holds one sum S per multiplier and advances one m per index: it
+    is fed T_{j-1} at its own m, from T(k-1), and row 0 the unit sequence,
+    1 only where the row starts.  A row starts from zero sums.  Each step
+    builds one sum, H_(k+1) from T(k+1).
+    """
+    k, rows, (back, last), (_, h1, h2) = state
+    grown = []
+    for f, sums in zip([(int(not rows), 0), *back], rows + (((0, 0),) * 3,)):
+        row = []
+        for (p, q), (x, y) in zip(MULTIPLIERS, sums):  # S = f + aS, a = p + q sqrt 3
+            f = (f[0] + p * x + 3 * q * y, f[1] + p * y + q * x)
+            row.append(f)
+        grown.append(tuple(row))
+    t = tuple(row[-1] for row in grown)
+    return k + 1, tuple(grown), (last, t), (h1, h2, _sum(k + 1, t))
+
+
+#: Element i holds the index i - 1, the rows of T(i-1), the window
+#: (T(i-2), T(i-1)) and the sums (H_(i-3), H_(i-2), H_(i-1)), where an H
+#: below index 0 is the empty sum, zero.  The first element holds no rows,
+#: so a restart reads MULTIPLIERS afresh.
+_COMPOSITION = ResumableSequence(
+    (-1, (), ((), ()), (Sqrt3Poly(),) * 3), _composition_step
+)
 
 
 def composition_sum(n: int) -> Sqrt3Poly:
@@ -250,7 +255,7 @@ def composition_sum(n: int) -> Sqrt3Poly:
     """
     if n < -1:
         raise ValueError("n must be at least -1")
-    return _sum(n, _COMPOSITION(n + 1)[1][2])
+    return _COMPOSITION(n + 1)[-1][2]
 
 
 def genus_explicit(n: int) -> GenusPolynomial:
@@ -259,17 +264,18 @@ def genus_explicit(n: int) -> GenusPolynomial:
     Evaluates 2^(n-1) * (H_{n+1} + 2(2-3z) H_n - 6z H_{n-1}) where H is the
     composition-sum family, entirely over Z[sqrt 3]; the sqrt(3) part must
     cancel, and the halving at n = 0 must be exact, so integrality is
-    asserted rather than assumed.  The three sums are one window.
+    asserted rather than assumed.  The three sums are the window that the
+    composition state keeps, each built once, when its index is reached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    h0, h1, h2 = (_sum(k, t) for k, t in enumerate(_COMPOSITION(n + 2)[1], n - 1))
+    h0, h1, h2 = _COMPOSITION(n + 2)[-1]
     combo = h2 + h1 * IntPoly((4, -6)) - h0 * IntPoly((0, 6))
-    for i, c in enumerate(combo.irr.coeffs):
-        if c:
-            raise FormulaIntegrityError(
-                f"nonzero sqrt(3) residue {c} * 2^{n - 1} at n={n}, z^{i}"
-            )
+    if combo.irr:
+        i, c = next((i, c) for i, c in enumerate(combo.irr.coeffs) if c)
+        raise FormulaIntegrityError(
+            f"nonzero sqrt(3) residue {c} * 2^{n - 1} at n={n}, z^{i}"
+        )
     if n >= 1:
         poly = combo.rat * (1 << (n - 1))
     else:
@@ -277,11 +283,11 @@ def genus_explicit(n: int) -> GenusPolynomial:
             poly = combo.rat.exact_scalar_div(2)
         except ValueError as exc:
             raise FormulaIntegrityError(f"halving at n={n}: {exc}") from None
-    for i, c in enumerate(poly.coeffs):
-        if c < 0:
-            raise FormulaIntegrityError(
-                f"coefficient {c} at n={n}, z^{i} is not a nonnegative integer"
-            )
+    if min(poly.coeffs, default=0) < 0:
+        i, c = next((i, c) for i, c in enumerate(poly.coeffs) if c < 0)
+        raise FormulaIntegrityError(
+            f"coefficient {c} at n={n}, z^{i} is not a nonnegative integer"
+        )
     g = GenusPolynomial(n, poly)
     g.validate()
     return g

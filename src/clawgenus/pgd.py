@@ -7,10 +7,12 @@ form three polynomials (A, B, C) whose sum is the genus polynomial.
 
 Attaching a new claw at the root transforms the triple linearly; the fixed
 3x3 polynomial matrix below encodes that transformation, and one
-matrix-vector kernel applies it.  Iterating it from the base triple of the
-three-edge dipole yields every iterated claw's partitioned genus
-distribution; iterating its transpose from (1, 1, 1) yields the column sums
-of its powers, the series behind the generating-function route.
+matrix-vector kernel applies it: each entry of the product is one
+``IntPoly.dot`` of a matrix row with the vector, built once.  Iterating
+it from the base triple of the three-edge dipole yields every iterated
+claw's partitioned genus distribution; iterating its transpose from
+(1, 1, 1) yields the column sums of its powers, the series behind the
+generating-function route.
 
 ``ResumableSequence`` is the one policy for continuing an iteration: it
 keeps the last (index, term) pair it returned and steps on from it when
@@ -75,10 +77,8 @@ class ResumableSequence(Generic[_T]):
 
 
 def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
-    """Matrix-vector product over IntPoly; zero entries are skipped."""
-    return tuple(
-        sum((m * x for m, x in zip(row, vec) if m), IntPoly()) for row in matrix
-    )
+    """Matrix-vector product over IntPoly, one ``IntPoly.dot`` per row."""
+    return tuple(IntPoly.dot(row, vec) for row in matrix)
 
 
 class PgdVector(NamedTuple):
@@ -94,12 +94,13 @@ class PgdVector(NamedTuple):
         return self.a + self.b + self.c
 
     def embedding_count(self) -> int:
-        """Value of the total at z=1; must equal 2**(4n+2)."""
-        return sum(self.total().coeffs)
+        """Value of the total at z=1, the sum of the parts' coefficient
+        sums; must equal 2**(4n+2)."""
+        return sum(self.a.coeffs) + sum(self.b.coeffs) + sum(self.c.coeffs)
 
     def validate(self) -> None:
         for name, p in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if any(co < 0 for co in p.coeffs):
+            if min(p.coeffs, default=0) < 0:
                 raise StructureViolation(
                     f"negative coefficient in partial {name} at n={self.n}"
                 )

@@ -7,8 +7,15 @@ and every operation returns a fresh object.  ``IntPoly.sign``'s memo caches
 a pure function of them, so two threads that fill it write the same value,
 and values can move freely between threads.  ``IntPoly`` compares, adds
 and subtracts only with ``IntPoly``; an ``int`` scales it.
-``remainder_sequence`` is the one Euclidean kernel: its last entry is the
-gcd, and a Sturm chain in ``rootcert`` is the sequence.
+``IntPoly.dot`` is the one convolution kernel: the sum of the products of
+pairs, built in one list into one ``IntPoly``.  A product of two
+polynomials is its one-pair case, and each linear combination of the
+algebraic routes (the matrix step, the recurrence step, the series check)
+is one ``dot``.  It is a static method, not a module function, so a
+tracer that wraps the module's functions times it in its caller, as it
+does the product.  ``remainder_sequence`` is the one Euclidean kernel:
+its last entry is the gcd, and a Sturm chain in ``rootcert`` is the
+sequence.
 
 Signs are read at dyadic points x / 2**k given as two integers, or as a
 ``fractions.Fraction`` with a power-of-two denominator, which is all root
@@ -26,7 +33,7 @@ and ``(1,) + s`` raise TypeError instead of repeating or concatenating.
 from __future__ import annotations
 
 from math import gcd
-from operator import add
+from operator import add, neg, sub
 
 # Degree of the zero polynomial.  A float sentinel compares correctly against
 # integer degrees but cannot silently be used as an index or a loop bound.
@@ -91,7 +98,7 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly(map(neg, self.coeffs))
 
     def __add__(self, other) -> IntPoly:
         if not isinstance(other, IntPoly):
@@ -104,7 +111,10 @@ class IntPoly:
     def __sub__(self, other) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            return IntPoly((*map(sub, a, b), *map(neg, b[len(a):])))
+        return IntPoly((*map(sub, a, b), *a[len(b):]))
 
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
@@ -113,22 +123,35 @@ class IntPoly:
             return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        # Schoolbook convolution, one row per nonzero coefficient of the
-        # shorter operand; the first row seeds the output.
-        if len(a) > len(b):
-            a, b = b, a
-        out = None
-        for i, ai in enumerate(a):
-            if not ai:
+        return IntPoly.dot((self,), (other,))
+
+    @staticmethod
+    def dot(ms, xs) -> IntPoly:
+        """The sum of m * x over the pairs of ms and xs, built in one list.
+
+        Schoolbook convolution: each nonzero coefficient of the shorter
+        factor of a pair adds one row into the list where the two overlap,
+        and the rest of the row extends the list past its end; a pair with
+        a zero factor adds nothing.
+        """
+        out = []
+        for m, x in zip(ms, xs):
+            a, b = m.coeffs, x.coeffs
+            if not a or not b:
                 continue
-            if out is None:
-                out = [0] * i + [ai * y for y in b] + [0] * (len(a) - 1 - i)
-            else:
-                j = i + len(b)
-                out[i:j] = [x + ai * y for x, y in zip(out[i:j], b)]
+            if len(a) > len(b):
+                a, b = b, a
+            n = len(b)
+            for i, ai in enumerate(a):
+                if ai:
+                    j, k = i + n, len(out)
+                    if k > i:
+                        out[i:j] = [c + ai * y for c, y in zip(out[i:j], b)]
+                    else:
+                        out += [0] * (i - k)
+                        k = i
+                    if k < j:
+                        out += [ai * y for y in b[k - i:]]
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -211,13 +234,10 @@ class IntPoly:
     def exact_scalar_div(self, k: int) -> IntPoly:
         if k == 0:
             raise ZeroDivisionError("division of polynomial by zero")
-        out = []
         for c in self.coeffs:
-            q, r = divmod(c, k)
-            if r:
+            if c % k:
                 raise ValueError(f"coefficient {c} not divisible by {k}")
-            out.append(q)
-        return IntPoly(out)
+        return IntPoly([c // k for c in self.coeffs])
 
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)

@@ -94,7 +94,7 @@ class NormalizedPoly(NamedTuple):
 def normalize(g: GenusPolynomial) -> NormalizedPoly:
     """Divide the minimum-genus power of z out of a genus polynomial."""
     k = g.min_genus
-    if any(g.poly[i] != 0 for i in range(k)):
+    if any(g.poly.coeffs[:k]):
         raise StructureViolation(
             f"nonzero coefficient below z^{k} at n={g.n}; cannot normalize"
         )

@@ -231,6 +231,22 @@ class TestTable:
         rows = json.loads(payload)
         assert rows[5]["n"] == 5 and rows[6]["n"] == 6
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_row_is_written_before_the_next_is_computed(self, monkeypatch, fmt):
+        """A spy on the row source reads stdout as each row is asked for:
+        rows 0..n-1 are already there when row n is computed."""
+        out, seen, real = io.StringIO(), [], cli.genus_recurrence
+        monkeypatch.setattr(cli, "genus_recurrence", lambda n: seen.append(out.getvalue()) or real(n))
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["table", "--max-n", "4", "--format", fmt]) == 0
+        if fmt == "csv":
+            lines = out.getvalue().splitlines(keepends=True)
+            written = ["".join(lines[:n]) for n in range(5)]
+        else:
+            rows = [canonical_json(r) for r in json.loads(out.getvalue())]
+            written = [""] + ["[" + ",".join(rows[:n]) for n in range(1, 5)]
+        assert seen == written and seen[4]
+
 
 class TestCompute:
     def test_csv_row_for_n4(self, capsys):
@@ -638,6 +654,18 @@ class TestGoldenDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         if argv[0] == "certify":  # every certify case here is JSON
             checked_rows(out)
+
+    def test_long_json_table_digest(self):
+        """``table --max-n 1000 --format json``, 183 MB, hashed as it comes
+        out of a fresh interpreter, so neither process holds it whole."""
+        digest = hashlib.sha256()
+        cmd = [sys.executable, "-m", "clawgenus", "table", "--max-n", "1000", "--format", "json"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, env=module_env()) as proc:
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        assert proc.returncode == 0
+        assert digest.hexdigest() == (
+            "74ae655b0cd0a9ace8b95cd501a62fda6dfae21d92a5d7cf2003f7da754204f0")
 
 
 class TestSubprocess:

@@ -120,6 +120,18 @@ class TestRecurrenceRoute:
                            match="nonpositive coefficient inside the support at n=2, i=2"):
             GenusPolynomial(2, P(0, 768, 0, 256)).validate()
 
+    def test_validation_reports_the_first_failing_index(self):
+        """Each polynomial has the right degree and fails its check at two
+        indices; the lower one is reported."""
+        from clawgenus.errors import StructureViolation
+
+        with pytest.raises(StructureViolation,
+                           match="^nonzero coefficient below minimum genus at n=5, i=1$"):
+            GenusPolynomial(5, P(0, 4, 9, 1, 1, 1, 1)).validate()
+        with pytest.raises(StructureViolation,
+                           match="^nonpositive coefficient inside the support at n=4, i=3$"):
+            GenusPolynomial(4, P(0, 0, 3, 0, -1, 2)).validate()
+
 
 class TestSeriesRoute:
     def test_seeds(self):
@@ -177,11 +189,14 @@ class TestExplicitRoute:
             assert not composition_sum(n).irr
 
     def test_composition_cache_stays_bounded(self):
-        """The sequence keeps one state: n//2 + 1 rows and T(n-1), T(n), T(n+1)."""
+        """The sequence keeps one state: n//2 + 1 rows, T(n), T(n+1) and
+        H_(n-1), H_n, H_(n+1)."""
         for n in range(61):
             genus_explicit(n)
-        i, (rows, window) = formulas._COMPOSITION.last
-        assert i == 62 and len(rows) == 31 and list(map(len, window)) == [30, 31, 31]
+        i, (k, rows, window, sums) = formulas._COMPOSITION.last
+        assert i == 62 and k == 61 and len(rows) == 31
+        assert list(map(len, window)) == [31, 31]
+        assert [h.rat.degree for h in sums] == [59, 60, 61]
 
     @pytest.mark.parametrize("n", sorted(TABLE))
     def test_matches_table(self, n):
@@ -204,6 +219,10 @@ class TestExplicitRoute:
         ],
     )
     def test_integrity_failures_raise(self, monkeypatch, n, extra):
+        """Every sum is built under the patch, from the first state on, and
+        none of them outlives the test."""
+        seq = formulas._COMPOSITION
+        monkeypatch.setattr(seq, "last", (0, seq.first))
         real = formulas._sum
         monkeypatch.setattr(formulas, "_sum", lambda k, t: real(k, t) + extra)
         with pytest.raises(FormulaIntegrityError):

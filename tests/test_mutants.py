@@ -145,6 +145,23 @@ FAILS = {
         ["compute", "--n", "0..4"],
         "error: halving at n=0: coefficient 5 not divisible by 2",
     ),
+    # the one linear-combination kernel, under every route; the series
+    # route's first step, (1,1,1)M, is the first product to come out wrong
+    "dot-skips-a-pairs-first-nonzero-row": (
+        [(IntPoly, "dot", "if ai:", "if ai and any(a[:i]):")],
+        ["compute", "--n", "0..4"], "error: degree at n=0 is -inf, expected 1",
+    ),
+    "dot-drops-its-last-pair": (
+        [(IntPoly, "dot", "zip(ms, xs)", "zip(ms[:-1], xs)")],
+        ["compute", "--n", "0..4"], "error: degree at n=0 is 0, expected 1",
+    ),
+    # each step stores H_(k) where H_(k+1) belongs, so the explicit route
+    # reads the window of the index below its own
+    "explicit-window-shifted-by-one-index": (
+        [(formulas._COMPOSITION, "step", "_sum(k + 1, t)", "_sum(k, last)")],
+        ["compute", "--n", "0..4"],
+        "error: halving at n=0: coefficient 1 not divisible by 2",
+    ),
     # _GENUS copies _SEEDS at import, and fresh_routes has already started
     # it from that copy, so the row sets both of its terms
     "recurrence-seed-g2": (

@@ -116,6 +116,10 @@ class TestValidate:
         with pytest.raises(StructureViolation, match="negative coefficient in partial c at n=0"):
             PgdVector(P(5), P(), P(0, -1), 0).validate()
 
+    def test_negative_coefficients_in_two_partials_name_the_first(self):
+        with pytest.raises(StructureViolation, match="^negative coefficient in partial b at n=0$"):
+            PgdVector(P(5), P(0, -1), P(0, 1, -1), 0).validate()
+
     def test_wrong_total(self):
         with pytest.raises(StructureViolation, match="embedding total at n=0 is 3, expected 4"):
             PgdVector(P(2), P(), P(0, 1), 0).validate()

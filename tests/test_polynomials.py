@@ -96,6 +96,8 @@ class TestIntPolyBasics:
         assert P(8, 8).exact_scalar_div(4) == P(2, 2)
         with pytest.raises(ValueError, match="coefficient 9 not divisible by 4"):
             P(8, 9).exact_scalar_div(4)
+        with pytest.raises(ValueError, match="^coefficient 10 not divisible by 4$"):
+            P(4, 10, 9).exact_scalar_div(4)  # the first of two
         with pytest.raises(ZeroDivisionError, match="division of polynomial by zero"):
             P(8, 8).exact_scalar_div(0)
 
@@ -270,6 +272,14 @@ def schoolbook_mul(a: list[int], b: list[int]) -> tuple[int, ...]:
     return trimmed(out)
 
 
+def schoolbook_dot(pairs) -> tuple[int, ...]:
+    """The schoolbook products of the pairs (a, b), added one pair at a time."""
+    out: tuple[int, ...] = ()
+    for a, b in pairs:
+        out = schoolbook_add(list(out), list(schoolbook_mul(a, b)))
+    return out
+
+
 big_ints = st.integers(min_value=-(1 << 70), max_value=1 << 70)
 #: Raw coefficient lists, trailing zeros, negative entries and monomials
 #: among them.
@@ -293,6 +303,7 @@ class TestKernelsAgainstSchoolbook:
         assert (p + q).coeffs == (q + p).coeffs == schoolbook_add(a, b)
         assert (p - q).coeffs == schoolbook_add(a, b, -1)
         assert (q - p).coeffs == schoolbook_add(b, a, -1)
+        assert (-p).coeffs == schoolbook_add([], a, -1)
 
     @given(coefficient_lists, st.integers(0, 10), st.lists(big_ints, max_size=10))
     def test_cancellation_to_a_lower_degree_and_to_zero(self, a, j, low):
@@ -314,6 +325,35 @@ class TestKernelsAgainstSchoolbook:
     def test_short_times_long_in_both_orders(self, short, long):
         p, q = IntPoly(short), IntPoly(long)
         assert (p * q).coeffs == (q * p).coeffs == schoolbook_mul(short, long)
+
+    @given(st.lists(st.tuples(coefficient_lists, coefficient_lists), max_size=4))
+    def test_dot(self, pairs):
+        """The empty list, zero factors on either side, negative entries and
+        factors of every length order are among the lists of pairs."""
+        ms, xs = [IntPoly(a) for a, _ in pairs], [IntPoly(b) for _, b in pairs]
+        assert IntPoly.dot(ms, xs).coeffs == schoolbook_dot(pairs)
+        assert IntPoly.dot(xs, ms).coeffs == schoolbook_dot(pairs)
+
+    def test_dot_of_no_pairs_and_of_zero_factors_is_zero(self):
+        assert IntPoly.dot((), ()) == IntPoly.dot([P()], [P(1, 2)]) == P()
+        assert IntPoly.dot([P(3), P(1, 2)], [P(), P()]) == P()
+
+    @given(coefficient_lists, coefficient_lists)
+    def test_dot_of_one_pair_is_the_product(self, a, b):
+        p, q = IntPoly(a), IntPoly(b)
+        assert IntPoly.dot([p], [q]) == IntPoly.dot([q], [p]) == p * q
+        assert IntPoly.dot([p], [q]).coeffs == schoolbook_mul(a, b)
+
+    @given(coefficient_lists, coefficient_lists, st.lists(big_ints, max_size=10))
+    def test_dot_cancels_to_a_lower_degree_and_to_zero(self, a, b, low):
+        """p q + p (low - q) = p low, below the degree of p q when low is
+        shorter than q; p q - q p is zero."""
+        p, q = IntPoly(a), IntPoly(b)
+        low = low[:max(len(q) - 1, 0)]
+        total = IntPoly.dot([p, p], [q, IntPoly(low) - q])
+        assert total.coeffs == schoolbook_dot([(a, b), (a, list(schoolbook_add(low, b, -1)))])
+        assert total == p * IntPoly(low) and len(total) <= max(len(p) + len(low) - 1, 0)
+        assert IntPoly.dot([p, q], [q, -p]) == IntPoly.dot([p, -p], [q, q]) == P()
 
     @given(coefficient_lists, st.one_of(st.just(0), st.just(-1), big_ints))
     def test_int_scaling(self, a, c):

@@ -103,6 +103,12 @@ class TestNormalize:
         with pytest.raises(StructureViolation):
             normalize(g)
 
+    def test_garbage_at_two_places_below_z_k_is_refused(self):
+        g = GenusPolynomial(3, P(1, 1, 1920, 11648, 2816))
+        with pytest.raises(StructureViolation,
+                           match=r"^nonzero coefficient below z\^2 at n=3; cannot normalize$"):
+            normalize(g)
+
     def test_degree_formula(self):
         for n in range(12):
             w = normalize(genus_recurrence(n))
