@@ -6,6 +6,10 @@ when every requested check passed.  Exact quantities never serialize as
 floating point: rationals appear as [numerator, denominator] pairs, and the
 only float fields are decimal approximations explicitly marked "approx".
 
+``table`` and ``certify`` write each row as it is computed, JSON through
+``_print_json``.  Only ``compute`` holds its rows until every index has
+passed, and ``table``'s text mode needs every row for its column widths.
+
 Each command-line call starts a fresh interpreter and pays for every module
 imported here: ``json`` is imported by ``canonical_json``, the first time a
 command writes JSON, so a text or CSV command never loads it, and
@@ -23,7 +27,6 @@ from .errors import ClawgenusError
 from .formulas import genus_explicit, genus_from_series, genus_recurrence
 from .oracle import MAX_JOBS, enumerate_pgd
 from .pgd import pgd
-from .polynomials import IntPoly
 from .rootcert import (
     InterlacingCertificate,
     RootCertificate,
@@ -73,14 +76,25 @@ def _int_at_least(low: int, high: int | None = None):
     return parse
 
 
-def _padded_coeffs(p: IntPoly, n: int) -> list[int]:
-    return [p[i] for i in range(n + 2)]
+def _print_json(objs) -> None:
+    """canonical_json of the list of objs, written one object at a time as
+    it is read: "[", the objects' canonical_json joined by ",", then "]"."""
+    sep = "["
+    for obj in objs:
+        print(sep, canonical_json(obj), sep="", end="")
+        sep = ","
+    print("]")
 
 
-def _print_csv(rows) -> None:
-    """One line per (n, polynomial) pair, each written as it is read."""
-    for n, p in rows:
-        print(",".join(map(str, [n, *_padded_coeffs(p, n)])))
+def _print_rows(rows, fmt: str, **fields) -> None:
+    """Each (n, polynomial) pair as it is read, its coefficients padded
+    with zeros to n + 2: a CSV line, or a JSON object with the given fields."""
+    padded = ((n, p.coeffs + (0,) * (n + 2 - len(p.coeffs))) for n, p in rows)
+    if fmt == "csv":
+        for n, coeffs in padded:
+            print(",".join(map(str, (n, *coeffs))))
+    else:
+        _print_json({"n": n, "coefficients": coeffs} | fields for n, coeffs in padded)
 
 
 #: The algebraic routes, each read through the module's names when called;
@@ -117,16 +131,9 @@ def cmd_compute(args) -> int:
                     return 1
         rows.append((n, p))
 
-    agree = args.route == "all"
-    if args.format == "csv":
-        _print_csv(rows)
-    elif args.format == "json":
-        out = [
-            {"n": n, "route": args.route, "coefficients": _padded_coeffs(p, n)}
-            | ({"agree": True} if agree else {})
-            for n, p in rows
-        ]
-        print(canonical_json(out))
+    agree = {"agree": True} if args.route == "all" else {}
+    if args.format != "text":
+        _print_rows(rows, args.format, route=args.route, **agree)
     else:
         for n, p in rows:
             print(f"n={n}: {'AGREE  ' if agree else ''}{p}")
@@ -134,20 +141,9 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    # CSV and JSON write each row as it is computed; text needs every row
-    # for the column widths first
     rows = ((n, genus_recurrence(n).poly) for n in range(args.max_n + 1))
-    if args.format == "csv":
-        _print_csv(rows)
-    elif args.format == "json":
-        # canonical_json of the list, one row at a time: "[", the rows
-        # joined by ",", then "]"
-        sep = "["
-        for n, p in rows:
-            print(sep, canonical_json({"n": n, "coefficients": _padded_coeffs(p, n)}),
-                  sep="", end="")
-            sep = ","
-        print("]")
+    if args.format != "text":
+        _print_rows(rows, args.format)
     else:
         rows = list(rows)
         width = args.max_n + 2
@@ -157,12 +153,6 @@ def cmd_table(args) -> int:
         for r in cells:
             print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
     return 0
-
-
-def _root_cert_json(cert: RootCertificate) -> dict:
-    d = cert.to_json_dict()
-    d["approx"] = [iv.approx() for iv in cert.intervals]
-    return d
 
 
 def _mark(ok: bool | None) -> str:
@@ -192,46 +182,46 @@ def cmd_certify(args) -> int:
     # only there, or where the brackets fail
     first = max(args.n[0] - 2, 0)
     chain = certificate_chain(map(normalized_recurrence, range(first, args.n[-1] + 1)))
-    failures = 0
-    out_rows = []
-    # starmap keeps no step's pairs once they are certified
-    for c, pairs in starmap(_interlace, islice(chain, args.n[0] - first, None)):
-        n = c.n
-        failures += list(pairs.values()).count(None)
-        ok = {mode: ic is not None for mode, ic in pairs.items()}
-        conc = concavity_report(genus_recurrence(n))
-        if not c.complete or not conc.ok:
-            failures += 1
+    failed = False
 
-        if args.format == "json":
-            out_rows.append(
-                {
-                    "n": n,
-                    "root_certificate": _root_cert_json(c),
-                    "interlacing": {
-                        mode: ic.to_json_dict() if (ic := pairs.get(mode)) else None
-                        for mode in ("consecutive", "skip")
-                    },
-                    "log_concave": conc.ok,
-                    "summary": {
-                        "real_rooted": c.complete,
-                        "interlace_consecutive": ok.get("consecutive"),
-                        "interlace_skip": ok.get("skip"),
-                        "log_concave": conc.ok,
-                    },
-                }
-            )
-        else:
-            print(
-                f"n={n}: real-rooted {_mark(c.complete)} "
-                f"({len(c.intervals)} intervals), "
-                f"interlace(n-1) {_mark(ok.get('consecutive'))}, "
-                f"interlace(n-2) {_mark(ok.get('skip'))}, "
-                f"log-concave {_mark(conc.ok)}"
-            )
+    def records():
+        """Per index: its root certificate, its pairs (None where one failed)
+        and its checks, each True, False, or None for a pair below index 0."""
+        nonlocal failed
+        # starmap keeps no step's pairs once they are certified
+        for c, pairs in starmap(_interlace, islice(chain, args.n[0] - first, None)):
+            summary = {f"interlace_{mode}": pairs[mode] is not None if mode in pairs else None
+                       for mode in ("consecutive", "skip")}
+            summary |= {"real_rooted": c.complete,
+                        "log_concave": concavity_report(genus_recurrence(c.n)).ok}
+            failed |= False in summary.values()
+            yield c, pairs, summary
+
     if args.format == "json":
-        print(canonical_json(out_rows))
-    return 1 if failures else 0
+        _print_json(
+            {
+                "n": c.n,
+                "root_certificate": c.to_json_dict()
+                | {"approx": [iv.approx() for iv in c.intervals]},
+                "interlacing": {
+                    mode: ic.to_json_dict() if (ic := pairs.get(mode)) else None
+                    for mode in ("consecutive", "skip")
+                },
+                "log_concave": summary["log_concave"],
+                "summary": summary,
+            }
+            for c, pairs, summary in records()
+        )
+    else:
+        for c, _, summary in records():
+            print(
+                f"n={c.n}: real-rooted {_mark(summary['real_rooted'])} "
+                f"({len(c.intervals)} intervals), "
+                f"interlace(n-1) {_mark(summary['interlace_consecutive'])}, "
+                f"interlace(n-2) {_mark(summary['interlace_skip'])}, "
+                f"log-concave {_mark(summary['log_concave'])}"
+            )
+    return 1 if failed else 0
 
 
 def cmd_oracle_check(args) -> int:

@@ -124,15 +124,15 @@ def halving_errors(capsys, monkeypatch, spec: str) -> list[str]:
     return errors
 
 
-def certificate_reach(capsys, monkeypatch, spec: str) -> tuple[int, int]:
-    """While ``certify --n spec`` isolates each W_n: the most indices whose
-    certificates, with their bracket certificates, are alive at once, and
-    the largest n - m for a polynomial W_m still alive.  In a lean walk
-    those cover n-2..n: the brackets of n-2, which hold W_{n-3}, are
-    dropped with it, and so is every pair already certified.  So are the
-    polynomials, and with them their memos of signs.  IntPoly takes no weak
-    reference, so each W_n is isolated as an equal polynomial of a subclass
-    that does."""
+def certificate_reach(capsys, monkeypatch, spec: str, fmt: str = "text") -> tuple[int, int]:
+    """While ``certify --n spec --format fmt`` isolates each W_n: the most
+    indices whose certificates, with their bracket certificates, are alive
+    at once, and the largest n - m for a polynomial W_m still alive.  In a
+    lean walk those cover n-2..n: the brackets of n-2, which hold W_{n-3},
+    are dropped with it, and so is every pair already certified.  So are
+    the polynomials, and with them their memos of signs.  IntPoly takes no
+    weak reference, so each W_n is isolated as an equal polynomial of a
+    subclass that does."""
     isolate = rootcert._isolate
     built, polys, most, oldest = [], [], [0], [0]
 
@@ -149,8 +149,9 @@ def certificate_reach(capsys, monkeypatch, spec: str) -> tuple[int, int]:
         oldest[0] = max(oldest[0], np_.n - min(alive))
         return made
 
-    monkeypatch.setattr(rootcert, "_isolate", spy)
-    assert run(capsys, "certify", "--n", spec)[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(rootcert, "_isolate", spy)
+        assert run(capsys, "certify", "--n", spec, "--format", fmt)[0] == 0
     return most[0], oldest[0]
 
 
@@ -231,15 +232,20 @@ class TestTable:
         rows = json.loads(payload)
         assert rows[5]["n"] == 5 and rows[6]["n"] == 6
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_each_row_is_written_before_the_next_is_computed(self, monkeypatch, fmt):
+    @pytest.mark.parametrize("argv", [
+        ["table", "--max-n", "4", "--format", "csv"],
+        ["table", "--max-n", "4", "--format", "json"],
+        ["certify", "--n", "0..4", "--format", "json"],
+    ], ids=["csv", "json", "certify-json"])
+    def test_each_row_is_written_before_the_next_is_computed(self, monkeypatch, argv):
         """A spy on the row source reads stdout as each row is asked for:
-        rows 0..n-1 are already there when row n is computed."""
+        rows 0..n-1 are already there when row n is computed.  ``certify``
+        asks for W_n once per row, after the chain's step to n."""
         out, seen, real = io.StringIO(), [], cli.genus_recurrence
         monkeypatch.setattr(cli, "genus_recurrence", lambda n: seen.append(out.getvalue()) or real(n))
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["table", "--max-n", "4", "--format", fmt]) == 0
-        if fmt == "csv":
+        assert main(argv) == 0
+        if argv[-1] == "csv":
             lines = out.getvalue().splitlines(keepends=True)
             written = ["".join(lines[:n]) for n in range(5)]
         else:
@@ -381,7 +387,8 @@ class TestCertify:
         assert cold == [True] + [False] * 12
 
     def test_holds_certificates_for_at_most_three_indices(self, capsys, monkeypatch):
-        assert certificate_reach(capsys, monkeypatch, "0..120") == (3, 2)
+        for fmt in ("text", "json"):
+            assert certificate_reach(capsys, monkeypatch, "0..120", fmt) == (3, 2), fmt
 
     def test_pairs_merge_from_the_bracket_certificates(self, capsys, monkeypatch):
         """A consecutive pair is apart as the brackets of its step leave it;
@@ -792,18 +799,20 @@ class TestInterrupt:
 
 class TestClosedPipe:
     def test_reader_leaving_early_is_not_a_traceback(self):
-        # 342 KB of CSV: more than a pipe buffer, so writes hit the closed pipe
-        cmd = [sys.executable, "-m", "clawgenus", "table", "--max-n", "120",
-               "--format", "csv"]
-        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=module_env()) as proc:
-            assert proc.stdout.readline() == b"0,2,2\n"
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
-            code = proc.wait(timeout=120)
-        assert code == 1
-        assert "Traceback" not in err
-        assert "Exception ignored" not in err
+        # 342 KB of CSV and 186 KB of one JSON array: each more than a pipe
+        # buffer, so writes hit the closed pipe, the JSON's mid-array
+        for argv, head in [(["table", "--max-n", "120", "--format", "csv"], b"0,2,2\n"),
+                           (["certify", "--n", "0..60", "--format", "json"], b'[{"interlacing"')]:
+            cmd = [sys.executable, "-m", "clawgenus", *argv]
+            with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=module_env()) as proc:
+                assert proc.stdout.read(len(head)) == head
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                code = proc.wait(timeout=120)
+            assert code == 1, argv
+            assert "Traceback" not in err
+            assert "Exception ignored" not in err
 
 
 class TestBoundaryValidation:

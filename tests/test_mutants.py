@@ -348,10 +348,12 @@ def test_flipped_bracket_parity_shows_only_in_the_digests(capsys, monkeypatch):
 
 
 def test_the_reach_check_catches_a_chain_step_kept_alive(capsys, monkeypatch):
-    """A plain ``for`` over the chain keeps the last step bound while the
-    next is isolated, and with it the brackets that hold W_{n-3}."""
+    """A plain ``for`` over the chain in the generator of ``certify``'s
+    records keeps the last step bound while the next is isolated, and with
+    it the brackets that hold W_{n-3}, in either format."""
     mutate(monkeypatch, cli, "cmd_certify",
            "for c, pairs in starmap(_interlace, islice(chain, args.n[0] - first, None)):",
            "for step in islice(chain, args.n[0] - first, None):\n"
-           "        c, pairs = _interlace(*step)")
-    assert certificate_reach(capsys, monkeypatch, "0..12") != (3, 2)
+           "            c, pairs = _interlace(*step)")
+    for fmt in ("text", "json"):
+        assert certificate_reach(capsys, monkeypatch, "0..12", fmt) != (3, 2), fmt
