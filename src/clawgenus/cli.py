@@ -12,8 +12,10 @@ passed, and ``table``'s text mode needs every row for its column widths.
 
 Each command-line call starts a fresh interpreter and pays for every module
 imported here: ``json`` is imported by ``canonical_json``, the first time a
-command writes JSON, so a text or CSV command never loads it, and
-``parse_args`` reads the arguments over ``COMMANDS`` without ``argparse``.
+command writes JSON, so a text or CSV command never loads it.
+``parse_args`` reads a plain argv (``_plain``: each option spelled in full
+with a valid value) itself and imports ``argparse`` for any other argv, so
+that help, prefixes and usage errors are argparse's own.
 """
 
 from __future__ import annotations
@@ -279,109 +281,76 @@ routes, brute-force verification, and machine-checkable certificates of
 real-rootedness, root interlacing and log-concavity."""
 
 
-def _spelled(flag: str, kind, _default, metavar: str | None, _text: str) -> str:
-    return f"{flag} {metavar or '{%s}' % ','.join(kind)}" if kind else flag
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: clawgenus [-h] {{{','.join(COMMANDS)}}} ..."
-    words = (_spelled(*o) if o[2] is REQUIRED else f"[{_spelled(*o)}]" for o in COMMANDS[command][2])
-    return " ".join([f"usage: clawgenus {command} [-h]", *words])
-
-
-def _help(command: str | None):
-    """Print the usage and what each command or option does, and exit 0."""
-    if command is None:
-        about, rows = DESCRIPTION, [(c, spec[1]) for c, spec in COMMANDS.items()]
-    else:
-        about, rows = COMMANDS[command][1], [(_spelled(*o), o[4]) for o in COMMANDS[command][2]]
-    rows.insert(0, ("-h, --help", "show this help message and exit"))
-    print(_usage(command), "", about, "", *(f"  {a:<20}  {b}" for a, b in rows), sep="\n")
-    raise SystemExit(0)
-
-
-def _fail(command: str | None, message: str):
-    """Exit 2 as argparse does: usage, then the error line, on stderr."""
-    prog = f"clawgenus {command}" if command else "clawgenus"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _convert(command: str | None, name: str, kind, text: str):
-    if not callable(kind) and text not in kind:
-        choices = ", ".join(map(repr, kind))
-        _fail(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
-    try:
-        return kind(text) if callable(kind) else text
-    except ValueError as exc:
-        _fail(command, f"argument {name}: {exc}")
-
-
-def _classify(tokens: list[str], flags: tuple[str, ...], command: str | None) -> list:
-    """Each token as argparse reads it, all before any acts: None for a
-    value, "--" for the end of the options, else (flag or None where it is
-    unknown, the text after "=" or None)."""
-    kinds = []
+def _plain(argv: list[str]) -> dict | None:
+    """The fields of an argv of the plain form, else None.  The plain form
+    is a command, then its options spelled in full: ``--flag value`` or
+    ``--flag=value``, a switch bare, every value valid and not starting
+    with "-", every required option given.  argparse reads it the same."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs = {opt[0]: opt for opt in COMMANDS[argv[0]][2]}
+    values = {flag: opt[2] for flag, opt in specs.items()}
+    tokens = iter(argv[1:])
     for token in tokens:
-        if "--" in kinds or token[:1] != "-" or token == "-":
-            kinds.append(None)
-        elif token == "--":
-            kinds.append(token)
-        elif token[1] == "h":  # -h; -hh is -h twice, other text after it is ignored
-            bad = (token[3:] if token[:3] == "-h=" else token[2:]).lstrip("h")
-            kinds.append(("--help", bad if bad or token == "-h=" else None))
-        elif token[1] == "-" and (hits := [f for f in flags if f.startswith(token.split("=")[0])]):
-            head, eq, value = token.partition("=")
-            if len(hits) > 1 and head not in hits:
-                _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
-            kinds.append((head if head in hits else hits[0], value if eq else None))
-        else:  # argparse's negative numbers (-1, -.5) and text with a space are values
-            number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
-            kinds.append(None if number or " " in token else (None, None))
-    return kinds
+        flag, eq, text = token.partition("=")
+        if flag not in specs:
+            return None
+        kind = specs[flag][1]
+        if kind is None:  # a switch, given bare
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")  # no value left reads as an option
+        if text.startswith("-") or not (callable(kind) or text in kind):
+            return None
+        try:
+            values[flag] = kind(text) if callable(kind) else text
+        except ValueError:
+            return None
+    if any(value is REQUIRED for value in values.values()):
+        return None
+    return {"command": argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()}}
+
+
+def _argparse(argv: list[str]) -> dict:
+    """The fields of any argv as argparse reads it over ``COMMANDS``: unique
+    prefixes, ``--``, ``-1`` as a value, the last of a repeated option.
+    ``-h`` prints help and exits 0; a usage error prints the usage and an
+    ``error:`` line on stderr and exits 2."""
+    import argparse
+
+    def typed(convert):  # argparse prints an ArgumentTypeError's message as it is
+        def parse(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return parse
+
+    parser = argparse.ArgumentParser(prog="clawgenus", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=about, description=about)
+        for flag, kind, default, metavar, text in options:
+            kw = {"required": True} if default is REQUIRED else {"default": default}
+            if kind is None:
+                kw["action"] = "store_true"
+            elif callable(kind):
+                kw |= {"type": typed(kind), "metavar": metavar}
+            else:
+                kw["choices"] = kind
+            p.add_argument(flag, help=text, **kw)
+    return vars(parser.parse_args(argv))
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The command and its options, read from argv over ``COMMANDS`` as
-    argparse read them: unique prefixes, ``--opt=value``, the last of a
-    repeated option, ``-1`` as a value.  ``-h`` prints help and exits 0; a
-    usage error prints argparse's usage and error lines and exits 2."""
-    command, specs, values, extras = None, {}, {}, []
-    tokens, i = list(argv), 0
-    kinds = _classify(tokens, ("--help",), None)
-    while i < len(tokens):
-        token, kind = tokens[i], kinds[i]
-        flag, value = kind if isinstance(kind, tuple) else (None, None)
-        i += 1
-        if command is None and (kind is None or kind == "--" and i < len(tokens)):
-            command = _convert(None, "command", COMMANDS, token)
-            specs = {opt[0]: opt for opt in COMMANDS[command][2]}
-            values = {flag: opt[2] for flag, opt in specs.items()}
-            tokens, i, kinds = tokens[i:], 0, _classify(tokens[i:], ("--help", *specs), command)
-        elif flag is None:
-            extras.append(token)
-        elif flag == "--help" or specs[flag][1] is None:  # -h or a switch
-            if value is not None:
-                name = flag if flag in specs else "-h/--help"
-                _fail(command, f"argument {name}: ignored explicit argument {value!r}")
-            if flag == "--help":
-                _help(command)
-            values[flag] = True
-        else:
-            if value is None:
-                if i == len(tokens) or kinds[i] is not None:
-                    _fail(command, f"argument {flag}: expected one argument")
-                value, i = tokens[i], i + 1
-            values[flag] = _convert(command, flag, specs[flag][1], value)
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    if missing := [flag for flag, value in values.items() if value is REQUIRED]:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    fields = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
-    return SimpleNamespace(command=command, func=globals()[COMMANDS[command][0]], **fields)
+    """The command and its options, read from argv over ``COMMANDS``: by
+    ``_plain`` where it can, else by ``_argparse``, which alone prints help
+    or a usage error."""
+    fields = _plain(argv) or _argparse(argv)
+    return SimpleNamespace(func=globals()[COMMANDS[fields["command"]][0]], **fields)
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import runpy
 import signal
 import subprocess
@@ -37,6 +38,8 @@ from clawgenus.rootcert import (
     normalized_recurrence,
 )
 from test_oracle import serial_pool, spy_pools  # noqa: F401 (a fixture)
+from test_readme import readme_cli_commands
+from test_stdlib_only import WORKLOAD_CALLS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -966,6 +969,9 @@ TOKENS = (
     # argparse's corners: the end of the options, -h twice or with text
     # after it, an option-like token with a space
     "--", "-hh", "-hx", "--n 0",
+    # the plain reader's edge: a value after "=" or on its own that starts
+    # with "-", a sign or a space that int() reads, "=" inside a value
+    "--n=-1", "-1..2", "+1", " 1", "--n=0=1",
 )
 
 
@@ -984,9 +990,10 @@ def parse_outcome(parse, argv):
 
 
 class TestParserMatchesArgparse:
-    """``parse_args`` against the argparse parser the CLI used to build:
-    same exit status, and the same fields on success, the same usage
-    prefix and ``error:`` line on a usage error, help on stdout."""
+    """``parse_args`` against ``argparse_reference``, an argparse parser
+    written out by hand rather than built from ``COMMANDS``: same exit
+    status, and the same fields on success, the same usage prefix and
+    ``error:`` line on a usage error, help on stdout."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([[], ["junk"], *([c] for c in cli.COMMANDS)]),
@@ -1008,3 +1015,50 @@ class TestParserMatchesArgparse:
     def test_prefixes_equals_and_the_last_value(self, argv, fields):
         args = cli.parse_args(argv)
         assert {k: getattr(args, k) for k in fields} == fields
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--max", "8"],
+        ["oracle-check", "--n", "0", "--acknowledge-cost=x"],
+        ["table", "--max-n", "-1"],
+        ["certify", "--n", "-0..0"],  # valid, but argparse reads it as an option
+        ["certify", "--n", "1", "--"],
+        ["certify", "-h"],
+        ["certify", "--n", "1", "--bogus"],
+        ["certify", "--format", "json"],
+        ["certify", "--n", "1", "--format", "xml"],
+        ["certify", "--n", "x"],
+        ["certify", "--n", "1", "--format"],
+    ], ids=["prefix", "switch-value", "dash-value", "dash-valid-value", "double-dash", "help", "unknown",
+            "missing-n", "bad-choice", "bad-value", "no-value"])
+    def test_what_the_plain_reader_refuses_argparse_reads(self, argv):
+        assert cli._plain(argv) is None
+        reference = parse_outcome(lambda a: build_parser().parse_args(a), argv)
+        assert parse_outcome(cli.parse_args, argv) == reference
+
+    def test_the_plain_reader_reads_the_workloads_and_the_readme(self):
+        """Every benchmark workload and README command is plain, so none of
+        them builds the argparse parser."""
+        for argv in [*WORKLOAD_CALLS, *readme_cli_commands()]:
+            fields = vars(build_parser().parse_args(argv))
+            del fields["func"]
+            assert cli._plain(argv) == fields, argv
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_names_every_option_with_its_help(self, capsys, monkeypatch, command):
+        """-h exits 0 and prints, whitespace aside, each command with its
+        help, or each of the command's flags, then its metavar or choices,
+        then its help."""
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wraps at a hyphen
+        with pytest.raises(SystemExit) as exit_:
+            cli.parse_args([command, "-h"] if command else ["-h"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and err == ""
+        if command is None:
+            lines = [cli.DESCRIPTION, *(f"{c} {spec[1]}" for c, spec in cli.COMMANDS.items())]
+            patterns = [re.escape(" ".join(line.split())) for line in lines]
+        else:
+            patterns = [rf"{re.escape(opt[0])}(?: \S+)? {re.escape(opt[4])}"
+                        for opt in cli.COMMANDS[command][2]]
+        body = " ".join(out.split())
+        for pattern in patterns:
+            assert re.search(pattern, body), pattern

@@ -24,14 +24,19 @@ def test_library_use_block_runs_and_prints_its_comments():
     assert multiprocessing.active_children() == []
 
 
-def test_cli_block_commands_exit_0_with_nothing_on_stderr(capsys):
-    """Each ``clawgenus`` line of the CLI section runs as documented."""
+def readme_cli_commands() -> list[list[str]]:
+    """The argv of each ``clawgenus`` line of the CLI section."""
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
     commands = [shlex.split(ln, comments=True) for ln in block.splitlines()]
     assert commands and all(argv[0] == "clawgenus" for argv in commands)
-    for argv in commands:
-        assert main(argv[1:]) == 0, argv
+    return [argv[1:] for argv in commands]
+
+
+def test_cli_block_commands_exit_0_with_nothing_on_stderr(capsys):
+    """Each ``clawgenus`` line of the CLI section runs as documented."""
+    for argv in readme_cli_commands():
+        assert main(argv) == 0, argv
         out, err = capsys.readouterr()
         assert out and err == "", argv
     assert multiprocessing.active_children() == []

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import clawgenus
+from test_readme import readme_cli_commands
 
 SOURCES = sorted(Path(clawgenus.__file__).parent.glob("*.py"))
 SRC = str(Path(clawgenus.__file__).resolve().parents[1])
@@ -35,8 +36,9 @@ def test_every_import_is_relative_or_from_the_standard_library():
 #: Modules no command needs at import: the records are NamedTuples, not
 #: dataclasses (which pull in ``inspect``), ``Fraction`` (which pulls in
 #: ``decimal``) is built only where a caller asks for one, ``json`` loads
-#: with the first JSON output, and the CLI reads its arguments without
-#: ``argparse`` (whose messages pull in ``gettext``).
+#: with the first JSON output, and the CLI imports ``argparse`` (whose
+#: messages pull in ``gettext``) only for an argv that ``cli._plain``
+#: refuses: help, a prefix, a usage error.
 NOT_AT_IMPORT = ("dataclasses", "inspect", "fractions", "decimal", "json", "argparse",
                  "gettext")
 
@@ -62,16 +64,29 @@ print(sorted(ran))
 """
 
 
+def fresh_modules(calls) -> tuple[list[str], list[str]]:
+    """The modules ``SCRIPT`` sees ``import clawgenus.cli`` load, then
+    those loaded by the end of the calls, in a fresh interpreter."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(calls=calls)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(map(ast.literal_eval, proc.stdout.splitlines()))
+
+
 def test_the_cli_imports_no_stdlib_machinery_its_commands_do_not_need():
     """In a fresh interpreter, ``import clawgenus.cli`` loads none of
     ``NOT_AT_IMPORT``, and the workloads' commands then load no
     ``fractions``, ``json``, ``argparse``, ``gettext`` or ``locale``."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(calls=WORKLOAD_CALLS)],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    imported, ran = map(ast.literal_eval, proc.stdout.splitlines())
+    imported, ran = fresh_modules(WORKLOAD_CALLS)
     assert "clawgenus.cli" in imported
     assert not set(NOT_AT_IMPORT) & set(imported), imported
     assert not {"fractions", "json", "argparse", "gettext", "locale"} & set(ran), ran
+
+
+def test_the_readme_commands_load_no_argparse():
+    """Every README command is plain.  (``certify --format json`` loads
+    ``json``, and the oracle pool of ``--n 7`` loads ``locale``, by design.)"""
+    _, ran = fresh_modules(readme_cli_commands())
+    assert not {"argparse", "gettext"} & set(ran), ran
