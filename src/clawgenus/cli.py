@@ -14,7 +14,7 @@ Each command-line call starts a fresh interpreter and pays for every module
 imported here: ``json`` is imported by ``canonical_json``, the first time a
 command writes JSON, so a text or CSV command never loads it.
 ``parse_args`` reads a plain argv (``_plain``: each option spelled in full
-with a valid value) itself and imports ``argparse`` for any other argv, so
+as ``--flag value`` with a valid value) itself and imports ``argparse`` for any other argv, so
 that help, prefixes and usage errors are argparse's own.
 """
 
@@ -283,26 +283,22 @@ real-rootedness, root interlacing and log-concavity."""
 
 def _plain(argv: list[str]) -> dict | None:
     """The fields of an argv of the plain form, else None.  The plain form
-    is a command, then its options spelled in full: ``--flag value`` or
-    ``--flag=value``, a switch bare, every value valid and not starting
-    with "-", every required option given.  argparse reads it the same."""
+    is a command, then its options spelled in full: ``--flag value``, a
+    switch bare, every value valid and not starting with "-", every
+    required option given.  argparse reads it the same."""
     if not argv or argv[0] not in COMMANDS:
         return None
     specs = {opt[0]: opt for opt in COMMANDS[argv[0]][2]}
     values = {flag: opt[2] for flag, opt in specs.items()}
     tokens = iter(argv[1:])
-    for token in tokens:
-        flag, eq, text = token.partition("=")
+    for flag in tokens:
         if flag not in specs:
             return None
         kind = specs[flag][1]
-        if kind is None:  # a switch, given bare
-            if eq:
-                return None
+        if kind is None:  # a switch
             values[flag] = True
             continue
-        if not eq:
-            text = next(tokens, "-")  # no value left reads as an option
+        text = next(tokens, "-")  # no value left reads as an option
         if text.startswith("-") or not (callable(kind) or text in kind):
             return None
         try:

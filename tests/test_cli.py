@@ -969,8 +969,9 @@ TOKENS = (
     # argparse's corners: the end of the options, -h twice or with text
     # after it, an option-like token with a space
     "--", "-hh", "-hx", "--n 0",
-    # the plain reader's edge: a value after "=" or on its own that starts
-    # with "-", a sign or a space that int() reads, "=" inside a value
+    # argparse's reading of what the plain reader refuses: a value after
+    # "=" or on its own that starts with "-", a sign or a space that int()
+    # reads, "=" inside a value
     "--n=-1", "-1..2", "+1", " 1", "--n=0=1",
 )
 
@@ -1018,6 +1019,7 @@ class TestParserMatchesArgparse:
 
     @pytest.mark.parametrize("argv", [
         ["table", "--max", "8"],
+        ["certify", "--n=7"],
         ["oracle-check", "--n", "0", "--acknowledge-cost=x"],
         ["table", "--max-n", "-1"],
         ["certify", "--n", "-0..0"],  # valid, but argparse reads it as an option
@@ -1028,8 +1030,9 @@ class TestParserMatchesArgparse:
         ["certify", "--n", "1", "--format", "xml"],
         ["certify", "--n", "x"],
         ["certify", "--n", "1", "--format"],
-    ], ids=["prefix", "switch-value", "dash-value", "dash-valid-value", "double-dash", "help", "unknown",
-            "missing-n", "bad-choice", "bad-value", "no-value"])
+    ], ids=["prefix", "equals", "switch-value", "dash-value", "dash-valid-value",
+            "double-dash", "help", "unknown", "missing-n", "bad-choice", "bad-value",
+            "no-value"])
     def test_what_the_plain_reader_refuses_argparse_reads(self, argv):
         assert cli._plain(argv) is None
         reference = parse_outcome(lambda a: build_parser().parse_args(a), argv)

@@ -54,19 +54,17 @@ SCRIPT = """\
 import contextlib, io, sys
 before = set(sys.modules)
 import clawgenus.cli
-imported = set(sys.modules) - before
+print(sorted(set(sys.modules) - before))
 for argv in {calls!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert clawgenus.cli.main(argv) == 0, argv
-ran = set(sys.modules) - before
-print(sorted(imported))
-print(sorted(ran))
+    print(sorted(set(sys.modules) - before))
 """
 
 
-def fresh_modules(calls) -> tuple[list[str], list[str]]:
+def fresh_modules(calls) -> list[list[str]]:
     """The modules ``SCRIPT`` sees ``import clawgenus.cli`` load, then
-    those loaded by the end of the calls, in a fresh interpreter."""
+    those loaded by the end of each call in turn, in a fresh interpreter."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SCRIPT.format(calls=calls)],
@@ -77,16 +75,14 @@ def fresh_modules(calls) -> tuple[list[str], list[str]]:
 
 def test_the_cli_imports_no_stdlib_machinery_its_commands_do_not_need():
     """In a fresh interpreter, ``import clawgenus.cli`` loads none of
-    ``NOT_AT_IMPORT``, and the workloads' commands then load no
-    ``fractions``, ``json``, ``argparse``, ``gettext`` or ``locale``."""
-    imported, ran = fresh_modules(WORKLOAD_CALLS)
+    ``NOT_AT_IMPORT``, the workloads' commands then load no ``fractions``,
+    ``json``, ``argparse``, ``gettext`` or ``locale``, and the README's
+    commands, all plain, no ``argparse`` or ``gettext``.  (``certify
+    --format json`` loads ``json``, and the oracle pool of ``--n 7`` loads
+    ``locale``, by design.)"""
+    imported, *ran = fresh_modules([*WORKLOAD_CALLS, *readme_cli_commands()])
     assert "clawgenus.cli" in imported
     assert not set(NOT_AT_IMPORT) & set(imported), imported
-    assert not {"fractions", "json", "argparse", "gettext", "locale"} & set(ran), ran
-
-
-def test_the_readme_commands_load_no_argparse():
-    """Every README command is plain.  (``certify --format json`` loads
-    ``json``, and the oracle pool of ``--n 7`` loads ``locale``, by design.)"""
-    _, ran = fresh_modules(readme_cli_commands())
-    assert not {"argparse", "gettext"} & set(ran), ran
+    workloads = set(ran[len(WORKLOAD_CALLS) - 1])
+    assert not {"fractions", "json", "argparse", "gettext", "locale"} & workloads, workloads
+    assert not {"argparse", "gettext"} & set(ran[-1]), ran[-1]
