@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import operator
 import os
 import re
 import runpy
@@ -24,7 +25,6 @@ from hypothesis import strategies as st
 import clawgenus.cli as cli
 import clawgenus.oracle as oracle
 import clawgenus.rootcert as rootcert
-from argparse_reference import build_parser
 from certcheck import certificate_errors
 from clawgenus.cli import canonical_json, main, parse_n_spec
 from clawgenus.errors import InterlacingUndecided
@@ -861,21 +861,32 @@ class TestBoundaryValidation:
         assert "Traceback" not in proc.stderr
 
     def test_every_option_is_pinned(self, capsys):
-        """A new flag changes this list on purpose, never by accident; -h
-        prints the usage on stdout and exits 0 everywhere."""
-        options = {None: ["--help", "-h"]}
-        for name, (_, _, opts) in cli.COMMANDS.items():
-            options[name] = sorted(["--help", "-h", *(opt[0] for opt in opts)])
+        """A new flag, default or choice changes this table on purpose, never
+        by accident: flag -> (default, then the choices, None for a switch,
+        or what the converter says to "x"); -h and --help print the usage on
+        stdout and exit 0 everywhere."""
+        def values(kind):
+            if not callable(kind):
+                return kind
+            with pytest.raises(ValueError) as refused:
+                kind("x")
+            return str(refused.value)
+
+        options = {name: {opt[0]: (opt[2], values(opt[1])) for opt in opts}
+                   for name, (_, _, opts) in cli.COMMANDS.items()}
+        n = {"--n": (cli.REQUIRED, "bad index spec 'x'")}
+        workers = {"--parallelism": (1, "expected an integer >= 1 and <= 64, got 'x'"),
+                   "--acknowledge-cost": (False, None)}
         assert options == {
-            None: ["--help", "-h"],
-            "compute": ["--acknowledge-cost", "--format", "--help", "--n",
-                        "--parallelism", "--route", "-h"],
-            "table": ["--format", "--help", "--max-n", "-h"],
-            "certify": ["--format", "--help", "--n", "-h"],
-            "oracle-check": ["--acknowledge-cost", "--help", "--n", "--parallelism",
-                             "-h"],
+            "compute": n | workers | {
+                "--route": ("all", ("pgd", "recurrence", "gf", "explicit", "oracle", "all")),
+                "--format": ("text", ("text", "csv", "json"))},
+            "table": {"--max-n": (4, "expected an integer >= 0, got 'x'"),
+                      "--format": ("text", ("text", "csv", "json"))},
+            "certify": n | {"--format": ("text", ("text", "json"))},
+            "oracle-check": n | workers,
         }
-        for name in options:
+        for name in (None, *options):
             for flag in ("-h", "--help"):
                 with pytest.raises(SystemExit) as exit_:
                     main([name, flag] if name else [flag])
@@ -956,10 +967,10 @@ class TestFuzz:
                 checked_rows(payload)
 
 
-#: Every long option of any command; a prefix is unique when no other of
-#: these starts with it.
-FLAGS = ("--n", "--parallelism", "--acknowledge-cost", "--route", "--format",
-         "--max-n", "--help")
+#: Every long option of any command, in the order of ``COMMANDS``; a prefix
+#: is unique when no other of these starts with it.
+FLAGS = (*dict.fromkeys(opt[0] for *_, opts in cli.COMMANDS.values() for opt in opts),
+         "--help")
 VALUES = ("0", "2", "0..3", "3..1", "65", "x", "", "-1", "-2..5", "json", "xml", "all")
 TOKENS = (
     *(flag[:k] for flag in FLAGS for k in range(3, len(flag) + 1)
@@ -969,42 +980,30 @@ TOKENS = (
     # argparse's corners: the end of the options, -h twice or with text
     # after it, an option-like token with a space
     "--", "-hh", "-hx", "--n 0",
-    # argparse's reading of what the plain reader refuses: a value after
-    # "=" or on its own that starts with "-", a sign or a space that int()
-    # reads, "=" inside a value
+    # what the plain reader must refuse or read as argparse does: a value
+    # after "=" or on its own that starts with "-", a sign or a space that
+    # int() reads, "=" inside a value
     "--n=-1", "-1..2", "+1", " 1", "--n=0=1",
 )
 
 
-def parse_outcome(parse, argv):
-    """(0, the parsed fields) when parse returns, else (exit status, whether
-    the text went to stdout, the usage up to its options, the error line)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return 0, vars(parse(argv))
-        except SystemExit as exc:
-            status = exc.code
-    on_stdout = bool(out.getvalue())
-    lines = (out.getvalue() or err.getvalue()).splitlines()
-    return status, on_stdout, lines[0].split(" [")[0], status and lines[-1]
-
-
 class TestParserMatchesArgparse:
-    """``parse_args`` against ``argparse_reference``, an argparse parser
-    written out by hand rather than built from ``COMMANDS``: same exit
-    status, and the same fields on success, the same usage prefix and
-    ``error:`` line on a usage error, help on stdout."""
+    """``_plain`` against ``_argparse``, the parser that ``COMMANDS`` builds:
+    where the plain reader reads an argv, argparse reads the same fields;
+    what it refuses (prefixes, ``=``, help, usage errors) is argparse's."""
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from([[], ["junk"], *([c] for c in cli.COMMANDS)]),
-           st.lists(st.sampled_from(TOKENS), max_size=6))
-    def test_same_outcome_on_any_argv(self, command, tokens):
-        argv = command + tokens
-        got = parse_outcome(cli.parse_args, argv)
-        assert got == parse_outcome(lambda a: build_parser().parse_args(a), argv)
-        if len(got) > 2:  # help exits 0 on stdout, a usage error 2 on stderr
-            assert got[0] in (0, 2) and got[1] == (got[0] == 0)
+    @given(st.builds(operator.add,
+                     st.sampled_from([[], ["junk"], *([c] for c in cli.COMMANDS)]),
+                     st.lists(st.sampled_from(TOKENS), max_size=6))
+           | cli_argv())
+    def test_same_outcome_on_any_argv(self, argv):
+        """The plain reader refuses argv, or argparse returns its fields."""
+        if (fields := cli._plain(argv)) is not None:
+            try:
+                assert cli._argparse(argv) == fields, argv
+            except SystemExit:
+                raise AssertionError(f"argparse exits on the plain argv {argv}") from None
 
     @pytest.mark.parametrize("argv, fields", [
         (["table", "--max", "8", "--fo", "csv"], {"max_n": 8, "format": "csv"}),
@@ -1017,34 +1016,49 @@ class TestParserMatchesArgparse:
         args = cli.parse_args(argv)
         assert {k: getattr(args, k) for k in fields} == fields
 
-    @pytest.mark.parametrize("argv", [
-        ["table", "--max", "8"],
-        ["certify", "--n=7"],
-        ["oracle-check", "--n", "0", "--acknowledge-cost=x"],
-        ["table", "--max-n", "-1"],
-        ["certify", "--n", "-0..0"],  # valid, but argparse reads it as an option
-        ["certify", "--n", "1", "--"],
-        ["certify", "-h"],
-        ["certify", "--n", "1", "--bogus"],
-        ["certify", "--format", "json"],
-        ["certify", "--n", "1", "--format", "xml"],
-        ["certify", "--n", "x"],
-        ["certify", "--n", "1", "--format"],
+    @pytest.mark.parametrize("argv, outcome", [
+        (["table", "--max", "8"], {"command": "table", "max_n": 8, "format": "text"}),
+        (["certify", "--n=7"], {"command": "certify", "n": range(7, 8), "format": "text"}),
+        (["oracle-check", "--n", "0", "--acknowledge-cost=x"], ("--acknowledge-cost", "")),
+        (["table", "--max-n", "-1"], ("--max-n", "expected an integer >= 0, got '-1'")),
+        # valid, but argparse reads it as an option
+        (["certify", "--n", "-0..0"], ("--n", "")),
+        (["certify", "--n", "1", "--"], ("--", "")),
+        (["certify", "-h"], None),
+        (["certify", "--n", "1", "--bogus"], ("--bogus", "")),
+        (["certify", "--format", "json"], ("--n", "")),
+        (["certify", "--n", "1", "--format", "xml"], ("--format", "")),
+        (["certify", "--n", "x"], ("--n", "bad index spec 'x'")),
+        (["certify", "--n", "1", "--format"], ("--format", "")),
     ], ids=["prefix", "equals", "switch-value", "dash-value", "dash-valid-value",
             "double-dash", "help", "unknown", "missing-n", "bad-choice", "bad-value",
             "no-value"])
-    def test_what_the_plain_reader_refuses_argparse_reads(self, argv):
+    def test_what_the_plain_reader_refuses_argparse_reads(self, capsys, argv, outcome):
+        """The fields argparse reads, help (None) on stdout with status 0, or
+        a usage error on stderr with status 2 whose ``error:`` line names the
+        flag and ends with the converter's message, if any: the package's
+        words, not argparse's, which change between Python versions."""
         assert cli._plain(argv) is None
-        reference = parse_outcome(lambda a: build_parser().parse_args(a), argv)
-        assert parse_outcome(cli.parse_args, argv) == reference
+        if isinstance(outcome, dict):
+            assert cli._argparse(argv) == outcome
+            return
+        with pytest.raises(SystemExit) as exit_:
+            cli._argparse(argv)
+        out, err = capsys.readouterr()
+        if outcome is None:
+            assert exit_.value.code == 0 and err == ""
+            assert out.startswith("usage: clawgenus certify [-h]")
+        else:
+            flag, message = outcome
+            error = err.splitlines()[-1]
+            assert exit_.value.code == 2 and out == "" and "error: " in error
+            assert flag in error.replace(":", " ").split() and error.endswith(message), error
 
     def test_the_plain_reader_reads_the_workloads_and_the_readme(self):
         """Every benchmark workload and README command is plain, so none of
         them builds the argparse parser."""
         for argv in [*WORKLOAD_CALLS, *readme_cli_commands()]:
-            fields = vars(build_parser().parse_args(argv))
-            del fields["func"]
-            assert cli._plain(argv) == fields, argv
+            assert cli._plain(argv) == cli._argparse(argv), argv
 
     @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
     def test_help_names_every_option_with_its_help(self, capsys, monkeypatch, command):

@@ -12,25 +12,37 @@ import sys
 from pathlib import Path
 
 import clawgenus
-from test_readme import readme_cli_commands
 
 SOURCES = sorted(Path(clawgenus.__file__).parent.glob("*.py"))
 SRC = str(Path(clawgenus.__file__).resolve().parents[1])
 
 
+def imports(tree):
+    """The top-level name of each module that an absolute import under tree
+    names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
 def test_every_import_is_relative_or_from_the_standard_library():
-    outside = []
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-            else:
-                continue
-            outside += [f"{path.name}: {m}" for m in modules
-                        if m.split(".")[0] not in sys.stdlib_module_names]
+    outside = [f"{path.name}: {m}" for path in SOURCES
+               for m in imports(ast.parse(path.read_text(encoding="utf-8")))
+               if m not in sys.stdlib_module_names]
     assert SOURCES and not outside, outside
+
+
+def test_only_cli_argparse_imports_argparse():
+    """One ``import argparse`` in the package, in the body of
+    ``cli._argparse``: an argv that ``cli._plain`` reads, as every README
+    command does, never loads it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = [name for name, tree in trees.items() for m in imports(tree) if m == "argparse"]
+    (reader,) = (node for node in trees["cli.py"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_argparse")
+    assert found == ["cli.py"] and list(imports(reader)) == ["argparse"], found
 
 
 #: Modules no command needs at import: the records are NamedTuples, not
@@ -58,13 +70,13 @@ print(sorted(set(sys.modules) - before))
 for argv in {calls!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert clawgenus.cli.main(argv) == 0, argv
-    print(sorted(set(sys.modules) - before))
+print(sorted(set(sys.modules) - before))
 """
 
 
-def fresh_modules(calls) -> list[list[str]]:
-    """The modules ``SCRIPT`` sees ``import clawgenus.cli`` load, then
-    those loaded by the end of each call in turn, in a fresh interpreter."""
+def fresh_modules(calls) -> tuple[list[str], list[str]]:
+    """The modules ``SCRIPT`` sees ``import clawgenus.cli`` load in a fresh
+    interpreter, then those loaded by the end of the calls."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", SCRIPT.format(calls=calls)],
@@ -75,14 +87,12 @@ def fresh_modules(calls) -> list[list[str]]:
 
 def test_the_cli_imports_no_stdlib_machinery_its_commands_do_not_need():
     """In a fresh interpreter, ``import clawgenus.cli`` loads none of
-    ``NOT_AT_IMPORT``, the workloads' commands then load no ``fractions``,
-    ``json``, ``argparse``, ``gettext`` or ``locale``, and the README's
-    commands, all plain, no ``argparse`` or ``gettext``.  (``certify
-    --format json`` loads ``json``, and the oracle pool of ``--n 7`` loads
-    ``locale``, by design.)"""
-    imported, *ran = fresh_modules([*WORKLOAD_CALLS, *readme_cli_commands()])
+    ``NOT_AT_IMPORT``, and the workloads' commands then load no
+    ``fractions``, ``json``, ``argparse``, ``gettext`` or ``locale``.  (The
+    README's commands are plain, so they load no ``argparse`` either:
+    ``test_only_cli_argparse_imports_argparse`` with ``test_cli``'s test of
+    the plain reader.)"""
+    imported, ran = fresh_modules(WORKLOAD_CALLS)
     assert "clawgenus.cli" in imported
     assert not set(NOT_AT_IMPORT) & set(imported), imported
-    workloads = set(ran[len(WORKLOAD_CALLS) - 1])
-    assert not {"fractions", "json", "argparse", "gettext", "locale"} & workloads, workloads
-    assert not {"argparse", "gettext"} & set(ran[-1]), ran[-1]
+    assert not {"fractions", "json", "argparse", "gettext", "locale"} & set(ran), ran
