@@ -7,8 +7,9 @@ floating point: rationals appear as [numerator, denominator] pairs, and the
 only float fields are decimal approximations explicitly marked "approx".
 
 ``table`` and ``certify`` write each row as it is computed, JSON through
-``_print_json``.  Only ``compute`` holds its rows until every index has
-passed, and ``table``'s text mode needs every row for its column widths.
+``_print_json``; ``table``'s text mode first reads the rows once for its
+column widths, keeping only each column's largest entry.  Only ``compute``
+holds its rows until every index has passed.
 
 Each command-line call starts a fresh interpreter and pays for every module
 imported here: ``json`` is imported by ``canonical_json``, the first time a
@@ -143,17 +144,27 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = ((n, genus_recurrence(n).poly) for n in range(args.max_n + 1))
+    def rows():
+        return ((n, genus_recurrence(n).poly) for n in range(args.max_n + 1))
+
     if args.format != "text":
-        _print_rows(rows, args.format)
-    else:
-        rows = list(rows)
-        width = args.max_n + 2
-        cells = [["n/i"] + [str(i) for i in range(width)]]
-        cells += [[str(n)] + [str(p[i]) for i in range(width)] for n, p in rows]
-        widths = [max(len(r[c]) for r in cells) for c in range(width + 1)]
-        for r in cells:
-            print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
+        _print_rows(rows(), args.format)
+        return 0
+    # two passes, each holding one row: the first keeps each column's
+    # largest coefficient, its widest as the coefficients are >= 0
+    width = args.max_n + 2
+    top = [0] * width
+    for _, p in rows():
+        top[:len(p.coeffs)] = map(max, top, p.coeffs)
+    header = ["n/i", *map(str, range(width))]
+    widths = [max(len(h), len(str(t))) for h, t in zip(header, [args.max_n, *top])]
+
+    def line(cells):
+        print("  ".join(s.rjust(w) for s, w in zip(cells, widths)))
+
+    line(header)
+    for n, p in rows():
+        line([str(n), *(str(p[i]) for i in range(width))])
     return 0
 
 

@@ -11,8 +11,7 @@ point appears only in optional diagnostic output.  ``Fraction`` appears
 only where a caller asks for one (``Interval.lo`` and ``hi``,
 ``SturmChain``), each importing ``fractions`` when called,
 so certifying loads neither it nor ``decimal``.  The records are
-``NamedTuple``s, except ``RootCertificate``, a slotted class that
-takes a weak reference.
+``NamedTuple``s.
 
 Certificates produced:
 
@@ -234,7 +233,7 @@ class Interval(NamedTuple):
         return (self.a + self.b) / (2 << self.k)
 
 
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """Isolating intervals for all real roots of a normalized polynomial.
 
     ``degree`` is the degree of ``poly``, and ``complete`` is True exactly
@@ -246,40 +245,11 @@ class RootCertificate:
     brackets (``certificate_chain`` hands them on).  A complete certificate
     has ``degree`` distinct roots, so its ``poly`` is squarefree and halving
     reads it, through the signs ``poly`` keeps (``IntPoly.sign``).
-
-    Immutable, and equal to another certificate with the same (n,
-    intervals, poly).  It is no tuple, and it takes a weak reference.
     """
 
-    __slots__ = ("n", "intervals", "poly", "__weakref__")
-
-    def __init__(self, n: int, intervals: tuple[Interval, ...], poly: IntPoly):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.n, self.intervals, self.poly) == (other.n, other.intervals, other.poly)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.intervals, self.poly))
-
-    def __repr__(self) -> str:
-        return (f"RootCertificate(n={self.n!r}, intervals={self.intervals!r}, "
-                f"poly={self.poly!r})")
-
-    def __reduce__(self):
-        """Rebuild through ``__init__``: by default pickle and copy set each
-        slot, which ``__setattr__`` refuses."""
-        return type(self), (self.n, self.intervals, self.poly)
+    n: int
+    intervals: tuple[Interval, ...]
+    poly: IntPoly
 
     @property
     def degree(self) -> int:

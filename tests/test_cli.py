@@ -129,15 +129,16 @@ def halving_errors(capsys, monkeypatch, spec: str) -> list[str]:
 
 def certificate_reach(capsys, monkeypatch, spec: str, fmt: str = "text") -> tuple[int, int]:
     """While ``certify --n spec --format fmt`` isolates each W_n: the most
-    indices whose certificates, with their bracket certificates, are alive
-    at once, and the largest n - m for a polynomial W_m still alive.  In a
-    lean walk those cover n-2..n: the brackets of n-2, which hold W_{n-3},
+    indices whose polynomials are alive at once, and the largest n - m for
+    a polynomial W_m still alive.  Each certificate holds its polynomial, so
+    a live certificate, bracket certificate or pair keeps its W_m alive.  In
+    a lean walk those cover n-2..n: the brackets of n-2, which hold W_{n-3},
     are dropped with it, and so is every pair already certified.  So are
     the polynomials, and with them their memos of signs.  IntPoly takes no
     weak reference, so each W_n is isolated as an equal polynomial of a
     subclass that does."""
     isolate = rootcert._isolate
-    built, polys, most, oldest = [], [], [0], [0]
+    polys, most, oldest = [], [0], [0]
 
     class Traced(IntPoly):
         __slots__ = ("__weakref__",)
@@ -146,9 +147,8 @@ def certificate_reach(capsys, monkeypatch, spec: str, fmt: str = "text") -> tupl
         np_ = NormalizedPoly(np_.n, Traced(np_.w.coeffs))
         polys.append((weakref.ref(np_.w), np_.n))
         made = isolate(np_, prev)
-        built.extend((weakref.ref(x), x.n) for x in made if x is not None)
-        most[0] = max(most[0], len({n for c, n in built if c() is not None}))
-        alive = [n for w, n in polys if w() is not None]
+        alive = {n for w, n in polys if w() is not None}
+        most[0] = max(most[0], len(alive))
         oldest[0] = max(oldest[0], np_.n - min(alive))
         return made
 
@@ -239,22 +239,27 @@ class TestTable:
         ["table", "--max-n", "4", "--format", "csv"],
         ["table", "--max-n", "4", "--format", "json"],
         ["certify", "--n", "0..4", "--format", "json"],
-    ], ids=["csv", "json", "certify-json"])
+        ["table", "--max-n", "4", "--format", "text"],
+    ], ids=["csv", "json", "certify-json", "text"])
     def test_each_row_is_written_before_the_next_is_computed(self, monkeypatch, argv):
         """A spy on the row source reads stdout as each row is asked for:
         rows 0..n-1 are already there when row n is computed.  ``certify``
-        asks for W_n once per row, after the chain's step to n."""
+        asks for W_n once per row, after the chain's step to n.  The text
+        table reads every row once for its column widths, writing nothing,
+        then writes its header and reads the rows again."""
         out, seen, real = io.StringIO(), [], cli.genus_recurrence
         monkeypatch.setattr(cli, "genus_recurrence", lambda n: seen.append(out.getvalue()) or real(n))
         monkeypatch.setattr(sys, "stdout", out)
         assert main(argv) == 0
-        if argv[-1] == "csv":
-            lines = out.getvalue().splitlines(keepends=True)
+        lines = out.getvalue().splitlines(keepends=True)
+        if argv[-1] == "text":
+            written = [""] * 5 + ["".join(lines[:n + 1]) for n in range(5)]
+        elif argv[-1] == "csv":
             written = ["".join(lines[:n]) for n in range(5)]
         else:
             rows = [canonical_json(r) for r in json.loads(out.getvalue())]
             written = [""] + ["[" + ",".join(rows[:n]) for n in range(1, 5)]
-        assert seen == written and seen[4]
+        assert seen == written and seen[-1]
 
 
 class TestCompute:
@@ -654,9 +659,22 @@ class TestGoldenDigests:
                 ("oracle-check", "--n", "0..3", "--parallelism", "2"),
                 "0b56fd761a408044036c08fcd7f0c93c13d5c2b2a69c5f14fa9b0a481b32e3b9",
             ),
+            (
+                ("table", "--max-n", "200"),
+                "6425de7f567c6c763d49bec84ed730427a5b7fe3ecd5f1398617b4c2f25bd91d",
+            ),
+            (
+                ("compute", "--n", "0..60"),
+                "e7dbe9e8cbab8bef1fb382714995c722b5a4d7e20e7cbc78e118802c637fc5ae",
+            ),
+            (
+                ("compute", "--n", "0..60", "--format", "json"),
+                "bda121cb268ebb24a1221f4fcda4415fe4b26d9cdf223c72b67ae0ebb1bc317b",
+            ),
         ],
         ids=["table", "compute", "certify", "certify-37-38", "certify-49-50",
-             "pgd-30-45", "gf-30-45", "explicit-30-45", "oracle-check"],
+             "pgd-30-45", "gf-30-45", "explicit-30-45", "oracle-check",
+             "table-text", "compute-text", "compute-json"],
     )
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -1,16 +1,14 @@
 """The package's value records: what each holds and how it behaves.
 
-Ten are ``NamedTuple``s: immutable, compared and hashed as the tuple of
+Eleven are ``NamedTuple``s: immutable, compared and hashed as the tuple of
 their fields (so one equals a plain tuple of the same values), rebuilt with
-``_replace``.  ``RootCertificate`` and ``Sqrt3Poly`` are slotted classes
-with their own constructors: a certificate takes a weak reference, and an
-element of Z[sqrt 3] is no tuple, so ``*`` by an int and ``+`` with a tuple
-raise instead of repeating or concatenating.  The reprs are pinned as
+``_replace``.  ``Sqrt3Poly`` is a slotted class with its own constructor:
+an element of Z[sqrt 3] is no tuple, so ``*`` by an int and ``+`` with a
+tuple raise instead of repeating or concatenating.  The reprs are pinned as
 literals: ``field=value`` in field order, as they have always printed.
 """
 
 import pickle
-import weakref
 from inspect import Parameter, signature
 
 import pytest
@@ -73,7 +71,7 @@ RECORDS = [
      "Sqrt3Poly(rat=IntPoly([1, 2]), irr=IntPoly([0, 3]))",
      {"rat": P(), "irr": P()}),
 ]
-NOT_TUPLES = (RootCertificate, Sqrt3Poly)
+NOT_TUPLES = (Sqrt3Poly,)
 
 by_type = pytest.mark.parametrize(
     "record, text, fields", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS])
@@ -125,11 +123,6 @@ def test_tuple_records_equal_the_plain_tuple(record, text, fields):
         assert not isinstance(record, tuple) and record != values
     else:
         assert record == values and record._replace() == record
-
-
-def test_a_certificate_takes_a_weak_reference():
-    cert = RootCertificate(0, (), P((1, 1)))
-    assert weakref.ref(cert)() is cert
 
 
 def test_a_certificate_differs_from_one_of_another_polynomial():
