@@ -22,8 +22,6 @@ from .formulas import (
     genus_explicit,
     genus_from_series,
     genus_recurrence,
-    iter_column_sums,
-    iter_genus,
     leading_coefficient,
     structure_check,
     verify_series_closed_form,
@@ -42,7 +40,6 @@ from .pgd import (
     PgdVector,
     column_sum,
     initial_pgd,
-    iter_pgd,
     newclaw_step,
     pgd,
 )

@@ -11,7 +11,7 @@ Routes implemented here:
 
 * ``genus_from_series`` -- one quarter of term n+1 of the sequence r_n of
   third-column sums of the production-matrix powers, (1,1,1)M^n, which
-  ``pgd`` iterates (``column_sum``, ``iter_column_sums``).
+  ``pgd.column_sum`` reads.
   ``verify_series_closed_form`` checks the series against its closed
   rational generating function in t, whose denominator comes from
   ``RECURRENCE``.
@@ -33,12 +33,11 @@ package's core correctness argument.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConsistencyError, FormulaIntegrityError, StructureViolation
-from .pgd import ResumableSequence, column_sum, iter_column_sums
+from .pgd import ResumableSequence, column_sum
 from .polynomials import IntPoly, Sqrt3Poly
 
 
@@ -139,17 +138,6 @@ def genus_recurrence(n: int) -> GenusPolynomial:
     return g
 
 
-def iter_genus() -> Iterator[GenusPolynomial]:
-    """Yield genus polynomials for n = 0, 1, 2, ... without caching.
-
-    Keeps only a three-term window, so arbitrarily long scans stay cheap on
-    memory.  Validation runs on every term.
-    """
-    for g, *_ in _GENUS:
-        g.validate()
-        yield g
-
-
 def genus_from_series(n: int) -> GenusPolynomial:
     """Genus polynomial as one quarter of series term n+1."""
     if n < 0:
@@ -178,7 +166,7 @@ def verify_series_closed_form(n_max: int) -> None:
     coefficientwise in t.  Raises ConsistencyError on the first mismatch.
     """
     denominator = (IntPoly.constant(1),) + tuple(-c for c in RECURRENCE)
-    r = list(islice(iter_column_sums(), n_max + 1))
+    r = [column_sum(k) for k in range(n_max + 1)]
     for n in range(n_max + 1):
         acc = IntPoly.dot(denominator, r[n::-1])  # d_k r_(n-k) for k <= n
         want = SERIES_NUMERATOR[n] if n < len(SERIES_NUMERATOR) else IntPoly()
@@ -293,16 +281,6 @@ def genus_explicit(n: int) -> GenusPolynomial:
     return g
 
 
-def _leading_by_linear_recurrence(n: int) -> int:
-    # deg c_k = k, so the top coefficient of G_n is the same combination of
-    # the top coefficients of the previous three terms
-    steps = [c.lead for c in RECURRENCE]
-    leads = [s.lead for s in _SEEDS]
-    while len(leads) <= n:
-        leads.append(sum(c * x for c, x in zip(steps, reversed(leads[-3:]))))
-    return leads[n]
-
-
 def _leading_closed_form(n: int) -> int:
     return 4 ** n * sum(
         comb(n + 2, 2 * k + 1) * 3 ** k for k in range((n + 1) // 2 + 1)
@@ -310,22 +288,19 @@ def _leading_closed_form(n: int) -> int:
 
 
 def leading_coefficient(n: int) -> int:
-    """Top genus coefficient, triple-checked.
+    """Top genus coefficient, checked against a second source.
 
-    Computes the closed binomial form and the three-term integer recurrence
-    on the top coefficients of the seeds and of RECURRENCE, and compares
-    both with the top coefficient of the recurrence route; any disagreement
-    raises FormulaIntegrityError.
+    Compares the closed binomial form with the top coefficient of the
+    recurrence route; a disagreement raises FormulaIntegrityError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     closed = _leading_closed_form(n)
-    linear = _leading_by_linear_recurrence(n)
     top = genus_recurrence(n).poly.lead
-    if not (closed == linear == top):
+    if closed != top:
         raise FormulaIntegrityError(
             f"leading coefficient mismatch at n={n}: closed form {closed}, "
-            f"linear recurrence {linear}, polynomial route {top}"
+            f"polynomial route {top}"
         )
     return closed
 

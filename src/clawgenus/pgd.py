@@ -26,7 +26,7 @@ composition sums.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterator, NamedTuple, TypeVar
+from typing import Callable, Generic, NamedTuple, TypeVar
 
 from .errors import StructureViolation
 from .polynomials import IntPoly
@@ -51,8 +51,7 @@ class ResumableSequence(Generic[_T]):
     Calling it with n returns x_n, continuing from the (index, term) pair it
     returned last, or from x_0 when n is below that index.  Each call
     rebinds the pair in one assignment, so a reader in another thread sees
-    the old pair or the new one, never a mix, and needs no lock.  Iterating
-    yields x_0, x_1, ... from state of its own.
+    the old pair or the new one, never a mix, and needs no lock.
     """
 
     def __init__(self, first: _T, step: Callable[[_T], _T]) -> None:
@@ -68,12 +67,6 @@ class ResumableSequence(Generic[_T]):
             x = self.step(x)
         self.last = (n, x)
         return x
-
-    def __iter__(self) -> Iterator[_T]:
-        x = self.first
-        while True:
-            yield x
-            x = self.step(x)
 
 
 def _apply(matrix, vec: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
@@ -132,13 +125,6 @@ def newclaw_step(v: PgdVector) -> PgdVector:
 _PGD = ResumableSequence(initial_pgd(), newclaw_step)
 
 
-def iter_pgd() -> Iterator[PgdVector]:
-    """Yield validated pgd vectors for n = 0, 1, 2, ..."""
-    for v in _PGD:
-        v.validate()
-        yield v
-
-
 def pgd(n: int) -> PgdVector:
     """Partitioned genus distribution after n claw attachments.
 
@@ -157,21 +143,13 @@ def pgd(n: int) -> PgdVector:
 _ROWS = ResumableSequence(_ONES, lambda row: _apply(_TRANSPOSE, row))
 
 
-def iter_column_sums() -> Iterator[IntPoly]:
-    """Yield r_0, r_1, ...: the sum of the third column of M^n.
-
-    That is the third component of the row vector (1,1,1)M^n.  The sequence
-    starts at 1 for n=0 and equals four times the genus polynomial of claw
-    n-1 afterwards.
-    """
-    return (row[2] for row in _ROWS)
-
-
 def column_sum(n: int) -> IntPoly:
     """Sum of the third column of the n-th power of the production matrix.
 
-    Continues from the row vector of the last request, so ascending scans
-    cost one step per index; a request below it restarts from (1, 1, 1).
+    That is the third component of the row vector (1,1,1)M^n: 1 for n=0 and
+    four times the genus polynomial of claw n-1 afterwards.  Continues from
+    the row vector of the last request, so ascending scans cost one step
+    per index; a request below it restarts from (1, 1, 1).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -1,6 +1,5 @@
 """The three non-matrix routes and the structural coefficient checks."""
 
-from itertools import islice
 from math import comb
 
 import pytest
@@ -13,14 +12,12 @@ from clawgenus.formulas import (
     genus_explicit,
     genus_from_series,
     genus_recurrence,
-    iter_column_sums,
-    iter_genus,
     leading_coefficient,
     structure_check,
     verify_series_closed_form,
 )
 from clawgenus.oracle import build_iterated_claw
-from clawgenus.pgd import PRODUCTION_MATRIX, column_sum, iter_pgd
+from clawgenus.pgd import PRODUCTION_MATRIX, column_sum, pgd
 from clawgenus.polynomials import IntPoly, Sqrt3Poly
 
 from test_pgd import TABLE
@@ -71,21 +68,13 @@ class TestRecurrenceRoute:
 
     def test_matches_matrix_route(self):
         # the production-matrix engine is the independent oracle here
-        for g, v in zip(islice(iter_genus(), 30), iter_pgd()):
-            assert g.poly == v.total()
+        for n in range(30):
+            assert genus_recurrence(n).poly == pgd(n).total()
 
-    def test_out_of_order_requests_match_iter_genus(self):
-        ref = [g.poly for g in islice(iter_genus(), 41)]
+    def test_out_of_order_requests_match_an_ascending_scan(self):
+        ref = [genus_recurrence(n).poly for n in range(41)]
         for n in [*range(40, 19, -1), 3, 0, 40, 12, 13, 9, 30]:
             assert genus_recurrence(n).poly == ref[n], n
-        # generators keep their own state, apart from each other and the calls
-        first, second = iter_genus(), iter_genus()
-        got_first, got_second = [], []
-        for n in range(41):
-            got_first.append(next(first).poly)
-            genus_recurrence(40)
-            got_second.append(next(second).poly)
-        assert got_first == got_second == ref
 
     def test_window_stays_bounded(self):
         genus_recurrence(500)
@@ -135,16 +124,14 @@ class TestRecurrenceRoute:
 
 class TestSeriesRoute:
     def test_seeds(self):
-        assert list(islice(iter_column_sums(), 3)) == [P(1), P(8, 8), P(0, 160, 96)]
+        assert [column_sum(n) for n in range(3)] == [P(1), P(8, 8), P(0, 160, 96)]
 
     def test_term_five_is_four_times_row_four(self):
-        r5 = list(islice(iter_column_sums(), 6))[5]
-        assert r5 == 4 * TABLE[4]
+        assert column_sum(5) == 4 * TABLE[4]
 
     def test_series_terms_track_genus_polynomials(self):
-        rs = list(islice(iter_column_sums(), 26))
         for n in range(25):
-            assert rs[n + 1] == 4 * genus_recurrence(n).poly
+            assert column_sum(n + 1) == 4 * genus_recurrence(n).poly
 
     def test_closed_form(self):
         verify_series_closed_form(60)
@@ -305,7 +292,9 @@ class TestLeadingCoefficient:
         monkeypatch.setattr(
             formulas, "_leading_closed_form", lambda n: closed(n) + 1
         )
-        with pytest.raises(FormulaIntegrityError):
+        with pytest.raises(FormulaIntegrityError, match=(
+                "^leading coefficient mismatch at n=2: closed form 257, "
+                "polynomial route 256$")):
             leading_coefficient(2)
 
 

@@ -516,6 +516,14 @@ class TestEnumeration:
             "pass --acknowledge-cost (acknowledge_cost=True) to proceed"
         )
 
+    def test_cap_is_the_documented_n_6(self):
+        """The README's cap, in literals: n = 6 runs unacknowledged, n = 7
+        is refused before any work."""
+        assert enumerate_pgd(6).n == 6
+        with pytest.raises(OracleCapExceeded, match=(
+                r"^n=7 needs 1073741824 rotation systems \(cap is n=6\); ")):
+            enumerate_pgd(7)
+
     def test_cap_is_read_at_call_time(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_CAP", 1)
         with pytest.raises(OracleCapExceeded):

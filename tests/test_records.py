@@ -6,13 +6,16 @@ their fields (so one equals a plain tuple of the same values), rebuilt with
 an element of Z[sqrt 3] is no tuple, so ``*`` by an int and ``+`` with a
 tuple raise instead of repeating or concatenating.  The reprs are pinned as
 literals: ``field=value`` in field order, as they have always printed.
+The names the package exports are pinned here too.
 """
 
 import pickle
 from inspect import Parameter, signature
+from types import ModuleType
 
 import pytest
 
+import clawgenus
 from clawgenus.formulas import GenusPolynomial, StructureReport
 from clawgenus.oracle import OraclePgd, RotationSystem
 from clawgenus.pgd import PgdVector
@@ -79,6 +82,35 @@ by_type = pytest.mark.parametrize(
 
 def test_every_record_is_pinned():
     assert len({type(r) for r, _, _ in RECORDS}) == 12
+
+
+def test_every_public_name_is_pinned():
+    """A name joins or leaves ``clawgenus`` on purpose, never by accident.
+    The submodules it loads are left out."""
+    names = {name for name, value in vars(clawgenus).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == {
+        # errors
+        "ClawgenusError", "ConsistencyError", "FormulaIntegrityError",
+        "InterlacingUndecided", "OracleCapExceeded", "StructureViolation",
+        # formulas
+        "GenusPolynomial", "StructureReport", "composition_sum", "genus_explicit",
+        "genus_from_series", "genus_recurrence", "leading_coefficient",
+        "structure_check", "verify_series_closed_form",
+        # oracle
+        "MultiGraph", "OraclePgd", "RotationSystem", "build_iterated_claw",
+        "enumerate_pgd", "face_trace", "root_class",
+        # pgd
+        "PRODUCTION_MATRIX", "PgdVector", "column_sum", "initial_pgd",
+        "newclaw_step", "pgd",
+        # polynomials
+        "IntPoly", "Sqrt3Poly",
+        # rootcert
+        "ConcavityReport", "InterlacingCertificate", "Interval", "NormalizedPoly",
+        "RootCertificate", "SignPatternReport", "SturmChain", "certificate_chain",
+        "certify_interlacing", "concavity_report", "is_squarefree", "isolate_roots",
+        "normalize", "normalized_recurrence", "sign_pattern_check",
+    }
 
 
 @by_type
