@@ -50,7 +50,6 @@ from .rootcert import (
     Interval,
     NormalizedPoly,
     RootCertificate,
-    SignPatternReport,
     SturmChain,
     certificate_chain,
     certify_interlacing,
@@ -59,7 +58,6 @@ from .rootcert import (
     isolate_roots,
     normalize,
     normalized_recurrence,
-    sign_pattern_check,
 )
 
 __version__ = "0.1.0"

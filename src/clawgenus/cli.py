@@ -151,11 +151,12 @@ def cmd_table(args) -> int:
         _print_rows(rows(), args.format)
         return 0
     # two passes, each holding one row: the first keeps each column's
-    # largest coefficient, its widest as the coefficients are >= 0
+    # largest coefficient, its widest as the coefficients are >= 0, built
+    # from the rows as they come, each at least as long as the one before
     width = args.max_n + 2
-    top = [0] * width
+    top: list[int] = []
     for _, p in rows():
-        top[:len(p.coeffs)] = map(max, top, p.coeffs)
+        top = [*map(max, top, p.coeffs), *p.coeffs[len(top):]]
     header = ["n/i", *map(str, range(width))]
     widths = [max(len(h), len(str(t))) for h, t in zip(header, [args.max_n, *top])]
 

@@ -118,8 +118,6 @@ class IntPoly:
 
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
-            if other == 0:
-                return IntPoly()
             return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -160,8 +158,6 @@ class IntPoly:
         """Multiply by z**k."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        if not self.coeffs:
-            return self
         return IntPoly((0,) * k + self.coeffs)
 
     def eval(self, x):

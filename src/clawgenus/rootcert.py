@@ -44,9 +44,6 @@ Certificates produced:
   complete).  ``certificate_chain`` isolates each W_n from W_{n-1} and
   pairs what the brackets worked out on the way, so a consecutive pair
   needs no halving, and a skip pair starts from intervals already refined.
-* ``SignPatternReport`` -- alternating-sign checks of each polynomial at
-  the other's roots, read at the midpoints of the same merged, disjoint
-  intervals.
 * ``ConcavityReport`` -- exact log-concavity / unimodality of a genus
   polynomial's coefficients.
 """
@@ -546,9 +543,7 @@ def _halve(p: IntPoly, iv: Interval) -> Interval:
     return Interval(a << 1, mid, k + 1)
 
 
-def _merge(
-    a: RootCertificate, b: RootCertificate, what: str
-) -> list[tuple[int, Interval]]:
+def _merge(a: RootCertificate, b: RootCertificate) -> list[tuple[int, Interval]]:
     """Refine a's and b's isolating intervals apart in one two-pointer pass.
 
     An overlapping pair has its wider interval halved (a's on ties) until
@@ -579,8 +574,9 @@ def _merge(
             j += 1
         elif steps >= allowance:
             raise InterlacingUndecided(
-                f"{what}: could not separate intervals within {allowance} "
-                "refinement steps; the polynomials may share a root"
+                f"interlacing ({a.n}, {b.n}): could not separate intervals "
+                f"within {allowance} refinement steps; the polynomials may "
+                "share a root"
             )
         else:
             if (x.b - x.a) << y.k >= (y.b - y.a) << x.k:
@@ -589,11 +585,6 @@ def _merge(
                 ys[j] = _halve(b.poly, y)
             steps += 1
     return merged + [(0, x) for x in xs[i:]] + [(1, y) for y in ys[j:]]
-
-
-def _misplaced(merged: list[tuple[int, Interval]]) -> int | None:
-    """First position where the sides stop running 0, 1, 0, 1, ..., if any."""
-    return next((k for k, (side, _) in enumerate(merged) if side != k % 2), None)
 
 
 class InterlacingCertificate(NamedTuple):
@@ -639,7 +630,9 @@ def certify_interlacing(
     already apart for a consecutive pair.  Raises InterlacingUndecided when
     ``_merge``'s worst-case refinement allowance runs out (the roots may
     coincide), ConsistencyError if the counts or the alternation pattern
-    fail outright.
+    fail outright.  The merged order fixes every sign of each polynomial at
+    the other's roots: at b's i-th root, a has sign (-1)^(i + deg a) times
+    that of its lead (Fisk, *Polynomials, roots, and interlacing*).
     """
     if a.n - b.n not in (1, 2):
         raise ValueError(f"pair ({a.n}, {b.n}) is neither (n, n-1) nor (n, n-2)")
@@ -650,8 +643,9 @@ def certify_interlacing(
             f"root counts {len(a.intervals)} and {len(b.intervals)} for pair "
             f"({a.n}, {b.n}): the first must equal the second or exceed it by one"
         )
-    merged = _merge(a, b, f"interlacing ({a.n}, {b.n})")
-    idx = _misplaced(merged)
+    merged = _merge(a, b)
+    # the sides must run 0, 1, 0, 1, ...
+    idx = next((k for k, (side, _) in enumerate(merged) if side != k % 2), None)
     if idx is not None:
         raise ConsistencyError(
             f"roots of pair ({a.n}, {b.n}) do not alternate at position {idx}"
@@ -659,74 +653,6 @@ def certify_interlacing(
     owners = (a.n, b.n)
     tagged = tuple((owners[side], iv) for side, iv in merged)
     return InterlacingCertificate(n=a.n, m=b.n, merged=tagged)
-
-
-class SignPatternReport(NamedTuple):
-    """Alternating-sign evaluations of interlacing polynomials at each
-    other's roots.
-
-    With p's roots leftmost and strictly alternating with q's, the value of
-    p at q's i-th root must have sign (-1)^(i + deg p), and the value of q
-    at p's j-th root must have sign (-1)^(j + deg q + 1).
-    """
-
-    p_index: int
-    q_index: int
-    hypothesis_ok: bool
-    p_signs_ok: bool
-    q_signs_ok: bool
-    first_failure: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.hypothesis_ok and self.p_signs_ok and self.q_signs_ok
-
-
-def _first_wrong_sign(p: IntPoly, roots, offset: int) -> int | None:
-    """First k >= 1 where p lacks sign (-1)^(k + offset) at the k-th root."""
-    return next(
-        (k for k, (_, iv) in enumerate(roots, start=1)
-         if p.sign(iv.a + iv.b, iv.k + 1) != (-1) ** (k + offset)),
-        None,
-    )
-
-
-def sign_pattern_check(
-    p_cert: RootCertificate, q_cert: RootCertificate
-) -> SignPatternReport:
-    """Check the alternating sign patterns for an interlacing pair.
-
-    p_cert must be the polynomial whose leftmost root comes first (one root
-    more than q, or equal counts with q's root rightmost).  The signs are
-    read at the midpoints of the merged intervals: each side's intervals
-    hold all of its real roots and are disjoint from the other side's, so
-    the sign there is the sign at the root.  Failures are recorded in the
-    report, never raised.  A side with no intervals passes vacuously;
-    otherwise both certificates must be complete, as for
-    ``certify_interlacing``, and an incomplete one is reported as
-    "incomplete certificate".  A pair that ``_merge``'s worst-case
-    allowance cannot separate is reported as "separation failed".
-    """
-    p, q = p_cert.n, q_cert.n
-    if not p_cert.intervals or not q_cert.intervals:
-        # nothing to evaluate at: every root-indexed check is vacuous
-        return SignPatternReport(p, q, True, True, True, None)
-    if not (p_cert.complete and q_cert.complete):
-        return SignPatternReport(p, q, False, False, False, "incomplete certificate")
-    try:
-        merged = _merge(p_cert, q_cert, f"sign pattern ({p}, {q})")
-    except InterlacingUndecided:
-        return SignPatternReport(p, q, False, False, False, "separation failed")
-    if _misplaced(merged) is not None:
-        return SignPatternReport(p, q, False, False, False, "hypothesis violated")
-
-    bad_p = _first_wrong_sign(p_cert.poly, merged[1::2], p_cert.degree)
-    bad_q = _first_wrong_sign(q_cert.poly, merged[0::2], q_cert.degree + 1)
-    first = (
-        f"sign of p at root {bad_p} of q" if bad_p
-        else f"sign of q at root {bad_q} of p" if bad_q else None
-    )
-    return SignPatternReport(p, q, True, bad_p is None, bad_q is None, first)
 
 
 class ConcavityReport(NamedTuple):

@@ -30,8 +30,8 @@ from clawgenus.rootcert import (
     is_squarefree,
     isolate_roots,
     normalized_recurrence,
-    sign_pattern_check,
 )
+from certcheck import _sign
 from test_oracle import spy_pools
 
 PAPER_TABLE_CSV = """\
@@ -174,6 +174,22 @@ def test_07_real_rootedness():
     assert elapsed < 600.0
 
 
+def wrong_signs(ic, certs) -> list[tuple[int, int]]:
+    """Each (owner, i) where the pair's other polynomial lacks its
+    alternating sign at the midpoint of the owner's i-th entry of
+    ``ic.merged``, read by ``certcheck``'s own Horner: W_n must have sign
+    (-1)^(i + deg W_n) at W_m's i-th root, and W_m sign
+    (-1)^(i + deg W_m + 1) at W_n's; both leads are positive."""
+    wrong = []
+    for own, other, offset in ((ic.m, ic.n, 0), (ic.n, ic.m, 1)):
+        coeffs = certs[other].poly.coeffs
+        entries = [iv for o, iv in ic.merged if o == own]
+        for i, iv in enumerate(entries, start=1):
+            if _sign(coeffs, iv.a + iv.b, 2 << iv.k) != (-1) ** (i + len(coeffs) - 1 + offset):
+                wrong.append((own, i))
+    return wrong
+
+
 def test_08_interlacing():
     certs = certificates(64)
     t0 = time.perf_counter()
@@ -183,19 +199,17 @@ def test_08_interlacing():
             owners = [o for o, _ in ic.merged]
             assert owners[0] == n
             assert owners[-1] == (n if n % 2 == 0 else n - 1), n
+            assert wrong_signs(ic, certs) == [], n
         for n in range(2, 65):
             ic = certify_interlacing(certs[n], certs[n - 2])
             owners = [o for o, _ in ic.merged]
             assert owners[0] == owners[-1] == n
+            assert wrong_signs(ic, certs) == [], n
     except InterlacingUndecided as exc:  # pragma: no cover
         pytest.fail(f"undecided interlacing outcome: {exc}")
-    for n in range(1, 65):
-        assert sign_pattern_check(certs[n], certs[n - 1]).ok, n
-    for n in range(2, 65):
-        assert sign_pattern_check(certs[n], certs[n - 2]).ok, n
     elapsed = time.perf_counter() - t0
     report(8, "interlacing", True, elapsed,
-           "both chains with parity patterns plus sign reports, n<=64")
+           "both chains with parity patterns plus alternating signs, n<=64")
 
 
 def test_09_log_concavity():

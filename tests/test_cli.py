@@ -116,7 +116,7 @@ def halving_errors(capsys, monkeypatch, spec: str) -> list[str]:
     certificates of the pair, and less than half as often over the range."""
     spent = {pair: c["halve"] for pair, c in pair_calls(capsys, monkeypatch, spec).items()}
     canonical = {n: merge_calls(monkeypatch, rootcert._merge, *(
-        isolate_roots(normalized_recurrence(i)) for i in (n, m)), "canonical")[1]["halve"]
+        isolate_roots(normalized_recurrence(i)) for i in (n, m)))[1]["halve"]
         for n, m in spent if n - m == 2}
     errors = [f"({n}, {m}) halved {c} times" for (n, m), c in spent.items() if n - m == 1 and c]
     errors += [f"({n}, {n - 2}) halved {spent[n, n - 2]} > {c} times"
@@ -260,6 +260,26 @@ class TestTable:
             rows = [canonical_json(r) for r in json.loads(out.getvalue())]
             written = [""] + ["[" + ",".join(rows[:n]) for n in range(1, 5)]
         assert seen == written and seen[-1]
+
+    def test_a_failing_row_ends_a_huge_text_table_with_one_error_line(self):
+        """The text table's first pass grows with the rows it reads, so under
+        a 2 GiB address-space cap ``table --max-n 10**12`` reaches its row 3,
+        which raises, and exits 1 with an error line and no traceback."""
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from clawgenus import cli\n"
+            "real = cli.genus_recurrence\n"
+            "def row(n):\n"
+            "    if n == 3:\n"
+            "        raise ValueError('row 3 fails')\n"
+            "    return real(n)\n"
+            "cli.genus_recurrence = row\n"
+            "sys.exit(cli.main(['table', '--max-n', '1000000000000']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=module_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: row 3 fails\n")
 
 
 class TestCompute:

@@ -47,6 +47,10 @@ class TestIntPolyBasics:
         assert P(5) != 5 and 5 not in {P(5)} and P() != 0
         assert P(1, 2) == IntPoly([1, 2, 0]) and hash(P(1, 2)) == hash(IntPoly([1, 2, 0]))
         assert P(5) in {P(5)} and P() in {IntPoly(): None}
+        with pytest.raises(TypeError):
+            P(5) + 5
+        with pytest.raises(TypeError):
+            P(5) - 5
 
     def test_add_cancellation(self):
         assert P(1, 1) + P(1, -1) == P(2)
@@ -65,6 +69,7 @@ class TestIntPolyBasics:
     def test_mul_monomial_shift(self):
         p = P(3, 1, 4)
         assert IntPoly.monomial(2) * p == p.shift(2) == P(0, 0, 3, 1, 4)
+        assert P().shift(3) == P()
 
     def test_mul_scalar_sixteen(self):
         assert P(3, 45, 16) * 16 == P(48, 720, 256)

@@ -1,6 +1,6 @@
 """The package's value records: what each holds and how it behaves.
 
-Eleven are ``NamedTuple``s: immutable, compared and hashed as the tuple of
+Ten are ``NamedTuple``s: immutable, compared and hashed as the tuple of
 their fields (so one equals a plain tuple of the same values), rebuilt with
 ``_replace``.  ``Sqrt3Poly`` is a slotted class with its own constructor:
 an element of Z[sqrt 3] is no tuple, so ``*`` by an int and ``+`` with a
@@ -26,7 +26,6 @@ from clawgenus.rootcert import (
     Interval,
     NormalizedPoly,
     RootCertificate,
-    SignPatternReport,
 )
 
 P = IntPoly
@@ -47,11 +46,6 @@ RECORDS = [
      "InterlacingCertificate(n=2, m=1, merged=((2, Interval(a=-3, b=-2, k=1)), "
      "(1, Interval(a=-2, b=0, k=1))))",
      {"n": EMPTY, "m": EMPTY, "merged": EMPTY}),
-    (SignPatternReport(2, 1, True, True, False, "sign of q at root 1 of p"),
-     "SignPatternReport(p_index=2, q_index=1, hypothesis_ok=True, p_signs_ok=True, "
-     "q_signs_ok=False, first_failure='sign of q at root 1 of p')",
-     dict.fromkeys(["p_index", "q_index", "hypothesis_ok", "p_signs_ok", "q_signs_ok",
-                    "first_failure"], EMPTY)),
     (ConcavityReport(3, True, True, False),
      "ConcavityReport(n=3, log_concave=True, unimodal=True, no_internal_zeros=False)",
      dict.fromkeys(["n", "log_concave", "unimodal", "no_internal_zeros"], EMPTY)),
@@ -81,7 +75,7 @@ by_type = pytest.mark.parametrize(
 
 
 def test_every_record_is_pinned():
-    assert len({type(r) for r, _, _ in RECORDS}) == 12
+    assert len({type(r) for r, _, _ in RECORDS}) == 11
 
 
 def test_every_public_name_is_pinned():
@@ -107,9 +101,9 @@ def test_every_public_name_is_pinned():
         "IntPoly", "Sqrt3Poly",
         # rootcert
         "ConcavityReport", "InterlacingCertificate", "Interval", "NormalizedPoly",
-        "RootCertificate", "SignPatternReport", "SturmChain", "certificate_chain",
-        "certify_interlacing", "concavity_report", "is_squarefree", "isolate_roots",
-        "normalize", "normalized_recurrence", "sign_pattern_check",
+        "RootCertificate", "SturmChain", "certificate_chain", "certify_interlacing",
+        "concavity_report", "is_squarefree", "isolate_roots", "normalize",
+        "normalized_recurrence",
     }
 
 
@@ -171,3 +165,5 @@ def test_sqrt3_poly_does_not_repeat_or_concatenate():
         (1,) + Sqrt3Poly()
     with pytest.raises(TypeError):
         Sqrt3Poly() + (1,)
+    with pytest.raises(TypeError):
+        Sqrt3Poly() - 1

@@ -31,7 +31,6 @@ from clawgenus.rootcert import (
     isolate_roots,
     normalize,
     normalized_recurrence,
-    sign_pattern_check,
 )
 
 
@@ -439,7 +438,7 @@ class TestMergeSignEvaluations:
 
         monkeypatch.setattr(rootcert, "_halve", halve)
         monkeypatch.setattr(IntPoly, "sign_at", sign_at)
-        rootcert._merge(a, b, "test")
+        rootcert._merge(a, b)
         monkeypatch.undo()
         first = sum(iv in a.intervals or iv in b.intervals for iv in halved)
         assert len(halved) > first  # some interval is halved more than once
@@ -633,7 +632,7 @@ class TestPredecessorBrackets:
                        for iv in halved.intervals)
             with monkeypatch.context() as m:
                 m.setattr(rootcert, "_halve", None)  # any halving would raise
-                assert [side for side, _ in rootcert._merge(gaps, halved, "test")] == [
+                assert [side for side, _ in rootcert._merge(gaps, halved)] == [
                     k % 2 for k in range(len(gaps.intervals) + len(halved.intervals))
                 ]
 
@@ -911,6 +910,21 @@ class TestInterlacing:
         with pytest.raises(ConsistencyError, match="do not alternate at position 0"):
             certify_interlacing(a, b)
 
+    def test_swapped_roles_raise(self):
+        """W_1's root -5/3 lies left of W_0's -1, so W_0 labelled 2 cannot
+        come first."""
+        with pytest.raises(ConsistencyError, match="do not alternate at position 0"):
+            certify_interlacing(cert(0)._replace(n=2), cert(1))
+
+    def test_wrong_order_fails_fast(self):
+        """W_40 labelled 42 passed where W_41, whose root comes first,
+        belongs: the merge separates the two at once, well within a second."""
+        w41 = isolate_roots(normalized_recurrence(41), prev=cert(40))
+        start = time.perf_counter()
+        with pytest.raises(ConsistencyError, match="do not alternate at position 0"):
+            certify_interlacing(cert(40)._replace(n=42), w41)
+        assert time.perf_counter() - start < 1.0
+
     def test_mode_follows_from_the_pair(self):
         assert InterlacingCertificate(n=4, m=3, merged=()).mode == "consecutive"
         assert InterlacingCertificate(n=4, m=2, merged=()).mode == "skip"
@@ -920,80 +934,6 @@ class TestInterlacing:
         assert sorted(d) == ["m", "merged", "mode", "n"]
         assert d["mode"] == "skip" and (d["n"], d["m"]) == (2, 0)
         assert [e["index"] for e in d["merged"]] == [2, 0, 2]
-
-
-class TestSignPatterns:
-    def test_pair_one_zero_by_hand(self):
-        # value of the n=1 polynomial at -1 is 16; of the n=0 one at -5/3
-        # is -4/3; both match the alternating pattern
-        assert P(40, 24).eval(-1) == 16
-        assert P(2, 2).eval(F(-5, 3)) == F(-4, 3)
-        rep = sign_pattern_check(cert(1), cert(0))
-        assert rep.ok and rep.hypothesis_ok
-
-    def test_pair_two_one(self):
-        rep = sign_pattern_check(cert(2), cert(1))
-        assert rep.ok
-
-    def test_all_small_pairs(self):
-        for n in range(1, 12):
-            assert sign_pattern_check(cert(n), cert(n - 1)).ok
-        for n in range(2, 12):
-            assert sign_pattern_check(cert(n), cert(n - 2)).ok
-
-    def test_hypothesis_violation_is_reported_not_raised(self):
-        # swapped roles: q's root comes first, so the hypothesis fails
-        rep = sign_pattern_check(cert(0), cert(1))
-        assert not rep.ok and not rep.hypothesis_ok
-
-    def test_wrong_order_fails_fast(self):
-        """W_40 passed where W_41, whose root comes first, belongs: the
-        merge separates the two at once and the hypothesis fails, well
-        within a second."""
-        w40 = cert(40)
-        w41 = isolate_roots(normalized_recurrence(41), prev=w40)
-        start = time.perf_counter()
-        rep = sign_pattern_check(w40, w41)
-        assert time.perf_counter() - start < 1.0
-        assert not rep.ok and rep.first_failure == "hypothesis violated"
-
-    def test_wrong_sign_of_p_is_reported(self):
-        w3 = normalized_recurrence(3).w
-        neg3 = isolate_roots(NormalizedPoly(3, -w3))
-        rep = sign_pattern_check(neg3, cert(2))
-        assert rep.hypothesis_ok and rep.q_signs_ok
-        assert not rep.p_signs_ok and not rep.ok
-        assert rep.first_failure == "sign of p at root 1 of q"
-
-    def test_wrong_sign_of_q_is_reported(self):
-        w2 = normalized_recurrence(2).w
-        neg2 = isolate_roots(NormalizedPoly(2, -w2))
-        rep = sign_pattern_check(cert(3), neg2)
-        assert rep.hypothesis_ok and rep.p_signs_ok
-        assert not rep.q_signs_ok and not rep.ok
-        assert rep.first_failure == "sign of q at root 1 of p"
-
-    def test_exhausted_refinement_is_reported_not_raised(self):
-        rep = sign_pattern_check(*shared_root_pair())
-        assert not rep.ok and not rep.hypothesis_ok
-        assert rep.first_failure == "separation failed"
-        assert sign_pattern_check(cert(2), cert(1)).ok
-
-    def test_vacuous_pass_when_a_side_has_no_roots(self):
-        p = P(1, 1, 1)  # no real roots at all
-        a = RootCertificate(n=1, intervals=(), poly=p)
-        rep = sign_pattern_check(a, cert(0))
-        assert rep.ok and rep.hypothesis_ok  # nothing to evaluate at
-
-    def test_incomplete_certificate_is_reported(self):
-        """(z + 1)^2 (z^2 + 1) has one interval, around a double root: its
-        poly is not squarefree, so halving could not rely on a sign change."""
-        double = isolate_roots(NormalizedPoly(6, P(1, 2, 2, 2, 1)))
-        assert len(double.intervals) == 1 and not double.complete
-        for rep in (sign_pattern_check(double, cert(5)),
-                    sign_pattern_check(cert(7), double)):
-            assert not rep.ok and not rep.hypothesis_ok
-            assert rep.first_failure == "incomplete certificate"
 
 
 class TestConcavity:
