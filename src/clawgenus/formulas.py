@@ -101,17 +101,12 @@ RECURRENCE: tuple[IntPoly, ...] = (
 )
 
 
-def _recurrence_step(g1: IntPoly, g2: IntPoly, g3: IntPoly) -> IntPoly:
-    """Next term from the previous three, newest first."""
-    return IntPoly.dot(RECURRENCE, (g1, g2, g3))
-
-
 def _genus_step(
     window: tuple[GenusPolynomial, ...]
 ) -> tuple[GenusPolynomial, ...]:
     """(G_n, G_{n+1}, G_{n+2}) to (G_{n+1}, G_{n+2}, G_{n+3})."""
     g0, g1, g2 = window
-    nxt = GenusPolynomial(g2.n + 1, _recurrence_step(g2.poly, g1.poly, g0.poly))
+    nxt = GenusPolynomial(g2.n + 1, IntPoly.dot(RECURRENCE, (g2.poly, g1.poly, g0.poly)))
     if min(nxt.poly.coeffs, default=0) < 0:
         raise StructureViolation(
             f"recurrence produced a negative coefficient at n={nxt.n}"

@@ -50,9 +50,9 @@ from .polynomials import IntPoly
 #: whatever ``jobs`` is.  On a 2-core host (Python 3.11), in-process, one
 #: process takes 27-44 ms at n = 5, 79-95 ms at n = 6, 0.52-0.74 s at n = 7
 #: and 1.6-2.3 s at n = 8; a pool of two, which splits both sides, 35-50 ms,
-#: 60-74 ms, 0.37-0.47 s and 1.0-1.2 s.  With both sides split, a pool pays
-#: from n = 6 on, by 15-20 ms there, so the cap is no longer that break-even:
-#: it stays at 6 as the point where a caller must acknowledge the cost.
+#: 60-74 ms, 0.37-0.47 s and 1.0-1.2 s.  A pool pays from n = 6 on, by
+#: 15-20 ms there; the cap is set by the cost a caller must acknowledge, not
+#: by that break-even.
 DEFAULT_CAP = 6
 #: Most blocks one enumeration splits into, and so most worker processes.
 MAX_JOBS = 64

@@ -17,9 +17,9 @@ does the product.  ``remainder_sequence`` is the one Euclidean kernel:
 its last entry is the gcd, and a Sturm chain in ``rootcert`` is the
 sequence.
 
-Signs are read at dyadic points x / 2**k given as two integers, or as a
-``fractions.Fraction`` with a power-of-two denominator, which is all root
-certification needs; ``sign`` reads each point once, through ``sign_at``.
+Signs are read at dyadic points x / 2**k given as two integers, which is
+all root certification needs; ``sign`` brings each point to lowest terms
+and reads it once, through ``sign_at``.
 ``eval`` is the exact evaluator at any other rational point.  An element of
 Q(sqrt 3) met downstream always has integer parts, so ``Sqrt3Poly`` is a
 pair of integer polynomials rat + irr*sqrt(3) that adds, subtracts and
@@ -167,24 +167,15 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, x, k: int = 0) -> int:
+    def sign_at(self, x: int, k: int = 0) -> int:
         """Sign of the value at x / 2**k, via integer arithmetic only.
 
-        For an int x this is the sign of p(x/2**k) * 2**(k*deg), by Horner's
-        rule with each coefficient shifted instead of multiplied by a power
-        of the denominator.  A Fraction x is read the same way when its
-        denominator is a power of two; any other raises ValueError, and
-        ``eval`` is the exact evaluator there.  The common factors of 2 of
-        x and 2**k are stripped first, so the shifts grow with the point's
-        own precision, not with k.
+        This is the sign of p(x/2**k) * 2**(k*deg), by Horner's rule with
+        each coefficient shifted instead of multiplied by a power of the
+        denominator.  The point comes in lowest terms, as ``sign`` passes
+        it, so the shifts grow with the point's own precision; ``eval`` is
+        the exact evaluator at any other rational point.
         """
-        if not isinstance(x, int):  # a Fraction; int is the cheaper check
-            x, b = x.numerator, x.denominator << k
-            if b & (b - 1):
-                raise ValueError(f"sign_at needs a dyadic point, got {x}/{b}")
-            k = b.bit_length() - 1
-        if k and not x & 1:
-            x, k = _lowest_terms(x, k)
         acc = s = 0
         for c in reversed(self.coeffs):
             acc = acc * x + (c << s)

@@ -33,10 +33,10 @@ Certificates produced:
   squarefree part, split by de Casteljau's triangle (Collins and Akritas;
   Rouillier and Zimmermann).  On real-rooted input both counters give the
   same certificate.  The degree is read from the polynomial; the claw
-  degree (n+2)//2 is a data check of ``NormalizedPoly.validate``.  The
-  search, the halvings and the merges read the polynomial through
-  ``IntPoly.sign``, so each of its signs is evaluated once, whichever
-  certificate of it reads it.
+  degree (n+2)//2 is checked by ``GenusPolynomial.validate``, which
+  ``normalize`` runs.  The search, the halvings and the merges read the
+  polynomial through ``IntPoly.sign``, so each of its signs is evaluated
+  once, whichever certificate of it reads it.
 * ``InterlacingCertificate`` -- a merged, strictly alternating ordering of
   the isolating intervals of two normalized polynomials.  Overlapping
   intervals are bisected, and each halving is decided by the sign of the
@@ -56,7 +56,7 @@ from math import comb, factorial, gcd
 from operator import add, ne
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConsistencyError, InterlacingUndecided, StructureViolation
+from .errors import ConsistencyError, InterlacingUndecided
 from .formulas import GenusPolynomial, genus_recurrence
 from .polynomials import IntPoly, _lowest_terms, exact_div, remainder_sequence
 
@@ -70,33 +70,11 @@ class NormalizedPoly(NamedTuple):
     n: int
     w: IntPoly
 
-    @property
-    def degree(self) -> int:
-        return (self.n + 2) // 2
-
-    def validate(self) -> None:
-        if self.w.degree != self.degree:
-            raise StructureViolation(
-                f"normalized degree at n={self.n} is {self.w.degree}, "
-                f"expected {self.degree}"
-            )
-        if any(c <= 0 for c in self.w.coeffs):
-            raise StructureViolation(
-                f"normalized polynomial at n={self.n} must have all "
-                "positive coefficients"
-            )
-
 
 def normalize(g: GenusPolynomial) -> NormalizedPoly:
-    """Divide the minimum-genus power of z out of a genus polynomial."""
-    k = g.min_genus
-    if any(g.poly.coeffs[:k]):
-        raise StructureViolation(
-            f"nonzero coefficient below z^{k} at n={g.n}; cannot normalize"
-        )
-    out = NormalizedPoly(g.n, IntPoly(g.poly.coeffs[k:]))
-    out.validate()
-    return out
+    """Divide the minimum-genus power of z out of a validated genus polynomial."""
+    g.validate()
+    return NormalizedPoly(g.n, IntPoly(g.poly.coeffs[g.min_genus:]))
 
 
 def normalized_recurrence(n: int) -> NormalizedPoly:
@@ -147,8 +125,10 @@ class SturmChain:
     No certificate path builds one: it is the public, independent counter
     the tests compare isolation against.  The chain is the primitive
     remainder sequence of (p, p'), p made primitive and squarefree, with
-    positive pseudo-division multipliers.  Its per-point cache never hits;
-    bench/tracer.py reads it.
+    positive pseudo-division multipliers.  That exact sequence is no usable
+    reference past about n = 100: on W_n and its derivative it takes 0.64 s
+    at n = 100 and 34 s at n = 200 on a 2-core host.  Its per-point cache
+    never hits; bench/tracer.py reads it.
     """
 
     __slots__ = ("polys", "_cache")
@@ -163,10 +143,11 @@ class SturmChain:
     def variations(self, x) -> int:
         """Sign variations of the chain at x, zeros skipped.
 
-        x is an int or a dyadic Fraction, the points ``IntPoly.sign_at``
-        reads.  V(x) alone is not a root count (for z^2 + 1, V(+inf) = 1);
-        only the difference V(lo) - V(hi) counts the distinct real roots in
-        (lo, hi].
+        x is an int or a dyadic Fraction; it is converted here into the
+        numerator and exponent ``IntPoly.sign_at`` reads, and any other
+        point raises ValueError.  V(x) alone is not a root count (for
+        z^2 + 1, V(+inf) = 1); only the difference V(lo) - V(hi) counts the
+        distinct real roots in (lo, hi].
         """
         from fractions import Fraction
 
@@ -175,10 +156,14 @@ class SturmChain:
         cached = self._cache.get(x)
         if cached is not None:
             return cached
+        d = x.denominator
+        if d & (d - 1):
+            raise ValueError(f"Sturm chains are read at dyadic points, got {x}")
+        m, k = x.numerator, d.bit_length() - 1
         count = 0
         prev = 0
         for p in self.polys:
-            s = p.sign_at(x)
+            s = p.sign_at(m, k)
             if s and prev and s != prev:
                 count += 1
             if s:

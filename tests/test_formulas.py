@@ -336,14 +336,8 @@ class TestStructure:
         assert not rep.ok and rep.first_failure == i
 
     def test_ascending_scan_makes_one_step_per_index(self, monkeypatch):
-        steps = []
-        step = formulas._recurrence_step
-
-        def spy(*terms):
-            steps.append(1)
-            return step(*terms)
-
-        monkeypatch.setattr(formulas, "_recurrence_step", spy)
+        steps, genus = [], formulas._GENUS
+        monkeypatch.setattr(genus, "step", lambda w, f=genus.step: steps.append(w) or f(w))
         for n in range(61):
             assert structure_check(n).ok, n
         assert len(steps) <= 64

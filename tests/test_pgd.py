@@ -172,15 +172,9 @@ class TestWindows:
             products.append(matrix)
             return apply(matrix, vec)
 
-        steps = []
-        step = formulas._recurrence_step
-
-        def recurrence_spy(*terms):
-            steps.append(1)
-            return step(*terms)
-
         monkeypatch.setattr(self.module, "_apply", spy)
-        monkeypatch.setattr(formulas, "_recurrence_step", recurrence_spy)
+        steps, genus = [], formulas._GENUS
+        monkeypatch.setattr(genus, "step", lambda w, f=genus.step: steps.append(w) or f(w))
         sums, composition = [], formulas._COMPOSITION
         monkeypatch.setattr(composition, "step", lambda s, f=composition.step: sums.append(s) or f(s))
         with contextlib.redirect_stdout(io.StringIO()):

@@ -105,19 +105,24 @@ class TestNormalize:
     def test_garbage_at_two_places_below_z_k_is_refused(self):
         g = GenusPolynomial(3, P(1, 1, 1920, 11648, 2816))
         with pytest.raises(StructureViolation,
-                           match=r"^nonzero coefficient below z\^2 at n=3; cannot normalize$"):
+                           match=r"^nonzero coefficient below minimum genus at n=3, i=0$"):
             normalize(g)
 
     def test_degree_formula(self):
         for n in range(12):
-            w = normalize(genus_recurrence(n))
-            assert w.degree == w.w.degree == (n + 2) // 2
+            assert normalize(genus_recurrence(n)).w.degree == (n + 2) // 2
 
     def test_validation_catches_a_nonpositive_coefficient(self):
-        """The degree is right, so only the positivity check can fire."""
+        """The degree and the low end are right, so only the positivity
+        check can fire."""
         with pytest.raises(StructureViolation,
-                           match="normalized polynomial at n=2 must have all positive"):
-            NormalizedPoly(2, P(1, 0, 1)).validate()
+                           match="nonpositive coefficient inside the support at n=2, i=2"):
+            normalize(GenusPolynomial(2, P(0, 1, 0, 1)))
+
+    def test_a_wrong_coefficient_sum_is_refused(self):
+        """Right support and signs, wrong total: G_1 is 40z + 24z^2."""
+        with pytest.raises(StructureViolation, match="coefficient sum at n=1"):
+            normalize(GenusPolynomial(1, P(0, 40, 25)))
 
 
 class TestNormalizedRecurrence:

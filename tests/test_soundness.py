@@ -15,6 +15,7 @@ import pytest
 
 from certcheck import interlacing_errors, root_errors
 from clawgenus.errors import ConsistencyError, InterlacingUndecided, StructureViolation
+from clawgenus.formulas import GenusPolynomial
 from clawgenus.polynomials import IntPoly
 from clawgenus.rootcert import (
     InterlacingCertificate,
@@ -23,6 +24,7 @@ from clawgenus.rootcert import (
     certificate_chain,
     certify_interlacing,
     isolate_roots,
+    normalize,
 )
 
 
@@ -223,7 +225,7 @@ class TestNoFalseCertificate:
 
     def test_the_claw_degree_stays_a_data_check(self):
         with pytest.raises(StructureViolation, match="expected 1"):
-            NormalizedPoly(0, P(1, 1, 1, 1)).validate()
+            normalize(GenusPolynomial(0, P(1, 1, 1, 1)))
 
 
 class TestInterlacingCounts:
