@@ -207,7 +207,7 @@ def cmd_certify(args) -> int:
             summary = {f"interlace_{mode}": pairs[mode] is not None if mode in pairs else None
                        for mode in ("consecutive", "skip")}
             summary |= {"real_rooted": c.complete,
-                        "log_concave": concavity_report(genus_recurrence(c.n)).ok}
+                        "log_concave": concavity_report(genus_recurrence(c.n)).log_concave}
             failed |= False in summary.values()
             yield c, pairs, summary
 

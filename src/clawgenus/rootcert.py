@@ -44,8 +44,9 @@ Certificates produced:
   complete).  ``certificate_chain`` isolates each W_n from W_{n-1} and
   pairs what the brackets worked out on the way, so a consecutive pair
   needs no halving, and a skip pair starts from intervals already refined.
-* ``ConcavityReport`` -- exact log-concavity / unimodality of a genus
-  polynomial's coefficients.
+* ``ConcavityReport`` -- exact log-concavity of a validated genus
+  polynomial's coefficients; unimodality and the absence of internal zeros
+  follow from it and ``GenusPolynomial.validate``.
 """
 
 from __future__ import annotations
@@ -641,37 +642,21 @@ def certify_interlacing(
 
 
 class ConcavityReport(NamedTuple):
-    """Exact log-concavity, unimodality and internal-zero checks."""
+    """Exact log-concavity of a validated genus polynomial's coefficients."""
 
     n: int
     log_concave: bool
-    unimodal: bool
-    no_internal_zeros: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.log_concave and self.unimodal and self.no_internal_zeros
 
 
 def concavity_report(g: GenusPolynomial) -> ConcavityReport:
-    """Check a_{k-1} a_{k+1} <= a_k^2 across the coefficient sequence,
-    single-peak unimodality, and absence of internal zeros."""
+    """Validate g, then check a_{k-1} a_{k+1} <= a_k^2 across its coefficients.
+
+    As ``validate`` rules out internal zeros, each ratio a_{k+1} / a_k is then
+    at most the one before, so the coefficients are unimodal too (Stanley 1989)."""
+    g.validate()
     cs = g.poly.coeffs
     # at either end one neighbour is 0, so only the interior can fail
     log_concave = all(
         cs[k - 1] * cs[k + 1] <= cs[k] * cs[k] for k in range(1, len(cs) - 1)
     )
-    unimodal = True
-    falling = False
-    for k in range(len(cs) - 1):
-        if cs[k + 1] < cs[k]:
-            falling = True
-        elif cs[k + 1] > cs[k] and falling:
-            unimodal = False
-            break
-
-    nz = [i for i, c in enumerate(cs) if c]
-    no_internal_zeros = not nz or all(
-        cs[i] for i in range(nz[0], nz[-1] + 1)
-    )
-    return ConcavityReport(g.n, log_concave, unimodal, no_internal_zeros)
+    return ConcavityReport(g.n, log_concave)

@@ -662,6 +662,11 @@ class TestGoldenDigests:
                 ("certify", "--n", "49..50", "--format", "json"),
                 "450bfdbf5a1eae9c79eb4b5717c63c77c8b72c6a5d8b0bc87acc73d430a03a42",
             ),
+            # the chain starts cold at n = 197, far beyond the other certify cases
+            (
+                ("certify", "--n", "199..200", "--format", "json"),
+                "630a712c23ca20bf8a96f4468dbbc3872a5c4263d13e3642200c748857d60d1f",
+            ),
             (
                 ("compute", "--route", "pgd", "--format", "csv", "--n", "30..45"),
                 "043259115458796d0e5ff7000ac13d871bd7f70f35966a4856b9757c845e6182",
@@ -693,7 +698,7 @@ class TestGoldenDigests:
             ),
         ],
         ids=["table", "compute", "certify", "certify-37-38", "certify-49-50",
-             "pgd-30-45", "gf-30-45", "explicit-30-45", "oracle-check",
+             "certify-199-200", "pgd-30-45", "gf-30-45", "explicit-30-45", "oracle-check",
              "table-text", "compute-text", "compute-json"],
     )
     def test_output_digest(self, capsys, argv, digest):

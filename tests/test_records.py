@@ -46,9 +46,9 @@ RECORDS = [
      "InterlacingCertificate(n=2, m=1, merged=((2, Interval(a=-3, b=-2, k=1)), "
      "(1, Interval(a=-2, b=0, k=1))))",
      {"n": EMPTY, "m": EMPTY, "merged": EMPTY}),
-    (ConcavityReport(3, True, True, False),
-     "ConcavityReport(n=3, log_concave=True, unimodal=True, no_internal_zeros=False)",
-     dict.fromkeys(["n", "log_concave", "unimodal", "no_internal_zeros"], EMPTY)),
+    (ConcavityReport(3, True),
+     "ConcavityReport(n=3, log_concave=True)",
+     {"n": EMPTY, "log_concave": EMPTY}),
     (GenusPolynomial(0, P((2, 2))),
      "GenusPolynomial(n=0, poly=IntPoly([2, 2]))",
      {"n": EMPTY, "poly": EMPTY}),

@@ -943,29 +943,32 @@ class TestInterlacing:
 
 class TestConcavity:
     def test_row_one(self):
-        rep = concavity_report(genus_recurrence(1))
-        assert rep.ok and rep.log_concave
+        assert concavity_report(genus_recurrence(1)).log_concave
 
     def test_row_four_interior_inequality(self):
         assert 177664 ** 2 >= 52608 * 30720
-        assert concavity_report(genus_recurrence(4)).ok
+        assert concavity_report(genus_recurrence(4)).log_concave
 
     def test_constant_is_trivially_log_concave(self):
-        rep = concavity_report(GenusPolynomial(0, P(2, 2)))
-        assert rep.log_concave and rep.unimodal
+        assert concavity_report(GenusPolynomial(0, P(2, 2))).log_concave
 
     def test_detects_violation(self):
-        bad = GenusPolynomial(2, P(0, 100, 1, 100))
-        rep = concavity_report(bad)
-        assert not rep.log_concave and not rep.unimodal and not rep.ok
+        bad = GenusPolynomial(2, P(0, 500, 24, 500))  # sum 2^10, valid
+        assert not concavity_report(bad).log_concave
 
     def test_detects_internal_zero(self):
-        rep = concavity_report(GenusPolynomial(2, P(0, 1, 0, 1)))
-        assert not rep.no_internal_zeros
+        with pytest.raises(StructureViolation,
+                           match="^nonpositive coefficient inside the support at n=2, i=2$"):
+            concavity_report(GenusPolynomial(2, P(0, 1, 0, 1)))
+
+    def test_invalid_input_is_refused(self):
+        # log-concave, but its coefficients sum to 65, not 2^6
+        with pytest.raises(StructureViolation, match="coefficient sum at n=1"):
+            concavity_report(GenusPolynomial(1, P(0, 40, 25)))
 
     def test_equality_is_log_concave(self):
-        flat = concavity_report(GenusPolynomial(2, P(1, 1, 1)))
-        assert flat.ok  # 1*1 == 1^2 at k=1
+        flat = GenusPolynomial(4, P(0, 0, 65536, 65536, 65536, 65536))  # sum 2^18
+        assert concavity_report(flat).log_concave is True  # equal at k = 3 and 4
 
 
 class TestSquarefree:
